@@ -8,86 +8,6 @@ in a truncated Fock space and reproduces it statistically with a Monte
 Carlo model of the tap-and-trigger single-pixel imaging apparatus.
 """
 
-from .errors import (
-    BandOutOfRange,
-    ConfigMismatch,
-    DegenerateShape,
-    DimensionMismatch,
-    EmptyRegion,
-    GridMismatch,
-    HeraldImpossible,
-    InsufficientCounts,
-    InsufficientData,
-    InvalidState,
-    NoHeralds,
-    NonUnitaryParams,
-    OutOfTruncation,
-    QVampireError,
-    ResidualOrthogonalPopulation,
-    TailMassExceeded,
-    TruncationDegraded,
-    UndefinedG2,
-    VacuumSubtraction,
-    WeakCouplingViolated,
-)
-from .fock import (
-    DensityMatrix,
-    MultiModeState,
-    StateStats,
-    annihilation_matrix,
-    beamsplitter_apply,
-    beamsplitter_unitary,
-    fidelity,
-    make_coherent,
-    make_fock,
-    make_thermal,
-    mix,
-    stats,
-    subtract_k,
-    subtract_photon,
-    tensor_states,
-)
-from .spatial import (
-    BeamProfile,
-    MaskSpec,
-    ModeReduction,
-    contrast_for_herald_rate,
-    herald_rate,
-    loss_profile,
-    make_mask,
-    make_profile,
-    reduce,
-    silhouette_region,
-    subtracted_profile_analytic,
-)
-from .verify import (
-    CLICK_POVM,
-    OPERATOR,
-    RegionalSubtractionResult,
-    SplitConfig,
-    herald_model_gap,
-    mode_split,
-    regional_subtraction,
-)
-from .montecarlo import (
-    DetectorConfig,
-    ScanConfig,
-    ScanResult,
-    SourceConfig,
-    click_probability,
-    conditional_profile_mc,
-    expected_singles_counts,
-    run_scan,
-    sample_block_amplitude,
-)
-from .analysis import (
-    FlatnessResult,
-    RatioMap,
-    flatness_test,
-    g2_estimate,
-    profile_cut,
-    ratio_map,
-    shadow_depth,
-)
+from . import analysis, errors, fock, montecarlo, spatial, verify
 
 __version__ = "0.1.0"

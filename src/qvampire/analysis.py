@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from .errors import (
     BandOutOfRange,
@@ -28,6 +28,8 @@ TAG_EXCLUDED = "excluded_low_signal"
 
 SIGNAL_FLOOR_RELERR = 0.3
 INSIDE_OVERLAP_THRESHOLD = 0.5
+FLATNESS_ALPHA = 0.01
+SHADOW_Z = 3.0
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,24 @@ def flatness_test(rmap: RatioMap) -> FlatnessResult:
     chi2 = float((w * (r - best) ** 2).sum())
     dof = int(r.size - 1)
     return FlatnessResult(
-        chi2=chi2, dof=dof, p_value=float(chi2_dist.sf(chi2, dof)), best_const=best
+        chi2=chi2, dof=dof, p_value=float(chdtrc(dof, chi2)), best_const=best
     )
+
+
+def verdict(p_value: float, z: float) -> str:
+    """SHADOW, NO_SHADOW, NONFLAT or AMBIGUOUS from a flatness p-value and shadow z.
+
+    A shadow needs both a non-flat ratio map and an inside dip beyond
+    ``SHADOW_Z``; no shadow needs a flat map and no significant dip.
+    Without a z-score (no inside/outside split) only flatness decides.
+    """
+    if math.isnan(z):
+        return "NONFLAT" if p_value < FLATNESS_ALPHA else "NO_SHADOW"
+    if p_value < FLATNESS_ALPHA and z > SHADOW_Z:
+        return "SHADOW"
+    if p_value > FLATNESS_ALPHA and abs(z) < SHADOW_Z:
+        return "NO_SHADOW"
+    return "AMBIGUOUS"
 
 
 def shadow_depth(rmap: RatioMap) -> tuple[float, float]:

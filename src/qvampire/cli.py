@@ -160,17 +160,29 @@ def _sidecar_for(path: Path) -> dict:
 
 
 def _region_fracs(result: mc.ScanResult) -> np.ndarray:
+    """Fraction of each superpixel inside the mask region; zeros, with the reason
+    on stderr, when the scan names no region (the shadow z-score is then NaN)."""
     cfg = result.config
-    try:
-        width = int(cfg["grid.width"])
-        height = int(cfg["grid.height"])
-        superpixel = int(cfg["scan.superpixel"])
-        if cfg.get("scenario") == "initial":
-            raise KeyError("initial scenario has no mask region")
-        region = parse_region_spec(cfg["mask.region"], width, height)
-    except (KeyError, ValueError):
-        return np.zeros((result.n_rows, result.n_cols))
-    return analysis.region_fraction_map(region, superpixel, result.n_rows, result.n_cols)
+    if not cfg:
+        reason = "no sidecar"
+    elif cfg.get("scenario") == "initial":
+        reason = "initial scenario"
+    else:
+        try:
+            width = int(cfg["grid.width"])
+            height = int(cfg["grid.height"])
+            superpixel = int(cfg["scan.superpixel"])
+            region = parse_region_spec(cfg["mask.region"], width, height)
+        except KeyError as exc:
+            reason = f"sidecar lacks {exc.args[0]}"
+        except ValueError as exc:
+            reason = f"bad region spec or grid size: {exc}"
+        else:
+            return analysis.region_fraction_map(
+                region, superpixel, result.n_rows, result.n_cols
+            )
+    print(f"analyze: no mask region ({reason}); shadow z-score is NaN", file=sys.stderr)
+    return np.zeros((result.n_rows, result.n_cols))
 
 
 def cmd_analyze(args) -> int:
@@ -210,14 +222,7 @@ def cmd_analyze(args) -> int:
     else:
         g2, g2_sigma = float("nan"), float("nan")
 
-    if math.isnan(z):
-        verdict = "NONFLAT" if flat.p_value < 0.01 else "NO_SHADOW"
-    elif flat.p_value < 0.01 and z > 3.0:
-        verdict = "SHADOW"
-    elif flat.p_value > 0.01 and abs(z) < 3.0:
-        verdict = "NO_SHADOW"
-    else:
-        verdict = "AMBIGUOUS"
+    verdict = analysis.verdict(flat.p_value, z)
 
     with open(out / "ratio_map.csv", "w", encoding="ascii") as fh:
         fh.write(RATIO_CSV_HEADER + "\n")

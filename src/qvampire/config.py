@@ -21,6 +21,7 @@ from .montecarlo import (
     ScanConfig,
     SINGLES,
     SourceConfig,
+    load_sidecar as load_config,  # a config is read like a sidecar echo
 )
 from .spatial import (
     BeamProfile,
@@ -90,25 +91,6 @@ class ScenarioConfig:
     scan: ScanConfig
     stats_nmax: int
     echo: dict
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse ``key=value`` lines; '#' starts a comment, blanks ignored."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigMismatch(f"line {lineno}: expected key=value, got {raw!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def apply_env_overrides(cfg: dict, environ) -> dict:

@@ -1,9 +1,10 @@
 """Exact truncated Fock-space engine: states, photon subtraction, statistics.
 
-Single-mode states are dense density matrices over the number basis
-|0>..|nmax>.  Multi-mode states are dense density matrices over the
-tensor product of such spaces.  All operations are pure functions; the
-backing arrays are frozen so values can be shared freely.
+States are dense single-mode density matrices over the number basis
+|0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary, are
+dense matrices over the tensor product of two such spaces; applying them
+to a state is the job of ``verify``.  All operations are pure functions;
+the backing arrays are frozen so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -92,71 +93,6 @@ class StateStats:
 
     mean_n: float
     g2: float
-
-
-@dataclass(frozen=True)
-class MultiModeState:
-    """Dense density matrix over a tensor product of truncated modes.
-
-    The joint index is C-ordered over ``mode_labels``: the first label is
-    the slowest-varying factor.
-    """
-
-    mode_labels: tuple[str, ...]
-    per_mode_dim: tuple[int, ...]
-    elements: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.mode_labels)
-        dims = tuple(int(d) for d in self.per_mode_dim)
-        if len(labels) != len(dims) or len(set(labels)) != len(labels):
-            raise InvalidState("mode labels must be unique and match dims")
-        object.__setattr__(self, "mode_labels", labels)
-        object.__setattr__(self, "per_mode_dim", dims)
-        arr = _validate_density(self.elements, "MultiModeState")
-        if arr.shape[0] != math.prod(dims):
-            raise InvalidState("elements size does not match per-mode dims")
-        object.__setattr__(self, "elements", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[0]
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.mode_labels.index(label)
-        except ValueError:
-            raise DimensionMismatch(f"no mode labeled {label!r}") from None
-
-    def as_tensor(self) -> np.ndarray:
-        """Elements reshaped to ket axes followed by bra axes."""
-        dims = self.per_mode_dim
-        return self.elements.reshape(dims + dims)
-
-    def reduced(self, label: str) -> DensityMatrix:
-        """Partial trace down to a single mode."""
-        keep = self.axis(label)
-        t = self.as_tensor()
-        m = len(self.per_mode_dim)
-        for ax in reversed([i for i in range(m) if i != keep]):
-            t = np.trace(t, axis1=ax, axis2=ax + (t.ndim // 2))
-        return DensityMatrix(t, tail_mass=0.0)
-
-    def mode_mean_photons(self, label: str) -> float:
-        return self.reduced(label).mean_photons()
-
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.elements, self.elements).real)
-
-
-def tensor_states(*factors: tuple[str, DensityMatrix]) -> MultiModeState:
-    """Tensor labeled single-mode states into one multi-mode state."""
-    labels = tuple(lbl for lbl, _ in factors)
-    dims = tuple(rho.dim for _, rho in factors)
-    joint = factors[0][1].elements
-    for _, rho in factors[1:]:
-        joint = np.kron(joint, rho.elements)
-    return MultiModeState(labels, dims, joint)
 
 
 # ---------------------------------------------------------------------------
@@ -328,55 +264,3 @@ def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarr
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
         raise NonUnitaryParams(f"t^2 + r^2 = {t * t + r * r} != 1")
     return _beamsplitter_unitary_cached(dim_i, dim_j, math.atan2(r, t))
-
-
-def _apply_pair_unitary(
-    tensor: np.ndarray, u: np.ndarray, nmodes: int, i: int, j: int, dims
-) -> np.ndarray:
-    """U . rho . U+ with U acting on mode axes (i, j) of a 2*nmodes tensor."""
-    u4 = u.reshape(dims[i], dims[j], dims[i], dims[j])
-    out = np.tensordot(u4, tensor, axes=([2, 3], [i, j]))
-    out = np.moveaxis(out, [0, 1], [i, j])
-    out = np.tensordot(u4.conj(), out, axes=([2, 3], [nmodes + i, nmodes + j]))
-    return np.moveaxis(out, [0, 1], [nmodes + i, nmodes + j])
-
-
-def beamsplitter_apply(
-    state: MultiModeState, mode_i: str, mode_j: str, t: float, r: float
-) -> MultiModeState:
-    """Mix two labeled modes of a multi-mode state on a t/r beam splitter."""
-    i, j = state.axis(mode_i), state.axis(mode_j)
-    if i == j:
-        raise DimensionMismatch("beam splitter needs two distinct modes")
-    dims = state.per_mode_dim
-    u = beamsplitter_unitary(dims[i], dims[j], t, r)
-    out = _apply_pair_unitary(state.as_tensor(), u, len(dims), i, j, dims)
-    return MultiModeState(
-        state.mode_labels, dims, out.reshape(state.dim, state.dim)
-    )
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-
-
-def save_state_txt(path, rho: DensityMatrix) -> None:
-    """Write a density matrix as plain text: header line 'dim,tail_mass'."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{rho.dim},{float(rho.tail_mass)!r}\n")
-        for row in rho.elements:
-            fh.write(
-                ",".join(f"{float(z.real)!r}{float(z.imag):+}j" for z in row) + "\n"
-            )
-
-
-def load_state_txt(path) -> DensityMatrix:
-    """Read a density matrix written by save_state_txt."""
-    with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().strip().split(",")
-        dim, tail = int(head[0]), float(head[1])
-        rows = [
-            [complex(tok) for tok in fh.readline().strip().split(",")]
-            for _ in range(dim)
-        ]
-    return DensityMatrix(np.array(rows, dtype=complex), tail_mass=tail)

@@ -402,16 +402,21 @@ def save_scan_csv(path, result: ScanResult) -> None:
 
 
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:
+    """Read a scan CSV; every superpixel of the grid must appear exactly once."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != SCAN_CSV_HEADER:
             raise ConfigMismatch(f"unexpected scan CSV header: {header!r}")
         records = []
+        seen = set()
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             row, col, n_bins, cam, her, both = (int(tok) for tok in line.split(","))
+            if (row, col) in seen:
+                raise ConfigMismatch(f"{path}: superpixel ({row}, {col}) appears twice")
+            seen.add((row, col))
             records.append(
                 SuperpixelRecord(
                     row=row,
@@ -422,9 +427,15 @@ def load_scan_csv(path, config: dict | None = None) -> ScanResult:
                     coincidence_counts=both,
                 )
             )
+    if not records:
+        raise ConfigMismatch(f"{path}: no superpixel rows")
     config = dict(config or {})
     n_rows = int(config.get("derived.n_rows", max(r.row for r in records) + 1))
     n_cols = int(config.get("derived.n_cols", max(r.col for r in records) + 1))
+    if any(not (0 <= r < n_rows and 0 <= c < n_cols) for r, c in seen):
+        raise ConfigMismatch(f"{path}: superpixel outside the {n_rows}x{n_cols} grid")
+    if len(seen) != n_rows * n_cols:
+        raise ConfigMismatch(f"{path}: {n_rows * n_cols - len(seen)} superpixels missing")
     return ScanResult(records=tuple(records), n_rows=n_rows, n_cols=n_cols, config=config)
 
 
@@ -436,12 +447,17 @@ def save_sidecar(path, config: dict) -> None:
 
 
 def load_sidecar(path) -> dict:
+    """Read ``key=value`` lines (configs and sidecars); '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ConfigMismatch(
+                    f"{path}: line {lineno}: expected key=value, got {line!r}"
+                )
             out[key.strip()] = value.strip()
     return out

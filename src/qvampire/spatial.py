@@ -25,7 +25,6 @@ from .errors import (
 from .fock import StateStats
 
 NORM_TOL = 1e-12
-DEFAULT_GRID = (64, 48)  # width, height
 WEAK_COUPLING_DEFAULT = 0.2
 
 
@@ -96,8 +95,6 @@ class ModeReduction:
 
     c_a: float  # amplitude fraction of the beam inside the active region
     r_eff: float  # effective coupling to the heralding mode
-    transmitted_profile: BeamProfile
-    reflected_profile: BeamProfile | None
 
 
 def _normalized(amp: np.ndarray, what: str) -> BeamProfile:
@@ -275,12 +272,10 @@ def reduce(profile: BeamProfile, mask: MaskSpec) -> ModeReduction:
     u2 = profile.power()
     r = mask.reflectivity()
     r_eff = math.sqrt(float((r * r * u2).sum()))
+    if float(((mask.transmission * profile.amplitude) ** 2).sum()) <= 0.0:
+        raise DegenerateShape("mask transmits no beam power")
     c_a = math.sqrt(float(u2[mask.active_region()].sum()))
-    transmitted = _normalized(mask.transmission * profile.amplitude, "transmitted")
-    reflected = _normalized(r * profile.amplitude, "reflected") if r_eff > 0 else None
-    return ModeReduction(
-        c_a=c_a, r_eff=r_eff, transmitted_profile=transmitted, reflected_profile=reflected
-    )
+    return ModeReduction(c_a=c_a, r_eff=r_eff)
 
 
 def herald_rate(profile: BeamProfile, mask: MaskSpec, nbar: float) -> float:

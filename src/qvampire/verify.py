@@ -33,7 +33,6 @@ import numpy as np
 from .errors import HeraldImpossible, ResidualOrthogonalPopulation
 from .fock import (
     DensityMatrix,
-    MultiModeState,
     VACUUM_WEIGHT_FLOOR,
     annihilation_matrix,
     beamsplitter_unitary,
@@ -120,15 +119,6 @@ def split_isometry(c_a: float, dim: int) -> np.ndarray:
     return recombination_unitary(c_a, dim)[:, np.arange(dim) * dim]
 
 
-def mode_split(rho: DensityMatrix, c_a: float) -> MultiModeState:
-    """Split one mode into the masked sub-mode A and its complement B."""
-    if not 0.0 <= c_a <= 1.0:
-        raise ValueError("c_a must lie in [0, 1]")
-    v = split_isometry(c_a, rho.dim)
-    joint = v @ rho.elements @ v.conj().T
-    return MultiModeState(("A", "B"), (rho.dim, rho.dim), joint)
-
-
 def _apply_on_a_r(mat: np.ndarray, tens: np.ndarray, d: int) -> np.ndarray:
     """Apply a (d^2, d^2) operator to the (A, R) axes of an (A, B, R) tensor."""
     x = tens.transpose(0, 2, 1).reshape(d * d, d)
@@ -149,7 +139,7 @@ def regional_subtraction(
     d = rho.dim
     t = math.sqrt(max(1.0 - cfg.r * cfg.r, 0.0))
     w_rec = recombination_unitary(cfg.c_a, d)
-    v_split = w_rec[:, np.arange(d) * d]
+    v_split = split_isometry(cfg.c_a, d)
     u_tap = beamsplitter_unitary(d, d, t, cfg.r)
     if cfg.herald_model == OPERATOR:
         herald_op = u_tap.conj().T @ np.kron(np.eye(d), annihilation_matrix(d - 1)) @ u_tap

@@ -1,5 +1,10 @@
 """Estimator tests: g2, ratio maps, flatness calibration, shadow detection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
@@ -191,6 +196,36 @@ def test_shadow_requires_both_regions():
     rm = synthetic_flat_map(rng)
     with pytest.raises(EmptyRegion):
         analysis.shadow_depth(rm)
+
+
+# ---------------------------------------------------------------------------
+# verdict
+
+
+@pytest.mark.parametrize(
+    "p_value, z, expected",
+    [
+        (1e-5, 5.0, "SHADOW"),
+        (0.5, 0.5, "NO_SHADOW"),
+        (0.5, -2.9, "NO_SHADOW"),
+        (1e-5, 1.0, "AMBIGUOUS"),  # not flat, but no dip inside the region
+        (0.5, 4.0, "AMBIGUOUS"),  # flat, yet a significant dip
+        (1e-5, -5.0, "AMBIGUOUS"),  # not flat, but a bump inside
+        (analysis.FLATNESS_ALPHA, 0.0, "AMBIGUOUS"),  # p on the cut: neither flat
+        (analysis.FLATNESS_ALPHA, 5.0, "AMBIGUOUS"),  # nor non-flat
+        (1e-5, float("nan"), "NONFLAT"),
+        (0.5, float("nan"), "NO_SHADOW"),
+    ],
+)
+def test_verdict_table(p_value, z, expected):
+    assert analysis.verdict(p_value, z) == expected
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, qvampire; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------

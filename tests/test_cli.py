@@ -31,9 +31,9 @@ def write_config(tmp_path, text=SMOKE_CONFIG, name="scenario.cfg"):
 # config machinery
 
 
-def test_parse_config_rejects_garbage():
+def test_parse_config_rejects_garbage(tmp_path):
     with pytest.raises(Exception):
-        config.parse_config_text("scenario subtraction")
+        config.load_config(write_config(tmp_path, "scenario subtraction"))
 
 
 def test_unknown_keys_rejected():
@@ -288,6 +288,18 @@ def test_cmd_analyze_loss_flags_shadow(tmp_path, capsys):
     assert float(summary["z_score"]) > 5.0
     assert float(summary["p_value"]) < 1e-6
     capsys.readouterr()
+
+
+def test_cmd_analyze_names_missing_sidecar(tmp_path, capsys):
+    out = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "sub")
+    (out / "scan.cfg").unlink()
+    capsys.readouterr()
+    rc = cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "no sidecar" in captured.err
+    assert "z=nan" in captured.out
 
 
 def test_cmd_analyze_grid_mismatch(tmp_path, capsys):

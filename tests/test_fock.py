@@ -232,73 +232,74 @@ def test_subtraction_brightness_identity(rho):
 
 
 # ---------------------------------------------------------------------------
-# beam splitter on multi-mode states
+# beam-splitter unitary acting on two-mode states
+
+
+def _mix(rho_s, rho_r, t, r):
+    """Joint (S, R) density matrix after the t/r splitter, S the slow index."""
+    u = fock.beamsplitter_unitary(rho_s.dim, rho_r.dim, t, r)
+    return u @ np.kron(rho_s.elements, rho_r.elements) @ u.conj().T
+
+
+def _mode_mean(joint, d, mode):
+    """Mean photon number of mode 0 (S) or 1 (R) of a d x d joint state."""
+    pops = np.diag(joint).real.reshape(d, d).sum(axis=1 - mode)
+    return float(np.dot(np.arange(d), pops))
 
 
 def _thermal_vacuum_pair(nbar=1.0, nmax=30):
     # keep nbar small enough for the truncation tail at the given nmax
-    return fock.tensor_states(
-        ("S", fock.make_thermal(nbar, nmax)), ("R", fock.make_fock(0, nmax))
-    )
+    return fock.make_thermal(nbar, nmax), fock.make_fock(0, nmax)
 
 
 def test_beamsplitter_identity_at_zero_reflectivity():
-    state = _thermal_vacuum_pair(nbar=0.2, nmax=12)
-    out = fock.beamsplitter_apply(state, "S", "R", t=1.0, r=0.0)
-    assert np.allclose(out.elements, state.elements, atol=1e-12)
+    s, r = _thermal_vacuum_pair(nbar=0.2, nmax=12)
+    out = _mix(s, r, t=1.0, r=0.0)
+    assert np.allclose(out, np.kron(s.elements, r.elements), atol=1e-12)
 
 
 def test_beamsplitter_single_photon_split():
-    state = fock.tensor_states(
-        ("S", fock.make_fock(1, 3)), ("R", fock.make_fock(0, 3))
-    )
-    out = fock.beamsplitter_apply(state, "S", "R", t=0.8, r=0.6)
-    t = out.as_tensor()
+    out = _mix(fock.make_fock(1, 3), fock.make_fock(0, 3), t=0.8, r=0.6)
+    t = out.reshape(4, 4, 4, 4)
     assert abs(t[1, 0, 1, 0].real - 0.64) < 1e-12
     assert abs(t[0, 1, 0, 1].real - 0.36) < 1e-12
 
 
 def test_beamsplitter_reflected_mean_linear_input_output():
-    state = _thermal_vacuum_pair()
-    mean_in = state.mode_mean_photons("S")
-    out = fock.beamsplitter_apply(state, "S", "R", t=math.sqrt(1 - 0.01), r=0.1)
-    assert abs(out.mode_mean_photons("R") - 0.01 * mean_in) < 1e-10
+    s, r = _thermal_vacuum_pair()
+    out = _mix(s, r, t=math.sqrt(1 - 0.01), r=0.1)
+    assert abs(_mode_mean(out, s.dim, 1) - 0.01 * s.mean_photons()) < 1e-10
 
 
 def test_beamsplitter_unitarity_and_inverse():
-    state = _thermal_vacuum_pair(nbar=0.5, nmax=20)
-    t, r = math.sqrt(1 - 0.09), 0.3
-    out = fock.beamsplitter_apply(state, "S", "R", t, r)
-    assert abs(out.elements.trace().real - 1.0) < 1e-10
-    assert abs(out.purity() - state.purity()) < 1e-10
-    back = fock.beamsplitter_apply(out, "S", "R", t, -r)
-    assert np.abs(back.elements - state.elements).max() < 1e-10
+    s, r = _thermal_vacuum_pair(nbar=0.5, nmax=20)
+    t, refl = math.sqrt(1 - 0.09), 0.3
+    u = fock.beamsplitter_unitary(s.dim, r.dim, t, refl)
+    joint = np.kron(s.elements, r.elements)
+    out = u @ joint @ u.conj().T
+    assert abs(out.trace().real - 1.0) < 1e-10
+    # purity Tr(rho^2) of a Hermitian matrix is its squared Frobenius norm
+    assert abs(np.linalg.norm(out) ** 2 - np.linalg.norm(joint) ** 2) < 1e-10
+    back_u = fock.beamsplitter_unitary(s.dim, r.dim, t, -refl)
+    assert np.abs(back_u @ u - np.eye(u.shape[0])).max() < 1e-10
+    back = back_u @ out @ back_u.conj().T
+    assert np.abs(back - joint).max() < 1e-10
 
 
 def test_beamsplitter_preserves_total_photon_distribution():
-    state = _thermal_vacuum_pair(nbar=0.3, nmax=15)
-    out = fock.beamsplitter_apply(state, "S", "R", t=0.6, r=0.8)
-    d = state.per_mode_dim[0]
+    s, r = _thermal_vacuum_pair(nbar=0.3, nmax=15)
+    out = _mix(s, r, t=0.6, r=0.8)
+    d = s.dim
     total = np.add.outer(np.arange(d), np.arange(d)).ravel()
-    before = np.diag(state.elements).real
-    after = np.diag(out.elements).real
+    before = np.diag(np.kron(s.elements, r.elements)).real
+    after = np.diag(out).real
     for n in range(6):
         assert abs(before[total == n].sum() - after[total == n].sum()) < 1e-12
 
 
 def test_beamsplitter_rejects_nonunitary_params():
-    state = fock.tensor_states(
-        ("S", fock.make_fock(1, 5)), ("R", fock.make_fock(0, 5))
-    )
     with pytest.raises(NonUnitaryParams):
-        fock.beamsplitter_apply(state, "S", "R", t=0.9, r=0.5)
-
-
-def test_multimode_reduced_recovers_factor():
-    rho = fock.make_thermal(0.7, 25)
-    state = fock.tensor_states(("S", rho), ("R", fock.make_fock(0, 8)))
-    back = state.reduced("S")
-    assert np.abs(back.elements - rho.elements).max() < 1e-12
+        fock.beamsplitter_unitary(6, 6, t=0.9, r=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +336,3 @@ def test_fidelity_symmetry():
     rho1 = fock.make_thermal(0.5, 30)
     rho2 = fock.make_coherent(1.0, 30)
     assert abs(fock.fidelity(rho1, rho2) - fock.fidelity(rho2, rho1)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_state_txt_roundtrip(tmp_path):
-    rho = fock.make_coherent(0.7 + 0.2j, 20)
-    path = tmp_path / "state.txt"
-    fock.save_state_txt(path, rho)
-    back = fock.load_state_txt(path)
-    assert np.abs(back.elements - rho.elements).max() < 1e-15
-    assert back.tail_mass == rho.tail_mass

@@ -269,3 +269,32 @@ def test_sidecar_roundtrip(tmp_path):
     path = tmp_path / "scan.cfg"
     mc.save_sidecar(path, cfg)
     assert mc.load_sidecar(path) == cfg
+
+
+GRID_1X2 = {"derived.n_rows": "1", "derived.n_cols": "2"}
+
+
+@pytest.mark.parametrize(
+    "rows, config",
+    [
+        (["0,0", "0,0", "0,1"], GRID_1X2),  # duplicate superpixel
+        (["0,0", "0,2"], GRID_1X2),  # column outside the grid
+        (["0,0", "-1,1"], None),  # negative row
+        (["0,0"], GRID_1X2),  # missing superpixel
+        (["0,0", "1,1"], None),  # missing superpixels of the inferred 2x2 grid
+        ([], GRID_1X2),  # empty body
+    ],
+)
+def test_load_scan_csv_rejects_malformed_grid(tmp_path, rows, config):
+    path = tmp_path / "scan.csv"
+    body = "".join(f"{cell},10,2,1,1\n" for cell in rows)
+    path.write_text(mc.SCAN_CSV_HEADER + "\n" + body)
+    with pytest.raises(ConfigMismatch):
+        mc.load_scan_csv(path, config=config)
+
+
+def test_sidecar_rejects_line_without_equals(tmp_path):
+    path = tmp_path / "scan.cfg"
+    path.write_text("scan.seed=42\nsource.nbar 1.0\n")
+    with pytest.raises(ConfigMismatch, match="line 2"):
+        mc.load_sidecar(path)

@@ -64,8 +64,6 @@ def test_white_mask_reduces_to_zero_coupling():
     red = spatial.reduce(prof, mask)
     assert red.r_eff == 0.0
     assert red.c_a == 0.0
-    assert red.reflected_profile is None
-    assert np.allclose(red.transmitted_profile.amplitude, prof.amplitude)
 
 
 def test_full_blocking_mask():
@@ -73,6 +71,17 @@ def test_full_blocking_mask():
     mask = spatial.make_mask("vampire", 10, 10, contrast=1.0, region=region)
     assert np.all(mask.transmission[region] == 0.0)
     assert np.all(mask.transmission[~region] == 1.0)
+
+
+def test_reduce_rejects_mask_transmitting_no_beam_power():
+    # the beam lives in the top half, which the mask blocks completely
+    amp = np.zeros((10, 10))
+    amp[:5] = 1.0
+    prof = spatial.BeamProfile(amp / np.sqrt((amp**2).sum()))
+    region = spatial.rect_region(10, 10, 0, 0, 10, 5)
+    mask = spatial.make_mask("vampire", 10, 10, contrast=1.0, region=region)
+    with pytest.raises(DegenerateShape):
+        spatial.reduce(prof, mask)
 
 
 def test_r_eff_matches_direct_sum_oracle():
@@ -95,25 +104,8 @@ def test_uniform_mask_over_full_beam():
     red = spatial.reduce(prof, mask)
     assert abs(red.r_eff - 0.25) < 1e-12
     assert abs(red.c_a - 1.0) < 1e-12
-    assert np.allclose(red.transmitted_profile.amplitude, prof.amplitude)
     # uniform mask over its active region: r_eff = contrast * c_a
     assert abs(red.r_eff - 0.25 * red.c_a) < 1e-12
-
-
-def test_reduce_against_elementwise_oracle():
-    rng = np.random.default_rng(5)
-    amp = rng.random((6, 7)) + 0.1
-    prof = spatial.BeamProfile(amp / np.sqrt((amp**2).sum()))
-    t = 0.5 + 0.5 * rng.random((6, 7))
-    mask = spatial.MaskSpec(t)
-    red = spatial.reduce(prof, mask)
-    expected = t * prof.amplitude
-    expected /= np.sqrt((expected**2).sum())
-    assert np.abs(red.transmitted_profile.amplitude - expected).max() < 1e-14
-    r = np.sqrt(1 - t**2)
-    expected_r = r * prof.amplitude
-    expected_r /= np.sqrt((expected_r**2).sum())
-    assert np.abs(red.reflected_profile.amplitude - expected_r).max() < 1e-14
 
 
 def test_reduce_dimension_mismatch():

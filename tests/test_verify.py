@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qvampire import fock, verify
-from qvampire.errors import HeraldImpossible
+from qvampire.errors import HeraldImpossible, ResidualOrthogonalPopulation
 
 
 def test_recombination_unitary_on_supported_blocks():
@@ -31,9 +31,21 @@ def test_split_isometry_matches_binomial_expansion():
     assert np.abs(v.T @ v - np.eye(d)).max() < 1e-12
 
 
+def _split(rho, c_a):
+    """Joint (A, B) state of the split, as a (d, d, d, d) ket-ket-bra-bra tensor."""
+    v = verify.split_isometry(c_a, rho.dim)
+    return (v @ rho.elements @ v.conj().T).reshape((rho.dim,) * 4)
+
+
+def _split_mean(t, mode):
+    """Mean photon number of mode 0 (A) or 1 (B) of a split tensor."""
+    d = t.shape[0]
+    pops = np.einsum("abab->ab", t).real.sum(axis=1 - mode)
+    return float(np.dot(np.arange(d), pops))
+
+
 def test_mode_split_fock2_weights():
-    state = verify.mode_split(fock.make_fock(2, 6), 0.6)
-    t = state.as_tensor()
+    t = _split(fock.make_fock(2, 6), 0.6)
     weights = [t[2, 0, 2, 0].real, t[1, 1, 1, 1].real, t[0, 2, 0, 2].real]
     assert np.allclose(weights, [0.1296, 0.4608, 0.4096], atol=1e-12)
     assert abs(sum(weights) - 1.0) < 1e-12
@@ -41,15 +53,14 @@ def test_mode_split_fock2_weights():
 
 def test_mode_split_everything_into_a():
     rho = fock.make_thermal(0.2, 12)
-    state = verify.mode_split(rho, 1.0)
-    assert abs(state.mode_mean_photons("B")) < 1e-12
-    assert abs(state.mode_mean_photons("A") - rho.mean_photons()) < 1e-12
+    t = _split(rho, 1.0)
+    assert abs(_split_mean(t, 1)) < 1e-12
+    assert abs(_split_mean(t, 0) - rho.mean_photons()) < 1e-12
 
 
 def test_mode_split_single_photon_amplitudes():
     c_a = 0.3
-    state = verify.mode_split(fock.make_fock(1, 4), c_a)
-    t = state.as_tensor()
+    t = _split(fock.make_fock(1, 4), c_a)
     assert abs(t[1, 0, 1, 0].real - c_a**2) < 1e-12
     assert abs(t[0, 1, 0, 1].real - (1 - c_a**2)) < 1e-12
     # pure state: coherence between the two branches survives
@@ -146,3 +157,15 @@ def test_split_config_validation():
         verify.SplitConfig(c_a=0.5, r=-0.1)
     with pytest.raises(ValueError):
         verify.SplitConfig(c_a=0.5, r=0.1, herald_model="photon_number")
+
+
+def test_complement_tolerance_binds_only_the_operator_model():
+    # a negative tolerance is breached by any population, even exactly zero
+    rho = fock.make_thermal(0.3, 14)
+    with pytest.raises(ResidualOrthogonalPopulation):
+        verify.regional_subtraction(
+            rho, verify.SplitConfig(c_a=0.5, r=0.1), complement_tol=-1.0
+        )
+    click = verify.SplitConfig(c_a=0.5, r=0.1, herald_model=verify.CLICK_POVM)
+    res = verify.regional_subtraction(rho, click, complement_tol=-1.0)
+    assert res.complement_population > -1.0
