@@ -1,10 +1,10 @@
 """Exact truncated Fock-space engine: states, photon subtraction, statistics.
 
 States are dense single-mode density matrices over the number basis
-|0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary, are
-dense matrices over the tensor product of two such spaces; applying them
-to a state is the job of ``verify``.  All operations are pure functions;
-the backing arrays are frozen so values can be shared freely.
+|0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary,
+conserve the total photon number and are kept as one block per total;
+applying them to a state is the job of ``verify``.  All operations are
+pure functions; the backing arrays are frozen so values can be shared.
 """
 
 from __future__ import annotations
@@ -245,22 +245,35 @@ def _fidelity_arrays(m1: np.ndarray, m2: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# two-mode unitaries
+# two-mode unitaries, one block per total photon number N
 
 
 @lru_cache(maxsize=64)
-def _beamsplitter_unitary_cached(dim_i: int, dim_j: int, theta: float) -> np.ndarray:
-    ai = annihilation_matrix(dim_i - 1)
-    aj = annihilation_matrix(dim_j - 1)
-    gen = np.kron(ai.conj().T, aj) - np.kron(ai, aj.conj().T)
-    # exp(theta gen) through the eigenbasis of the Hermitian i*gen
-    evals, evecs = np.linalg.eigh(1j * gen)
-    u = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
-    return _freeze(u)
+def beamsplitter_blocks(dim_i: int, dim_j: int, t: float, r: float) -> tuple:
+    """exp(theta (ai+ aj - ai aj+)), t = cos, r = sin, as blocks of total N.
+
+    Block N = 0 .. dim_i + dim_j - 2 acts on |n, N - n> for
+    n = max(0, N - dim_j + 1) .. min(N, dim_i - 1).
+    """
+    if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
+        raise NonUnitaryParams(f"t^2 + r^2 = {t * t + r * r} != 1")
+    blocks = []
+    for total in range(dim_i + dim_j - 1):
+        # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
+        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1), dtype=float)
+        hop = np.sqrt((n + 1) * (total - n))
+        # exp(theta gen) through the eigenbasis of the Hermitian i*gen; the
+        # generator is real, so the unitary is too
+        evals, evecs = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
+        u = (evecs * np.exp(-1j * math.atan2(r, t) * evals)) @ evecs.conj().T
+        blocks.append(_freeze(u.real))
+    return tuple(blocks)
 
 
 def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarray:
-    """Two-mode mixing unitary exp(theta (ai+ aj - ai aj+)), t = cos, r = sin."""
-    if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
-        raise NonUnitaryParams(f"t^2 + r^2 = {t * t + r * r} != 1")
-    return _beamsplitter_unitary_cached(dim_i, dim_j, math.atan2(r, t))
+    """exp(theta (ai+ aj - ai aj+)) as a dense matrix over |n_i, n_j>, n_i slow."""
+    u = np.zeros((dim_i * dim_j,) * 2)
+    for total, block in enumerate(beamsplitter_blocks(dim_i, dim_j, t, r)):
+        n_i = max(0, total - dim_j + 1) + np.arange(len(block))
+        u[np.ix_(n_i * dim_j + total - n_i, n_i * dim_j + total - n_i)] = block
+    return u

@@ -17,9 +17,12 @@ unitary and applies the non-resolving detector's click element
 1 - |0><0| on R; it includes the real transmitted-arm attenuation and
 multi-photon reflections, and converges to the operator model as r -> 0.
 
-Internally states are pushed through the pipeline one eigenvector at a
-time (the pipeline is linear in the density matrix), which keeps memory
-at vectors of size dim^3 instead of dim^3 x dim^3 matrices.
+Every stage conserves the total photon number or lowers it by one: the
+beam splitters move one photon at a time and the herald removes at most
+one.  So each input Fock state |n> is pushed through on its own, as
+products of photon-number blocks of size at most dim, and the output is
+read off the resulting (beam, complement, R) amplitudes; no dense
+dim^2 x dim^2 operator is formed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import HeraldImpossible, ResidualOrthogonalPopulation
 from .fock import (
     DensityMatrix,
     VACUUM_WEIGHT_FLOOR,
-    annihilation_matrix,
+    beamsplitter_blocks,
     beamsplitter_unitary,
     fidelity,
     subtract_photon,
@@ -74,44 +77,27 @@ class RegionalSubtractionResult:
     complement_population: float
 
 
-@lru_cache(maxsize=64)
-def _recombination_cached(c_a: float, dim: int) -> np.ndarray:
-    c_b = math.sqrt(max(1.0 - c_a * c_a, 0.0))
-    logf = np.cumsum(np.log(np.maximum(np.arange(dim), 1)))  # log n!
-    w = np.zeros((dim * dim, dim * dim))
-    for n in range(dim):
-        jn = np.arange(n + 1)
-        pn = (
-            np.array([math.comb(n, j) for j in jn])
-            * c_a**jn
-            * c_b ** (n - jn)
-        )
-        for m in range(dim - n):
-            lm = np.arange(m + 1)
-            qm = (
-                np.array([math.comb(m, l) for l in lm])
-                * (-c_b) ** lm
-                * c_a ** (m - lm)
-            )
-            coeff = np.convolve(pn, qm)  # over a_A+^k a_B+^(n+m-k)
-            k = np.arange(n + m + 1)
-            amp = coeff * np.exp(0.5 * (logf[k] + logf[n + m - k] - logf[n] - logf[m]))
-            w[k * dim + (n + m - k), n * dim + m] = amp
-    w.setflags(write=False)
-    return w
+def _split_params(c_a: float) -> tuple[float, float]:
+    """(t, r) of the splitter taking (beam, complement) modes to (A, B) modes.
+
+    It sends a_A+ to the beam mode c_a a_A+ + c_b a_B+ and a_B+ to the
+    complement mode -c_b a_A+ + c_a a_B+.
+    """
+    return float(c_a), -math.sqrt(max(1.0 - c_a * c_a, 0.0))
 
 
 def recombination_unitary(c_a: float, dim: int) -> np.ndarray:
     """Change of basis from (beam, complement) to (A, B) occupations.
 
     Column (n, m) holds the Fock expansion of n beam-mode and m
-    complement-mode photons over the (A, B) pixel-partition modes,
-    obtained by expanding the two binomials of creation operators.
+    complement-mode photons over the (A, B) pixel-partition modes.
     Columns with n + m > dim - 1 are not representable in the truncation
     and are left zero; the matrix is exactly unitary on the total-photon
     blocks that fit.
     """
-    return _recombination_cached(float(c_a), int(dim))
+    w = beamsplitter_unitary(dim, dim, *_split_params(c_a))
+    w[:, np.add.outer(np.arange(dim), np.arange(dim)).ravel() >= dim] = 0.0
+    return w
 
 
 def split_isometry(c_a: float, dim: int) -> np.ndarray:
@@ -119,10 +105,24 @@ def split_isometry(c_a: float, dim: int) -> np.ndarray:
     return recombination_unitary(c_a, dim)[:, np.arange(dim) * dim]
 
 
-def _apply_on_a_r(mat: np.ndarray, tens: np.ndarray, d: int) -> np.ndarray:
-    """Apply a (d^2, d^2) operator to the (A, R) axes of an (A, B, R) tensor."""
-    x = tens.transpose(0, 2, 1).reshape(d * d, d)
-    return (mat @ x).reshape(d, d, d).transpose(0, 2, 1)
+@lru_cache(maxsize=64)
+def _herald_images(dim: int, r: float, model: str) -> np.ndarray:
+    """Row k: the (A, R) image of |k_A, 0_R> under the herald, over A = 0 .. k - 1.
+
+    The image holds k - 1 photons (operator model) or k (click model), so
+    entry A has R = k - 1 - A or R = k - A photons.
+    """
+    u = beamsplitter_blocks(dim, dim, math.sqrt(max(1.0 - r * r, 0.0)), r)
+    images = np.zeros((dim, dim))
+    for k in range(1, dim):
+        tapped = u[k][:, k]  # U |k, 0> over A = 0 .. k, with R = k - A
+        if model == OPERATOR:
+            # U+ a_R U |k, 0>, where a_R |A, k - A> = sqrt(k - A) |A, k - 1 - A>
+            images[k, :k] = u[k - 1].T @ (np.sqrt(k - np.arange(k)) * tapped[:k])
+        else:
+            images[k, :k] = tapped[:k]  # click POVM: drop the R-vacuum entry A = k
+    images.setflags(write=False)
+    return images
 
 
 def regional_subtraction(
@@ -137,44 +137,38 @@ def regional_subtraction(
     output keeps the input's transverse profile, i.e. no shadow.
     """
     d = rho.dim
-    t = math.sqrt(max(1.0 - cfg.r * cfg.r, 0.0))
-    w_rec = recombination_unitary(cfg.c_a, d)
-    v_split = split_isometry(cfg.c_a, d)
-    u_tap = beamsplitter_unitary(d, d, t, cfg.r)
-    if cfg.herald_model == OPERATOR:
-        herald_op = u_tap.conj().T @ np.kron(np.eye(d), annihilation_matrix(d - 1)) @ u_tap
-    else:
-        herald_op = None
+    lost = 1 if cfg.herald_model == OPERATOR else 0  # photons the herald destroys
+    rec = beamsplitter_blocks(d, d, *_split_params(cfg.c_a))  # blocks < d fit
+    herald = _herald_images(d, float(cfg.r), cfg.herald_model)
+    split = np.zeros((d, d))  # split[n, k]: amplitude of |k_A, (n - k)_B> in |n>
+    for n in range(d):
+        split[n, : n + 1] = rec[n][:, n]
 
-    evals, evecs = np.linalg.eigh(rho.elements)
-    sigma_ab = np.zeros((d * d, d * d), dtype=complex)
-    herald_weight = 0.0
-    for lam, vec in zip(evals, evecs.T):
-        if lam <= 1e-15:
-            continue
-        psi_ab = (v_split @ vec).reshape(d, d)
-        tens = np.zeros((d, d, d), dtype=complex)
-        tens[:, :, 0] = psi_ab  # herald mode R starts in vacuum
-        if cfg.herald_model == OPERATOR:
-            phi = _apply_on_a_r(herald_op, tens, d)
-        else:
-            phi = _apply_on_a_r(u_tap, tens, d)
-            phi[:, :, 0] = 0.0  # click POVM: remove the no-photon component of R
-        herald_weight += lam * float(np.vdot(phi, phi).real)
-        x = phi.reshape(d * d, d)  # trace out R below
-        sigma_ab += lam * (x @ x.conj().T)
+    # amp[m, j, n]: amplitude that input |n> leaves n - j beam photons and m
+    # complement photons; the herald mode then holds j - lost - m photons
+    amp = np.zeros((d, d, d))
+    idx = np.arange(d)
+    for total in range(d - lost):  # photons in (A, B) after the herald
+        a = idx[: total + 1, None]  # A photons after the herald; B = total - a
+        rr = idx[None, : d - lost - total]  # herald-mode photons
+        n = total + lost + rr  # input photons
+        k = a + rr + lost  # A photons before the herald
+        x = split[n, k] * herald[k, a]
+        p = a  # beam photons after recombination; complement = total - p
+        amp[total - p, n - p, n] = rec[total].T @ x
 
+    # trace out the complement and R: terms pair up only at equal (m, j)
+    beam = np.zeros((d, d), dtype=complex)
+    for j in range(lost, d):
+        kj = amp[:, j, j:]
+        beam[: d - j, : d - j] += (kj.T @ kj) * rho.elements[j:, j:]
+    herald_weight = float(beam.trace().real)
     if herald_weight < VACUUM_WEIGHT_FLOOR:
         raise HeraldImpossible(
             f"herald weight {herald_weight:.3e} below {VACUUM_WEIGHT_FLOOR}"
         )
-    sigma_ab /= herald_weight
-
-    rec = w_rec.conj().T @ sigma_ab @ w_rec  # (beam, complement) basis
-    rec_t = rec.reshape(d, d, d, d)
-    beam = np.trace(rec_t, axis1=1, axis2=3)
-    comp = np.trace(rec_t, axis1=0, axis2=2)
-    complement_population = float(1.0 - comp[0, 0].real)
+    comp_vacuum = float((amp[0] ** 2).sum(axis=0) @ rho.populations())
+    complement_population = 1.0 - comp_vacuum / herald_weight
     if cfg.herald_model == OPERATOR and complement_population > complement_tol:
         raise ResidualOrthogonalPopulation(
             f"operator-model complement population {complement_population:.3e} "
@@ -186,7 +180,7 @@ def regional_subtraction(
     tail = rho.tail_mass * d / max(rho.mean_photons(), VACUUM_WEIGHT_FLOOR)
     return RegionalSubtractionResult(
         state=DensityMatrix(beam, tail_mass=tail),
-        herald_prob=float(herald_weight),
+        herald_prob=herald_weight,
         complement_population=complement_population,
     )
 

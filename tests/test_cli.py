@@ -1,5 +1,7 @@
 """End-to-end CLI tests on miniature configs: schemas, round trips, exit codes."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,35 @@ def test_cmd_verify_schema_and_pass(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 1 * 1 * 2
     printed = capsys.readouterr().out
     assert "PASS" in printed and "INFO" in printed
+
+
+def test_cmd_verify_prints_margins(tmp_path, monkeypatch, capsys):
+    # spread the fidelities so the minimum is one case, not all of them
+    exact, step = fock.fidelity, iter(range(100))
+    monkeypatch.setattr(fock, "fidelity", lambda a, b: exact(a, b) - 1e-11 * next(step))
+    rc = cli.main(
+        ["verify", "--out", str(tmp_path / "v"), "--states", "thermal:0.5,thermal:1",
+         "--ca", "0.1,0.5", "--r", "0.2", "--models", "operator,click_povm"]
+    )
+    assert rc == 0
+    rows = list(csv.DictReader((tmp_path / "v" / "verify.csv").open()))
+    op = [row for row in rows if row["herald_model"] == "operator"]
+    margin = min(float(row["fidelity"]) for row in op) - cli.FIDELITY_FLOOR
+    comp = max(float(row["complement_population"]) for row in op)
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == (
+        f"verify: 8 cases; operator model: min fidelity - floor = {margin:+.3e}, "
+        f"max complement population = {comp:.3e}"
+    )
+
+
+def test_cmd_verify_click_only_prints_count(tmp_path, capsys):
+    rc = cli.main(
+        ["verify", "--out", str(tmp_path / "v"), "--states", "fock:1", "--ca", "0.5",
+         "--r", "0.1", "--models", "click_povm", "--nmax", "8"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: 1 cases"
 
 
 def test_cmd_verify_empty_sweep_is_usage_error(tmp_path, capsys):

@@ -297,6 +297,55 @@ def test_beamsplitter_preserves_total_photon_distribution():
         assert abs(before[total == n].sum() - after[total == n].sum()) < 1e-12
 
 
+def _closed_form_block(total, t, r):
+    """<p, N-p| U |n, N-n> from U a_i+ U+ = t a_i+ - r a_j+, U a_j+ U+ = r a_i+ + t a_j+.
+
+    Expanding the two binomials gives the SU(2) (Wigner-d) matrix elements
+    of Campos, Saleh & Teich, PRA 40, 1371 (1989).
+    """
+    out = np.zeros((total + 1, total + 1))
+    for p in range(total + 1):
+        for n in range(total + 1):
+            m = total - n
+            amp = sum(
+                math.comb(n, k) * math.comb(m, p - k)
+                * t**k * (-r) ** (n - k) * r ** (p - k) * t ** (m - p + k)
+                for k in range(max(0, p - m), min(n, p) + 1)
+            )
+            scale = math.factorial(p) * math.factorial(total - p)
+            out[p, n] = amp * math.sqrt(scale / (math.factorial(n) * math.factorial(m)))
+    return out
+
+
+def _kron_generator(d):
+    """Dense truncated ai+ aj - ai aj+ over |n_i, n_j>, n_i the slow index."""
+    a = fock.annihilation_matrix(d - 1)
+    return np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+def test_beamsplitter_blocks_match_su2_closed_form(theta):
+    d = 12
+    t, r = math.cos(theta), math.sin(theta)
+    u = fock.beamsplitter_unitary(d, d, t, r)
+    # blocks with N < d hold every |n, N-n>: they are the SU(2) rotation itself
+    for total in range(d):
+        idx = [n * d + total - n for n in range(total + 1)]
+        got = u[np.ix_(idx, idx)]
+        assert np.abs(got - _closed_form_block(total, t, r)).max() < 1e-12
+    # blocks with N >= d are cut by the truncation: compare the whole matrix
+    # with the exponential of the dense truncated generator
+    assert np.abs(u - scipy.linalg.expm(theta * _kron_generator(d))).max() < 1e-12
+
+
+def test_beamsplitter_generator_conserves_total_photon_number():
+    """The basis of the block form: [ai+ aj - ai aj+, n_i + n_j] = 0."""
+    d = 12
+    gen = _kron_generator(d)
+    total = np.diag(np.add.outer(np.arange(d), np.arange(d)).ravel().astype(float))
+    assert np.abs(gen @ total - total @ gen).max() < 1e-12
+
+
 def test_beamsplitter_rejects_nonunitary_params():
     with pytest.raises(NonUnitaryParams):
         fock.beamsplitter_unitary(6, 6, t=0.9, r=0.5)

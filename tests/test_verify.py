@@ -76,6 +76,16 @@ def test_operator_model_equals_direct_subtraction():
     assert res.complement_population <= 1e-10
 
 
+def test_operator_model_at_large_truncation():
+    # two-mode dimension 61^2 = 3721: the pipeline runs per photon-number block
+    rho = fock.make_thermal(2.0, 60)
+    direct, _ = fock.subtract_photon(rho)
+    res = verify.regional_subtraction(rho, verify.SplitConfig(c_a=0.5, r=0.1))
+    assert fock.fidelity(res.state, direct) >= 1 - 1e-9
+    assert res.complement_population <= 1e-10
+    assert abs(res.herald_prob - 0.1**2 * 0.5**2 * 2.0) < 1e-10
+
+
 def test_operator_model_herald_probability():
     rho = fock.make_thermal(1.0, 28)
     for c_a in (0.3, 0.7):
@@ -131,6 +141,28 @@ def test_click_model_deviation_is_quadratic_in_r():
     d1 = math.sqrt(2 * (1 - math.sqrt(gaps[0.05])))
     d2 = math.sqrt(2 * (1 - math.sqrt(gaps[0.1])))
     assert abs(d2 / d1 - 4.0) < 4.0 * 0.3
+
+
+# Click model, thermal nbar = 1 at nmax 26, c_A = sqrt(0.3): (fidelity to
+# ideal subtraction, herald_prob, complement_population) as computed by the
+# dense d^2 x d^2 pipeline that preceded the block form.  The fidelities are
+# those of its states by the closed form for commuting (diagonal) states;
+# fock.fidelity read 3.1e-12 higher at r = 0.05 because that pipeline left
+# 5e-17 off-diagonal roundoff in the state.
+CLICK_PINS = {
+    0.05: (0.9999996834609519, 0.0007494377722584196, 6.568233528181366e-07),
+    0.2: (0.9999184208201969, 0.011857705461960358, 0.00017040777240584504),
+}
+
+
+@pytest.mark.parametrize("r", sorted(CLICK_PINS))
+def test_click_model_regression_pin(r):
+    rho = fock.make_thermal(1.0, 26)
+    ideal, _ = fock.subtract_photon(rho)
+    cfg = verify.SplitConfig(c_a=math.sqrt(0.3), r=r, herald_model=verify.CLICK_POVM)
+    res = verify.regional_subtraction(rho, cfg)
+    got = (fock.fidelity(res.state, ideal), res.herald_prob, res.complement_population)
+    assert np.abs(np.subtract(got, CLICK_PINS[r])).max() < 1e-12
 
 
 def test_click_model_complement_population_is_reported():
