@@ -45,18 +45,17 @@ def _outdir(args) -> Path:
 
 def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
     nbar = scenario.source.nbar
+    profile, mask = scenario.source.profile, scenario.scan.mask
     if scenario.scenario == "initial":
-        return scenario.profile.power() * nbar
+        return profile.power() * nbar
     if scenario.scenario in ("loss_high_contrast", "loss_low_contrast"):
-        return spatial.loss_profile(scenario.profile, scenario.mask, nbar)
+        return spatial.loss_profile(profile, mask, nbar)
     nmax = scenario.stats_nmax
     if scenario.source.kind == mc.THERMAL:
         stats = fock.stats(fock.make_thermal(nbar, nmax))
     else:
         stats = fock.stats(fock.make_coherent(math.sqrt(nbar), nmax))
-    return spatial.subtracted_profile_analytic(
-        scenario.profile, scenario.mask, stats, nbar
-    )
+    return spatial.subtracted_profile_analytic(profile, mask, stats, nbar)
 
 
 def cmd_profile(args) -> int:
@@ -66,11 +65,12 @@ def cmd_profile(args) -> int:
     spatial.save_matrix_csv(out / "intensity.csv", intensity)
     peak = intensity.max()
     spatial.save_pgm(out / "intensity.pgm", intensity / peak if peak > 0 else intensity)
-    spatial.save_profile_csv(out / "profile.csv", scenario.profile)
-    spatial.save_mask_csv(out / "mask.csv", scenario.mask)
-    spatial.save_mask_pgm(out / "mask.pgm", scenario.mask)
+    profile, mask = scenario.source.profile, scenario.scan.mask
+    spatial.save_matrix_csv(out / "profile.csv", profile.amplitude)
+    spatial.save_matrix_csv(out / "mask.csv", mask.transmission)
+    spatial.save_pgm(out / "mask.pgm", mask.transmission)
     mc.save_sidecar(out / "profile.cfg", scenario.echo)
-    rate = spatial.herald_rate(scenario.profile, scenario.mask, scenario.source.nbar)
+    rate = spatial.herald_rate(profile, mask, scenario.source.nbar)
     print(f"herald_rate={rate!r}")
     return 0
 
@@ -141,13 +141,8 @@ def cmd_verify(args) -> int:
                         f"{status} {spec} c_A={c_a} r={r} {model}: "
                         f"fidelity={fid:.12f} herald_prob={res.herald_prob:.6e}"
                     )
-                    rows.append(
-                        f"{spec},{c_a!r},{r!r},{model},{fid!r},"
-                        f"{res.herald_prob!r},{res.complement_population!r}"
-                    )
-    with open(out / "verify.csv", "w", encoding="ascii") as fh:
-        fh.write(VERIFY_CSV_HEADER + "\n")
-        fh.write("\n".join(rows) + "\n")
+                    rows.append((spec, c_a, r, model, fid, res.herald_prob, res.complement_population))
+    spatial.save_csv(out / "verify.csv", VERIFY_CSV_HEADER, rows)
     summary = f"verify: {len(rows)} cases"
     if margins:
         summary += (
@@ -166,9 +161,9 @@ def _sidecar_for(path: Path) -> dict:
     return mc.load_sidecar(sidecar) if sidecar.exists() else {}
 
 
-def _region_fracs(result: mc.ScanResult) -> np.ndarray:
-    """Fraction of each superpixel inside the mask region; zeros, with the reason
-    on stderr, when the scan names no region (the shadow z-score is then NaN)."""
+def _region_fracs(result: mc.ScanResult) -> tuple[np.ndarray, str | None]:
+    """Fraction of each superpixel inside the mask region; zeros and the reason
+    when the scan names no region (the shadow z-score is then NaN)."""
     cfg = result.config
     if not cfg:
         reason = "no sidecar"
@@ -185,22 +180,33 @@ def _region_fracs(result: mc.ScanResult) -> np.ndarray:
         except ValueError as exc:
             reason = f"bad region spec or grid size: {exc}"
         else:
-            return analysis.region_fraction_map(
-                region, superpixel, result.n_rows, result.n_cols
-            )
-    print(f"analyze: no mask region ({reason}); shadow z-score is NaN", file=sys.stderr)
-    return np.zeros((result.n_rows, result.n_cols))
+            fracs = analysis.region_fraction_map(region, superpixel, result.n_rows, result.n_cols)
+            return fracs, None
+    note = f"no mask region ({reason}); shadow z-score is NaN"
+    return np.zeros((result.n_rows, result.n_cols)), note
+
+
+def _report_assumptions(path: Path, result: mc.ScanResult, region_note: str | None = None) -> None:
+    """One stderr line per scan naming the sidecar defaults it was analyzed with."""
+    used = [f"{k}={v}" for k, v in mc.SIDECAR_DEFAULTS.items() if k not in result.config]
+    notes = [f"defaults used: {', '.join(used)}"] if used else []
+    if region_note:
+        notes.append(region_note)
+    if notes:
+        print(f"analyze: {path}: {'; '.join(notes)}", file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
     scan_path = Path(args.scan)
     result = mc.load_scan_csv(scan_path, config=_sidecar_for(scan_path))
     out = _outdir(args)
-    fracs = _region_fracs(result)
+    fracs, region_note = _region_fracs(result)
+    _report_assumptions(scan_path, result, region_note)
 
     if args.reference:
         ref_path = Path(args.reference)
         reference = mc.load_scan_csv(ref_path, config=_sidecar_for(ref_path))
+        _report_assumptions(ref_path, reference)
         if (reference.n_rows, reference.n_cols) != (result.n_rows, result.n_cols):
             raise QVampireError(
                 f"superpixel grids differ: scan {result.n_rows}x{result.n_cols} "
@@ -231,14 +237,9 @@ def cmd_analyze(args) -> int:
 
     verdict = analysis.verdict(flat.p_value, z)
 
-    with open(out / "ratio_map.csv", "w", encoding="ascii") as fh:
-        fh.write(RATIO_CSV_HEADER + "\n")
-        for row in range(result.n_rows):
-            for col in range(result.n_cols):
-                fh.write(
-                    f"{row},{col},{float(rmap.ratio[row, col])!r},"
-                    f"{float(rmap.sigma[row, col])!r},{rmap.tags[row, col]}\n"
-                )
+    cells = np.ndindex(result.n_rows, result.n_cols)
+    rows = ((i, j, rmap.ratio[i, j], rmap.sigma[i, j], rmap.tags[i, j]) for i, j in cells)
+    spatial.save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
 
     if args.band:
         lo, hi = (int(tok) for tok in args.band.split(":"))
@@ -247,13 +248,7 @@ def cmd_analyze(args) -> int:
         hi = max(lo + 1, (2 * result.n_rows) // 3)
     x, cut_num, cut_num_s = analysis.profile_cut(num, num_s, lo, hi)
     _, cut_den, cut_den_s = analysis.profile_cut(den, den_s, lo, hi)
-    with open(out / "cut.csv", "w", encoding="ascii") as fh:
-        fh.write(CUT_CSV_HEADER + "\n")
-        for i in range(x.size):
-            fh.write(
-                f"{float(x[i])!r},{float(cut_num[i])!r},{float(cut_num_s[i])!r},"
-                f"{float(cut_den[i])!r},{float(cut_den_s[i])!r}\n"
-            )
+    spatial.save_csv(out / "cut.csv", CUT_CSV_HEADER, zip(x, cut_num, cut_num_s, cut_den, cut_den_s))
 
     summary = {
         "chi2": repr(flat.chi2),

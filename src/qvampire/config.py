@@ -25,7 +25,6 @@ from .montecarlo import (
 )
 from .spatial import (
     BeamProfile,
-    MaskSpec,
     contrast_for_herald_rate,
     ellipse_region,
     make_mask,
@@ -84,9 +83,6 @@ class ScenarioConfig:
     """Fully resolved scenario: constructed objects plus the flat echo."""
 
     scenario: str
-    profile: BeamProfile
-    mask: MaskSpec
-    region: np.ndarray
     source: SourceConfig
     scan: ScanConfig
     stats_nmax: int
@@ -184,7 +180,6 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     profile = _build_profile(merged, width, height)
 
     if scenario == "initial":
-        region = np.zeros((height, width), dtype=bool)
         mask = make_mask("white", width, height)
         merged["mask.contrast"] = "0.0"
     else:
@@ -245,9 +240,6 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     )
     return ScenarioConfig(
         scenario=scenario,
-        profile=profile,
-        mask=mask,
-        region=region,
         source=source,
         scan=scan,
         stats_nmax=int(merged["stats.nmax"]),

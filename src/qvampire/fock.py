@@ -225,23 +225,19 @@ def subtract_k(
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Uhlmann fidelity (squared overlap convention), in [0, 1].
 
-    Computed through the eigenbasis of each argument and averaged over
-    the two orderings, so the result is exactly symmetric.
+    F = ||sqrt(rho1) sqrt(rho2)||_1^2, the squared sum of singular values
+    (Jozsa, J. Mod. Opt. 41, 2315, 1994); symmetric by construction.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    a, b = rho1.elements, rho2.elements
-    return 0.5 * (_fidelity_arrays(a, b) + _fidelity_arrays(b, a))
-
-
-def _fidelity_arrays(m1: np.ndarray, m2: np.ndarray) -> float:
-    w, v = np.linalg.eigh(m1)
-    w = np.clip(w, 0.0, None)  # construction guarantees >= -1e-10
-    sq1 = (v * np.sqrt(w)) @ v.conj().T
-    inner = sq1 @ m2 @ sq1
-    ev = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    root = np.sqrt(np.clip(ev, 0.0, None)).sum()
+    product = _sqrt_psd(rho1.elements) @ _sqrt_psd(rho2.elements)
+    root = np.linalg.svd(product, compute_uv=False).sum()
     return float(min(root * root, 1.0))
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T  # w >= -1e-10 by construction
 
 
 # ---------------------------------------------------------------------------

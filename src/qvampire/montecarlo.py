@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigMismatch, NoHeralds
-from .spatial import BeamProfile, MaskSpec, reduce
+from .spatial import BeamProfile, MaskSpec, reduce, save_csv
 
 THERMAL = "thermal"
 COHERENT = "coherent"
@@ -34,6 +34,13 @@ SINGLES = "singles"
 COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
+
+# what a scan is analyzed with when its sidecar lacks the key
+SIDECAR_DEFAULTS = {
+    "derived.bins_per_block": "1",
+    "source.kind": THERMAL,
+    "scan.trigger_mode": COINCIDENCE,
+}
 
 
 @dataclass(frozen=True)
@@ -137,11 +144,9 @@ class ScanResult:
             out[rec.row, rec.col] = getattr(rec, name)
         return out
 
-    def bins_per_block(self) -> int:
-        return int(self.config.get("derived.bins_per_block", 1))
-
-    def source_kind(self) -> str:
-        return self.config.get("source.kind", THERMAL)
+    def setting(self, key: str) -> str:
+        """A sidecar value, or its ``SIDECAR_DEFAULTS`` entry when the sidecar lacks it."""
+        return self.config.get(key, SIDECAR_DEFAULTS[key])
 
     def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Unconditional camera rate per bin with its standard error.
@@ -154,8 +159,8 @@ class ScanResult:
         n_bins = self.grid("n_bins").astype(float)
         rates = np.divide(counts, n_bins, out=np.zeros_like(counts), where=n_bins > 0)
         var = counts * (1.0 - rates)  # binomial, per-superpixel totals
-        if self.source_kind() == THERMAL:
-            bpb = self.bins_per_block()
+        if self.setting("source.kind") == THERMAL:
+            bpb = int(self.setting("derived.bins_per_block"))
             if bpb > 1:
                 x = np.divide(rates, 1.0 - rates, out=np.zeros_like(rates), where=rates < 1)
                 ep2 = 1.0 - 2.0 / (1.0 + x) + 1.0 / (1.0 + 2.0 * x)
@@ -339,12 +344,8 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
             coincidence_counts=both,
         )
 
-    items = list(enumerate(tiles))
-    if scan.threads > 1:
-        with ThreadPoolExecutor(max_workers=scan.threads) as pool:
-            records = tuple(pool.map(work, items))
-    else:
-        records = tuple(work(item) for item in items)
+    with ThreadPoolExecutor(max_workers=scan.threads) as pool:
+        records = tuple(pool.map(work, enumerate(tiles)))
 
     echo = {
         "source.kind": src.kind,
@@ -371,7 +372,7 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
 
 def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
     """Heralded camera rate (coincidences per herald) next to the singles rate."""
-    mode = result.config.get("scan.trigger_mode", COINCIDENCE)
+    mode = result.setting("scan.trigger_mode")
     if mode != COINCIDENCE:
         raise ConfigMismatch("conditional profile needs a coincidence-mode scan")
     heralds = result.grid("herald_counts").astype(float)
@@ -392,13 +393,8 @@ def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
 
 
 def save_scan_csv(path, result: ScanResult) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(SCAN_CSV_HEADER + "\n")
-        for rec in result.records:
-            fh.write(
-                f"{rec.row},{rec.col},{rec.n_bins},{rec.camera_counts},"
-                f"{rec.herald_counts},{rec.coincidence_counts}\n"
-            )
+    # the header names SuperpixelRecord's fields in order
+    save_csv(path, SCAN_CSV_HEADER, (astuple(rec) for rec in result.records))
 
 
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:

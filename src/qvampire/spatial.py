@@ -314,45 +314,23 @@ def subtracted_profile_analytic(
 
 
 # ---------------------------------------------------------------------------
-# CSV / PGM serialization
+# CSV / PGM writers (the CLI writes these; nothing here reads them back)
+
+
+def save_csv(path, header: str, rows) -> None:
+    """ASCII CSV: the header line, then one line per row; floats as their repr."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def save_matrix_csv(path, arr: np.ndarray) -> None:
     """Row-major CSV with a 'width,height' header line."""
     arr = np.asarray(arr, dtype=float)
     h, w = arr.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{w},{h}\n")
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        w, h = (int(tok) for tok in fh.readline().strip().split(","))
-        rows = [
-            [float(tok) for tok in fh.readline().strip().split(",")] for _ in range(h)
-        ]
-    arr = np.array(rows, dtype=float)
-    if arr.shape != (h, w):
-        raise DimensionMismatch("CSV body does not match its header")
-    return arr
-
-
-def save_profile_csv(path, profile: BeamProfile) -> None:
-    save_matrix_csv(path, profile.amplitude)
-
-
-def load_profile_csv(path) -> BeamProfile:
-    return BeamProfile(load_matrix_csv(path))
-
-
-def save_mask_csv(path, mask: MaskSpec) -> None:
-    save_matrix_csv(path, mask.transmission)
-
-
-def load_mask_csv(path) -> MaskSpec:
-    return MaskSpec(load_matrix_csv(path))
+    save_csv(path, f"{w},{h}", arr)
 
 
 def save_pgm(path, values: np.ndarray) -> None:
@@ -363,36 +341,3 @@ def save_pgm(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(levels.tobytes())
-
-
-def load_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by save_pgm; returns values in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError("not a binary PGM file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    pos += 1  # single whitespace after maxval
-    levels = np.frombuffer(data[pos : pos + w * h], dtype=np.uint8).reshape(h, w)
-    return levels.astype(float) / float(maxval)
-
-
-def save_mask_pgm(path, mask: MaskSpec) -> None:
-    save_pgm(path, mask.transmission)
-
-
-def load_mask_pgm(path) -> MaskSpec:
-    return MaskSpec(load_pgm(path))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 from scipy.stats import chi2 as chi2_dist
 
 from qvampire import analysis
@@ -221,11 +222,17 @@ def test_verdict_table(p_value, z, expected):
     assert analysis.verdict(p_value, z) == expected
 
 
+@pytest.mark.parametrize("dof", [1, 2, 3, 29, 191, 3071])
+def test_chi2_sf_matches_scipy(dof):
+    for x in (dof / 10, dof, 3 * dof, dof + 10 * np.sqrt(dof)):
+        assert abs(analysis._chi2_sf(dof, x) - chdtrc(dof, x)) <= 1e-11
+    assert analysis._chi2_sf(dof, 0.0) == 1.0
+
+
 def test_import_does_not_load_scipy_stats():
-    # the Fock engine works block by block with numpy.linalg; scipy.linalg or
-    # scipy.sparse here would add their import time to every command
-    heavy = ("scipy.stats", "scipy.linalg", "scipy.sparse")
-    loaded = f"' '.join(m for m in {heavy!r} if m in sys.modules)"
+    # numpy is the only runtime dependency: any scipy module here would add
+    # its import time to every command
+    loaded = "' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy')"
     code = f"import sys, qvampire; sys.exit({loaded} or None)"
     env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)

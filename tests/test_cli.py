@@ -29,6 +29,11 @@ def write_config(tmp_path, text=SMOKE_CONFIG, name="scenario.cfg"):
     return path
 
 
+def load_matrix_csv(path):
+    # body of a 'width,height'-headed matrix CSV
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
 # ---------------------------------------------------------------------------
 # config machinery
 
@@ -56,7 +61,7 @@ def test_scenario_forcing_rules():
     sub = config.build_scenario({"scenario": "subtraction", "scan.seed": "1"})
     assert sub.scan.trigger_mode == mc.COINCIDENCE
     init = config.build_scenario({"scenario": "initial", "scan.seed": "1"})
-    assert np.all(init.mask.transmission == 1.0)
+    assert np.all(init.scan.mask.transmission == 1.0)
     assert init.scan.trigger_mode == mc.SINGLES
 
 
@@ -74,7 +79,7 @@ def test_herald_target_resolves_contrast():
             "scan.seed": "1",
         }
     )
-    rate = spatial.herald_rate(scenario.profile, scenario.mask, scenario.source.nbar)
+    rate = spatial.herald_rate(scenario.source.profile, scenario.scan.mask, scenario.source.nbar)
     assert abs(rate - 0.013) < 1e-12
 
 
@@ -89,11 +94,11 @@ def test_cmd_profile_outputs(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("herald_rate=")
     assert abs(float(printed.split("=", 1)[1]) - 0.013) < 1e-9
-    intensity = spatial.load_matrix_csv(out / "intensity.csv")
-    profile = spatial.load_profile_csv(out / "profile.csv")
-    mask = spatial.load_mask_csv(out / "mask.csv")
+    intensity = load_matrix_csv(out / "intensity.csv")
+    profile = load_matrix_csv(out / "profile.csv")
+    mask = load_matrix_csv(out / "mask.csv")
     # subtraction scenario: thermal doubling against the unmasked profile
-    expected = 2.0 * (mask.transmission * profile.amplitude) ** 2 * 1.0
+    expected = 2.0 * (mask * profile) ** 2 * 1.0
     live = intensity > 0
     assert np.abs(intensity[live] / expected[live] - 1.0).max() < 1e-6
     assert (out / "intensity.pgm").exists() and (out / "mask.pgm").exists()
@@ -106,7 +111,7 @@ def test_cmd_profile_high_contrast_casts_shadow(tmp_path):
     cfg = write_config(tmp_path, text)
     out = tmp_path / "loss"
     assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
-    intensity = spatial.load_matrix_csv(out / "intensity.csv")
+    intensity = load_matrix_csv(out / "intensity.csv")
     inside = intensity[10, 14]  # in-region pixel
     outside = intensity[10, 4]  # in-beam pixel outside the region
     assert inside < 0.7 * outside
@@ -331,6 +336,39 @@ def test_cmd_analyze_names_missing_sidecar(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "no sidecar" in captured.err
     assert "z=nan" in captured.out
+
+
+def test_cmd_analyze_names_defaulted_sidecar_keys(tmp_path, capsys):
+    # two independent initial scans; without their sidecars analyze drops
+    # the thermal bunching term (bins_per_block falls back to 1)
+    text = """
+scenario=initial
+grid.width=64
+grid.height=48
+profile.kind=uniform_ellipse
+profile.rx=28
+profile.ry=20
+scan.superpixel=4
+scan.dwell=0.02
+"""
+    cfg = write_config(tmp_path, text)
+    for name, seed in (("a", 43), ("b", 44)):
+        argv = ["scan", "--config", str(cfg), "--out", str(tmp_path / name), "--seed", str(seed)]
+        assert cli.main(argv) == 0
+    scan_a, scan_b = tmp_path / "a" / "scan.csv", tmp_path / "b" / "scan.csv"
+    argv = ["analyze", "--scan", str(scan_a), "--reference", str(scan_b)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "with")]) == 0
+    assert "defaults used" not in capsys.readouterr().err
+    (tmp_path / "a" / "scan.cfg").unlink()
+    (tmp_path / "b" / "scan.cfg").unlink()
+    assert cli.main(argv + ["--out", str(tmp_path / "without")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, path in zip(err, (scan_a, scan_b)):
+        assert line.startswith(f"analyze: {path}: ")
+        for used in ("derived.bins_per_block=1", "source.kind=thermal", "scan.trigger_mode=coincidence"):
+            assert used in line
 
 
 def test_cmd_analyze_grid_mismatch(tmp_path, capsys):

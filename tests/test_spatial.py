@@ -187,25 +187,23 @@ def test_weak_coupling_warning():
 def test_profile_csv_roundtrip(tmp_path):
     prof = spatial.make_profile("uniform_ellipse_with_ring", 20, 16, rx=8, ry=6)
     path = tmp_path / "profile.csv"
-    spatial.save_profile_csv(path, prof)
+    spatial.save_matrix_csv(path, prof.amplitude)
     with open(path) as fh:
         assert fh.readline().strip() == "20,16"
-    back = spatial.load_profile_csv(path)
-    assert np.abs(back.amplitude - prof.amplitude).max() < 1e-15
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back, prof.amplitude)
 
 
 def test_mask_csv_and_pgm_roundtrip(tmp_path):
     region = spatial.silhouette_region(20, 16)
     mask = spatial.make_mask("vampire", 20, 16, contrast=0.5, region=region)
     csv_path = tmp_path / "mask.csv"
-    spatial.save_mask_csv(csv_path, mask)
-    assert np.abs(spatial.load_mask_csv(csv_path).transmission - mask.transmission).max() < 1e-15
+    spatial.save_matrix_csv(csv_path, mask.transmission)
+    assert np.array_equal(np.loadtxt(csv_path, delimiter=",", skiprows=1), mask.transmission)
     pgm_path = tmp_path / "mask.pgm"
-    spatial.save_mask_pgm(pgm_path, mask)
-    back = spatial.load_mask_pgm(pgm_path)
+    spatial.save_pgm(pgm_path, mask.transmission)
+    magic, size, maxval, body = pgm_path.read_bytes().split(b"\n", 3)
+    assert (magic, size, maxval) == (b"P5", b"20 16", b"255")
+    back = np.frombuffer(body, dtype=np.uint8).reshape(16, 20) / 255.0
     # PGM is 8-bit: transmissions survive to half a level
-    assert np.abs(back.transmission - mask.transmission).max() <= 0.5 / 255.0
-    with open(pgm_path, "rb") as fh:
-        assert fh.readline() == b"P5\n"
-        assert fh.readline() == b"20 16\n"
-        assert fh.readline() == b"255\n"
+    assert np.abs(back - mask.transmission).max() <= 0.5 / 255.0

@@ -165,6 +165,18 @@ def test_click_model_regression_pin(r):
     assert np.abs(np.subtract(got, CLICK_PINS[r])).max() < 1e-12
 
 
+@pytest.mark.parametrize("r", [0.05, 0.1, 0.2])
+def test_fidelity_to_pure_reference_is_its_expectation(r):
+    # with a pure reference |psi>, F = <psi|rho|psi>; square roots of the
+    # reference's roundoff eigenvalues must not leak into the result
+    reference = fock.make_coherent(1.0, verify.DEFAULT_VERIFY_NMAX)
+    psi = np.linalg.eigh(reference.elements)[1][:, -1]
+    cfg = verify.SplitConfig(c_a=0.5, r=r, herald_model=verify.CLICK_POVM)
+    rho = verify.regional_subtraction(reference, cfg).state
+    expected = float((psi.conj() @ rho.elements @ psi).real)
+    assert abs(fock.fidelity(rho, reference) - expected) < 1e-13
+
+
 def test_click_model_complement_population_is_reported():
     rho = fock.make_thermal(1.0, 26)
     res = verify.regional_subtraction(
