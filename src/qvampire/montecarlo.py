@@ -1,9 +1,9 @@
 """Stochastic simulation of the heralded single-pixel imaging apparatus.
 
-The thermal beam is modeled semiclassically: a complex field amplitude is
-drawn per coherence block from a circular Gaussian and held constant for
-the bins of that block, so the per-bin intensity is exponentially
-distributed with the right bunching statistics.  Each 12 ns bin the
+The thermal beam is modeled semiclassically: the field is a circular
+Gaussian amplitude held constant for the bins of one coherence block, so
+the block intensity |alpha|^2 is drawn directly as an exponential, which
+gives the right bunching statistics.  Each 12 ns bin the
 herald detector sees the power tapped off by the mask and the camera
 detector sees the power transmitted into the currently open superpixel;
 on/off clicks are drawn independently given the field, and same-bin
@@ -11,10 +11,13 @@ herald+camera clicks feed the coincidence counter.
 
 Every superpixel owns a counter-based Philox substream keyed by
 (seed, superpixel index), so results are bit-identical no matter how the
-raster is scheduled or parallelized.  Within a block the four per-bin
-click outcomes are iid given the field amplitude, so the per-block counts
-are drawn as one multinomial; this is distribution-exact and keeps a full
-raster at desk scale on one core.
+raster is scheduled or parallelized.  Given the field, a block's camera
+and herald clicks are independent and each detector's clicked bins form a
+uniformly random subset of the block.  So a block is drawn as a
+Binomial(size, p_cam) camera count, a Binomial(size, p_her) herald count,
+and their overlap as a hypergeometric draw given the two counts; this is
+distribution-exact.  Blocks go in fixed-size chunks, so a tile's working
+memory does not grow with the dwell.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ SINGLES = "singles"
 COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
+
+# coherence blocks drawn at once per tile; bounds a tile's working memory
+CHUNK_BLOCKS = 1 << 16
 
 # what a scan is analyzed with when its sidecar lacks the key
 SIDECAR_DEFAULTS = {
@@ -191,12 +197,15 @@ class ConditionalProfile:
 # elementary pieces
 
 
-def sample_block_amplitude(gen: np.random.Generator, nbar: float, size=None):
-    """Complex field amplitude(s) with E|alpha|^2 = nbar (circular Gaussian)."""
+def sample_block_intensity(gen: np.random.Generator, nbar: float, size=None):
+    """Thermal block intensity |alpha|^2: exponential with mean nbar.
+
+    The modulus squared of a circular Gaussian amplitude with E|alpha|^2 =
+    nbar is exponentially distributed, so the amplitude is never formed.
+    """
     if nbar < 0:
         raise ConfigMismatch("nbar must be non-negative")
-    scale = math.sqrt(nbar / 2.0)
-    return scale * (gen.standard_normal(size) + 1j * gen.standard_normal(size))
+    return nbar * gen.standard_exponential(size)
 
 
 def click_probability(intensity, det: DetectorConfig):
@@ -285,23 +294,26 @@ def _simulate_tile(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
     n_blocks = -(-n_bins // bpb)
-    sizes = np.full(n_blocks, bpb, dtype=np.int64)
-    sizes[-1] = n_bins - bpb * (n_blocks - 1)
-    if src.kind == THERMAL:
-        alpha = sample_block_amplitude(gen, src.nbar, size=n_blocks)
-        intensity = np.abs(alpha) ** 2
-    else:
-        intensity = np.full(n_blocks, src.nbar)
-    p_cam = click_probability(w_cam * intensity, det_cam)
-    p_her = click_probability(w_her * intensity, det_her)
-    pvals = np.empty((n_blocks, 4))
-    pvals[:, 0] = p_cam * p_her
-    pvals[:, 1] = p_cam * (1.0 - p_her)
-    pvals[:, 2] = (1.0 - p_cam) * p_her
-    pvals[:, 3] = (1.0 - p_cam) * (1.0 - p_her)
-    draws = gen.multinomial(sizes, pvals)
-    both = int(draws[:, 0].sum())
-    return both + int(draws[:, 1].sum()), both + int(draws[:, 2].sum()), both
+    cam = her = both = 0
+    for start in range(0, n_blocks, CHUNK_BLOCKS):
+        n = min(CHUNK_BLOCKS, n_blocks - start)
+        sizes = np.full(n, bpb, dtype=np.int64)
+        if start + n == n_blocks:
+            sizes[-1] = n_bins - bpb * (n_blocks - 1)
+        if src.kind == THERMAL:
+            intensity = sample_block_intensity(gen, src.nbar, n)
+        else:
+            intensity = src.nbar
+        c = gen.binomial(sizes, click_probability(w_cam * intensity, det_cam))
+        h = gen.binomial(sizes, click_probability(w_her * intensity, det_her))
+        # which of a block's bins click is uniform given the count, so the
+        # bins clicked by both detectors are hypergeometric given c and h
+        overlap = (c > 0) & (h > 0)
+        c_o = c[overlap]
+        both += int(gen.hypergeometric(c_o, sizes[overlap] - c_o, h[overlap]).sum())
+        cam += int(c.sum())
+        her += int(h.sum())
+    return cam, her, both
 
 
 def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:

@@ -1,6 +1,7 @@
 """Monte Carlo apparatus tests; rate oracles via numerical quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,16 +34,17 @@ def thermal_click_quad(coupling, nbar, det):
 # elementary pieces
 
 
-def test_block_amplitude_zero_source():
+def test_block_intensity_zero_source():
     gen = np.random.default_rng(0)
-    assert mc.sample_block_amplitude(gen, 0.0) == 0.0
-    assert np.all(mc.sample_block_amplitude(gen, 0.0, size=10) == 0.0)
+    assert mc.sample_block_intensity(gen, 0.0) == 0.0
+    assert np.all(mc.sample_block_intensity(gen, 0.0, size=10) == 0.0)
+    with pytest.raises(ConfigMismatch):
+        mc.sample_block_intensity(gen, -1.0)
 
 
-def test_block_amplitude_moments():
+def test_block_intensity_moments():
     gen = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
-    alpha = mc.sample_block_amplitude(gen, 1.0, size=1_000_000)
-    i = np.abs(alpha) ** 2
+    i = mc.sample_block_intensity(gen, 1.0, size=1_000_000)
     assert abs(i.mean() - 1.0) < 0.004  # 3 sigma of the sample mean, with slack
     assert abs((i**2).mean() / i.mean() ** 2 - 2.0) < 0.02  # thermal bunching
 
@@ -167,16 +169,90 @@ def test_block_correlation_inflates_singles_variance():
     assert sigma > 2.0 * binomial
 
 
+def coincidence_moments(w_cam, w_her, src, det_cam, det_her):
+    """Oracle: E[q] and E[q^2] over the field of q = p_cam * p_her.
+
+    With k = 1 - dark_prob and u = exp(-efficiency * w * I), each click
+    probability is 1 - k u; for an exponential intensity of mean nbar,
+    E[u_cam^i u_her^j] = 1 / (1 + i x_cam + j x_her), x = efficiency * w * nbar.
+    """
+    x_c = det_cam.efficiency * w_cam * src.nbar
+    x_h = det_her.efficiency * w_her * src.nbar
+    k_c, k_h = 1.0 - det_cam.dark_prob, 1.0 - det_her.dark_prob
+    if src.kind == mc.COHERENT:
+        q = (1.0 - k_c * math.exp(-x_c)) * (1.0 - k_h * math.exp(-x_h))
+        return q, q * q
+
+    def moment(coef_c, coef_h):
+        return sum(
+            a * b / (1.0 + i * x_c + j * x_h)
+            for i, a in enumerate(coef_c)
+            for j, b in enumerate(coef_h)
+        )
+
+    return (
+        moment((1.0, -k_c), (1.0, -k_h)),
+        moment((1.0, -2.0 * k_c, k_c * k_c), (1.0, -2.0 * k_h, k_h * k_h)),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, dark_cam, dark_her",
+    [(mc.THERMAL, 0.0, 0.0), (mc.THERMAL, 0.01, 0.03), (mc.COHERENT, 0.0, 0.0)],
+)
+def test_coincidence_counts_match_closed_form(kind, dark_cam, dark_her):
+    # thermal: n E[p_c p_h] = n (1 - k_c/(1+x_c) - k_h/(1+x_h) + k_c k_h/(1+x_c+x_h));
+    # coherent: n p_c p_h.  The variance adds the excess of bins sharing a block.
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
+    det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_cam)
+    det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=dark_her)
+    w_cam, w_her, n_bins, bpb = 0.4, 0.3, 20_000, 83  # ends in a partial block
+    both = np.array(
+        [
+            mc._simulate_tile(seed, 2, w_cam, w_her, src, det_cam, det_her, n_bins, bpb)[2]
+            for seed in range(300)
+        ],
+        dtype=float,
+    )
+    q, q_sq = coincidence_moments(w_cam, w_her, src, det_cam, det_her)
+    if kind == mc.THERMAL:
+        p_cam, _ = mc.thermal_click_moments(w_cam, src.nbar, det_cam)
+        p_her, _ = mc.thermal_click_moments(w_her, src.nbar, det_her)
+        assert q > 1.2 * p_cam * p_her  # the bunching the counter must show
+    var = n_bins * (q - q_sq) + float(mc._sum_block_squares(n_bins, bpb)) * (q_sq - q * q)
+    sigma = math.sqrt(var)
+    assert abs(both.mean() - n_bins * q) < 4 * sigma / math.sqrt(len(both))
+    assert 0.8 < both.std() / sigma < 1.2
+
+
+def test_tile_memory_does_not_grow_with_dwell():
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4))
+    det = mc.DetectorConfig(efficiency=0.6)
+    bpb = 83
+    tracemalloc.start()
+    try:
+        mc._simulate_tile(5, 0, 0.02, 0.02, src, det, det, bpb * 1_000_000, bpb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_determinism_across_thread_counts():
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     region = spatial.rect_region(16, 12, 4, 4, 6, 4)
     mask = spatial.make_mask("vampire", 16, 12, contrast=0.3, region=region)
-    results = [
-        mc.run_scan(src, small_scan(mask, seed=77, threads=threads))
-        for threads in (1, 4, 8)
-    ]
-    assert results[0].records == results[1].records == results[2].records
+    bpb = mc.bins_per_block(src, mc.DetectorConfig())
+    # tiles of more than one chunk of blocks that end in a partial block
+    long_bins = bpb * (mc.CHUNK_BLOCKS + 1000) + 17
+    for kw in ({}, {"superpixel": 8, "dwell": 0.1, "bins_cap": long_bins}):
+        results = [
+            mc.run_scan(src, small_scan(mask, seed=77, threads=threads, **kw))
+            for threads in (1, 4, 8)
+        ]
+        assert results[0].records == results[1].records == results[2].records
+    assert results[0].records[0].n_bins == long_bins
 
 
 def test_conditional_ratio_is_two_for_thermal(tmp_path):
