@@ -72,15 +72,13 @@ def ratio_map(
     denominator: np.ndarray,
     denominator_sigma: np.ndarray,
     region_frac: np.ndarray | None = None,
-    signal_floor: float = SIGNAL_FLOOR_RELERR,
-    inside_threshold: float = INSIDE_OVERLAP_THRESHOLD,
 ) -> RatioMap:
     """Elementwise rate ratio with propagated errors and exclusion tags.
 
     Superpixels whose denominator is zero or carries relative error above
-    ``signal_floor`` are excluded (beam edges where ratios mean nothing).
+    ``SIGNAL_FLOOR_RELERR`` are excluded (beam edges where ratios mean nothing).
     ``region_frac`` is the fraction of each superpixel's pixels inside
-    the mask region and drives the inside/outside tagging.
+    the mask region; ``INSIDE_OVERLAP_THRESHOLD`` or more tags it inside.
     """
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -94,7 +92,7 @@ def ratio_map(
     if region_frac.shape != num.shape:
         raise GridMismatch("region map grid differs from the rate maps")
 
-    good = (den > 0) & np.isfinite(den_s) & (den_s <= signal_floor * den)
+    good = (den > 0) & np.isfinite(den_s) & (den_s <= SIGNAL_FLOOR_RELERR * den)
     ratio = np.zeros_like(num)
     sigma = np.full_like(num, np.inf)
     np.divide(num, den, out=ratio, where=good)
@@ -114,7 +112,7 @@ def ratio_map(
 
     tags = np.where(
         good,
-        np.where(region_frac >= inside_threshold, TAG_INSIDE, TAG_OUTSIDE),
+        np.where(region_frac >= INSIDE_OVERLAP_THRESHOLD, TAG_INSIDE, TAG_OUTSIDE),
         TAG_EXCLUDED,
     )
     return RatioMap(ratio=ratio, sigma=sigma, tags=tags)

@@ -22,7 +22,6 @@ from .errors import QVampireError
 VERIFY_CSV_HEADER = "state,c_A,r,herald_model,fidelity,herald_prob,complement_population"
 RATIO_CSV_HEADER = "row,col,ratio,sigma,tag"
 CUT_CSV_HEADER = "x,scan_value,scan_sigma,ref_value,ref_sigma"
-FIDELITY_FLOOR = 1.0 - 1e-9
 
 DEFAULT_STATES = "thermal:0.5,thermal:1,coherent:1,fock:1,fock:2,fock:3"
 DEFAULT_CA = "0.1,0.5,0.9"
@@ -132,9 +131,9 @@ def cmd_verify(args) -> int:
                     )
                     fid = fock.fidelity(res.state, direct)
                     if model == verify.OPERATOR:
-                        margins.append(fid - FIDELITY_FLOOR)
+                        margins.append(fid - verify.FIDELITY_FLOOR)
                         complements.append(res.complement_population)
-                        status = "PASS" if fid >= FIDELITY_FLOOR else "FAIL"
+                        status = "PASS" if fid >= verify.FIDELITY_FLOOR else "FAIL"
                     else:
                         status = "INFO"
                     print(

@@ -21,6 +21,7 @@ from .montecarlo import (
     ScanConfig,
     SINGLES,
     SourceConfig,
+    derived_settings,
     load_sidecar as load_config,  # a config is read like a sidecar echo
 )
 from .spatial import (
@@ -167,9 +168,12 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
 
     The scenario fixes the parts the physics requires: the initial run
     uses the white mask, the subtraction run acquires in coincidence
-    mode.  A missing seed is generated and recorded in the echo.
+    mode.  A missing seed is generated and recorded in the echo.  The
+    ``derived.*`` keys of a scan sidecar are accepted and must match what
+    this config derives.
     """
-    merged = _resolve(cfg)
+    given = {key: value for key, value in cfg.items() if key.startswith("derived.")}
+    merged = _resolve({key: value for key, value in cfg.items() if key not in given})
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigMismatch(f"unknown scenario {scenario!r}")
@@ -238,6 +242,13 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         camera_detector=camera_det,
         threads=int(merged["scan.threads"]),
     )
+    derived = derived_settings(source, scan) if given else {}
+    for key, value in sorted(given.items()):
+        name = key[len("derived.") :]
+        if name not in derived:
+            raise ConfigMismatch(f"unknown config keys: {[key]}")
+        if float(value) != derived[name]:
+            raise ConfigMismatch(f"{key}={value}, but the config derives {derived[name]}")
     return ScenarioConfig(
         scenario=scenario,
         source=source,

@@ -21,10 +21,6 @@ class VacuumSubtraction(QVampireError):
     """Photon subtraction attempted on a state with no photons."""
 
 
-class TruncationDegraded(QVampireError):
-    """Repeated subtraction pushed the estimated truncation tail above tolerance."""
-
-
 class UndefinedG2(QVampireError):
     """Second-order correlation is undefined for a zero-mean-photon state."""
 

@@ -21,7 +21,6 @@ from .errors import (
     NonUnitaryParams,
     OutOfTruncation,
     TailMassExceeded,
-    TruncationDegraded,
     UndefinedG2,
     VacuumSubtraction,
 )
@@ -152,21 +151,6 @@ def make_fock(n: int, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     return DensityMatrix(mat, tail_mass=0.0)
 
 
-def mix(states: list[DensityMatrix], weights: list[float]) -> DensityMatrix:
-    """Convex combination of equal-dimension states."""
-    if len(states) != len(weights) or not states:
-        raise ValueError("states and weights must be non-empty and equal length")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimensionMismatch("mixture components differ in dimension")
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be non-negative and sum to 1")
-    mat = sum(wi * s.elements for wi, s in zip(w, states))
-    tail = float(np.dot(w, [s.tail_mass for s in states]))
-    return DensityMatrix(mat, tail_mass=tail)
-
-
 # ---------------------------------------------------------------------------
 # operators and statistics
 
@@ -203,23 +187,6 @@ def subtract_photon(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     out = (a @ rho.elements @ a.conj().T) / weight
     tail = rho.tail_mass * rho.dim / weight
     return DensityMatrix(out, tail_mass=tail), float(weight)
-
-
-def subtract_k(
-    rho: DensityMatrix, k: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> DensityMatrix:
-    """k successive heralded subtractions, renormalizing after each."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = rho
-    for step in range(k):
-        out, _ = subtract_photon(out)
-        if out.tail_mass > tail_tol:
-            raise TruncationDegraded(
-                f"tail estimate {out.tail_mass:.3e} > {tail_tol:.1e} "
-                f"after {step + 1} subtractions"
-            )
-    return out
 
 
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:

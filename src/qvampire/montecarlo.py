@@ -275,6 +275,22 @@ def superpixel_tiles(height: int, width: int, superpixel: int):
     return n_rows, n_cols, tiles
 
 
+def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
+    """What a scan computes from its config; its sidecar echoes each as ``derived.<name>``."""
+    profile, mask = src.profile, scan.mask
+    if profile.amplitude.shape != mask.transmission.shape:
+        raise ConfigMismatch("profile and mask grids differ")
+    n_rows, n_cols, _ = superpixel_tiles(profile.height, profile.width, scan.superpixel)
+    return {
+        # at least one bin: ScanConfig holds the dwell to one bin and bins_cap to 1
+        "n_bins": min(int(scan.dwell / scan.bin_width + 1e-9), scan.bins_cap),
+        "bins_per_block": bins_per_block(src, scan.herald_detector),
+        "r_eff2": reduce(profile, mask).r_eff ** 2,
+        "n_rows": n_rows,
+        "n_cols": n_cols,
+    }
+
+
 # ---------------------------------------------------------------------------
 # the scan itself
 
@@ -322,16 +338,11 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     Deterministic for a fixed (seed, config) at any thread count: each
     superpixel draws from its own keyed Philox substream.
     """
-    profile, mask = src.profile, scan.mask
-    if profile.amplitude.shape != mask.transmission.shape:
-        raise ConfigMismatch("profile and mask grids differ")
-    bpb = bins_per_block(src, scan.herald_detector)
-    n_bins = min(int(scan.dwell / scan.bin_width + 1e-9), scan.bins_cap)
-    if n_bins < 1:
-        raise ConfigMismatch("dwell shorter than one bin")
-    r_eff2 = reduce(profile, mask).r_eff ** 2
-    transmitted_power = (mask.transmission * profile.amplitude) ** 2
-    n_rows, n_cols, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
+    profile = src.profile
+    derived = derived_settings(src, scan)
+    n_bins = derived["n_bins"]
+    transmitted_power = (scan.mask.transmission * profile.amplitude) ** 2
+    _, _, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
 
     def work(item):
         index, (row, col, ys, xs) = item
@@ -340,12 +351,12 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
             scan.seed,
             index,
             w_cam,
-            r_eff2,
+            derived["r_eff2"],
             src,
             scan.camera_detector,
             scan.herald_detector,
             n_bins,
-            bpb,
+            derived["bins_per_block"],
         )
         return SuperpixelRecord(
             row=row,
@@ -373,13 +384,11 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
         "detector.camera.efficiency": repr(scan.camera_detector.efficiency),
         "detector.camera.dark_prob": repr(scan.camera_detector.dark_prob),
         "detector.bin_width": repr(scan.bin_width),
-        "derived.n_bins": str(n_bins),
-        "derived.bins_per_block": str(bpb),
-        "derived.r_eff2": repr(r_eff2),
-        "derived.n_rows": str(n_rows),
-        "derived.n_cols": str(n_cols),
+        **{f"derived.{name}": str(value) for name, value in derived.items()},
     }
-    return ScanResult(records=records, n_rows=n_rows, n_cols=n_cols, config=echo)
+    return ScanResult(
+        records=records, n_rows=derived["n_rows"], n_cols=derived["n_cols"], config=echo
+    )
 
 
 def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:

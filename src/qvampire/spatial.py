@@ -73,14 +73,6 @@ class MaskSpec:
         arr.setflags(write=False)
         object.__setattr__(self, "transmission", arr)
 
-    @property
-    def height(self) -> int:
-        return self.transmission.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.transmission.shape[1]
-
     def reflectivity(self) -> np.ndarray:
         return np.sqrt(np.clip(1.0 - self.transmission**2, 0.0, None))
 
@@ -141,20 +133,14 @@ def rect_region(width: int, height: int, x0: int, y0: int, w: int, h: int) -> np
     return region
 
 
-def silhouette_region(
-    width: int,
-    height: int,
-    cx: float | None = None,
-    cy: float | None = None,
-    span: float | None = None,
-) -> np.ndarray:
+def silhouette_region(width: int, height: int) -> np.ndarray:
     """Stylized bat silhouette: head, body ellipse, two triangular wings.
 
-    Purely a figure-parity shape; any pixel set works as a mask region.
+    Centred on the grid and 0.45 of its width across.  Purely a
+    figure-parity shape; any pixel set works as a mask region.
     """
-    cx = (width - 1) / 2.0 if cx is None else cx
-    cy = (height - 1) / 2.0 if cy is None else cy
-    span = 0.45 * width if span is None else span
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    span = 0.45 * width
     x, y = _grid(width, height)
     body = ((x - cx) / (0.16 * span)) ** 2 + ((y - cy) / (0.36 * span)) ** 2 <= 1.0
     head = ((x - cx) / (0.10 * span)) ** 2 + (
@@ -295,7 +281,6 @@ def subtracted_profile_analytic(
     mask: MaskSpec,
     input_stats: StateStats,
     nbar: float,
-    weak_coupling_threshold: float = WEAK_COUPLING_DEFAULT,
 ) -> np.ndarray:
     """Heralded intensity in the weak-coupling limit: g2 * t^2 u^2 * nbar.
 
@@ -303,10 +288,10 @@ def subtracted_profile_analytic(
     2 for thermal light, 1 for coherent, 1 - 1/n for a number state.
     """
     r_eff = reduce(profile, mask).r_eff
-    if r_eff > weak_coupling_threshold:
+    if r_eff > WEAK_COUPLING_DEFAULT:
         warnings.warn(
             f"r_eff = {r_eff:.3f} exceeds weak-coupling threshold "
-            f"{weak_coupling_threshold}; analytic heralded profile is approximate",
+            f"{WEAK_COUPLING_DEFAULT}; analytic heralded profile is approximate",
             WeakCouplingViolated,
             stacklevel=2,
         )

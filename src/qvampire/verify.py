@@ -39,8 +39,6 @@ from .fock import (
     VACUUM_WEIGHT_FLOOR,
     beamsplitter_blocks,
     beamsplitter_unitary,
-    fidelity,
-    subtract_photon,
 )
 
 OPERATOR = "operator"
@@ -49,6 +47,7 @@ HERALD_MODELS = (OPERATOR, CLICK_POVM)
 
 DEFAULT_VERIFY_NMAX = 28
 COMPLEMENT_TOL = 1e-10
+FIDELITY_FLOOR = 1.0 - 1e-9  # operator-model pass rule against direct subtraction
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,6 @@ def recombination_unitary(c_a: float, dim: int) -> np.ndarray:
     w = beamsplitter_unitary(dim, dim, *_split_params(c_a))
     w[:, np.add.outer(np.arange(dim), np.arange(dim)).ravel() >= dim] = 0.0
     return w
-
-
-def split_isometry(c_a: float, dim: int) -> np.ndarray:
-    """Isometry sending |n> to its binomial split over modes (A, B)."""
-    return recombination_unitary(c_a, dim)[:, np.arange(dim) * dim]
 
 
 @lru_cache(maxsize=64)
@@ -184,22 +178,3 @@ def regional_subtraction(
         complement_population=complement_population,
     )
 
-
-def herald_model_gap(
-    rho: DensityMatrix, c_a: float, r_values
-) -> list[tuple[float, float]]:
-    """Fidelity of the click-heralded whole-beam state to ideal subtraction.
-
-    Returns (r, fidelity) pairs; the deviation 1 - fidelity shrinks as
-    r^2, which is how fast the physical tap-plus-detector converges to
-    the pure lowering operator.
-    """
-    for r in r_values:
-        if not 0.0 < r <= 0.5:
-            raise ValueError("herald gap sweep expects r in (0, 0.5]")
-    ideal, _ = subtract_photon(rho)
-    out = []
-    for r in r_values:
-        res = regional_subtraction(rho, SplitConfig(c_a=c_a, r=r, herald_model=CLICK_POVM))
-        out.append((float(r), fidelity(res.state, ideal)))
-    return out

@@ -69,7 +69,9 @@ def test_criterion_2_statistics_identity():
         fock.make_thermal(1.0, 60),
         fock.make_coherent(1.0, 60),
         fock.make_fock(5, 60),
-        fock.mix([fock.make_thermal(1.0, 60), fock.make_coherent(1.0, 60)], [0.5, 0.5]),
+        fock.DensityMatrix(
+            0.5 * fock.make_thermal(1.0, 60).elements + 0.5 * fock.make_coherent(1.0, 60).elements
+        ),
     ]
     worst = 0.0
     for rho in states:
@@ -89,7 +91,9 @@ def test_criterion_3_linear_growth():
     t0 = time.perf_counter()
     worst = 0.0
     for k in range(1, 6):
-        out = fock.subtract_k(fock.make_thermal(0.5, 80), k)
+        out = fock.make_thermal(0.5, 80)
+        for _ in range(k):
+            out, _ = fock.subtract_photon(out)
         worst = max(worst, abs(out.mean_photons() / 0.5 - (k + 1)))
     elapsed = time.perf_counter() - t0
     _report(
@@ -153,9 +157,14 @@ def test_criterion_5_coherent_invariance():
 
 def test_criterion_6_herald_model_gap_scaling():
     rs = [0.02, 0.05, 0.1, 0.2]
-    gaps = verify.herald_model_gap(fock.make_thermal(1.0, 26), math.sqrt(0.3), rs)
-    # fidelity-derived (Bures) distance to the ideal subtracted state
-    dev = [math.sqrt(2.0 * (1.0 - math.sqrt(f))) for _, f in gaps]
+    rho = fock.make_thermal(1.0, 26)
+    ideal, _ = fock.subtract_photon(rho)
+    dev = []
+    for r in rs:
+        cfg = verify.SplitConfig(c_a=math.sqrt(0.3), r=r, herald_model=verify.CLICK_POVM)
+        f = fock.fidelity(verify.regional_subtraction(rho, cfg).state, ideal)
+        # fidelity-derived (Bures) distance to the ideal subtracted state
+        dev.append(math.sqrt(2.0 * (1.0 - math.sqrt(f))))
     slope = np.polyfit(np.log(rs), np.log(dev), 1)[0]
     _report(
         6,

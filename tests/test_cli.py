@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from qvampire import cli, config, fock, montecarlo as mc, spatial
+from qvampire import cli, config, fock, montecarlo as mc, spatial, verify
+from qvampire.errors import ConfigMismatch
 
 SMOKE_CONFIG = """
 scenario=subtraction
@@ -138,14 +139,27 @@ def test_cmd_scan_reproducible_from_sidecar(tmp_path):
     cfg = write_config(tmp_path)
     out1 = tmp_path / "first"
     assert cli.main(["scan", "--config", str(cfg), "--out", str(out1)]) == 0
-    # the echo itself is a valid config reproducing the identical run
-    echo = mc.load_sidecar(out1 / "scan.cfg")
-    echo = {k: v for k, v in echo.items() if not k.startswith("derived.")}
-    cfg2 = tmp_path / "echo.cfg"
-    cfg2.write_text("\n".join(f"{k}={v}" for k, v in sorted(echo.items())) + "\n")
+    # the echo itself, derived.* lines included, is a config reproducing the identical run
     out2 = tmp_path / "second"
-    assert cli.main(["scan", "--config", str(cfg2), "--out", str(out2)]) == 0
+    assert cli.main(["scan", "--config", str(out1 / "scan.cfg"), "--out", str(out2)]) == 0
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+    assert (out1 / "scan.cfg").read_bytes() == (out2 / "scan.cfg").read_bytes()
+
+
+def test_cmd_scan_rejects_sidecar_with_edited_derived_value(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out1 = tmp_path / "first"
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(out1)]) == 0
+    echo = mc.load_sidecar(out1 / "scan.cfg")
+    with pytest.raises(ConfigMismatch, match="derived.n_bins"):
+        config.build_scenario({**echo, "derived.n_bins": str(int(echo["derived.n_bins"]) + 1)})
+    with pytest.raises(ConfigMismatch, match="unknown config keys"):
+        config.build_scenario({**echo, "derived.n_tiles": "48"})
+    config.build_scenario(echo)  # the unedited echo is accepted
+    edited = tmp_path / "edited.cfg"
+    edited.write_text((out1 / "scan.cfg").read_text().replace("derived.n_bins=", "derived.n_bins=1"))
+    assert cli.main(["scan", "--config", str(edited), "--out", str(tmp_path / "second")]) == 1
+    assert "derived.n_bins" in capsys.readouterr().err
 
 
 def test_cmd_scan_thread_count_does_not_change_bytes(tmp_path):
@@ -231,7 +245,7 @@ def test_cmd_verify_prints_margins(tmp_path, monkeypatch, capsys):
     assert rc == 0
     rows = list(csv.DictReader((tmp_path / "v" / "verify.csv").open()))
     op = [row for row in rows if row["herald_model"] == "operator"]
-    margin = min(float(row["fidelity"]) for row in op) - cli.FIDELITY_FLOOR
+    margin = min(float(row["fidelity"]) for row in op) - verify.FIDELITY_FLOOR
     comp = max(float(row["complement_population"]) for row in op)
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == (

@@ -13,7 +13,6 @@ from qvampire.errors import (
     NonUnitaryParams,
     OutOfTruncation,
     TailMassExceeded,
-    TruncationDegraded,
     UndefinedG2,
     VacuumSubtraction,
 )
@@ -94,17 +93,6 @@ def test_fock_construction():
         fock.make_fock(11, 10)
 
 
-def test_mix_validates_and_averages():
-    a = fock.make_thermal(1.0, 40)
-    b = fock.make_coherent(1.0, 40)
-    m = fock.mix([a, b], [0.5, 0.5])
-    assert abs(m.mean_photons() - 0.5 * (a.mean_photons() + b.mean_photons())) < 1e-14
-    with pytest.raises(DimensionMismatch):
-        fock.mix([a, fock.make_fock(0, 5)], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        fock.mix([a, b], [0.7, 0.7])
-
-
 def test_density_matrix_invariants_enforced():
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0  # not Hermitian
@@ -164,25 +152,20 @@ def test_subtract_k_matches_diagonal_recursion_oracle():
         p = np.append(p, 0.0)
         p /= p.sum()
     expected = weights_mean(p)
-    got = fock.subtract_k(fock.make_thermal(nbar, nmax), k).mean_photons()
+    out = fock.make_thermal(nbar, nmax)
+    for _ in range(k):
+        out, _ = fock.subtract_photon(out)
+    got = out.mean_photons()
     assert abs(got - expected) < 1e-12
     assert abs(got - 2.0) < 1e-5
 
 
 def test_subtract_k_trivial_cases():
-    rho = fock.make_thermal(0.8, 40)
-    same = fock.subtract_k(rho, 0)
-    assert np.array_equal(same.elements, rho.elements)
-    out = fock.subtract_k(fock.make_fock(2, 10), 2)
-    assert out.populations()[0] == 1.0
+    once, _ = fock.subtract_photon(fock.make_fock(2, 10))
+    twice, _ = fock.subtract_photon(once)
+    assert twice.populations()[0] == 1.0
     with pytest.raises(VacuumSubtraction):
-        fock.subtract_k(fock.make_fock(2, 10), 3)
-
-
-def test_subtract_k_tail_degradation():
-    rho = fock.make_thermal(1.0, 40)
-    with pytest.raises(TruncationDegraded):
-        fock.subtract_k(rho, 5, tail_tol=1e-12)
+        fock.subtract_photon(twice)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +201,8 @@ def test_g2_undefined_on_vacuum():
         fock.make_thermal(1.0, 50),
         fock.make_coherent(1.2, 50),
         fock.make_fock(4, 50),
-        fock.mix(
-            [fock.make_thermal(1.0, 50), fock.make_coherent(1.0, 50)], [0.5, 0.5]
+        fock.DensityMatrix(
+            0.5 * fock.make_thermal(1.0, 50).elements + 0.5 * fock.make_coherent(1.0, 50).elements
         ),
     ],
 )

@@ -23,7 +23,7 @@ def test_split_isometry_matches_binomial_expansion():
     d = 8
     c_a = 0.6
     c_b = math.sqrt(1 - c_a**2)
-    v = verify.split_isometry(c_a, d)
+    v = verify.recombination_unitary(c_a, d)[:, np.arange(d) * d]
     for n in range(d):
         for k in range(n + 1):
             expected = math.sqrt(math.comb(n, k)) * c_a**k * c_b ** (n - k)
@@ -33,7 +33,7 @@ def test_split_isometry_matches_binomial_expansion():
 
 def _split(rho, c_a):
     """Joint (A, B) state of the split, as a (d, d, d, d) ket-ket-bra-bra tensor."""
-    v = verify.split_isometry(c_a, rho.dim)
+    v = verify.recombination_unitary(c_a, rho.dim)[:, np.arange(rho.dim) * rho.dim]
     return (v @ rho.elements @ v.conj().T).reshape((rho.dim,) * 4)
 
 
@@ -126,20 +126,33 @@ def test_zero_reflectivity_cannot_herald():
         )
 
 
+def _click_fidelities(rho, c_a, rs):
+    """Fidelity of the click-heralded whole-beam state to ideal subtraction, per r."""
+    ideal, _ = fock.subtract_photon(rho)
+    return [
+        fock.fidelity(
+            verify.regional_subtraction(
+                rho, verify.SplitConfig(c_a=c_a, r=r, herald_model=verify.CLICK_POVM)
+            ).state,
+            ideal,
+        )
+        for r in rs
+    ]
+
+
 def test_click_model_converges_to_operator_model():
     rho = fock.make_thermal(1.0, 26)
-    gaps = verify.herald_model_gap(rho, math.sqrt(0.3), [0.02, 0.05, 0.1, 0.2])
-    fids = [f for _, f in gaps]
+    fids = _click_fidelities(rho, math.sqrt(0.3), [0.02, 0.05, 0.1, 0.2])
     assert all(f2 < f1 for f1, f2 in zip(fids, fids[1:]))  # monotone in r
     assert fids[0] > 1 - 1e-7  # r -> 0: the tap implements pure lowering
 
 
 def test_click_model_deviation_is_quadratic_in_r():
     rho = fock.make_thermal(1.0, 26)
-    gaps = dict(verify.herald_model_gap(rho, math.sqrt(0.3), [0.05, 0.1]))
+    f1, f2 = _click_fidelities(rho, math.sqrt(0.3), [0.05, 0.1])
     # Bures distance to the ideal subtracted state, the fidelity-derived metric
-    d1 = math.sqrt(2 * (1 - math.sqrt(gaps[0.05])))
-    d2 = math.sqrt(2 * (1 - math.sqrt(gaps[0.1])))
+    d1 = math.sqrt(2 * (1 - math.sqrt(f1)))
+    d2 = math.sqrt(2 * (1 - math.sqrt(f2)))
     assert abs(d2 / d1 - 4.0) < 4.0 * 0.3
 
 
@@ -184,14 +197,6 @@ def test_click_model_complement_population_is_reported():
     )
     assert res.complement_population > 0.0
     assert res.complement_population < 1e-3
-
-
-def test_herald_gap_rejects_out_of_range_r():
-    rho = fock.make_thermal(0.5, 20)
-    with pytest.raises(ValueError):
-        verify.herald_model_gap(rho, 0.5, [0.0, 0.1])
-    with pytest.raises(ValueError):
-        verify.herald_model_gap(rho, 0.5, [0.6])
 
 
 def test_split_config_validation():
