@@ -20,6 +20,7 @@ from .errors import (
     InsufficientCounts,
     InsufficientData,
 )
+from .montecarlo import superpixel_tiles
 
 TAG_INSIDE = "inside_mask_region"
 TAG_OUTSIDE = "outside"
@@ -202,15 +203,18 @@ def profile_cut(
 def region_fraction_map(
     region: np.ndarray, superpixel: int, n_rows: int, n_cols: int
 ) -> np.ndarray:
-    """Fraction of each superpixel's pixels lying inside a mask region."""
+    """Fraction of each superpixel's pixels lying inside a mask region.
+
+    The region, tiled at ``superpixel``, must give the n_rows x n_cols grid.
+    """
     region = np.asarray(region, dtype=bool)
+    rows, cols, tiles = superpixel_tiles(*region.shape, superpixel)
+    if (rows, cols) != (n_rows, n_cols):
+        raise GridMismatch(
+            f"a {region.shape[1]}x{region.shape[0]} region at superpixel {superpixel} "
+            f"tiles a {rows}x{cols} grid, but the scan grid is {n_rows}x{n_cols}"
+        )
     out = np.zeros((n_rows, n_cols))
-    h, w = region.shape
-    for row in range(n_rows):
-        ys = slice(row * superpixel, min((row + 1) * superpixel, h))
-        for col in range(n_cols):
-            xs = slice(col * superpixel, min((col + 1) * superpixel, w))
-            patch = region[ys, xs]
-            if patch.size:
-                out[row, col] = patch.mean()
+    for row, col, ys, xs in tiles:
+        out[row, col] = region[ys, xs].mean()
     return out

@@ -30,6 +30,7 @@ from .spatial import (
     ellipse_region,
     make_mask,
     make_profile,
+    PROFILE_PARAMS,
     rect_region,
     silhouette_region,
 )
@@ -135,31 +136,10 @@ def parse_region_spec(spec: str, width: int, height: int) -> np.ndarray:
 
 def _build_profile(merged: dict, width: int, height: int) -> BeamProfile:
     kind = merged["profile.kind"]
-    params = {}
-    if kind in ("uniform_ellipse", "uniform_ellipse_with_ring"):
-        for name, key in (
-            ("cx", "profile.cx"),
-            ("cy", "profile.cy"),
-            ("rx", "profile.rx"),
-            ("ry", "profile.ry"),
-        ):
-            val = _opt_float(merged[key])
-            if val is not None:
-                params[name] = val
-        if kind == "uniform_ellipse_with_ring":
-            params["ring_gain"] = float(merged["profile.ring_gain"])
-    elif kind == "gaussian":
-        for name, key in (
-            ("cx", "profile.cx"),
-            ("cy", "profile.cy"),
-            ("sigma_x", "profile.sigma_x"),
-            ("sigma_y", "profile.sigma_y"),
-        ):
-            val = _opt_float(merged[key])
-            if val is not None:
-                params[name] = val
-    else:
+    if kind not in PROFILE_PARAMS:
         raise ConfigMismatch(f"unknown profile kind {kind!r}")
+    given = {name: merged[f"profile.{name}"] for name in PROFILE_PARAMS[kind]}
+    params = {name: float(value) for name, value in given.items() if value != ""}
     return make_profile(kind, width, height, **params)
 
 

@@ -74,10 +74,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.elements.shape[0]
 
-    @property
-    def nmax(self) -> int:
-        return self.dim - 1
-
     def populations(self) -> np.ndarray:
         return np.diag(self.elements).real.copy()
 
@@ -98,9 +94,7 @@ class StateStats:
 # constructors
 
 
-def make_thermal(
-    nbar: float, nmax: int = DEFAULT_NMAX, tail_tol: float = DEFAULT_TAIL_TOL
-) -> DensityMatrix:
+def make_thermal(nbar: float, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     """Thermal state with Bose-Einstein weights, renormalized over 0..nmax."""
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
@@ -111,16 +105,14 @@ def make_thermal(
     q = nbar / (1.0 + nbar)
     weights = q ** np.arange(nmax + 1) / (1.0 + nbar)
     tail = q ** (nmax + 1)
-    if tail > tail_tol:
+    if tail > DEFAULT_TAIL_TOL:
         raise TailMassExceeded(
-            f"thermal nbar={nbar} at nmax={nmax}: tail {tail:.3e} > {tail_tol:.1e}"
+            f"thermal nbar={nbar} at nmax={nmax}: tail {tail:.3e} > {DEFAULT_TAIL_TOL:.1e}"
         )
     return DensityMatrix(np.diag(weights / weights.sum()), tail_mass=float(tail))
 
 
-def make_coherent(
-    alpha: complex, nmax: int = DEFAULT_NMAX, tail_tol: float = DEFAULT_TAIL_TOL
-) -> DensityMatrix:
+def make_coherent(alpha: complex, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     """Pure coherent state, renormalized over 0..nmax."""
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -131,10 +123,10 @@ def make_coherent(
     amp = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact)
     norm2 = float(np.vdot(amp, amp).real)
     tail = 1.0 - norm2
-    if tail > tail_tol:
+    if tail > DEFAULT_TAIL_TOL:
         raise TailMassExceeded(
             f"coherent |alpha|={abs(alpha)} at nmax={nmax}: "
-            f"tail {tail:.3e} > {tail_tol:.1e}"
+            f"tail {tail:.3e} > {DEFAULT_TAIL_TOL:.1e}"
         )
     amp = amp / math.sqrt(norm2)
     return DensityMatrix(np.outer(amp, amp.conj()), tail_mass=max(tail, 0.0))
@@ -153,13 +145,6 @@ def make_fock(n: int, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
 
 # ---------------------------------------------------------------------------
 # operators and statistics
-
-
-def annihilation_matrix(nmax: int) -> np.ndarray:
-    """Lowering operator on the truncated space: a[n-1, n] = sqrt(n)."""
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    return np.diag(np.sqrt(np.arange(1.0, nmax + 1)), k=1).astype(complex)
 
 
 def stats(rho: DensityMatrix) -> StateStats:
@@ -183,8 +168,9 @@ def subtract_photon(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     weight = rho.mean_photons()
     if weight < VACUUM_WEIGHT_FLOOR:
         raise VacuumSubtraction("cannot subtract a photon from (near-)vacuum")
-    a = annihilation_matrix(rho.nmax)
-    out = (a @ rho.elements @ a.conj().T) / weight
+    s = np.sqrt(np.arange(1.0, rho.dim))  # a[n-1, n] = sqrt(n)
+    out = np.zeros_like(rho.elements)
+    out[:-1, :-1] = s[:, None] * rho.elements[1:, 1:] * s / weight
     tail = rho.tail_mass * rho.dim / weight
     return DensityMatrix(out, tail_mass=tail), float(weight)
 

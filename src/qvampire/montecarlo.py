@@ -137,7 +137,7 @@ class SuperpixelRecord:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Per-superpixel counts plus the flat config echo that produced them."""
+    """Per-superpixel counts plus the flat config keys analysis reads them with."""
 
     records: tuple[SuperpixelRecord, ...]
     n_rows: int
@@ -157,22 +157,21 @@ class ScanResult:
     def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Unconditional camera rate per bin with its standard error.
 
-        For a thermal source the error includes the bunching inflation
-        from bins sharing one coherence block, inferred from the measured
-        rate (exact for dark_prob = 0).
+        The error is the singles count variance of ``expected_singles_counts``
+        at the measured rate.  For a thermal source the field moment behind
+        its bunching term is inferred from the rate (exact for dark_prob = 0).
         """
         counts = self.grid("camera_counts").astype(float)
         n_bins = self.grid("n_bins").astype(float)
         rates = np.divide(counts, n_bins, out=np.zeros_like(counts), where=n_bins > 0)
-        var = counts * (1.0 - rates)  # binomial, per-superpixel totals
         if self.setting("source.kind") == THERMAL:
-            bpb = int(self.setting("derived.bins_per_block"))
-            if bpb > 1:
-                x = np.divide(rates, 1.0 - rates, out=np.zeros_like(rates), where=rates < 1)
-                ep2 = 1.0 - 2.0 / (1.0 + x) + 1.0 / (1.0 + 2.0 * x)
-                var_p = np.clip(ep2 - rates**2, 0.0, None)
-                var = n_bins * (rates - ep2) + _sum_block_squares(n_bins, bpb) * var_p
-        sigmas = np.sqrt(np.clip(var, 1.0, None))
+            # the mean photons per bin x whose dark-free click mean is the rate
+            x = np.divide(rates, 1.0 - rates, out=np.zeros_like(rates), where=rates < 1)
+            _, p_sq = _click_moments(x, 1.0)
+        else:
+            p_sq = rates**2
+        bpb = int(self.setting("derived.bins_per_block"))
+        sigmas = np.sqrt(np.clip(_count_variance(n_bins, bpb, rates, p_sq), 1.0, None))
         sigmas = np.divide(sigmas, n_bins, out=np.full_like(counts, np.inf), where=n_bins > 0)
         return rates, sigmas
 
@@ -215,12 +214,17 @@ def click_probability(intensity, det: DetectorConfig):
     )
 
 
-def thermal_click_moments(coupling: float, nbar: float, det: DetectorConfig):
-    """Mean and variance over the field of the per-bin click probability."""
-    x = det.efficiency * coupling * nbar
-    keep = 1.0 - det.dark_prob
+def _click_moments(x, keep):
+    """E[p] and E[p^2] of the click probability p = 1 - keep * exp(-x I / nbar)
+    over a thermal block intensity I of mean nbar: E[exp(-a I)] = 1 / (1 + a nbar)."""
     p_mean = 1.0 - keep / (1.0 + x)
     p_sq = 1.0 - 2.0 * keep / (1.0 + x) + keep * keep / (1.0 + 2.0 * x)
+    return p_mean, p_sq
+
+
+def thermal_click_moments(coupling: float, nbar: float, det: DetectorConfig):
+    """Mean and variance over the field of the per-bin click probability."""
+    p_mean, p_sq = _click_moments(det.efficiency * coupling * nbar, 1.0 - det.dark_prob)
     return p_mean, max(p_sq - p_mean * p_mean, 0.0)
 
 
@@ -232,6 +236,14 @@ def _sum_block_squares(n_bins, bins_per_block: int):
     return full * bins_per_block**2 + rem**2
 
 
+def _count_variance(n_bins, bins_per_block: int, p_mean, p_sq):
+    """Variance of a singles counter over n_bins bins whose click probability
+    has field moments E[p] = p_mean, E[p^2] = p_sq: per-bin shot noise plus
+    sum(block size^2) * Var p from the bins of one coherence block."""
+    var_p = np.clip(p_sq - p_mean**2, 0.0, None)
+    return n_bins * (p_mean - p_sq) + _sum_block_squares(n_bins, bins_per_block) * var_p
+
+
 def expected_singles_counts(
     coupling: float, src: SourceConfig, det: DetectorConfig, n_bins: int
 ):
@@ -241,12 +253,12 @@ def expected_singles_counts(
     thermal intensity fluctuations shared by bins of one coherence block.
     """
     if src.kind == COHERENT:
-        p = float(click_probability(coupling * src.nbar, det))
-        return n_bins * p, math.sqrt(max(n_bins * p * (1.0 - p), 0.0))
-    p_mean, var_p = thermal_click_moments(coupling, src.nbar, det)
-    p_sq = var_p + p_mean * p_mean
-    bpb = bins_per_block(src, det)
-    var = n_bins * (p_mean - p_sq) + float(_sum_block_squares(n_bins, bpb)) * var_p
+        p_mean = float(click_probability(coupling * src.nbar, det))
+        p_sq = p_mean * p_mean
+    else:
+        p_mean, var_p = thermal_click_moments(coupling, src.nbar, det)
+        p_sq = var_p + p_mean * p_mean
+    var = float(_count_variance(n_bins, bins_per_block(src, det), p_mean, p_sq))
     return n_bins * p_mean, math.sqrt(max(var, 0.0))
 
 
@@ -370,20 +382,10 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     with ThreadPoolExecutor(max_workers=scan.threads) as pool:
         records = tuple(pool.map(work, enumerate(tiles)))
 
+    # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {
         "source.kind": src.kind,
-        "source.nbar": repr(src.nbar),
-        "source.coherence_time": repr(src.coherence_time),
-        "scan.seed": str(scan.seed),
-        "scan.superpixel": str(scan.superpixel),
-        "scan.dwell": repr(scan.dwell),
-        "scan.bins_cap": str(scan.bins_cap),
         "scan.trigger_mode": scan.trigger_mode,
-        "detector.herald.efficiency": repr(scan.herald_detector.efficiency),
-        "detector.herald.dark_prob": repr(scan.herald_detector.dark_prob),
-        "detector.camera.efficiency": repr(scan.camera_detector.efficiency),
-        "detector.camera.dark_prob": repr(scan.camera_detector.dark_prob),
-        "detector.bin_width": repr(scan.bin_width),
         **{f"derived.{name}": str(value) for name, value in derived.items()},
     }
     return ScanResult(

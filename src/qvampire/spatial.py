@@ -27,6 +27,13 @@ from .fock import StateStats
 NORM_TOL = 1e-12
 WEAK_COUPLING_DEFAULT = 0.2
 
+# the keyword parameters of make_profile per kind; a config sets each as profile.<name>
+PROFILE_PARAMS = {
+    "uniform_ellipse": ("cx", "cy", "rx", "ry"),
+    "uniform_ellipse_with_ring": ("cx", "cy", "rx", "ry", "ring_gain"),
+    "gaussian": ("cx", "cy", "sigma_x", "sigma_y"),
+}
+
 
 @dataclass(frozen=True)
 class BeamProfile:

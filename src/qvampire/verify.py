@@ -119,11 +119,7 @@ def _herald_images(dim: int, r: float, model: str) -> np.ndarray:
     return images
 
 
-def regional_subtraction(
-    rho: DensityMatrix,
-    cfg: SplitConfig,
-    complement_tol: float = COMPLEMENT_TOL,
-) -> RegionalSubtractionResult:
+def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtractionResult:
     """Herald one subtraction in sub-mode A and return the whole-beam state.
 
     The returned complement population is the probability of finding any
@@ -163,10 +159,10 @@ def regional_subtraction(
         )
     comp_vacuum = float((amp[0] ** 2).sum(axis=0) @ rho.populations())
     complement_population = 1.0 - comp_vacuum / herald_weight
-    if cfg.herald_model == OPERATOR and complement_population > complement_tol:
+    if cfg.herald_model == OPERATOR and complement_population > COMPLEMENT_TOL:
         raise ResidualOrthogonalPopulation(
             f"operator-model complement population {complement_population:.3e} "
-            f"exceeds {complement_tol:.1e}"
+            f"exceeds {COMPLEMENT_TOL:.1e}"
         )
 
     beam = (beam + beam.conj().T) / 2.0

@@ -282,3 +282,12 @@ def test_region_fraction_map():
     region[0:2, 4:8] = True
     frac = analysis.region_fraction_map(region, 4, 2, 2)
     assert frac[0, 1] == 0.5
+
+
+def test_region_fraction_map_rejects_a_raster_off_the_scan_grid():
+    # an 8x8 region tiles 2x2 at superpixel 4 and 3x3 at superpixel 3
+    region = np.ones((8, 8), dtype=bool)
+    with pytest.raises(GridMismatch, match="3x3 grid, but the scan grid is 2x2"):
+        analysis.region_fraction_map(region, 3, 2, 2)
+    with pytest.raises(GridMismatch, match="2x2 grid, but the scan grid is 2x3"):
+        analysis.region_fraction_map(region, 4, 2, 3)

@@ -84,6 +84,31 @@ def test_herald_target_resolves_contrast():
     assert abs(rate - 0.013) < 1e-12
 
 
+def test_profile_keys_are_the_profile_params_table():
+    keys = {key for key in config.DEFAULTS if key.startswith("profile.")} - {"profile.kind"}
+    params = set().union(*spatial.PROFILE_PARAMS.values())
+    assert keys == {f"profile.{name}" for name in params}
+    with pytest.raises(ConfigMismatch, match="unknown profile kind"):
+        config.build_scenario({"profile.kind": "donut", "scan.seed": "1"})
+
+
+def test_gaussian_profile_config_builds_make_profile():
+    scenario = config.build_scenario(
+        {
+            "profile.kind": "gaussian",
+            "profile.sigma_x": "7",
+            "profile.sigma_y": "5",
+            "profile.cx": "20.5",
+            "profile.cy": "26",
+            "scan.seed": "1",
+        }
+    )
+    expected = spatial.make_profile(
+        "gaussian", 64, 48, cx=20.5, cy=26.0, sigma_x=7.0, sigma_y=5.0
+    )
+    assert np.array_equal(scenario.source.profile.amplitude, expected.amplitude)
+
+
 # ---------------------------------------------------------------------------
 # profile command
 
@@ -402,3 +427,17 @@ def test_cmd_analyze_grid_mismatch(tmp_path, capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+def test_cmd_analyze_rejects_sidecar_raster_off_the_csv_grid(tmp_path, capsys):
+    # 32x24 pixels tile 6x8 at superpixel 4; an edited superpixel 5 tiles 5x7
+    out = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "sub")
+    sidecar = out / "scan.cfg"
+    text = sidecar.read_text()
+    assert "scan.superpixel=4\n" in text
+    sidecar.write_text(text.replace("scan.superpixel=4\n", "scan.superpixel=5\n"))
+    capsys.readouterr()
+    rc = cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "5x7 grid" in err and "scan grid is 6x8" in err

@@ -107,15 +107,29 @@ def test_density_matrix_invariants_enforced():
 # annihilation and subtraction
 
 
-def test_annihilation_matrix_entries():
-    a = fock.annihilation_matrix(1)
-    assert a.shape == (2, 2)
-    assert a[0, 1] == 1.0
-    a = fock.annihilation_matrix(10)
-    assert a[3, 4] == 2.0  # sqrt(4)
-    number = a.conj().T @ a
-    assert np.allclose(np.diag(number).real, np.arange(11))
-    assert np.allclose(number - np.diag(np.diag(number)), 0.0)
+def lowering_operator(d):
+    """Oracle: dense truncated a with a[n-1, n] = sqrt(n), over |0> .. |d-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        fock.make_coherent(0.6 - 0.8j, 30),
+        fock.DensityMatrix(
+            0.5 * fock.make_thermal(0.5, 30).elements
+            + 0.5 * fock.make_coherent(0.9 + 0.4j, 30).elements
+        ),
+    ],
+    ids=["coherent", "thermal_coherent_mixture"],
+)
+def test_subtract_photon_matches_dense_lowering_operator(rho):
+    a = lowering_operator(rho.dim)
+    expected = a @ rho.elements @ a.conj().T
+    out, weight = fock.subtract_photon(rho)
+    assert abs(weight - np.trace(expected).real) < 1e-15
+    assert np.abs(out.elements - expected / weight).max() < 1e-15
+    assert np.abs(out.elements[np.triu_indices(rho.dim, 1)]).max() > 0.01  # off-diagonal
 
 
 def test_subtract_thermal_doubles_mean():
@@ -302,7 +316,7 @@ def _closed_form_block(total, t, r):
 
 def _kron_generator(d):
     """Dense truncated ai+ aj - ai aj+ over |n_i, n_j>, n_i the slow index."""
-    a = fock.annihilation_matrix(d - 1)
+    a = lowering_operator(d)
     return np.kron(a.conj().T, a) - np.kron(a, a.conj().T)
 
 
@@ -351,8 +365,9 @@ def test_fidelity_dimension_mismatch():
 
 
 def test_fidelity_cross_checked_against_independent_algorithms():
-    rho1 = fock.make_thermal(1.0, 40)
-    rho2 = fock.make_thermal(2.0, 40, tail_tol=1e-6)
+    # nmax 46: the n-bar 2 tail (2/3)^47 = 5e-9 stays inside the 1e-8 tolerance
+    rho1 = fock.make_thermal(1.0, 46)
+    rho2 = fock.make_thermal(2.0, 46)
     got = fock.fidelity(rho1, rho2)
     # algorithm 2: matrix square roots via scipy
     s1 = scipy.linalg.sqrtm(rho1.elements)

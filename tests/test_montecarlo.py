@@ -169,6 +169,31 @@ def test_block_correlation_inflates_singles_variance():
     assert sigma > 2.0 * binomial
 
 
+@pytest.mark.parametrize("kind", [mc.THERMAL, mc.COHERENT])
+def test_camera_rate_sigma_is_the_expected_singles_sigma(kind):
+    # analyze's singles error and the analytic counter model share one formula
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), kind=kind)
+    det = mc.DetectorConfig(efficiency=0.6)
+    bpb = mc.bins_per_block(src, det)
+    assert bpb == 83
+    n_bins = 1_000_000  # ends in a partial block
+    counts = (3_000, 120_000, 450_000)
+    records = tuple(
+        mc.SuperpixelRecord(0, col, n_bins, cam, 0, 0) for col, cam in enumerate(counts)
+    )
+    config = {"source.kind": kind, "derived.bins_per_block": str(bpb)}
+    rates, sigmas = mc.ScanResult(records, 1, len(counts), config).camera_rate_map()
+    for p, sigma in zip(rates[0], sigmas[0]):
+        # the coupling whose dark-free click mean is the measured rate p
+        if kind == mc.THERMAL:
+            coupling = p / (1.0 - p) / (det.efficiency * src.nbar)
+        else:
+            coupling = -math.log1p(-p) / (det.efficiency * src.nbar)
+        mean, expected = mc.expected_singles_counts(coupling, src, det, n_bins)
+        assert abs(mean / n_bins - p) < 1e-12 * p
+        assert abs(sigma * n_bins - expected) < 1e-12 * expected
+
+
 def coincidence_moments(w_cam, w_her, src, det_cam, det_her):
     """Oracle: E[q] and E[q^2] over the field of q = p_cam * p_her.
 
@@ -315,6 +340,14 @@ def test_conditional_profile_requires_coincidence_mode():
     res = mc.run_scan(src, small_scan(mask, trigger_mode=mc.SINGLES))
     with pytest.raises(ConfigMismatch):
         mc.conditional_profile_mc(res)
+
+
+def test_run_scan_echoes_only_what_analysis_reads():
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
+    scan = small_scan(spatial.make_mask("white", 16, 12))
+    res = mc.run_scan(src, scan)
+    derived = {f"derived.{name}" for name in mc.derived_settings(src, scan)}
+    assert set(res.config) == set(mc.SIDECAR_DEFAULTS) | derived
 
 
 # ---------------------------------------------------------------------------

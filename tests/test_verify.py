@@ -208,13 +208,12 @@ def test_split_config_validation():
         verify.SplitConfig(c_a=0.5, r=0.1, herald_model="photon_number")
 
 
-def test_complement_tolerance_binds_only_the_operator_model():
+def test_complement_tolerance_binds_only_the_operator_model(monkeypatch):
     # a negative tolerance is breached by any population, even exactly zero
+    monkeypatch.setattr(verify, "COMPLEMENT_TOL", -1.0)
     rho = fock.make_thermal(0.3, 14)
     with pytest.raises(ResidualOrthogonalPopulation):
-        verify.regional_subtraction(
-            rho, verify.SplitConfig(c_a=0.5, r=0.1), complement_tol=-1.0
-        )
+        verify.regional_subtraction(rho, verify.SplitConfig(c_a=0.5, r=0.1))
     click = verify.SplitConfig(c_a=0.5, r=0.1, herald_model=verify.CLICK_POVM)
-    res = verify.regional_subtraction(rho, click, complement_tol=-1.0)
+    res = verify.regional_subtraction(rho, click)
     assert res.complement_population > -1.0
