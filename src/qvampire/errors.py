@@ -49,6 +49,10 @@ class ConfigMismatch(QVampireError):
     """Inconsistent simulation configuration (dimensions, timing, modes)."""
 
 
+class QuadratureUnresolved(QVampireError):
+    """A quadrature rule disagrees with its own refinement by more than its bound."""
+
+
 class NoHeralds(QVampireError):
     """A superpixel recorded zero herald counts; conditional rates undefined."""
 

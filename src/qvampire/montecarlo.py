@@ -2,22 +2,34 @@
 
 The thermal beam is modeled semiclassically: the field is a circular
 Gaussian amplitude held constant for the bins of one coherence block, so
-the block intensity |alpha|^2 is drawn directly as an exponential, which
-gives the right bunching statistics.  Each 12 ns bin the
-herald detector sees the power tapped off by the mask and the camera
-detector sees the power transmitted into the currently open superpixel;
-on/off clicks are drawn independently given the field, and same-bin
-herald+camera clicks feed the coincidence counter.
+the block intensity |alpha|^2 is exponential, which gives the right
+bunching statistics.  Each 12 ns bin the herald detector sees the power
+tapped off by the mask and the camera detector sees the power transmitted
+into the currently open superpixel; on/off clicks are independent given
+the field, and same-bin herald+camera clicks feed the coincidence counter.
 
 Every superpixel owns a counter-based Philox substream keyed by
 (seed, superpixel index), so results are bit-identical no matter how the
-raster is scheduled or parallelized.  Given the field, a block's camera
-and herald clicks are independent and each detector's clicked bins form a
-uniformly random subset of the block.  So a block is drawn as a
-Binomial(size, p_cam) camera count, a Binomial(size, p_her) herald count,
-and their overlap as a hypergeometric draw given the two counts; this is
-distribution-exact.  Blocks go in fixed-size chunks, so a tile's working
-memory does not grow with the dwell.
+raster is scheduled or parallelized.  A tile outputs three totals, and
+its full coherence blocks are i.i.d., so it is drawn from a table of
+block outcomes rather than block by block:
+
+- Given the field, a block's camera and herald click counts c and h are
+  independent binomials.  Their joint pmf P(c, h) over the exponential
+  block intensity is a quadrature (``qvampire.blocktable``) whose own
+  refinement must agree with it to 1e-12 per cell.
+- One multinomial over the (s+1)^2 cells counts the full blocks of each
+  outcome (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III).
+- Each detector's clicked bins form a uniformly random subset of the
+  block, so the bins clicked by both are hypergeometric given (c, h); the
+  blocks of one cell add up their overlaps through one multinomial over
+  that hypergeometric pmf.
+- The final partial block is drawn on its own.
+
+A coherent tile has one click probability per detector, so it is a single
+multinomial of its bins over the four joint outcomes.  Either way a
+tile's time and memory do not grow with the dwell, and every draw is
+distribution-exact up to the table's quadrature error.
 """
 
 from __future__ import annotations
@@ -38,8 +50,8 @@ COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
 
-# coherence blocks drawn at once per tile; bounds a tile's working memory
-CHUNK_BLOCKS = 1 << 16
+# a tile's block-outcome table holds (s+1)^2 cells: 8.4 MB at the largest block
+MAX_BINS_PER_BLOCK = 1024
 
 # what a scan is analyzed with when its sidecar lacks the key
 SIDECAR_DEFAULTS = {
@@ -167,7 +179,7 @@ class ScanResult:
         if self.setting("source.kind") == THERMAL:
             # the mean photons per bin x whose dark-free click mean is the rate
             x = np.divide(rates, 1.0 - rates, out=np.zeros_like(rates), where=rates < 1)
-            _, p_sq = _click_moments(x, 1.0)
+            _, p_sq = _click_moments(x, 0.0)
         else:
             p_sq = rates**2
         bpb = int(self.setting("derived.bins_per_block"))
@@ -196,17 +208,6 @@ class ConditionalProfile:
 # elementary pieces
 
 
-def sample_block_intensity(gen: np.random.Generator, nbar: float, size=None):
-    """Thermal block intensity |alpha|^2: exponential with mean nbar.
-
-    The modulus squared of a circular Gaussian amplitude with E|alpha|^2 =
-    nbar is exponentially distributed, so the amplitude is never formed.
-    """
-    if nbar < 0:
-        raise ConfigMismatch("nbar must be non-negative")
-    return nbar * gen.standard_exponential(size)
-
-
 def click_probability(intensity, det: DetectorConfig):
     """On/off click probability for a mean photon number per bin."""
     return det.dark_prob + (1.0 - det.dark_prob) * -np.expm1(
@@ -214,17 +215,25 @@ def click_probability(intensity, det: DetectorConfig):
     )
 
 
-def _click_moments(x, keep):
-    """E[p] and E[p^2] of the click probability p = 1 - keep * exp(-x I / nbar)
-    over a thermal block intensity I of mean nbar: E[exp(-a I)] = 1 / (1 + a nbar)."""
-    p_mean = 1.0 - keep / (1.0 + x)
-    p_sq = 1.0 - 2.0 * keep / (1.0 + x) + keep * keep / (1.0 + 2.0 * x)
+def _click_moments(x, dark):
+    """E[p] and E[p^2] of the click probability p = dark + keep * (1 - exp(-x u)),
+    keep = 1 - dark, over a thermal block intensity u ~ Exp(1).
+
+    With E[exp(-a u)] = 1 / (1 + a), E[1 - exp(-x u)] = x / (1 + x) and
+    E[(1 - exp(-x u))^2] = 2 x^2 / ((1 + x)(1 + 2 x)); every term is
+    non-negative, so neither moment cancels at small x.
+    """
+    keep = 1.0 - dark
+    q_mean = x / (1.0 + x)
+    q_sq = 2.0 * x * x / ((1.0 + x) * (1.0 + 2.0 * x))
+    p_mean = dark + keep * q_mean
+    p_sq = dark * dark + 2.0 * keep * dark * q_mean + keep * keep * q_sq
     return p_mean, p_sq
 
 
 def thermal_click_moments(coupling: float, nbar: float, det: DetectorConfig):
     """Mean and variance over the field of the per-bin click probability."""
-    p_mean, p_sq = _click_moments(det.efficiency * coupling * nbar, 1.0 - det.dark_prob)
+    p_mean, p_sq = _click_moments(det.efficiency * coupling * nbar, det.dark_prob)
     return p_mean, max(p_sq - p_mean * p_mean, 0.0)
 
 
@@ -263,10 +272,16 @@ def expected_singles_counts(
 
 
 def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
-    """Bins per coherence block; must be at least one full bin."""
+    """Bins per coherence block: at least one, at most ``MAX_BINS_PER_BLOCK``."""
     if src.coherence_time < det.bin_width:
         raise ConfigMismatch("coherence time must be at least one bin")
-    return int(src.coherence_time / det.bin_width + 1e-9)
+    bpb = int(src.coherence_time / det.bin_width + 1e-9)
+    if bpb > MAX_BINS_PER_BLOCK:
+        raise ConfigMismatch(
+            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: "
+            f"its outcome table would hold {(bpb + 1) ** 2} cells"
+        )
+    return bpb
 
 
 def superpixel_tiles(height: int, width: int, superpixel: int):
@@ -321,26 +336,43 @@ def _simulate_tile(
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
-    n_blocks = -(-n_bins // bpb)
+    if src.kind == COHERENT:
+        p_cam = float(click_probability(w_cam * src.nbar, det_cam))
+        p_her = float(click_probability(w_her * src.nbar, det_her))
+        # every bin clicks both detectors, the camera only, the herald only or neither
+        both, cam_only, her_only, _ = gen.multinomial(
+            n_bins,
+            [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)],
+        )
+        return int(both + cam_only), int(both + her_only), int(both)
+    n_full, rest = divmod(n_bins, bpb)
     cam = her = both = 0
-    for start in range(0, n_blocks, CHUNK_BLOCKS):
-        n = min(CHUNK_BLOCKS, n_blocks - start)
-        sizes = np.full(n, bpb, dtype=np.int64)
-        if start + n == n_blocks:
-            sizes[-1] = n_bins - bpb * (n_blocks - 1)
-        if src.kind == THERMAL:
-            intensity = sample_block_intensity(gen, src.nbar, n)
-        else:
-            intensity = src.nbar
-        c = gen.binomial(sizes, click_probability(w_cam * intensity, det_cam))
-        h = gen.binomial(sizes, click_probability(w_her * intensity, det_her))
-        # which of a block's bins click is uniform given the count, so the
-        # bins clicked by both detectors are hypergeometric given c and h
+    if n_full:
+        # loaded on the first thermal tile, so commands that do not scan skip it
+        from .blocktable import block_table, summed_overlaps
+
+        table = block_table(
+            bpb,
+            det_cam.efficiency * w_cam * src.nbar,
+            det_cam.dark_prob,
+            det_her.efficiency * w_her * src.nbar,
+            det_her.dark_prob,
+        )
+        # normalized, so no rounding remainder falls to the last cell
+        counts = gen.multinomial(n_full, (table / table.sum()).ravel()).reshape(table.shape)
+        c, h = np.nonzero(counts)
+        blocks = counts[c, h]
+        cam, her = int(blocks @ c), int(blocks @ h)
         overlap = (c > 0) & (h > 0)
-        c_o = c[overlap]
-        both += int(gen.hypergeometric(c_o, sizes[overlap] - c_o, h[overlap]).sum())
-        cam += int(c.sum())
-        her += int(h.sum())
+        if overlap.any():
+            both = summed_overlaps(gen, bpb, c[overlap], h[overlap], blocks[overlap])
+    if rest:
+        intensity = src.nbar * gen.standard_exponential()
+        c_last = int(gen.binomial(rest, click_probability(w_cam * intensity, det_cam)))
+        h_last = int(gen.binomial(rest, click_probability(w_her * intensity, det_her)))
+        cam, her = cam + c_last, her + h_last
+        if c_last and h_last:
+            both += int(gen.hypergeometric(c_last, rest - c_last, h_last))
     return cam, her, both
 
 

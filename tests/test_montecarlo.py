@@ -1,14 +1,16 @@
-"""Monte Carlo apparatus tests; rate oracles via numerical quadrature."""
+"""Monte Carlo apparatus tests; rate oracles via numerical quadrature, tile
+oracles via a sampler that draws every coherence block on its own."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
-from qvampire import analysis, montecarlo as mc, spatial
-from qvampire.errors import ConfigMismatch, NoHeralds
+from qvampire import analysis, blocktable as bt, montecarlo as mc, spatial
+from qvampire.errors import ConfigMismatch, NoHeralds, QuadratureUnresolved
 
 
 def flat_profile(width=16, height=12):
@@ -30,21 +32,52 @@ def thermal_click_quad(coupling, nbar, det):
     return val
 
 
+def block_intensity(gen: np.random.Generator, nbar: float, size=None):
+    """Thermal block intensity |alpha|^2: exponential with mean nbar.
+
+    The modulus squared of a circular Gaussian amplitude with E|alpha|^2 =
+    nbar is exponentially distributed, so the amplitude is never formed.
+    """
+    if nbar < 0:
+        raise ConfigMismatch("nbar must be non-negative")
+    return nbar * gen.standard_exponential(size)
+
+
+def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb):
+    """Oracle for ``mc._simulate_tile``: every coherence block drawn on its own.
+
+    Given a block's intensity its bins click independently, so a block is a
+    Binomial(size, p_cam) camera count, a Binomial(size, p_her) herald count
+    and their hypergeometric overlap given the two counts.
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    n_blocks = -(-n_bins // bpb)
+    sizes = np.full(n_blocks, bpb, dtype=np.int64)
+    sizes[-1] = n_bins - bpb * (n_blocks - 1)
+    intensity = block_intensity(gen, src.nbar, n_blocks) if src.kind == mc.THERMAL else src.nbar
+    c = gen.binomial(sizes, mc.click_probability(w_cam * intensity, det_cam))
+    h = gen.binomial(sizes, mc.click_probability(w_her * intensity, det_her))
+    overlap = (c > 0) & (h > 0)
+    c_o = c[overlap]
+    both = int(gen.hypergeometric(c_o, sizes[overlap] - c_o, h[overlap]).sum())
+    return int(c.sum()), int(h.sum()), both
+
+
 # ---------------------------------------------------------------------------
 # elementary pieces
 
 
 def test_block_intensity_zero_source():
     gen = np.random.default_rng(0)
-    assert mc.sample_block_intensity(gen, 0.0) == 0.0
-    assert np.all(mc.sample_block_intensity(gen, 0.0, size=10) == 0.0)
+    assert block_intensity(gen, 0.0) == 0.0
+    assert np.all(block_intensity(gen, 0.0, size=10) == 0.0)
     with pytest.raises(ConfigMismatch):
-        mc.sample_block_intensity(gen, -1.0)
+        block_intensity(gen, -1.0)
 
 
 def test_block_intensity_moments():
     gen = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
-    i = mc.sample_block_intensity(gen, 1.0, size=1_000_000)
+    i = block_intensity(gen, 1.0, size=1_000_000)
     assert abs(i.mean() - 1.0) < 0.004  # 3 sigma of the sample mean, with slack
     assert abs((i**2).mean() / i.mean() ** 2 - 2.0) < 0.02  # thermal bunching
 
@@ -68,6 +101,22 @@ def test_thermal_click_moments_match_quadrature():
     ) ** 2 * math.exp(-i / nbar) / nbar
     p_sq, _ = integrate.quad(sq, 0, np.inf)
     assert abs(var_p - (p_sq - p_mean**2)) < 1e-10
+
+
+@pytest.mark.parametrize("dark", [0.0, 1e-3])
+@pytest.mark.parametrize("p", [1e-3, 1e-6, 4e-9])
+def test_click_moments_match_exact_rationals(p, dark):
+    # x is the mean photons per bin whose dark-free click mean is p; the exact
+    # moments use E[exp(-a u)] = 1 / (1 + a) for u ~ Exp(1), in rationals
+    x = p / (1.0 - p)
+    keep = 1 - Fraction(dark)
+    e1 = 1 / (1 + Fraction(x))
+    e2 = 1 / (1 + 2 * Fraction(x))
+    mean = 1 - keep * e1
+    square = 1 - 2 * keep * e1 + keep * keep * e2
+    got_mean, got_square = mc._click_moments(x, dark)
+    assert abs(Fraction(got_mean) - mean) <= Fraction(1e-12) * mean
+    assert abs(Fraction(got_square) - square) <= Fraction(1e-12) * square
 
 
 def test_detector_config_validation():
@@ -106,6 +155,94 @@ def test_superpixel_record_invariants():
 
 
 # ---------------------------------------------------------------------------
+# the block-outcome table
+
+BPB = 83  # bins per block at the default 1 us coherence time and 12 ns bins
+
+
+@pytest.mark.parametrize("x_s", [0.45, 0.65, 3.6, 50.0])  # desk, full scan, bright
+def test_table_marginals_are_beta_binomial_without_dark_counts(x_s):
+    # over u ~ Exp(1), Bin(c; s, 1 - exp(-x u)) integrates to BetaBinomial(s, 1, 1/x)
+    x_cam, x_her = x_s / BPB, 0.6 * x_s / BPB
+    table = bt.block_table(BPB, x_cam, 0.0, x_her, 0.0)
+    c = np.arange(BPB + 1)
+    for marginal, x in ((table.sum(axis=1), x_cam), (table.sum(axis=0), x_her)):
+        exact = stats.betabinom.pmf(c, BPB, 1.0, 1.0 / x)
+        assert np.abs(marginal - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("x_s", [0.0, 0.65, 20.0, 200.0])
+@pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
+def test_table_sums_to_one(x_s, dark_cam, dark_her):
+    table = bt.block_table(BPB, x_s / BPB, dark_cam, 0.3 * x_s / BPB, dark_her)
+    assert table.shape == (BPB + 1, BPB + 1)
+    assert table.min() >= 0.0
+    assert abs(table.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
+def test_bright_table_matches_rule_refined_twice_over(monkeypatch, dark_cam, dark_her):
+    # x s = 50 for the camera: a cell's peak is far narrower than on a desk tile
+    rules = []
+    quadrature = bt._quadrature_table
+
+    def spy(*args):
+        rules.append(args[-2:])
+        return quadrature(*args)
+
+    monkeypatch.setattr(bt, "_quadrature_table", spy)
+    args = (BPB, 50.0 / BPB, dark_cam, 20.0 / BPB, dark_her)
+    table = bt.block_table(*args)
+    panels, nodes = rules[-1]  # the rule the table was taken from
+    refined = quadrature(*args, panels, 4 * nodes)
+    assert np.abs(table - refined).max() < 1e-12
+
+
+def test_table_refinement_that_cannot_converge_raises(monkeypatch):
+    # capped at the first refinement of the fewest panels, a bright tile fails
+    monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
+    with pytest.raises(QuadratureUnresolved, match="residual"):
+        bt.block_table(BPB, 50.0 / BPB, 0.0, 20.0 / BPB, 0.0)
+
+
+def chi2_two_sample_p(a, b, n_bins=10):
+    """p-value of a chi-square homogeneity test of two samples, binned at the
+    pooled sample's quantiles."""
+    pooled = np.concatenate([a, b])
+    edges = np.unique(np.quantile(pooled, np.linspace(0, 1, n_bins + 1)[1:-1]))
+    observed = np.array(
+        [np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
+         for x in (a, b)],
+        dtype=float,
+    )
+    expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0) / observed.sum()
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    return stats.chi2.sf(chi2, observed.shape[1] - 1)
+
+
+@pytest.mark.parametrize(
+    "kind, w_cam, w_her, dark_cam, dark_her, n_bins",
+    [
+        # a desk-scan tile: camera x s = 0.45, herald x s = 0.65
+        (mc.THERMAL, 0.45 / BPB / 0.6, 0.013, 0.0, 0.0, BPB * 2400 + 50),
+        # the coincidence test's tile with dark counts
+        (mc.THERMAL, 0.4, 0.3, 0.01, 0.03, 20_000),
+        (mc.COHERENT, 0.4, 0.3, 0.01, 0.03, 20_000),
+    ],
+    ids=["desk", "dark", "coherent"],
+)
+def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_her, n_bins):
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
+    det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_cam)
+    det_her = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_her)
+    args = (w_cam, w_her, src, det_cam, det_her, n_bins, BPB)
+    tiles = np.array([mc._simulate_tile(seed, 3, *args) for seed in range(400)])
+    oracle = np.array([per_block_tile(seed, 3, *args) for seed in range(10_000, 10_400)])
+    for name, a, b in zip(("camera", "herald", "coincidence"), tiles.T, oracle.T):
+        assert chi2_two_sample_p(a, b) > 1e-3, name
+
+
+# ---------------------------------------------------------------------------
 # run_scan
 
 
@@ -130,6 +267,16 @@ def test_coherence_shorter_than_bin_rejected():
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=1e-9)
     with pytest.raises(ConfigMismatch):
         mc.run_scan(src, small_scan(spatial.make_mask("white", 16, 12)))
+
+
+def test_coherence_block_beyond_table_cap_rejected():
+    det = mc.DetectorConfig()
+    longest = mc.MAX_BINS_PER_BLOCK * det.bin_width
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=longest)
+    assert mc.bins_per_block(src, det) == mc.MAX_BINS_PER_BLOCK
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=longest + det.bin_width)
+    with pytest.raises(ConfigMismatch, match="outcome table"):
+        mc.bins_per_block(src, det)
 
 
 def test_singles_rates_match_quadrature_oracle():
@@ -250,6 +397,33 @@ def test_coincidence_counts_match_closed_form(kind, dark_cam, dark_her):
     assert 0.8 < both.std() / sigma < 1.2
 
 
+@pytest.mark.parametrize("kind", [mc.THERMAL, mc.COHERENT])
+def test_tile_where_every_bin_clicks_counts_every_bin(kind):
+    # dark counts that fire almost surely make every bin click both detectors,
+    # which pins the bookkeeping of full blocks, overlaps and the partial block
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
+    det = mc.DetectorConfig(dark_prob=1.0 - 1e-15)
+    for n_bins in (50, BPB * 5, BPB * 5 + 17):
+        assert mc._simulate_tile(1, 0, 0.3, 0.2, src, det, det, n_bins, BPB) == (n_bins,) * 3
+
+
+def test_billion_block_tile_matches_singles_model_in_bounded_memory():
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4))
+    det = mc.DetectorConfig(efficiency=0.6)
+    bpb, w = 83, 0.02
+    n_bins = bpb * 10**9 + 17  # 1e9 full blocks and a partial one
+    tracemalloc.start()
+    try:
+        cam, her, _ = mc._simulate_tile(9, 0, w, w, src, det, det, n_bins, bpb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    mean, sigma = mc.expected_singles_counts(w, src, det, n_bins)
+    assert abs(cam - mean) < 5 * sigma
+    assert abs(her - mean) < 5 * sigma
+
+
 def test_tile_memory_does_not_grow_with_dwell():
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4))
     det = mc.DetectorConfig(efficiency=0.6)
@@ -269,8 +443,8 @@ def test_determinism_across_thread_counts():
     region = spatial.rect_region(16, 12, 4, 4, 6, 4)
     mask = spatial.make_mask("vampire", 16, 12, contrast=0.3, region=region)
     bpb = mc.bins_per_block(src, mc.DetectorConfig())
-    # tiles of more than one chunk of blocks that end in a partial block
-    long_bins = bpb * (mc.CHUNK_BLOCKS + 1000) + 17
+    # tiles of many full blocks that end in a partial block
+    long_bins = bpb * 70_000 + 17
     for kw in ({}, {"superpixel": 8, "dwell": 0.1, "bins_cap": long_bins}):
         results = [
             mc.run_scan(src, small_scan(mask, seed=77, threads=threads, **kw))

@@ -1,6 +1,9 @@
 """Package-wide structure checks."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +40,27 @@ def test_every_public_name_has_a_production_caller():
     referenced = set().union(*(_referenced_names(p) for p in CALLERS))
     unused = sorted(defined - referenced)
     assert not unused, f"public names with no production caller: {unused}"
+
+
+# what ``import qvampire`` adds to ``sys.modules`` beyond numpy and the package itself
+IMPORT_MODULES = {
+    "__future__", "_heapq", "_queue", "_string", "concurrent", "concurrent.futures",
+    "concurrent.futures._base", "concurrent.futures.thread", "copy", "dataclasses",
+    "heapq", "logging", "queue", "string", "traceback",
+}
+
+
+def test_import_loads_no_new_module():
+    # the block table and its Gauss-Legendre rule load at a scan's first thermal tile
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import qvampire; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "numpy.polynomial" not in out
+    assert "qvampire.blocktable" not in out
+    extra = sorted(m for m in out if m.split(".")[0] != "qvampire" and m not in IMPORT_MODULES)
+    assert not extra, f"import qvampire loads new modules: {extra}"
