@@ -30,6 +30,13 @@ A coherent tile has one click probability per detector, so it is a single
 multinomial of its bins over the four joint outcomes.  Either way a
 tile's time and memory do not grow with the dwell, and every draw is
 distribution-exact up to the table's quadrature error.
+
+A table depends on the tile only through the camera weight, and a raster
+scan has few distinct weights (every tile outside the beam, or inside a
+flat one, has the same), so a scan builds one table per distinct camera
+weight.  Its tiles are grouped by table; each group is one pool task that
+builds the table, draws every tile of the group from it with the tile's
+own key, and drops it, so at most ``threads`` tables are alive at once.
 """
 
 from __future__ import annotations
@@ -322,6 +329,41 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
 # the scan itself
 
 
+def _table_key(
+    w_cam: float,
+    w_her: float,
+    src: SourceConfig,
+    det_cam: DetectorConfig,
+    det_her: DetectorConfig,
+    n_bins: int,
+    bpb: int,
+):
+    """The arguments of a tile's block table, or None when the tile draws no
+    table (a coherent tile, or one without a full block)."""
+    if src.kind == COHERENT or n_bins < bpb:
+        return None
+    return (
+        bpb,
+        det_cam.efficiency * w_cam * src.nbar,
+        det_cam.dark_prob,
+        det_her.efficiency * w_her * src.nbar,
+        det_her.dark_prob,
+    )
+
+
+def _block_pmf(key):
+    """The normalized block table of a ``_table_key``, or None for a None key."""
+    if key is None:
+        return None
+    # loaded at a scan's first table, so commands that do not scan skip it
+    from .blocktable import block_table
+
+    table = block_table(*key)
+    # normalized, so no rounding remainder falls to the last cell
+    table /= table.sum()
+    return table
+
+
 def _simulate_tile(
     seed: int,
     index: int,
@@ -332,7 +374,10 @@ def _simulate_tile(
     det_her: DetectorConfig,
     n_bins: int,
     bpb: int,
+    pmf: np.ndarray | None,
 ):
+    """One tile's (camera, herald, coincidence) totals from its Philox key
+    (seed, index); ``pmf`` is ``_block_pmf`` of the tile's ``_table_key``."""
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
@@ -348,18 +393,9 @@ def _simulate_tile(
     n_full, rest = divmod(n_bins, bpb)
     cam = her = both = 0
     if n_full:
-        # loaded on the first thermal tile, so commands that do not scan skip it
-        from .blocktable import block_table, summed_overlaps
+        from .blocktable import summed_overlaps
 
-        table = block_table(
-            bpb,
-            det_cam.efficiency * w_cam * src.nbar,
-            det_cam.dark_prob,
-            det_her.efficiency * w_her * src.nbar,
-            det_her.dark_prob,
-        )
-        # normalized, so no rounding remainder falls to the last cell
-        counts = gen.multinomial(n_full, (table / table.sum()).ravel()).reshape(table.shape)
+        counts = gen.multinomial(n_full, pmf.ravel()).reshape(pmf.shape)
         c, h = np.nonzero(counts)
         blocks = counts[c, h]
         cam, her = int(blocks @ c), int(blocks @ h)
@@ -380,39 +416,37 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     """Raster-scan the camera superpixel over the masked beam.
 
     Deterministic for a fixed (seed, config) at any thread count: each
-    superpixel draws from its own keyed Philox substream.
+    superpixel draws from its own keyed Philox substream.  Tiles that share
+    a block table (in a scan only the camera weight varies) form one pool
+    task, which builds the table once and draws each of its tiles; the
+    largest groups go first, and at most ``scan.threads`` tables are alive.
     """
     profile = src.profile
     derived = derived_settings(src, scan)
-    n_bins = derived["n_bins"]
+    n_bins, bpb = derived["n_bins"], derived["bins_per_block"]
     transmitted_power = (scan.mask.transmission * profile.amplitude) ** 2
     _, _, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
+    common = (derived["r_eff2"], src, scan.camera_detector, scan.herald_detector, n_bins, bpb)
+    tile_args = [(float(transmitted_power[ys, xs].sum()), *common) for _, _, ys, xs in tiles]
+    groups: dict = {}
+    for index, args in enumerate(tile_args):
+        groups.setdefault(_table_key(*args), []).append(index)
 
-    def work(item):
-        index, (row, col, ys, xs) = item
-        w_cam = float(transmitted_power[ys, xs].sum())
-        cam, her, both = _simulate_tile(
-            scan.seed,
-            index,
-            w_cam,
-            derived["r_eff2"],
-            src,
-            scan.camera_detector,
-            scan.herald_detector,
-            n_bins,
-            derived["bins_per_block"],
-        )
-        return SuperpixelRecord(
-            row=row,
-            col=col,
-            n_bins=n_bins,
-            camera_counts=cam,
-            herald_counts=her,
-            coincidence_counts=both,
-        )
+    def work(group):
+        key, indices = group
+        # the table lives only while its group is drawn
+        pmf = _block_pmf(key)
+        return {i: _simulate_tile(scan.seed, i, *tile_args[i], pmf) for i in indices}
 
+    totals = {}
     with ThreadPoolExecutor(max_workers=scan.threads) as pool:
-        records = tuple(pool.map(work, enumerate(tiles)))
+        largest_first = sorted(groups.items(), key=lambda group: -len(group[1]))
+        for drawn in pool.map(work, largest_first):
+            totals.update(drawn)
+    records = tuple(
+        SuperpixelRecord(row, col, n_bins, *totals[index])
+        for index, (row, col, _, _) in enumerate(tiles)
+    )
 
     # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {

@@ -63,6 +63,13 @@ def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb
     return int(c.sum()), int(h.sum()), both
 
 
+def tile_draws(seeds, index, *args):
+    """``mc._simulate_tile`` totals of one tile at each seed, all drawn from
+    the one block table its arguments need."""
+    pmf = mc._block_pmf(mc._table_key(*args))
+    return np.array([mc._simulate_tile(seed, index, *args, pmf) for seed in seeds])
+
+
 # ---------------------------------------------------------------------------
 # elementary pieces
 
@@ -236,7 +243,7 @@ def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_h
     det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_cam)
     det_her = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_her)
     args = (w_cam, w_her, src, det_cam, det_her, n_bins, BPB)
-    tiles = np.array([mc._simulate_tile(seed, 3, *args) for seed in range(400)])
+    tiles = tile_draws(range(400), 3, *args)
     oracle = np.array([per_block_tile(seed, 3, *args) for seed in range(10_000, 10_400)])
     for name, a, b in zip(("camera", "herald", "coincidence"), tiles.T, oracle.T):
         assert chi2_two_sample_p(a, b) > 1e-3, name
@@ -303,11 +310,7 @@ def test_block_correlation_inflates_singles_variance():
     det = mc.DetectorConfig(efficiency=0.6)
     w = 1.0  # single superpixel covering the whole beam
     n_bins = 20_000
-    counts = []
-    for seed in range(200):
-        cam, _, _ = mc._simulate_tile(seed, 0, w, 0.0, src, det, det, n_bins, 83)
-        counts.append(cam)
-    counts = np.array(counts, dtype=float)
+    counts = tile_draws(range(200), 0, w, 0.0, src, det, det, n_bins, 83)[:, 0].astype(float)
     mean, sigma = mc.expected_singles_counts(w, src, det, n_bins)
     assert abs(counts.mean() - mean) < 4 * sigma / math.sqrt(200)
     assert 0.8 < counts.std() / sigma < 1.2
@@ -379,13 +382,8 @@ def test_coincidence_counts_match_closed_form(kind, dark_cam, dark_her):
     det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_cam)
     det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=dark_her)
     w_cam, w_her, n_bins, bpb = 0.4, 0.3, 20_000, 83  # ends in a partial block
-    both = np.array(
-        [
-            mc._simulate_tile(seed, 2, w_cam, w_her, src, det_cam, det_her, n_bins, bpb)[2]
-            for seed in range(300)
-        ],
-        dtype=float,
-    )
+    args = (w_cam, w_her, src, det_cam, det_her, n_bins, bpb)
+    both = tile_draws(range(300), 2, *args)[:, 2].astype(float)
     q, q_sq = coincidence_moments(w_cam, w_her, src, det_cam, det_her)
     if kind == mc.THERMAL:
         p_cam, _ = mc.thermal_click_moments(w_cam, src.nbar, det_cam)
@@ -404,7 +402,8 @@ def test_tile_where_every_bin_clicks_counts_every_bin(kind):
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
     det = mc.DetectorConfig(dark_prob=1.0 - 1e-15)
     for n_bins in (50, BPB * 5, BPB * 5 + 17):
-        assert mc._simulate_tile(1, 0, 0.3, 0.2, src, det, det, n_bins, BPB) == (n_bins,) * 3
+        args = (0.3, 0.2, src, det, det, n_bins, BPB)
+        assert mc._simulate_tile(1, 0, *args, mc._block_pmf(mc._table_key(*args))) == (n_bins,) * 3
 
 
 def test_billion_block_tile_matches_singles_model_in_bounded_memory():
@@ -414,7 +413,7 @@ def test_billion_block_tile_matches_singles_model_in_bounded_memory():
     n_bins = bpb * 10**9 + 17  # 1e9 full blocks and a partial one
     tracemalloc.start()
     try:
-        cam, her, _ = mc._simulate_tile(9, 0, w, w, src, det, det, n_bins, bpb)
+        (cam, her, _), = tile_draws([9], 0, w, w, src, det, det, n_bins, bpb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,7 +429,7 @@ def test_tile_memory_does_not_grow_with_dwell():
     bpb = 83
     tracemalloc.start()
     try:
-        mc._simulate_tile(5, 0, 0.02, 0.02, src, det, det, bpb * 1_000_000, bpb)
+        tile_draws([5], 0, 0.02, 0.02, src, det, det, bpb * 1_000_000, bpb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -453,6 +452,67 @@ def test_determinism_across_thread_counts():
         assert results[0].records == results[1].records == results[2].records
     assert results[0].records[0].n_bins == long_bins
 
+
+def test_run_scan_builds_each_distinct_table_once(monkeypatch):
+    # the criterion-8 desk scan: 192 tiles, of which 68 lie outside the beam
+    # and 68 in its flat interior, need 14 distinct tables
+    prof = spatial.make_profile("uniform_ellipse", 64, 48, rx=28, ry=20)
+    region = spatial.rect_region(64, 48, 22, 17, 20, 14)
+    contrast = spatial.contrast_for_herald_rate(prof, region, 1.0, 0.013)
+    mask = spatial.make_mask("vampire", 64, 48, contrast, region)
+    src = mc.SourceConfig(nbar=1.0, profile=prof)
+    calls = []
+    build = bt.block_table
+    monkeypatch.setattr(bt, "block_table", lambda *key: calls.append(key) or build(*key))
+    results = []
+    for threads in (1, 4):
+        calls.clear()
+        scan = small_scan(mask, seed=801, dwell=0.096, bins_cap=8 * 10**6, threads=threads)
+        results.append(mc.run_scan(src, scan))
+        assert len(results[-1].records) == 192
+        assert len(calls) == len(set(calls)) == 14
+    # the same totals as drawing tile by tile, in index order, each tile
+    # from a table of its own
+    derived = mc.derived_settings(src, scan)
+    power = (mask.transmission * prof.amplitude) ** 2
+    _, _, tiles = mc.superpixel_tiles(48, 64, 4)
+    reference = []
+    for index, (row, col, ys, xs) in enumerate(tiles):
+        args = (float(power[ys, xs].sum()), derived["r_eff2"], src, scan.camera_detector,
+                scan.herald_detector, derived["n_bins"], derived["bins_per_block"])
+        pmf = mc._block_pmf(mc._table_key(*args))
+        counts = mc._simulate_tile(scan.seed, index, *args, pmf)
+        reference.append(mc.SuperpixelRecord(row, col, derived["n_bins"], *counts))
+    assert len(calls) == 14 + 192
+    assert results[0].records == results[1].records == tuple(reference)
+
+
+def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
+    # blocks of 1024 bins on an off-centre gaussian: each of the 12 tiles
+    # needs its own 8.4 MB table.  A thread holds about four tables at most
+    # (two rules of its table and their difference while it checks them, or
+    # the pmf and a tile's counts), so a scan stays under five tables a
+    # thread, where keeping every table would hold twelve
+    det = mc.DetectorConfig()
+    prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
+    src = mc.SourceConfig(
+        nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
+    )
+    threads = 2
+    scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
+                      trigger_mode=mc.SINGLES, threads=threads)
+    table_bytes = (mc.MAX_BINS_PER_BLOCK + 1) ** 2 * 8
+    power = prof.power()
+    _, _, tiles = mc.superpixel_tiles(6, 8, 2)
+    assert len({float(power[ys, xs].sum()) for _, _, ys, xs in tiles}) == len(tiles) == 12
+    tracemalloc.start()
+    try:
+        res = mc.run_scan(src, scan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.grid("camera_counts").sum() > 0
+    assert peak < 5 * threads * table_bytes < len(tiles) * table_bytes
 
 def test_conditional_ratio_is_two_for_thermal(tmp_path):
     prof = flat_profile()
