@@ -76,6 +76,11 @@ def ratio_map(
 ) -> RatioMap:
     """Elementwise rate ratio with propagated errors and exclusion tags.
 
+    The error is sqrt(num_s^2 + (ratio * den_s)^2) / den, the first-order
+    (delta-method) propagation for an independent numerator and denominator
+    (Casella & Berger, Statistical Inference, 5.5.4).  A zero numerator keeps
+    the finite bar num_s / den; an excluded superpixel gets inf.
+
     Superpixels whose denominator is zero or carries relative error above
     ``SIGNAL_FLOOR_RELERR`` are excluded (beam edges where ratios mean nothing).
     ``region_frac`` is the fraction of each superpixel's pixels inside
@@ -96,20 +101,8 @@ def ratio_map(
     good = (den > 0) & np.isfinite(den_s) & (den_s <= SIGNAL_FLOOR_RELERR * den)
     ratio = np.zeros_like(num)
     sigma = np.full_like(num, np.inf)
-    np.divide(num, den, out=ratio, where=good)
-    rel2 = np.zeros_like(num)
-    np.divide(num_s, num, out=rel2, where=good & (num > 0))
-    rel2 = rel2**2
-    drel = np.zeros_like(num)
-    np.divide(den_s, den, out=drel, where=good)
-    rel2 += drel**2
-    sigma = np.where(good, np.abs(ratio) * np.sqrt(rel2), np.inf)
-    # zero numerator still deserves a finite error bar: one count scale
-    zero_num = good & (num <= 0)
-    if zero_num.any():
-        floor = np.zeros_like(num)
-        np.divide(num_s, den, out=floor, where=zero_num)
-        sigma = np.where(zero_num, floor, sigma)
+    ratio[good] = num[good] / den[good]
+    sigma[good] = np.hypot(num_s[good], ratio[good] * den_s[good]) / den[good]
 
     tags = np.where(
         good,

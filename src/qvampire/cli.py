@@ -45,9 +45,8 @@ def _outdir(args) -> Path:
 def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
     nbar = scenario.source.nbar
     profile, mask = scenario.source.profile, scenario.scan.mask
-    if scenario.scenario == "initial":
-        return profile.power() * nbar
-    if scenario.scenario in ("loss_high_contrast", "loss_low_contrast"):
+    if scenario.scenario != "subtraction":
+        # the initial scenario's white mask transmits the whole profile
         return spatial.loss_profile(profile, mask, nbar)
     nmax = scenario.stats_nmax
     if scenario.source.kind == mc.THERMAL:

@@ -138,6 +138,16 @@ def _build_profile(merged: dict, width: int, height: int) -> BeamProfile:
     kind = merged["profile.kind"]
     if kind not in PROFILE_PARAMS:
         raise ConfigMismatch(f"unknown profile kind {kind!r}")
+    # a key of another kind must keep its default, so no sidecar echoes an unused value
+    stray = [
+        key
+        for key in DEFAULTS
+        if key.startswith("profile.")
+        and key.removeprefix("profile.") not in ("kind", *PROFILE_PARAMS[kind])
+        and merged[key] != DEFAULTS[key]
+    ]
+    if stray:
+        raise ConfigMismatch(f"profile kind {kind!r} takes no {', '.join(stray)}")
     given = {name: merged[f"profile.{name}"] for name in PROFILE_PARAMS[kind]}
     params = {name: float(value) for name, value in given.items() if value != ""}
     return make_profile(kind, width, height, **params)
@@ -183,8 +193,6 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         trigger = COINCIDENCE
     elif trigger == "":
         trigger = SINGLES
-    if trigger not in (SINGLES, COINCIDENCE):
-        raise ConfigMismatch(f"unknown trigger mode {trigger!r}")
     merged["scan.trigger_mode"] = trigger
 
     if seed is not None:

@@ -174,21 +174,13 @@ class ScanResult:
         return self.config.get(key, SIDECAR_DEFAULTS[key])
 
     def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unconditional camera rate per bin with its standard error.
-
-        The error is the singles count variance of ``expected_singles_counts``
-        at the measured rate.  For a thermal source the field moment behind
-        its bunching term is inferred from the rate (exact for dark_prob = 0).
-        """
+        """Unconditional camera rate per bin with its standard error: the singles
+        count variance of ``expected_singles_counts`` at the measured rate, taken
+        as the dark-free click mean (exact for dark_prob = 0)."""
         counts = self.grid("camera_counts").astype(float)
         n_bins = self.grid("n_bins").astype(float)
         rates = np.divide(counts, n_bins, out=np.zeros_like(counts), where=n_bins > 0)
-        if self.setting("source.kind") == THERMAL:
-            # the mean photons per bin x whose dark-free click mean is the rate
-            x = np.divide(rates, 1.0 - rates, out=np.zeros_like(rates), where=rates < 1)
-            _, p_sq = _click_moments(x, 0.0)
-        else:
-            p_sq = rates**2
+        _, p_sq = _click_moments(rates, 0.0, self.setting("source.kind"))
         bpb = int(self.setting("derived.bins_per_block"))
         sigmas = np.sqrt(np.clip(_count_variance(n_bins, bpb, rates, p_sq), 1.0, None))
         sigmas = np.divide(sigmas, n_bins, out=np.full_like(counts, np.inf), where=n_bins > 0)
@@ -222,26 +214,21 @@ def click_probability(intensity, det: DetectorConfig):
     )
 
 
-def _click_moments(x, dark):
-    """E[p] and E[p^2] of the click probability p = dark + keep * (1 - exp(-x u)),
-    keep = 1 - dark, over a thermal block intensity u ~ Exp(1).
+def _click_moments(q, dark, kind: str):
+    """E[p] and E[p^2] over the field of the click probability p = dark + keep * Q,
+    keep = 1 - dark, where Q = 1 - exp(-x u) is the dark-free click probability
+    at x detected photons per bin and block intensity u, and q = E[Q].
 
-    With E[exp(-a u)] = 1 / (1 + a), E[1 - exp(-x u)] = x / (1 + x) and
-    E[(1 - exp(-x u))^2] = 2 x^2 / ((1 + x)(1 + 2 x)); every term is
-    non-negative, so neither moment cancels at small x.
+    A coherent field holds u = 1, so E[Q^2] = q^2.  A thermal one has u ~ Exp(1);
+    with E[exp(-a u)] = 1 / (1 + a), q = x / (1 + x) and
+    E[Q^2] = 2 x^2 / ((1 + x)(1 + 2 x)) = 2 q^2 / (1 + q).  Every term is
+    non-negative, so neither moment cancels at small q.
     """
     keep = 1.0 - dark
-    q_mean = x / (1.0 + x)
-    q_sq = 2.0 * x * x / ((1.0 + x) * (1.0 + 2.0 * x))
-    p_mean = dark + keep * q_mean
-    p_sq = dark * dark + 2.0 * keep * dark * q_mean + keep * keep * q_sq
+    q_sq = 2.0 * q * q / (1.0 + q) if kind == THERMAL else q * q
+    p_mean = dark + keep * q
+    p_sq = dark * dark + 2.0 * keep * dark * q + keep * keep * q_sq
     return p_mean, p_sq
-
-
-def thermal_click_moments(coupling: float, nbar: float, det: DetectorConfig):
-    """Mean and variance over the field of the per-bin click probability."""
-    p_mean, p_sq = _click_moments(det.efficiency * coupling * nbar, det.dark_prob)
-    return p_mean, max(p_sq - p_mean * p_mean, 0.0)
 
 
 def _sum_block_squares(n_bins, bins_per_block: int):
@@ -268,12 +255,9 @@ def expected_singles_counts(
     The variance carries both per-bin shot noise and the excess from
     thermal intensity fluctuations shared by bins of one coherence block.
     """
-    if src.kind == COHERENT:
-        p_mean = float(click_probability(coupling * src.nbar, det))
-        p_sq = p_mean * p_mean
-    else:
-        p_mean, var_p = thermal_click_moments(coupling, src.nbar, det)
-        p_sq = var_p + p_mean * p_mean
+    x = det.efficiency * coupling * src.nbar
+    q = -math.expm1(-x) if src.kind == COHERENT else x / (1.0 + x)
+    p_mean, p_sq = _click_moments(q, det.dark_prob, src.kind)
     var = float(_count_variance(n_bins, bins_per_block(src, det), p_mean, p_sq))
     return n_bins * p_mean, math.sqrt(max(var, 0.0))
 
@@ -469,7 +453,8 @@ def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
         raise NoHeralds("a superpixel recorded zero herald counts")
     both = result.grid("coincidence_counts").astype(float)
     p_cond = both / heralds
-    var = np.clip(both * (1.0 - p_cond), 1.0, None)
+    # each herald is one Bernoulli trial of a coincidence: no block term
+    var = np.clip(_count_variance(heralds, 1, p_cond, p_cond**2), 1.0, None)
     cond = RateMap(values=p_cond, sigmas=np.sqrt(var) / heralds)
     rates, sigmas = result.camera_rate_map()
     return ConditionalProfile(

@@ -4,9 +4,8 @@ A beam profile is the transverse amplitude of one spatial mode on a pixel
 grid (real, non-negative, sum of squares 1).  A mask is a per-pixel
 amplitude transmission in [0, 1]; the complementary per-pixel reflectivity
 sqrt(1 - t^2) couples the beam to the heralding channel.  Reducing a
-(profile, mask) pair yields the two numbers the single-mode physics needs:
-the power fraction inside the masked region and the effective coupling
-into the heralding mode.
+(profile, mask) pair yields the number the single-mode physics needs: the
+effective coupling into the heralding mode.
 """
 
 from __future__ import annotations
@@ -83,16 +82,11 @@ class MaskSpec:
     def reflectivity(self) -> np.ndarray:
         return np.sqrt(np.clip(1.0 - self.transmission**2, 0.0, None))
 
-    def active_region(self) -> np.ndarray:
-        """Pixels with non-zero coupling into the heralding channel."""
-        return self.transmission < 1.0
-
 
 @dataclass(frozen=True)
 class ModeReduction:
     """Single-mode summary of a (profile, mask) pair."""
 
-    c_a: float  # amplitude fraction of the beam inside the active region
     r_eff: float  # effective coupling to the heralding mode
 
 
@@ -175,10 +169,8 @@ def silhouette_region(width: int, height: int) -> np.ndarray:
 def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
     """Build a normalized profile: uniform_ellipse[_with_ring] or gaussian."""
     if kind == "uniform_ellipse":
-        inside = ellipse_region(width, height, **params)
-        if not inside.any():
-            raise DegenerateShape("ellipse does not cover any pixel")
-        return _normalized(inside.astype(float), "uniform_ellipse")
+        # a rim as bright as the interior leaves every amplitude equal
+        return make_profile("uniform_ellipse_with_ring", width, height, ring_gain=1.0, **params)
     if kind == "uniform_ellipse_with_ring":
         ring_gain = float(params.pop("ring_gain", 1.5))
         inside = ellipse_region(width, height, **params)
@@ -257,18 +249,16 @@ def contrast_for_herald_rate(
 
 
 def reduce(profile: BeamProfile, mask: MaskSpec) -> ModeReduction:
-    """Collapse a (profile, mask) pair to effective single-mode couplings."""
+    """Collapse a (profile, mask) pair to its coupling into the heralding mode."""
     if profile.amplitude.shape != mask.transmission.shape:
         raise DimensionMismatch(
             f"profile {profile.amplitude.shape} vs mask {mask.transmission.shape}"
         )
-    u2 = profile.power()
     r = mask.reflectivity()
-    r_eff = math.sqrt(float((r * r * u2).sum()))
+    r_eff = math.sqrt(float((r * r * profile.power()).sum()))
     if float(((mask.transmission * profile.amplitude) ** 2).sum()) <= 0.0:
         raise DegenerateShape("mask transmits no beam power")
-    c_a = math.sqrt(float(u2[mask.active_region()].sum()))
-    return ModeReduction(c_a=c_a, r_eff=r_eff)
+    return ModeReduction(r_eff=r_eff)
 
 
 def herald_rate(profile: BeamProfile, mask: MaskSpec, nbar: float) -> float:

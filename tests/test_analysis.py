@@ -74,8 +74,13 @@ def test_ratio_map_identical_inputs():
 def test_ratio_map_doubled_numerator():
     v = np.full((4, 5), 0.02)
     s = np.full((4, 5), 0.001)
-    rm = analysis.ratio_map(2 * v, 2 * s, v, s)
-    assert np.allclose(rm.ratio, 2.0)
+    num = 2 * v
+    num[0, 0] = 0.0  # a zero numerator keeps the finite bar num_s / den
+    rm = analysis.ratio_map(num, 2 * s, v, s)
+    assert np.allclose(rm.ratio[num > 0], 2.0)
+    assert np.allclose(rm.sigma[num > 0], 2.0 * np.sqrt(2.0) * 0.05)
+    assert rm.ratio[0, 0] == 0.0
+    assert abs(rm.sigma[0, 0] - 0.1) < 1e-15
 
 
 def test_ratio_map_excludes_low_signal():

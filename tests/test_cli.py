@@ -64,6 +64,8 @@ def test_scenario_forcing_rules():
     init = config.build_scenario({"scenario": "initial", "scan.seed": "1"})
     assert np.all(init.scan.mask.transmission == 1.0)
     assert init.scan.trigger_mode == mc.SINGLES
+    with pytest.raises(ConfigMismatch, match="unknown trigger mode 'both'"):
+        config.build_scenario({"scan.trigger_mode": "both", "scan.seed": "1"})
 
 
 def test_missing_seed_is_generated_and_recorded():
@@ -90,6 +92,24 @@ def test_profile_keys_are_the_profile_params_table():
     assert keys == {f"profile.{name}" for name in params}
     with pytest.raises(ConfigMismatch, match="unknown profile kind"):
         config.build_scenario({"profile.kind": "donut", "scan.seed": "1"})
+
+
+def test_profile_keys_of_another_kind_must_keep_their_default():
+    with pytest.raises(ConfigMismatch, match="takes no profile.rx"):
+        config.build_scenario({"profile.kind": "gaussian", "profile.rx": "3", "scan.seed": "1"})
+    with pytest.raises(ConfigMismatch, match="takes no profile.ring_gain, profile.sigma_x"):
+        config.build_scenario(
+            {
+                "profile.kind": "uniform_ellipse",
+                "profile.ring_gain": "2",
+                "profile.sigma_x": "3",
+                "scan.seed": "1",
+            }
+        )
+    # a sidecar echoes every key, so another kind's defaults are accepted
+    echo = config.build_scenario({"profile.kind": "gaussian", "scan.seed": "1"}).echo
+    assert echo["profile.ring_gain"] == config.DEFAULTS["profile.ring_gain"]
+    config.build_scenario(echo)
 
 
 def test_gaussian_profile_config_builds_make_profile():

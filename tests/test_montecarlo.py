@@ -32,6 +32,13 @@ def thermal_click_quad(coupling, nbar, det):
     return val
 
 
+def thermal_moments(coupling, nbar, det):
+    """``mc._click_moments`` of a thermal source at the dark-free click mean
+    x / (1 + x), x = efficiency * coupling * nbar."""
+    x = det.efficiency * coupling * nbar
+    return mc._click_moments(x / (1.0 + x), det.dark_prob, mc.THERMAL)
+
+
 def block_intensity(gen: np.random.Generator, nbar: float, size=None):
     """Thermal block intensity |alpha|^2: exponential with mean nbar.
 
@@ -101,13 +108,14 @@ def test_click_probability_limits():
 def test_thermal_click_moments_match_quadrature():
     det = mc.DetectorConfig(efficiency=0.55, dark_prob=0.002)
     coupling, nbar = 0.02, 1.3
-    p_mean, var_p = mc.thermal_click_moments(coupling, nbar, det)
+    p_mean, p_sq = thermal_moments(coupling, nbar, det)
+    var_p = p_sq - p_mean**2
     assert abs(p_mean - thermal_click_quad(coupling, nbar, det)) < 1e-10
     sq = lambda i: (
         det.dark_prob + (1 - det.dark_prob) * (1 - math.exp(-det.efficiency * coupling * i))
     ) ** 2 * math.exp(-i / nbar) / nbar
-    p_sq, _ = integrate.quad(sq, 0, np.inf)
-    assert abs(var_p - (p_sq - p_mean**2)) < 1e-10
+    quad_sq, _ = integrate.quad(sq, 0, np.inf)
+    assert abs(var_p - (quad_sq - p_mean**2)) < 1e-10
 
 
 @pytest.mark.parametrize("dark", [0.0, 1e-3])
@@ -115,13 +123,13 @@ def test_thermal_click_moments_match_quadrature():
 def test_click_moments_match_exact_rationals(p, dark):
     # x is the mean photons per bin whose dark-free click mean is p; the exact
     # moments use E[exp(-a u)] = 1 / (1 + a) for u ~ Exp(1), in rationals
-    x = p / (1.0 - p)
+    x = Fraction(p) / (1 - Fraction(p))
     keep = 1 - Fraction(dark)
-    e1 = 1 / (1 + Fraction(x))
-    e2 = 1 / (1 + 2 * Fraction(x))
+    e1 = 1 / (1 + x)
+    e2 = 1 / (1 + 2 * x)
     mean = 1 - keep * e1
     square = 1 - 2 * keep * e1 + keep * keep * e2
-    got_mean, got_square = mc._click_moments(x, dark)
+    got_mean, got_square = mc._click_moments(p, dark, mc.THERMAL)
     assert abs(Fraction(got_mean) - mean) <= Fraction(1e-12) * mean
     assert abs(Fraction(got_square) - square) <= Fraction(1e-12) * square
 
@@ -344,6 +352,18 @@ def test_camera_rate_sigma_is_the_expected_singles_sigma(kind):
         assert abs(sigma * n_bins - expected) < 1e-12 * expected
 
 
+@pytest.mark.parametrize("kind", [mc.THERMAL, mc.COHERENT])
+def test_saturated_superpixel_gets_the_one_count_floor(kind):
+    # every bin clicked: the rate is 1 and the field cannot move it, so the
+    # error is the one-count floor 1/n whatever the source
+    n_bins = 10_000
+    records = (mc.SuperpixelRecord(0, 0, n_bins, n_bins, 0, 0),)
+    config = {"source.kind": kind, "derived.bins_per_block": "83"}
+    rates, sigmas = mc.ScanResult(records, 1, 1, config).camera_rate_map()
+    assert rates[0, 0] == 1.0
+    assert sigmas[0, 0] == 1.0 / n_bins
+
+
 def coincidence_moments(w_cam, w_her, src, det_cam, det_her):
     """Oracle: E[q] and E[q^2] over the field of q = p_cam * p_her.
 
@@ -386,8 +406,8 @@ def test_coincidence_counts_match_closed_form(kind, dark_cam, dark_her):
     both = tile_draws(range(300), 2, *args)[:, 2].astype(float)
     q, q_sq = coincidence_moments(w_cam, w_her, src, det_cam, det_her)
     if kind == mc.THERMAL:
-        p_cam, _ = mc.thermal_click_moments(w_cam, src.nbar, det_cam)
-        p_her, _ = mc.thermal_click_moments(w_her, src.nbar, det_her)
+        p_cam, _ = thermal_moments(w_cam, src.nbar, det_cam)
+        p_her, _ = thermal_moments(w_her, src.nbar, det_her)
         assert q > 1.2 * p_cam * p_her  # the bunching the counter must show
     var = n_bins * (q - q_sq) + float(mc._sum_block_squares(n_bins, bpb)) * (q_sq - q * q)
     sigma = math.sqrt(var)

@@ -63,7 +63,6 @@ def test_white_mask_reduces_to_zero_coupling():
     mask = spatial.make_mask("white", 10, 10)
     red = spatial.reduce(prof, mask)
     assert red.r_eff == 0.0
-    assert red.c_a == 0.0
 
 
 def test_full_blocking_mask():
@@ -93,7 +92,6 @@ def test_r_eff_matches_direct_sum_oracle():
     oracle = math.sqrt(float((mask.reflectivity() ** 2 * prof.power()).sum()))
     assert abs(red.r_eff - oracle) < 1e-15
     assert abs(red.r_eff - 0.3 * math.sqrt(0.2)) < 1e-12
-    assert abs(red.c_a - math.sqrt(0.2)) < 1e-12
 
 
 def test_uniform_mask_over_full_beam():
@@ -103,9 +101,6 @@ def test_uniform_mask_over_full_beam():
     )
     red = spatial.reduce(prof, mask)
     assert abs(red.r_eff - 0.25) < 1e-12
-    assert abs(red.c_a - 1.0) < 1e-12
-    # uniform mask over its active region: r_eff = contrast * c_a
-    assert abs(red.r_eff - 0.25 * red.c_a) < 1e-12
 
 
 def test_reduce_dimension_mismatch():
