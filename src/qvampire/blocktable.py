@@ -1,4 +1,4 @@
-"""The block-outcome table of a thermal scan tile.
+"""The quadrature rule a thermal scan tile draws its block intensities from.
 
 Given a coherence block's intensity u, in units of its mean so that
 u ~ Exp(1), the camera and herald click counts c and h of its s bins are
@@ -10,10 +10,13 @@ independent binomials, so the joint pmf of a block's outcome is
 with x the mean photons a bin brings the detector at u = 1.  It has no
 closed form when x_cam != x_her, so ``block_table`` integrates it with a
 composite Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23, 1969) that
-checks its own refinement.  ``summed_overlaps`` draws the same-bin clicks
-of the blocks that fall in each cell.  ``qvampire.montecarlo`` imports
-this module, and with it ``numpy.polynomial``, at a thermal tile's first
-draw, so commands that do not scan never load either.
+checks its own refinement, and returns the accepted rule.  On that rule
+P(c, h) = sum_i w_i Bin(c; s, p_cam(u_i)) Bin(h; s, p_her(u_i)), which is the
+law of a block whose intensity is the node u_i with probability w_i, so
+``qvampire.montecarlo`` draws a tile from the nodes and never from the
+table.  The (s+1)^2 table exists only inside the check.  ``montecarlo``
+imports this module, and with it ``numpy.polynomial``, at a thermal tile's
+first rule, so commands that do not scan never load either.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ TABLE_TOL = 1e-12
 TABLE_NODE_BLOCK = 24
 # nodes whose binomial rows are held at once, which bounds a rule's memory
 TABLE_ROW_NODES = 16 * TABLE_NODE_BLOCK
-# most entries of one batch of hypergeometric overlap pmfs
-OVERLAP_BATCH = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -105,12 +106,16 @@ def _quadrature_table(bpb, x_cam, dark_cam, x_her, dark_her, panels, nodes):
 
 
 def block_table(bpb: int, x_cam: float, dark_cam: float, x_her: float, dark_her: float):
-    """Joint pmf P(c, h) of the click counts of a block of ``bpb`` bins.
+    """Nodes u_i and normalized weights w_i of the rule for the joint pmf P(c, h)
+    of the click counts of a block of ``bpb`` bins.
 
-    The table comes from the first rule whose refinement (twice the nodes
-    per panel) agrees with it to ``TABLE_TOL`` per cell and sums to 1 within
-    ``TABLE_TOL``; the refined table is kept.  No such rule within
-    ``TABLE_NODE_CAP`` nodes raises ``QuadratureUnresolved``.
+    The check tabulates P(c, h) on the first rule whose refinement (twice
+    the nodes per panel) agrees with it to ``TABLE_TOL`` per cell and sums to
+    1 within ``TABLE_TOL``, and the refined rule is returned; its tables are
+    freed on return.  A block drawn at intensity u_i with probability w_i
+    follows the accepted table up to ``_binomial_rows``' cut of entries below
+    1e-100.  No such rule within ``TABLE_NODE_CAP`` nodes raises
+    ``QuadratureUnresolved``.
     """
     args = (bpb, x_cam, dark_cam, x_her, dark_her)
     panels = TABLE_MIN_PANELS
@@ -124,7 +129,8 @@ def block_table(bpb: int, x_cam: float, dark_cam: float, x_her: float, dark_her:
         fine = _quadrature_table(*args, panels, 2 * nodes)
         residual = max(float(np.abs(fine - coarse).max()), abs(float(fine.sum()) - 1.0))
         if residual <= TABLE_TOL:
-            return fine
+            u, weights = _panel_rule(panels, 2 * nodes)
+            return u, weights / weights.sum()
         if panels * 4 * nodes > TABLE_NODE_CAP:
             raise QuadratureUnresolved(
                 f"block table ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
@@ -133,26 +139,3 @@ def block_table(bpb: int, x_cam: float, dark_cam: float, x_her: float, dark_her:
             )
         nodes *= 2
         coarse = fine
-
-
-def summed_overlaps(gen, bpb, cam, her, blocks) -> int:
-    """Total same-bin clicks of ``blocks[i]`` blocks with ``cam[i]`` camera and
-    ``her[i]`` herald clicks each: per cell, one multinomial of its blocks over
-    the Hypergeometric(bpb, cam, her) pmf of a block's overlap."""
-    lf = _log_factorials(bpb)
-    lo = np.maximum(cam + her - bpb, 0)[:, None]
-    hi = np.minimum(cam, her)[:, None]
-    k = np.arange(int(hi.max()) + 1)
-    batch = max(1, OVERLAP_BATCH // len(k))
-    total = 0
-    for start in range(0, len(cam), batch):
-        rows = slice(start, start + batch)
-        c, h = cam[rows, None], her[rows, None]
-        inside = (k >= lo[rows]) & (k <= hi[rows])
-        j = np.clip(k, lo[rows], hi[rows])
-        # log C(c, j) C(bpb - c, h - j), less terms constant along the row
-        logs = -lf[j] - lf[c - j] - lf[h - j] - lf[bpb - c - h + j]
-        pmf = np.where(inside, np.exp(logs - logs.max(axis=1, keepdims=True)), 0.0)
-        pmf /= pmf.sum(axis=1, keepdims=True)
-        total += int((gen.multinomial(blocks[rows], pmf) @ k).sum())
-    return total

@@ -11,32 +11,26 @@ the field, and same-bin herald+camera clicks feed the coincidence counter.
 Every superpixel owns a counter-based Philox substream keyed by
 (seed, superpixel index), so results are bit-identical no matter how the
 raster is scheduled or parallelized.  A tile outputs three totals, and
-its full coherence blocks are i.i.d., so it is drawn from a table of
-block outcomes rather than block by block:
+its full coherence blocks are i.i.d., so it is drawn as a mixture rather
+than block by block (Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. III):
 
-- Given the field, a block's camera and herald click counts c and h are
-  independent binomials.  Their joint pmf P(c, h) over the exponential
-  block intensity is a quadrature (``qvampire.blocktable``) whose own
-  refinement must agree with it to 1e-12 per cell.
-- One multinomial over the (s+1)^2 cells counts the full blocks of each
-  outcome (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III).
-- Each detector's clicked bins form a uniformly random subset of the
-  block, so the bins clicked by both are hypergeometric given (c, h); the
-  blocks of one cell add up their overlaps through one multinomial over
-  that hypergeometric pmf.
-- The final partial block is drawn on its own.
+- A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
+  whose joint (camera, herald) outcome table must agree with its own
+  refinement to 1e-12 per cell: node u_i with probability w_i.  One
+  multinomial counts the tile's full blocks at each node.
+- Given the field every bin clicks each detector independently, so the
+  m s bins of the m blocks at one node are one multinomial over the four
+  joint outcomes (both, camera only, herald only, neither).  The final
+  partial block is one more row at an Exp(1) intensity, and all rows are
+  one vectorized multinomial.
 
-A coherent tile has one click probability per detector, so it is a single
-multinomial of its bins over the four joint outcomes.  Either way a
-tile's time and memory do not grow with the dwell, and every draw is
-distribution-exact up to the table's quadrature error.
-
-A table depends on the tile only through the camera weight, and a raster
-scan has few distinct weights (every tile outside the beam, or inside a
-flat one, has the same), so a scan builds one table per distinct camera
-weight.  Its tiles are grouped by table; each group is one pool task that
-builds the table, draws every tile of the group from it with the tile's
-own key, and drops it, so at most ``threads`` tables are alive at once.
+A coherent tile has one intensity, so it is that multinomial with a single
+row at u = 1 holding every bin.  Either way a tile's time and memory do
+not grow with the dwell, and every draw is distribution-exact up to the
+rule's quadrature error.  A rule depends on the tile only through the
+camera weight, and a raster scan has few distinct weights, so a scan
+checks one rule per distinct camera weight.
 """
 
 from __future__ import annotations
@@ -57,7 +51,8 @@ COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
 
-# a tile's block-outcome table holds (s+1)^2 cells: 8.4 MB at the largest block
+# the check of a thermal tile's rule builds (s+1)^2-cell outcome tables of a
+# block: 8.4 MB each at the largest block
 MAX_BINS_PER_BLOCK = 1024
 
 # what a scan is analyzed with when its sidecar lacks the key
@@ -65,6 +60,11 @@ SIDECAR_DEFAULTS = {
     "derived.bins_per_block": "1",
     "source.kind": THERMAL,
     "scan.trigger_mode": COINCIDENCE,
+}
+# the values a sidecar may give them; derived.bins_per_block is a positive integer
+_SIDECAR_CHOICES = {
+    "source.kind": (THERMAL, COHERENT),
+    "scan.trigger_mode": (SINGLES, COINCIDENCE),
 }
 
 
@@ -170,8 +170,17 @@ class ScanResult:
         return out
 
     def setting(self, key: str) -> str:
-        """A sidecar value, or its ``SIDECAR_DEFAULTS`` entry when the sidecar lacks it."""
-        return self.config.get(key, SIDECAR_DEFAULTS[key])
+        """A sidecar value, or its ``SIDECAR_DEFAULTS`` entry when the sidecar lacks
+        it; a value analysis cannot read raises ``ConfigMismatch`` naming the key."""
+        value = self.config.get(key, SIDECAR_DEFAULTS[key])
+        choices = _SIDECAR_CHOICES.get(key)
+        if choices is None:
+            valid, wanted = value.isdecimal() and int(value) > 0, "a positive integer"
+        else:
+            valid, wanted = value in choices, " or ".join(choices)
+        if not valid:
+            raise ConfigMismatch(f"sidecar {key}={value!r}: expected {wanted}")
+        return value
 
     def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Unconditional camera rate per bin with its standard error: the singles
@@ -269,8 +278,8 @@ def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
     bpb = int(src.coherence_time / det.bin_width + 1e-9)
     if bpb > MAX_BINS_PER_BLOCK:
         raise ConfigMismatch(
-            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: "
-            f"its outcome table would hold {(bpb + 1) ** 2} cells"
+            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: the check "
+            f"of its quadrature rule would build outcome tables of {(bpb + 1) ** 2} cells"
         )
     return bpb
 
@@ -322,8 +331,8 @@ def _table_key(
     n_bins: int,
     bpb: int,
 ):
-    """The arguments of a tile's block table, or None when the tile draws no
-    table (a coherent tile, or one without a full block)."""
+    """The arguments of a tile's ``block_table``, or None when the tile draws
+    from no rule (a coherent tile, or one without a full block)."""
     if src.kind == COHERENT or n_bins < bpb:
         return None
     return (
@@ -335,17 +344,14 @@ def _table_key(
     )
 
 
-def _block_pmf(key):
-    """The normalized block table of a ``_table_key``, or None for a None key."""
+def _block_rule(key):
+    """The checked rule (nodes, weights) of a ``_table_key``, or None for a None key."""
     if key is None:
         return None
-    # loaded at a scan's first table, so commands that do not scan skip it
+    # loaded at a scan's first rule, so commands that do not scan skip it
     from .blocktable import block_table
 
-    table = block_table(*key)
-    # normalized, so no rounding remainder falls to the last cell
-    table /= table.sum()
-    return table
+    return block_table(*key)
 
 
 def _simulate_tile(
@@ -358,52 +364,44 @@ def _simulate_tile(
     det_her: DetectorConfig,
     n_bins: int,
     bpb: int,
-    pmf: np.ndarray | None,
+    rule: tuple[np.ndarray, np.ndarray] | None,
 ):
     """One tile's (camera, herald, coincidence) totals from its Philox key
-    (seed, index); ``pmf`` is ``_block_pmf`` of the tile's ``_table_key``."""
+    (seed, index); ``rule`` is ``_block_rule`` of the tile's ``_table_key``."""
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
     if src.kind == COHERENT:
-        p_cam = float(click_probability(w_cam * src.nbar, det_cam))
-        p_her = float(click_probability(w_her * src.nbar, det_her))
-        # every bin clicks both detectors, the camera only, the herald only or neither
-        both, cam_only, her_only, _ = gen.multinomial(
-            n_bins,
-            [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)],
-        )
-        return int(both + cam_only), int(both + her_only), int(both)
-    n_full, rest = divmod(n_bins, bpb)
-    cam = her = both = 0
-    if n_full:
-        from .blocktable import summed_overlaps
-
-        counts = gen.multinomial(n_full, pmf.ravel()).reshape(pmf.shape)
-        c, h = np.nonzero(counts)
-        blocks = counts[c, h]
-        cam, her = int(blocks @ c), int(blocks @ h)
-        overlap = (c > 0) & (h > 0)
-        if overlap.any():
-            both = summed_overlaps(gen, bpb, c[overlap], h[overlap], blocks[overlap])
-    if rest:
-        intensity = src.nbar * gen.standard_exponential()
-        c_last = int(gen.binomial(rest, click_probability(w_cam * intensity, det_cam)))
-        h_last = int(gen.binomial(rest, click_probability(w_her * intensity, det_her)))
-        cam, her = cam + c_last, her + h_last
-        if c_last and h_last:
-            both += int(gen.hypergeometric(c_last, rest - c_last, h_last))
-    return cam, her, both
+        bins, u = np.array([n_bins]), np.ones(1)
+    else:
+        n_full, rest = divmod(n_bins, bpb)
+        bins, u = np.zeros(0, dtype=np.int64), np.zeros(0)
+        if n_full:
+            nodes, weights = rule
+            blocks = gen.multinomial(n_full, weights)
+            occupied = blocks > 0
+            bins, u = bpb * blocks[occupied], nodes[occupied]
+        if rest:
+            bins, u = np.append(bins, rest), np.append(u, gen.standard_exponential())
+    intensity = src.nbar * u
+    p_cam = click_probability(w_cam * intensity, det_cam)
+    p_her = click_probability(w_her * intensity, det_her)
+    # every bin of a row clicks both detectors, the camera only, the herald only or neither
+    outcomes = np.stack(
+        [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)],
+        axis=-1,
+    )
+    both, cam_only, her_only, _ = gen.multinomial(bins, outcomes).sum(axis=0)
+    return int(both + cam_only), int(both + her_only), int(both)
 
 
 def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     """Raster-scan the camera superpixel over the masked beam.
 
     Deterministic for a fixed (seed, config) at any thread count: each
-    superpixel draws from its own keyed Philox substream.  Tiles that share
-    a block table (in a scan only the camera weight varies) form one pool
-    task, which builds the table once and draws each of its tiles; the
-    largest groups go first, and at most ``scan.threads`` tables are alive.
+    superpixel draws from its own keyed Philox substream.  The pool checks
+    each distinct rule once (in a scan only the camera weight varies), then
+    draws the tiles in index order.
     """
     profile = src.profile
     derived = derived_settings(src, scan)
@@ -412,25 +410,18 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     _, _, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
     common = (derived["r_eff2"], src, scan.camera_detector, scan.herald_detector, n_bins, bpb)
     tile_args = [(float(transmitted_power[ys, xs].sum()), *common) for _, _, ys, xs in tiles]
-    groups: dict = {}
-    for index, args in enumerate(tile_args):
-        groups.setdefault(_table_key(*args), []).append(index)
-
-    def work(group):
-        key, indices = group
-        # the table lives only while its group is drawn
-        pmf = _block_pmf(key)
-        return {i: _simulate_tile(scan.seed, i, *tile_args[i], pmf) for i in indices}
-
-    totals = {}
+    keys = [_table_key(*args) for args in tile_args]
     with ThreadPoolExecutor(max_workers=scan.threads) as pool:
-        largest_first = sorted(groups.items(), key=lambda group: -len(group[1]))
-        for drawn in pool.map(work, largest_first):
-            totals.update(drawn)
-    records = tuple(
-        SuperpixelRecord(row, col, n_bins, *totals[index])
-        for index, (row, col, _, _) in enumerate(tiles)
-    )
+        distinct = list(dict.fromkeys(keys))
+        rules = dict(zip(distinct, pool.map(_block_rule, distinct)))
+        totals = pool.map(
+            lambda i: _simulate_tile(scan.seed, i, *tile_args[i], rules[keys[i]]),
+            range(len(tiles)),
+        )
+        records = tuple(
+            SuperpixelRecord(row, col, n_bins, *counts)
+            for (row, col, _, _), counts in zip(tiles, totals)
+        )
 
     # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {

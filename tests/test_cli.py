@@ -461,3 +461,25 @@ def test_cmd_analyze_rejects_sidecar_raster_off_the_csv_grid(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "5x7 grid" in err and "scan grid is 6x8" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("source.kind", "thermla"),
+        ("derived.bins_per_block", "0"),
+        ("derived.bins_per_block", "abc"),
+        ("scan.trigger_mode", "coincidnce"),
+    ],
+)
+def test_cmd_analyze_rejects_sidecar_value_it_cannot_read(tmp_path, capsys, key, value):
+    out = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "sub")
+    sidecar = out / "scan.cfg"
+    echo = mc.load_sidecar(sidecar)
+    assert key in echo
+    echo[key] = value
+    mc.save_sidecar(sidecar, echo)
+    capsys.readouterr()
+    rc = cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert f"{key}={value!r}" in capsys.readouterr().err

@@ -72,9 +72,17 @@ def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb
 
 def tile_draws(seeds, index, *args):
     """``mc._simulate_tile`` totals of one tile at each seed, all drawn from
-    the one block table its arguments need."""
-    pmf = mc._block_pmf(mc._table_key(*args))
-    return np.array([mc._simulate_tile(seed, index, *args, pmf) for seed in seeds])
+    the one quadrature rule its arguments need."""
+    rule = mc._block_rule(mc._table_key(*args))
+    return np.array([mc._simulate_tile(seed, index, *args, rule) for seed in seeds])
+
+
+def rule_table(bpb, x_cam, dark_cam, x_her, dark_her):
+    """The block-outcome table of the rule ``bt.block_table`` returns, the law a
+    tile's blocks are drawn from: sum_i w_i Bin(.; s, p_cam(u_i)) (x) Bin(.; s, p_her(u_i))."""
+    u, weights = bt.block_table(bpb, x_cam, dark_cam, x_her, dark_her)
+    cam = bt._binomial_rows(bpb, x_cam * u, dark_cam) * weights[:, None]
+    return cam.T @ bt._binomial_rows(bpb, x_her * u, dark_her)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +187,7 @@ BPB = 83  # bins per block at the default 1 us coherence time and 12 ns bins
 def test_table_marginals_are_beta_binomial_without_dark_counts(x_s):
     # over u ~ Exp(1), Bin(c; s, 1 - exp(-x u)) integrates to BetaBinomial(s, 1, 1/x)
     x_cam, x_her = x_s / BPB, 0.6 * x_s / BPB
-    table = bt.block_table(BPB, x_cam, 0.0, x_her, 0.0)
+    table = rule_table(BPB, x_cam, 0.0, x_her, 0.0)
     c = np.arange(BPB + 1)
     for marginal, x in ((table.sum(axis=1), x_cam), (table.sum(axis=0), x_her)):
         exact = stats.betabinom.pmf(c, BPB, 1.0, 1.0 / x)
@@ -189,7 +197,7 @@ def test_table_marginals_are_beta_binomial_without_dark_counts(x_s):
 @pytest.mark.parametrize("x_s", [0.0, 0.65, 20.0, 200.0])
 @pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
 def test_table_sums_to_one(x_s, dark_cam, dark_her):
-    table = bt.block_table(BPB, x_s / BPB, dark_cam, 0.3 * x_s / BPB, dark_her)
+    table = rule_table(BPB, x_s / BPB, dark_cam, 0.3 * x_s / BPB, dark_her)
     assert table.shape == (BPB + 1, BPB + 1)
     assert table.min() >= 0.0
     assert abs(table.sum() - 1.0) < 1e-12
@@ -207,8 +215,8 @@ def test_bright_table_matches_rule_refined_twice_over(monkeypatch, dark_cam, dar
 
     monkeypatch.setattr(bt, "_quadrature_table", spy)
     args = (BPB, 50.0 / BPB, dark_cam, 20.0 / BPB, dark_her)
-    table = bt.block_table(*args)
-    panels, nodes = rules[-1]  # the rule the table was taken from
+    table = rule_table(*args)
+    panels, nodes = rules[-1]  # the rule the draw was taken from
     refined = quadrature(*args, panels, 4 * nodes)
     assert np.abs(table - refined).max() < 1e-12
 
@@ -217,12 +225,12 @@ def test_table_refinement_that_cannot_converge_raises(monkeypatch):
     # capped at the first refinement of the fewest panels, a bright tile fails
     monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
     with pytest.raises(QuadratureUnresolved, match="residual"):
-        bt.block_table(BPB, 50.0 / BPB, 0.0, 20.0 / BPB, 0.0)
+        rule_table(BPB, 50.0 / BPB, 0.0, 20.0 / BPB, 0.0)
 
 
 def chi2_two_sample_p(a, b, n_bins=10):
     """p-value of a chi-square homogeneity test of two samples, binned at the
-    pooled sample's quantiles."""
+    pooled sample's quantiles; a bin neither sample reaches is dropped."""
     pooled = np.concatenate([a, b])
     edges = np.unique(np.quantile(pooled, np.linspace(0, 1, n_bins + 1)[1:-1]))
     observed = np.array(
@@ -230,27 +238,30 @@ def chi2_two_sample_p(a, b, n_bins=10):
          for x in (a, b)],
         dtype=float,
     )
+    observed = observed[:, observed.sum(axis=0) > 0]
     expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0) / observed.sum()
     chi2 = ((observed - expected) ** 2 / expected).sum()
     return stats.chi2.sf(chi2, observed.shape[1] - 1)
 
 
 @pytest.mark.parametrize(
-    "kind, w_cam, w_her, dark_cam, dark_her, n_bins",
+    "kind, w_cam, w_her, dark_cam, dark_her, n_bins, bpb",
     [
         # a desk-scan tile: camera x s = 0.45, herald x s = 0.65
-        (mc.THERMAL, 0.45 / BPB / 0.6, 0.013, 0.0, 0.0, BPB * 2400 + 50),
+        (mc.THERMAL, 0.45 / BPB / 0.6, 0.013, 0.0, 0.0, BPB * 2400 + 50, BPB),
         # the coincidence test's tile with dark counts
-        (mc.THERMAL, 0.4, 0.3, 0.01, 0.03, 20_000),
-        (mc.COHERENT, 0.4, 0.3, 0.01, 0.03, 20_000),
+        (mc.THERMAL, 0.4, 0.3, 0.01, 0.03, 20_000, BPB),
+        (mc.COHERENT, 0.4, 0.3, 0.01, 0.03, 20_000, BPB),
+        # the longest block: camera x s = 3.6, herald x s = 0.65
+        (mc.THERMAL, 3.6 / 1024 / 0.6, 0.65 / 1024 / 0.6, 1e-4, 0.0, 1024 * 3000 + 100, 1024),
     ],
-    ids=["desk", "dark", "coherent"],
+    ids=["desk", "dark", "coherent", "1024"],
 )
-def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_her, n_bins):
+def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_her, n_bins, bpb):
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
     det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_cam)
     det_her = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_her)
-    args = (w_cam, w_her, src, det_cam, det_her, n_bins, BPB)
+    args = (w_cam, w_her, src, det_cam, det_her, n_bins, bpb)
     tiles = tile_draws(range(400), 3, *args)
     oracle = np.array([per_block_tile(seed, 3, *args) for seed in range(10_000, 10_400)])
     for name, a, b in zip(("camera", "herald", "coincidence"), tiles.T, oracle.T):
@@ -423,7 +434,7 @@ def test_tile_where_every_bin_clicks_counts_every_bin(kind):
     det = mc.DetectorConfig(dark_prob=1.0 - 1e-15)
     for n_bins in (50, BPB * 5, BPB * 5 + 17):
         args = (0.3, 0.2, src, det, det, n_bins, BPB)
-        assert mc._simulate_tile(1, 0, *args, mc._block_pmf(mc._table_key(*args))) == (n_bins,) * 3
+        assert tuple(tile_draws([1], 0, *args)[0]) == (n_bins,) * 3
 
 
 def test_billion_block_tile_matches_singles_model_in_bounded_memory():
@@ -492,7 +503,7 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
         assert len(results[-1].records) == 192
         assert len(calls) == len(set(calls)) == 14
     # the same totals as drawing tile by tile, in index order, each tile
-    # from a table of its own
+    # from a rule of its own
     derived = mc.derived_settings(src, scan)
     power = (mask.transmission * prof.amplitude) ** 2
     _, _, tiles = mc.superpixel_tiles(48, 64, 4)
@@ -500,8 +511,8 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
     for index, (row, col, ys, xs) in enumerate(tiles):
         args = (float(power[ys, xs].sum()), derived["r_eff2"], src, scan.camera_detector,
                 scan.herald_detector, derived["n_bins"], derived["bins_per_block"])
-        pmf = mc._block_pmf(mc._table_key(*args))
-        counts = mc._simulate_tile(scan.seed, index, *args, pmf)
+        rule = mc._block_rule(mc._table_key(*args))
+        counts = mc._simulate_tile(scan.seed, index, *args, rule)
         reference.append(mc.SuperpixelRecord(row, col, derived["n_bins"], *counts))
     assert len(calls) == 14 + 192
     assert results[0].records == results[1].records == tuple(reference)
@@ -510,9 +521,9 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
 def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     # blocks of 1024 bins on an off-centre gaussian: each of the 12 tiles
     # needs its own 8.4 MB table.  A thread holds about four tables at most
-    # (two rules of its table and their difference while it checks them, or
-    # the pmf and a tile's counts), so a scan stays under five tables a
-    # thread, where keeping every table would hold twelve
+    # (two rules of its table and their difference while it checks them; a
+    # tile's draw holds none), so a scan stays under five tables a thread,
+    # where keeping every table would hold twelve
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
     src = mc.SourceConfig(

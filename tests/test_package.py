@@ -51,7 +51,7 @@ IMPORT_MODULES = {
 
 
 def test_import_loads_no_new_module():
-    # the block table and its Gauss-Legendre rule load at a scan's first thermal tile
+    # the checked Gauss-Legendre rule loads at a scan's first thermal tile
     probe = (
         "import sys, numpy; before = set(sys.modules); import qvampire; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
