@@ -41,6 +41,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _validate_density(elements: np.ndarray, what: str) -> np.ndarray:
     arr = np.array(elements, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise InvalidState(f"{what}: elements must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidState(f"{what}: elements must be a square matrix")
     if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
@@ -96,6 +98,8 @@ class StateStats:
 
 def make_thermal(nbar: float, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     """Thermal state with Bose-Einstein weights, renormalized over 0..nmax."""
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     if nmax < 1:
@@ -114,6 +118,8 @@ def make_thermal(nbar: float, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
 
 def make_coherent(alpha: complex, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     """Pure coherent state, renormalized over 0..nmax."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     if alpha == 0:
@@ -197,24 +203,40 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
 # two-mode unitaries, one block per total photon number N
 
 
+@lru_cache(maxsize=4)
+def _hop_eigenbases(dim_i: int, dim_j: int) -> tuple:
+    """(evals, evecs) of i * (ai+ aj - ai aj+) on each block N, N = 0 .. dim_i + dim_j - 2.
+
+    The generator does not depend on the splitter's angle, so one
+    eigendecomposition per block serves every (t, r).
+    """
+    bases = []
+    for total in range(dim_i + dim_j - 1):
+        # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
+        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1), dtype=float)
+        hop = np.sqrt((n + 1) * (total - n))
+        evals, evecs = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
+        bases.append((_freeze(evals), _freeze(evecs)))
+    return tuple(bases)
+
+
 @lru_cache(maxsize=64)
 def beamsplitter_blocks(dim_i: int, dim_j: int, t: float, r: float) -> tuple:
     """exp(theta (ai+ aj - ai aj+)), t = cos, r = sin, as blocks of total N.
 
     Block N = 0 .. dim_i + dim_j - 2 acts on |n, N - n> for
-    n = max(0, N - dim_j + 1) .. min(N, dim_i - 1).
+    n = max(0, N - dim_j + 1) .. min(N, dim_i - 1).  The blocks are cached
+    on (dim_i, dim_j, t, r); each one is exp(theta gen) formed from the
+    eigenbasis of the Hermitian i*gen, which ``_hop_eigenbases`` caches on
+    (dim_i, dim_j) alone.
     """
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
         raise NonUnitaryParams(f"t^2 + r^2 = {t * t + r * r} != 1")
+    theta = math.atan2(r, t)
     blocks = []
-    for total in range(dim_i + dim_j - 1):
-        # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
-        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1), dtype=float)
-        hop = np.sqrt((n + 1) * (total - n))
-        # exp(theta gen) through the eigenbasis of the Hermitian i*gen; the
-        # generator is real, so the unitary is too
-        evals, evecs = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
-        u = (evecs * np.exp(-1j * math.atan2(r, t) * evals)) @ evecs.conj().T
+    for evals, evecs in _hop_eigenbases(dim_i, dim_j):
+        # the generator is real, so the unitary is too
+        u = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
         blocks.append(_freeze(u.real))
     return tuple(blocks)
 

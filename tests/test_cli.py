@@ -1,6 +1,7 @@
 """End-to-end CLI tests on miniature configs: schemas, round trips, exit codes."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,22 @@ def test_cmd_verify_breach_exits_two(tmp_path, monkeypatch, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "spec, value",
+    [("thermal:nan", "nan"), ("thermal:inf", "inf"), ("coherent:nan", "nan"),
+     ("coherent:inf", "inf"), ("coherent:1+nanj", "(1+nanj)")],
+)
+def test_cmd_verify_rejects_non_finite_state_parameter(tmp_path, capsys, spec, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", spec])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert value in err and "finite" in err
+    assert "Eigenvalues" not in err and "Warning" not in err
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------

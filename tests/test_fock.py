@@ -101,6 +101,8 @@ def test_density_matrix_invariants_enforced():
         fock.DensityMatrix(bad)
     with pytest.raises(InvalidState):
         fock.DensityMatrix(np.eye(3) * 0.5)  # trace 1.5
+    with pytest.raises(InvalidState, match="finite"):
+        fock.DensityMatrix(np.full((2, 2), np.nan))  # passes every comparison
 
 
 # ---------------------------------------------------------------------------

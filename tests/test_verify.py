@@ -1,11 +1,13 @@
 """Regional-subtraction pipeline tests against independent expansions."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qvampire import fock, verify
+from qvampire import cli, fock, verify
 from qvampire.errors import HeraldImpossible, ResidualOrthogonalPopulation
 
 
@@ -217,3 +219,164 @@ def test_complement_tolerance_binds_only_the_operator_model(monkeypatch):
     click = verify.SplitConfig(c_a=0.5, r=0.1, herald_model=verify.CLICK_POVM)
     res = verify.regional_subtraction(rho, click)
     assert res.complement_population > -1.0
+
+
+# ---------------------------------------------------------------------------
+# the cached split kernel against the per-call algorithm it replaced
+
+
+DEFAULT_STATES = cli.DEFAULT_STATES.split(",")
+SPLITS = ((0.1, 0.05), (0.5, 0.1), (0.9, 0.2))  # (c_A, r) from the default grid
+
+
+def _state(spec):
+    return cli._parse_state(spec, verify.DEFAULT_VERIFY_NMAX)
+
+
+def _clear_caches():
+    for cached in (fock._hop_eigenbases, fock.beamsplitter_blocks,
+                   verify._herald_images, verify._herald_kernel):
+        cached.cache_clear()
+
+
+def _oracle_blocks(dim_i, dim_j, t, r):
+    """beamsplitter_blocks as one eigh per block per (t, r), nothing cached."""
+    blocks = []
+    for total in range(dim_i + dim_j - 1):
+        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1), dtype=float)
+        hop = np.sqrt((n + 1) * (total - n))
+        evals, evecs = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
+        u = (evecs * np.exp(-1j * math.atan2(r, t) * evals)) @ evecs.conj().T
+        blocks.append(u.real)
+    return blocks
+
+
+def _oracle_split(d, c_a, r, model):
+    """The recombination blocks and herald images of one split, uncached."""
+    rec = _oracle_blocks(d, d, c_a, -math.sqrt(max(1.0 - c_a * c_a, 0.0)))
+    u = _oracle_blocks(d, d, math.sqrt(max(1.0 - r * r, 0.0)), r)
+    herald = np.zeros((d, d))
+    for k in range(1, d):
+        tapped = u[k][:, k]
+        if model == verify.OPERATOR:
+            herald[k, :k] = u[k - 1].T @ (np.sqrt(k - np.arange(k)) * tapped[:k])
+        else:
+            herald[k, :k] = tapped[:k]
+    return rec, herald
+
+
+def _oracle_regional_subtraction(rho, rec, herald, model):
+    """(state elements, herald_prob, complement_population), the amplitudes
+    of every input Fock state rebuilt for this one state."""
+    d = rho.dim
+    lost = 1 if model == verify.OPERATOR else 0
+    split = np.zeros((d, d))
+    for n in range(d):
+        split[n, : n + 1] = rec[n][:, n]
+    amp = np.zeros((d, d, d))
+    idx = np.arange(d)
+    for total in range(d - lost):
+        a = idx[: total + 1, None]
+        rr = idx[None, : d - lost - total]
+        n = total + lost + rr
+        k = a + rr + lost
+        x = split[n, k] * herald[k, a]
+        amp[total - a, n - a, n] = rec[total].T @ x
+    beam = np.zeros((d, d), dtype=complex)
+    for j in range(lost, d):
+        kj = amp[:, j, j:]
+        beam[: d - j, : d - j] += (kj.T @ kj) * rho.elements[j:, j:]
+    herald_weight = float(beam.trace().real)
+    comp_vacuum = float((amp[0] ** 2).sum(axis=0) @ rho.populations())
+    beam = (beam + beam.conj().T) / 2.0
+    beam /= beam.trace().real
+    return beam, herald_weight, 1.0 - comp_vacuum / herald_weight
+
+
+@pytest.mark.parametrize("dims", [(29, 29), (7, 11)])
+def test_beamsplitter_blocks_equal_the_per_angle_eigh(dims):
+    # blocks N >= min(dims) are cut by the truncation and are covered too
+    for theta in (0.05, 0.3, 1.1, 2.5, -0.4):
+        t, r = math.cos(theta), math.sin(theta)
+        got = fock.beamsplitter_blocks(*dims, t, r)
+        want = _oracle_blocks(*dims, t, r)
+        assert len(got) == len(want) == sum(dims) - 1
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("model", verify.HERALD_MODELS)
+def test_regional_subtraction_equals_the_per_state_algorithm(model):
+    d = verify.DEFAULT_VERIFY_NMAX + 1
+    for c_a, r in SPLITS:
+        rec, herald = _oracle_split(d, c_a, r, model)
+        for spec in DEFAULT_STATES:
+            rho = _state(spec)
+            res = verify.regional_subtraction(rho, verify.SplitConfig(c_a, r, model))
+            state, herald_prob, complement = _oracle_regional_subtraction(rho, rec, herald, model)
+            assert np.array_equal(res.state.elements, state)
+            assert res.herald_prob == herald_prob
+            assert res.complement_population == complement
+
+
+def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
+    cases = [
+        (spec, c_a, r, model)
+        for spec in DEFAULT_STATES
+        for c_a, r in SPLITS
+        for model in verify.HERALD_MODELS
+    ]
+    states = {spec: _state(spec) for spec in DEFAULT_STATES}
+    sweeps = []
+    for order in (cases, sorted(cases, key=lambda case: case[1:])):  # state- then split-major
+        _clear_caches()
+        sweeps.append({
+            (spec, c_a, r, model): verify.regional_subtraction(
+                states[spec], verify.SplitConfig(c_a, r, model)
+            )
+            for spec, c_a, r, model in order
+        })
+    for case in cases:
+        first, second = sweeps[0][case], sweeps[1][case]
+        assert np.array_equal(first.state.elements, second.state.elements)
+        assert first.herald_prob == second.herald_prob
+        assert first.complement_population == second.complement_population
+
+    d = verify.DEFAULT_VERIFY_NMAX + 1
+    cached = [array for basis in fock._hop_eigenbases(d, d) for array in basis]
+    for c_a, r in SPLITS:
+        for model in verify.HERALD_MODELS:
+            grams, comp_vacuum = verify._herald_kernel(d, c_a, r, model)
+            cached += [*grams, comp_vacuum, verify._herald_images(d, r, model)]
+        cached += fock.beamsplitter_blocks(d, d, *verify._split_params(c_a))
+    assert fock._hop_eigenbases.cache_info().misses == 1
+    assert verify._herald_kernel.cache_info().misses == len(SPLITS) * len(verify.HERALD_MODELS)
+    assert all(not array.flags.writeable for array in cached)
+
+
+def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
+    # the 54 operator cases at nmax 28 hold 9 distinct (c_A, r) splits: each
+    # kernel build reads the herald images once, the blocks take their 57
+    # eigendecompositions once, and fock.fidelity takes two per case
+    _clear_caches()
+    kernels, eighs = [], []
+    images, eigh = verify._herald_images, np.linalg.eigh
+    monkeypatch.setattr(verify, "_herald_images", lambda *key: kernels.append(key) or images(*key))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or eigh(m))
+    tracemalloc.start()
+    try:
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        fock._hop_eigenbases.cache_clear()
+        verify._herald_kernel.cache_clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verify: 54 cases")
+    assert len(kernels) == 9
+    d = verify.DEFAULT_VERIFY_NMAX + 1
+    assert len(eighs) == (2 * d - 1) + 2 * 54
+    # the kernels and eigenbases the sweep leaves alive: about 0.8 MB, where
+    # a dense d x d x d kernel per split would hold 2 MB
+    assert 0 < held < 1.5e6
