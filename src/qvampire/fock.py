@@ -3,15 +3,18 @@
 States are dense single-mode density matrices over the number basis
 |0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary,
 conserve the total photon number and are kept as one block per total;
-applying them to a state is the job of ``verify``.  All operations are
-pure functions; the backing arrays are frozen so values can be shared.
+applying them to a state is the job of ``verify``.  A square splitter's
+blocks are real: in the gauge diag(i^k) each block's generator is a real
+tridiagonal matrix that the mode exchange splits into two eigenproblems
+of half the order.  All operations are pure functions; the backing
+arrays are frozen so values can be shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,6 +85,12 @@ class DensityMatrix:
     def mean_photons(self) -> float:
         n = np.arange(self.dim)
         return float(np.dot(n, self.populations()))
+
+    @cached_property
+    def _sqrt(self) -> np.ndarray:
+        """The PSD square root, taken once per state for ``fidelity``."""
+        w, v = np.linalg.eigh(self.elements)  # w >= -1e-10 by construction
+        return _freeze((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -189,62 +198,92 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    product = _sqrt_psd(rho1.elements) @ _sqrt_psd(rho2.elements)
-    root = np.linalg.svd(product, compute_uv=False).sum()
+    root = np.linalg.svd(rho1._sqrt @ rho2._sqrt, compute_uv=False).sum()
     return float(min(root * root, 1.0))
-
-
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T  # w >= -1e-10 by construction
 
 
 # ---------------------------------------------------------------------------
 # two-mode unitaries, one block per total photon number N
 
 
-@lru_cache(maxsize=4)
-def _hop_eigenbases(dim_i: int, dim_j: int) -> tuple:
-    """(evals, evecs) of i * (ai+ aj - ai aj+) on each block N, N = 0 .. dim_i + dim_j - 2.
+def _exchange_basis(order: int) -> np.ndarray:
+    """Orthogonal Q whose first ceil(order/2) columns are even and the rest odd
+    under the site reversal k <-> order - 1 - k."""
+    half = order // 2
+    q = np.zeros((order, order))
+    k = np.arange(half)
+    q[k, k] = q[order - 1 - k, k] = q[k, order - half + k] = math.sqrt(0.5)
+    q[order - 1 - k, order - half + k] = -math.sqrt(0.5)
+    if order % 2:
+        q[half, half] = 1.0  # the middle site is its own mirror image
+    return q
 
-    The generator does not depend on the splitter's angle, so one
-    eigendecomposition per block serves every (t, r).
+
+@lru_cache(maxsize=4)
+def _hop_eigenbases(dim: int) -> tuple:
+    """(evals, D W) of i * (ai+ aj - ai aj+) on each block N, N = 0 .. 2 dim - 2.
+
+    Over the block's sites k (n = n_min + k) the gauge D = diag(i^k) turns
+    the Hermitian generator H into the real tridiagonal T = D+ H D, whose
+    off-diagonal is the hop sequence sqrt((n + 1)(N - n)).  On a square
+    splitter that sequence is a palindrome, truncated blocks included, so
+    the mode exchange n <-> N - n commutes with T, and ``_exchange_basis``
+    splits T = W L W^T into an even and an odd problem of half the order
+    (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  The gauged
+    eigenvectors D W hold a real entry on even sites and an imaginary one
+    on odd sites.  The generator does not depend on the splitter's angle,
+    so one eigendecomposition per block serves every (t, r).
     """
     bases = []
-    for total in range(dim_i + dim_j - 1):
+    for total in range(2 * dim - 1):
         # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
-        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1), dtype=float)
+        n = np.arange(max(0, total - dim + 1), min(total, dim - 1), dtype=float)
         hop = np.sqrt((n + 1) * (total - n))
-        evals, evecs = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
-        bases.append((_freeze(evals), _freeze(evecs)))
+        order = len(hop) + 1
+        q = _exchange_basis(order)
+        split = q.T @ (np.diag(hop, -1) + np.diag(hop, 1)) @ q
+        half = order - order // 2
+        even_vals, even_vecs = np.linalg.eigh(split[:half, :half])
+        odd_vals, odd_vecs = np.linalg.eigh(split[half:, half:])
+        w = np.hstack((q[:, :half] @ even_vecs, q[:, half:] @ odd_vecs))
+        gauge = np.array([1, 1j, -1, -1j])[np.arange(order) % 4]  # i^k
+        bases.append((_freeze(np.concatenate((even_vals, odd_vals))), _freeze(gauge[:, None] * w)))
     return tuple(bases)
 
 
 @lru_cache(maxsize=64)
-def beamsplitter_blocks(dim_i: int, dim_j: int, t: float, r: float) -> tuple:
+def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
     """exp(theta (ai+ aj - ai aj+)), t = cos, r = sin, as blocks of total N.
 
-    Block N = 0 .. dim_i + dim_j - 2 acts on |n, N - n> for
-    n = max(0, N - dim_j + 1) .. min(N, dim_i - 1).  The blocks are cached
-    on (dim_i, dim_j, t, r); each one is exp(theta gen) formed from the
-    eigenbasis of the Hermitian i*gen, which ``_hop_eigenbases`` caches on
-    (dim_i, dim_j) alone.
+    Both modes are truncated to dim levels.  Block N = 0 .. 2 dim - 2 acts
+    on |n, N - n> for n = max(0, N - dim + 1) .. min(N, dim - 1).  The
+    blocks are cached on (dim, t, r) as C-contiguous real arrays; each one
+    is Re(D W e^{-i theta L} W^T D+) formed from the angle-free eigenbasis
+    that ``_hop_eigenbases`` caches on dim alone.
     """
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
         raise NonUnitaryParams(f"t^2 + r^2 = {t * t + r * r} != 1")
     theta = math.atan2(r, t)
     blocks = []
-    for evals, evecs in _hop_eigenbases(dim_i, dim_j):
-        # the generator is real, so the unitary is too
-        u = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
-        blocks.append(_freeze(u.real))
+    for evals, gauged in _hop_eigenbases(dim):
+        # with D W = A + iB and e^{-i theta L} = c - is, the float views
+        # interleave the columns of [Ac + Bs, Bc - As] and [A B]: their
+        # product is the real part, and the imaginary part is never formed
+        rotated = gauged * np.exp(-1j * theta * evals)
+        blocks.append(_freeze(rotated.view(np.float64) @ gauged.view(np.float64).T))
     return tuple(blocks)
 
 
 def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarray:
-    """exp(theta (ai+ aj - ai aj+)) as a dense matrix over |n_i, n_j>, n_i slow."""
-    u = np.zeros((dim_i * dim_j,) * 2)
-    for total, block in enumerate(beamsplitter_blocks(dim_i, dim_j, t, r)):
-        n_i = max(0, total - dim_j + 1) + np.arange(len(block))
-        u[np.ix_(n_i * dim_j + total - n_i, n_i * dim_j + total - n_i)] = block
+    """exp(theta (ai+ aj - ai aj+)) as a dense matrix over |n_i, n_j>, n_i slow.
+
+    Only square splitters (dim_i == dim_j) are built.
+    """
+    if dim_i != dim_j:
+        raise DimensionMismatch(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")
+    d = dim_i
+    u = np.zeros((d * d,) * 2)
+    for total, block in enumerate(beamsplitter_blocks(d, t, r)):
+        n_i = max(0, total - d + 1) + np.arange(len(block))
+        u[np.ix_(n_i * d + total - n_i, n_i * d + total - n_i)] = block
     return u

@@ -113,7 +113,7 @@ def _herald_images(dim: int, r: float, model: str) -> np.ndarray:
     The image holds k - 1 photons (operator model) or k (click model), so
     entry A has R = k - 1 - A or R = k - A photons.
     """
-    u = beamsplitter_blocks(dim, dim, math.sqrt(max(1.0 - r * r, 0.0)), r)
+    u = beamsplitter_blocks(dim, math.sqrt(max(1.0 - r * r, 0.0)), r)
     images = np.zeros((dim, dim))
     for k in range(1, dim):
         tapped = u[k][:, k]  # U |k, 0> over A = 0 .. k, with R = k - A
@@ -139,7 +139,7 @@ def _herald_kernel(d: int, c_a: float, r: float, model: str) -> tuple:
     default nmax 28), 2.7 MB at d = 101.
     """
     lost = 1 if model == OPERATOR else 0  # photons the herald destroys
-    rec = beamsplitter_blocks(d, d, *_split_params(c_a))  # blocks < d fit
+    rec = beamsplitter_blocks(d, *_split_params(c_a))  # blocks < d fit
     herald = _herald_images(d, r, model)
     split = np.zeros((d, d))  # split[n, k]: amplitude of |k_A, (n - k)_B> in |n>
     for n in range(d):

@@ -1,6 +1,7 @@
 """Fock-core tests; expected values come from independent truncated sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,6 +338,49 @@ def test_beamsplitter_blocks_match_su2_closed_form(theta):
     assert np.abs(u - scipy.linalg.expm(theta * _kron_generator(d))).max() < 1e-12
 
 
+def _exact_blocks(size, t, r):
+    """Blocks N < size of the splitter at rational (t, r), exact until one final rounding.
+
+    U |n, m> = (t ai+ - r aj+)^n (r ai+ + t aj+)^m |0, 0> / sqrt(n! m!), the
+    closed form of ``_closed_form_block``.  Over the common denominator c of
+    t = a / c and r = b / c the coefficients of the two binomials are
+    integers; each element is then sign(s) sqrt(s^2 p! (N-p)! / (c^2N n! m!))
+    with s an integer, and Python's int division rounds that ratio correctly.
+    """
+    c = math.lcm(t.denominator, r.denominator)
+    a, b = int(t * c), int(r * c)
+    fact = [math.factorial(k) for k in range(size)]
+    blocks = [np.zeros((total + 1, total + 1)) for total in range(size)]
+    column = [1]  # coefficients of x^p y^(N-p) in (a x - b y)^n (b x + a y)^m
+    for n in range(size):
+        if n:
+            column = [a * u - b * v for u, v in zip([0] + lowered, lowered + [0])]
+        lowered = column
+        for m in range(size - n):
+            if m:
+                column = [b * u + a * v for u, v in zip([0] + column, column + [0])]
+            total = n + m
+            den = c ** (2 * total) * fact[n] * fact[m]
+            blocks[total][:, n] = [
+                math.copysign(math.sqrt(s * s * fact[p] * fact[total - p] / den), s)
+                for p, s in enumerate(column)
+            ]
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "t, r",
+    [(Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(-3, 5)),
+     (Fraction(-4, 5), Fraction(3, 5)), (Fraction(20, 29), Fraction(21, 29))],
+)
+def test_beamsplitter_blocks_match_exact_rational_closed_form(t, r):
+    # Pythagorean (t, r): the closed form is exact in rational arithmetic
+    exact = _exact_blocks(61, t, r)
+    for d in (29, 61):
+        got = fock.beamsplitter_blocks(d, float(t), float(r))[:d]  # the blocks N < d
+        assert max(np.abs(g - e).max() for g, e in zip(got, exact)) <= 1e-13
+
+
 def test_beamsplitter_generator_conserves_total_photon_number():
     """The basis of the block form: [ai+ aj - ai aj+, n_i + n_j] = 0."""
     d = 12
@@ -379,6 +423,20 @@ def test_fidelity_cross_checked_against_independent_algorithms():
     # algorithm 3: closed form for commuting diagonal states
     diag = float(np.sqrt(rho1.populations() * rho2.populations()).sum()) ** 2
     assert abs(got - diag) < 1e-8
+
+
+def test_fidelity_takes_one_square_root_per_state(monkeypatch):
+    rho1, rho2 = fock.make_thermal(0.5, 20), fock.make_coherent(1.0, 20)
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    for a, b in ((rho1, rho2), (rho2, rho1), (rho1, rho1)):
+        fock.fidelity(a, b)
+    assert len(calls) == 2
+    # the cached root is the per-call one, so fidelities are bitwise those of
+    # square-rooting both arguments on every call
+    w, v = eigh(rho2.elements)
+    assert np.array_equal(rho2._sqrt, (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    assert not rho2._sqrt.flags.writeable
 
 
 def test_fidelity_symmetry():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qvampire import cli, fock, verify
-from qvampire.errors import HeraldImpossible, ResidualOrthogonalPopulation
+from qvampire.errors import DimensionMismatch, HeraldImpossible, ResidualOrthogonalPopulation
 
 
 def test_recombination_unitary_on_supported_blocks():
@@ -239,22 +239,30 @@ def _clear_caches():
         cached.cache_clear()
 
 
-def _oracle_blocks(dim_i, dim_j, t, r):
-    """beamsplitter_blocks as one eigh per block per (t, r), nothing cached."""
+def _oracle_blocks(d, t, r):
+    """beamsplitter_blocks with each block's split eigh redone per (t, r), nothing cached."""
     blocks = []
-    for total in range(dim_i + dim_j - 1):
-        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1), dtype=float)
+    for total in range(2 * d - 1):
+        n = np.arange(max(0, total - d + 1), min(total, d - 1), dtype=float)
         hop = np.sqrt((n + 1) * (total - n))
-        evals, evecs = np.linalg.eigh(1j * (np.diag(hop, -1) - np.diag(hop, 1)))
-        u = (evecs * np.exp(-1j * math.atan2(r, t) * evals)) @ evecs.conj().T
-        blocks.append(u.real)
+        order = len(hop) + 1
+        q = fock._exchange_basis(order)
+        split = q.T @ (np.diag(hop, -1) + np.diag(hop, 1)) @ q
+        half = order - order // 2
+        even_vals, even_vecs = np.linalg.eigh(split[:half, :half])
+        odd_vals, odd_vecs = np.linalg.eigh(split[half:, half:])
+        evals = np.concatenate((even_vals, odd_vals))
+        w = np.hstack((q[:, :half] @ even_vecs, q[:, half:] @ odd_vecs))
+        gauged = np.array([1, 1j, -1, -1j])[np.arange(order) % 4, None] * w
+        rotated = gauged * np.exp(-1j * math.atan2(r, t) * evals)
+        blocks.append(rotated.view(np.float64) @ gauged.view(np.float64).T)
     return blocks
 
 
 def _oracle_split(d, c_a, r, model):
     """The recombination blocks and herald images of one split, uncached."""
-    rec = _oracle_blocks(d, d, c_a, -math.sqrt(max(1.0 - c_a * c_a, 0.0)))
-    u = _oracle_blocks(d, d, math.sqrt(max(1.0 - r * r, 0.0)), r)
+    rec = _oracle_blocks(d, c_a, -math.sqrt(max(1.0 - c_a * c_a, 0.0)))
+    u = _oracle_blocks(d, math.sqrt(max(1.0 - r * r, 0.0)), r)
     herald = np.zeros((d, d))
     for k in range(1, d):
         tapped = u[k][:, k]
@@ -293,15 +301,25 @@ def _oracle_regional_subtraction(rho, rec, herald, model):
     return beam, herald_weight, 1.0 - comp_vacuum / herald_weight
 
 
-@pytest.mark.parametrize("dims", [(29, 29), (7, 11)])
-def test_beamsplitter_blocks_equal_the_per_angle_eigh(dims):
-    # blocks N >= min(dims) are cut by the truncation and are covered too
+def test_beamsplitter_blocks_equal_the_per_angle_eigh():
+    d = verify.DEFAULT_VERIFY_NMAX + 1  # blocks of every order 1 .. d
+    # blocks N >= d are cut by the truncation and are covered too
     for theta in (0.05, 0.3, 1.1, 2.5, -0.4):
         t, r = math.cos(theta), math.sin(theta)
-        got = fock.beamsplitter_blocks(*dims, t, r)
-        want = _oracle_blocks(*dims, t, r)
-        assert len(got) == len(want) == sum(dims) - 1
+        got = fock.beamsplitter_blocks(d, t, r)
+        want = _oracle_blocks(d, t, r)
+        assert len(got) == len(want) == 2 * d - 1
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # each block is a real array of its own, not a view of a complex product
+        assert all(
+            g.dtype == np.float64 and g.flags.c_contiguous and g.flags.owndata for g in got
+        )
+
+
+def test_beamsplitter_unitary_rejects_unequal_dims():
+    # production builds square splitters only
+    with pytest.raises(DimensionMismatch):
+        fock.beamsplitter_unitary(7, 11, 0.6, 0.8)
 
 
 @pytest.mark.parametrize("model", verify.HERALD_MODELS)
@@ -342,12 +360,12 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
         assert first.complement_population == second.complement_population
 
     d = verify.DEFAULT_VERIFY_NMAX + 1
-    cached = [array for basis in fock._hop_eigenbases(d, d) for array in basis]
+    cached = [array for basis in fock._hop_eigenbases(d) for array in basis]
     for c_a, r in SPLITS:
         for model in verify.HERALD_MODELS:
             grams, comp_vacuum = verify._herald_kernel(d, c_a, r, model)
             cached += [*grams, comp_vacuum, verify._herald_images(d, r, model)]
-        cached += fock.beamsplitter_blocks(d, d, *verify._split_params(c_a))
+        cached += fock.beamsplitter_blocks(d, *verify._split_params(c_a))
     assert fock._hop_eigenbases.cache_info().misses == 1
     assert verify._herald_kernel.cache_info().misses == len(SPLITS) * len(verify.HERALD_MODELS)
     assert all(not array.flags.writeable for array in cached)
@@ -355,8 +373,9 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
 
 def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     # the 54 operator cases at nmax 28 hold 9 distinct (c_A, r) splits: each
-    # kernel build reads the herald images once, the blocks take their 57
-    # eigendecompositions once, and fock.fidelity takes two per case
+    # kernel build reads the herald images once, each of the 57 blocks takes
+    # its two half-order eigendecompositions once, and fock.fidelity takes
+    # one per state: the 54 outputs and the 6 directly subtracted states
     _clear_caches()
     kernels, eighs = [], []
     images, eigh = verify._herald_images, np.linalg.eigh
@@ -376,7 +395,10 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("verify: 54 cases")
     assert len(kernels) == 9
     d = verify.DEFAULT_VERIFY_NMAX + 1
-    assert len(eighs) == (2 * d - 1) + 2 * 54
+    hops = [shape for shape in eighs if shape != (d, d)]
+    assert len(hops) == 2 * (2 * d - 1)
+    assert max(shape[0] for shape in hops) == (d + 1) // 2
+    assert len(eighs) - len(hops) == 54 + 6
     # the kernels and eigenbases the sweep leaves alive: about 0.8 MB, where
     # a dense d x d x d kernel per split would hold 2 MB
     assert 0 < held < 1.5e6
