@@ -8,15 +8,21 @@ independent binomials, so the joint pmf of a block's outcome is
     p(u) = dark + (1 - dark)(1 - exp(-x u)),
 
 with x the mean photons a bin brings the detector at u = 1.  It has no
-closed form when x_cam != x_her, so ``block_table`` integrates it with a
+closed form when x_cam != x_her, so ``block_rules`` integrates it with a
 composite Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23, 1969) that
 checks its own refinement, and returns the accepted rule.  On that rule
 P(c, h) = sum_i w_i Bin(c; s, p_cam(u_i)) Bin(h; s, p_her(u_i)), which is the
 law of a block whose intensity is the node u_i with probability w_i, so
 ``qvampire.montecarlo`` draws a tile from the nodes and never from the
-table.  The (s+1)^2 table exists only inside the check.  ``montecarlo``
-imports this module, and with it ``numpy.polynomial``, at a thermal tile's
-first rule, so commands that do not scan never load either.
+table.  The (s+1)^2 table exists only inside the check.
+
+In a scan only x_cam varies from tile to tile, and a rule's nodes depend on
+x only through its panel count, so ``block_rules`` checks all of a scan's
+camera means in one call: the means of one panel count form batches, and at
+each refinement level a batch builds each node chunk's herald rows once and
+contracts them with every camera mean's rows.  ``montecarlo`` imports this
+module, and with it ``numpy.polynomial``, at a scan's first thermal rule, so
+commands that do not scan never load either.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureUnresolved
+from .montecarlo import MAX_BINS_PER_BLOCK
 
 # The rule integrates over u up to TABLE_U_MAX (e^-40 ~ 4e-18 is the mass
 # left out), with equal panels in r = sqrt(u): there a cell's binomial peak
@@ -92,22 +99,65 @@ def _binomial_rows(size: int, x_u: np.ndarray, dark: float) -> np.ndarray:
     return rows
 
 
-def _quadrature_table(bpb, x_cam, dark_cam, x_her, dark_her, panels, nodes):
-    """P(c, h) of one block on the composite rule of ``panels`` x ``nodes``."""
+def _quadrature_tables(bpb, x_cams, dark_cam, x_her, dark_her, panels, nodes):
+    """P(c, h) of one block at each camera mean of ``x_cams`` on the composite
+    rule of ``panels`` x ``nodes``; each chunk's herald rows serve every mean."""
     u, weights = _panel_rule(panels, nodes)
-    table = np.zeros((bpb + 1, bpb + 1))
+    tables = [np.zeros((bpb + 1, bpb + 1)) for _ in x_cams]
     for lo in range(0, len(u), TABLE_ROW_NODES):
         part = slice(lo, lo + TABLE_ROW_NODES)
-        cam = _binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
         her = _binomial_rows(bpb, x_her * u[part], dark_her)
-        for k in range(0, len(cam), TABLE_NODE_BLOCK):
-            table += cam[k : k + TABLE_NODE_BLOCK].T @ her[k : k + TABLE_NODE_BLOCK]
-    return table
+        for x_cam, table in zip(x_cams, tables):
+            cam = _binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
+            for k in range(0, len(cam), TABLE_NODE_BLOCK):
+                table += cam[k : k + TABLE_NODE_BLOCK].T @ her[k : k + TABLE_NODE_BLOCK]
+    return tables
 
 
-def block_table(bpb: int, x_cam: float, dark_cam: float, x_her: float, dark_her: float):
+def _panel_count(bpb: int, x: float) -> int:
+    """Panels of the rule for a block whose brighter detector sees x a bin at u = 1:
+    doubled while the doubled first refinement stays within the cap."""
+    panels = TABLE_MIN_PANELS
+    wanted = 2.0 + 4.0 * math.sqrt(bpb * x)
+    while panels < wanted and 4 * panels * TABLE_NODES <= TABLE_NODE_CAP:
+        panels *= 2
+    return panels
+
+
+def _check_batch(bpb, x_cams, dark_cam, x_her, dark_her, panels):
+    """The accepted rule of each camera mean of a batch that shares ``panels``;
+    a mean leaves the refinement at the level where it passes."""
+    rules = {}
+    pending = list(x_cams)
+    nodes = TABLE_NODES
+    coarse = _quadrature_tables(bpb, pending, dark_cam, x_her, dark_her, panels, nodes)
+    while pending:
+        fine = _quadrature_tables(bpb, pending, dark_cam, x_her, dark_her, panels, 2 * nodes)
+        u, weights = _panel_rule(panels, 2 * nodes)
+        rule = u, weights / weights.sum()
+        failing = []
+        for x_cam, c, f in zip(pending, coarse, fine):
+            residual = max(float(np.abs(f - c).max()), abs(float(f.sum()) - 1.0))
+            if residual <= TABLE_TOL:
+                rules[x_cam] = rule
+            elif panels * 4 * nodes > TABLE_NODE_CAP:
+                raise QuadratureUnresolved(
+                    f"block table ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
+                    f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
+                    f"{2 * nodes} nodes"
+                )
+            else:
+                failing.append((x_cam, f))
+        pending = [x_cam for x_cam, _ in failing]
+        coarse = [f for _, f in failing]
+        nodes *= 2
+    return rules
+
+
+def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float):
     """Nodes u_i and normalized weights w_i of the rule for the joint pmf P(c, h)
-    of the click counts of a block of ``bpb`` bins.
+    of the click counts of a block of ``bpb`` bins, one rule per camera mean
+    of ``x_cams``.
 
     The check tabulates P(c, h) on the first rule whose refinement (twice
     the nodes per panel) agrees with it to ``TABLE_TOL`` per cell and sums to
@@ -115,27 +165,19 @@ def block_table(bpb: int, x_cam: float, dark_cam: float, x_her: float, dark_her:
     freed on return.  A block drawn at intensity u_i with probability w_i
     follows the accepted table up to ``_binomial_rows``' cut of entries below
     1e-100.  No such rule within ``TABLE_NODE_CAP`` nodes raises
-    ``QuadratureUnresolved``.
+    ``QuadratureUnresolved`` naming the mean.
+
+    The means are checked in batches that share a panel count.  A batch's
+    tables of one level hold at most the cells of one table of the largest
+    block, so its check holds no more than one check of that block.
     """
-    args = (bpb, x_cam, dark_cam, x_her, dark_her)
-    panels = TABLE_MIN_PANELS
-    wanted = 2.0 + 4.0 * math.sqrt(bpb * max(x_cam, x_her))
-    # double the panels while the doubled first refinement stays within the cap
-    while panels < wanted and 4 * panels * TABLE_NODES <= TABLE_NODE_CAP:
-        panels *= 2
-    nodes = TABLE_NODES
-    coarse = _quadrature_table(*args, panels, nodes)
-    while True:
-        fine = _quadrature_table(*args, panels, 2 * nodes)
-        residual = max(float(np.abs(fine - coarse).max()), abs(float(fine.sum()) - 1.0))
-        if residual <= TABLE_TOL:
-            u, weights = _panel_rule(panels, 2 * nodes)
-            return u, weights / weights.sum()
-        if panels * 4 * nodes > TABLE_NODE_CAP:
-            raise QuadratureUnresolved(
-                f"block table ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
-                f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
-                f"{2 * nodes} nodes"
-            )
-        nodes *= 2
-        coarse = fine
+    size = max(1, (MAX_BINS_PER_BLOCK + 1) ** 2 // (bpb + 1) ** 2)
+    by_panels = {}
+    for x_cam in dict.fromkeys(x_cams):
+        by_panels.setdefault(_panel_count(bpb, max(x_cam, x_her)), []).append(x_cam)
+    rules = {}
+    for panels, xs in by_panels.items():
+        for lo in range(0, len(xs), size):
+            batch = xs[lo : lo + size]
+            rules.update(_check_batch(bpb, batch, dark_cam, x_her, dark_her, panels))
+    return [rules[x_cam] for x_cam in x_cams]

@@ -172,6 +172,13 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     nbar = float(merged["source.nbar"])
 
     profile = _build_profile(merged, width, height)
+    # checked before the herald target divides by nbar
+    source = SourceConfig(
+        nbar=nbar,
+        profile=profile,
+        coherence_time=float(merged["source.coherence_time"]),
+        kind=merged["source.kind"],
+    )
 
     if scenario == "initial":
         mask = make_mask("white", width, height)
@@ -212,12 +219,6 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         efficiency=float(merged["detector.camera.efficiency"]),
         dark_prob=float(merged["detector.camera.dark_prob"]),
         bin_width=bin_width,
-    )
-    source = SourceConfig(
-        nbar=nbar,
-        profile=profile,
-        coherence_time=float(merged["source.coherence_time"]),
-        kind=merged["source.kind"],
     )
     scan = ScanConfig(
         mask=mask,

@@ -29,15 +29,16 @@ A coherent tile has one intensity, so it is that multinomial with a single
 row at u = 1 holding every bin.  Either way a tile's time and memory do
 not grow with the dwell, and every draw is distribution-exact up to the
 rule's quadrature error.  A rule depends on the tile only through the
-camera weight, and a raster scan has few distinct weights, so a scan
-checks one rule per distinct camera weight.
+camera weight, so a scan checks the rules of all its distinct camera
+weights in one call, which builds the herald's rows once for all of them,
+and computes each weight's outcome rows at the rule's nodes once.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +53,8 @@ COINCIDENCE = "coincidence"
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
 
 # the check of a thermal tile's rule builds (s+1)^2-cell outcome tables of a
-# block: 8.4 MB each at the largest block
+# block: 8.4 MB each at the largest block, and a batch of the check holds as
+# many cells at any smaller block
 MAX_BINS_PER_BLOCK = 1024
 
 # what a scan is analyzed with when its sidecar lacks the key
@@ -81,8 +83,8 @@ class DetectorConfig:
             raise ConfigMismatch("efficiency must lie in [0, 1]")
         if not 0.0 <= self.dark_prob < 1.0:
             raise ConfigMismatch("dark_prob must lie in [0, 1)")
-        if self.bin_width <= 0.0:
-            raise ConfigMismatch("bin_width must be positive")
+        if not 0.0 < self.bin_width < math.inf:
+            raise ConfigMismatch(f"bin_width must be positive and finite, got {self.bin_width!r}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,12 @@ class SourceConfig:
     kind: str = THERMAL
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ConfigMismatch("nbar must be non-negative")
-        if self.coherence_time <= 0:
-            raise ConfigMismatch("coherence_time must be positive")
+        if not 0.0 <= self.nbar < math.inf:
+            raise ConfigMismatch(f"nbar must be non-negative and finite, got {self.nbar!r}")
+        if not 0.0 < self.coherence_time < math.inf:
+            raise ConfigMismatch(
+                f"coherence_time must be positive and finite, got {self.coherence_time!r}"
+            )
         if self.kind not in (THERMAL, COHERENT):
             raise ConfigMismatch(f"unknown source kind {self.kind!r}")
 
@@ -124,8 +128,10 @@ class ScanConfig:
             raise ConfigMismatch(f"unknown trigger mode {self.trigger_mode!r}")
         if self.herald_detector.bin_width != self.camera_detector.bin_width:
             raise ConfigMismatch("detectors must share one time-bin width")
-        if self.dwell < self.herald_detector.bin_width:
-            raise ConfigMismatch("dwell must cover at least one time bin")
+        if not self.herald_detector.bin_width <= self.dwell < math.inf:
+            raise ConfigMismatch(
+                f"dwell must be finite and cover at least one time bin, got {self.dwell!r}"
+            )
         if self.bins_cap < 1 or self.threads < 1:
             raise ConfigMismatch("bins_cap and threads must be positive")
         if not 0 <= self.seed < 2**64:
@@ -322,36 +328,36 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
 # the scan itself
 
 
-def _table_key(
-    w_cam: float,
-    w_her: float,
-    src: SourceConfig,
-    det_cam: DetectorConfig,
-    det_her: DetectorConfig,
-    n_bins: int,
-    bpb: int,
-):
-    """The arguments of a tile's ``block_table``, or None when the tile draws
-    from no rule (a coherent tile, or one without a full block)."""
-    if src.kind == COHERENT or n_bins < bpb:
-        return None
-    return (
-        bpb,
-        det_cam.efficiency * w_cam * src.nbar,
-        det_cam.dark_prob,
-        det_her.efficiency * w_her * src.nbar,
-        det_her.dark_prob,
+def _outcome_rows(u, w_cam, w_her, src, det_cam, det_her):
+    """One row per block intensity of ``u``: the probabilities that a bin clicks
+    both detectors, the camera only, the herald only or neither."""
+    intensity = src.nbar * u
+    p_cam = click_probability(w_cam * intensity, det_cam)
+    p_her = click_probability(w_her * intensity, det_her)
+    return np.stack(
+        [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)],
+        axis=-1,
     )
 
 
-def _block_rule(key):
-    """The checked rule (nodes, weights) of a ``_table_key``, or None for a None key."""
-    if key is None:
-        return None
-    # loaded at a scan's first rule, so commands that do not scan skip it
-    from .blocktable import block_table
+def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
+    """Per camera weight of ``w_cams``, what its tiles draw from: the weights of
+    the checked rule and the outcome rows at its nodes.  A coherent tile has
+    the one row at u = 1, and a thermal tile without a full block no rule."""
+    if src.kind == COHERENT or n_bins < bpb:
+        u = np.ones(1) if src.kind == COHERENT else np.zeros(0)
+        rules = [(u, None)] * len(w_cams)
+    else:
+        # loaded at a scan's first rule, so commands that do not scan skip it
+        from .blocktable import block_rules
 
-    return block_table(*key)
+        x_cams = [det_cam.efficiency * w_cam * src.nbar for w_cam in w_cams]
+        x_her = det_her.efficiency * w_her * src.nbar
+        rules = block_rules(bpb, x_cams, det_cam.dark_prob, x_her, det_her.dark_prob)
+    return [
+        (weights, _outcome_rows(u, w_cam, w_her, src, det_cam, det_her))
+        for w_cam, (u, weights) in zip(w_cams, rules)
+    ]
 
 
 def _simulate_tile(
@@ -364,34 +370,28 @@ def _simulate_tile(
     det_her: DetectorConfig,
     n_bins: int,
     bpb: int,
-    rule: tuple[np.ndarray, np.ndarray] | None,
+    law: tuple[np.ndarray | None, np.ndarray],
 ):
     """One tile's (camera, herald, coincidence) totals from its Philox key
-    (seed, index); ``rule`` is ``_block_rule`` of the tile's ``_table_key``."""
+    (seed, index); ``law`` is the ``_tile_laws`` entry of its camera weight."""
     gen = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
+    weights, rows = law
     if src.kind == COHERENT:
-        bins, u = np.array([n_bins]), np.ones(1)
+        bins = np.array([n_bins])
     else:
         n_full, rest = divmod(n_bins, bpb)
-        bins, u = np.zeros(0, dtype=np.int64), np.zeros(0)
+        bins = np.zeros(0, dtype=np.int64)
         if n_full:
-            nodes, weights = rule
             blocks = gen.multinomial(n_full, weights)
             occupied = blocks > 0
-            bins, u = bpb * blocks[occupied], nodes[occupied]
+            bins, rows = bpb * blocks[occupied], rows[occupied]
         if rest:
-            bins, u = np.append(bins, rest), np.append(u, gen.standard_exponential())
-    intensity = src.nbar * u
-    p_cam = click_probability(w_cam * intensity, det_cam)
-    p_her = click_probability(w_her * intensity, det_her)
-    # every bin of a row clicks both detectors, the camera only, the herald only or neither
-    outcomes = np.stack(
-        [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)],
-        axis=-1,
-    )
-    both, cam_only, her_only, _ = gen.multinomial(bins, outcomes).sum(axis=0)
+            u = np.array([gen.standard_exponential()])
+            bins = np.append(bins, rest)
+            rows = np.concatenate([rows, _outcome_rows(u, w_cam, w_her, src, det_cam, det_her)])
+    both, cam_only, her_only, _ = gen.multinomial(bins, rows).sum(axis=0)
     return int(both + cam_only), int(both + her_only), int(both)
 
 
@@ -399,9 +399,9 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     """Raster-scan the camera superpixel over the masked beam.
 
     Deterministic for a fixed (seed, config) at any thread count: each
-    superpixel draws from its own keyed Philox substream.  The pool checks
-    each distinct rule once (in a scan only the camera weight varies), then
-    draws the tiles in index order.
+    superpixel draws from its own keyed Philox substream.  In a scan only the
+    camera weight varies, so the rules of all distinct weights are checked in
+    one call, then the pool draws the tiles, one contiguous chunk a thread.
     """
     profile = src.profile
     derived = derived_settings(src, scan)
@@ -410,18 +410,20 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     _, _, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
     common = (derived["r_eff2"], src, scan.camera_detector, scan.herald_detector, n_bins, bpb)
     tile_args = [(float(transmitted_power[ys, xs].sum()), *common) for _, _, ys, xs in tiles]
-    keys = [_table_key(*args) for args in tile_args]
-    with ThreadPoolExecutor(max_workers=scan.threads) as pool:
-        distinct = list(dict.fromkeys(keys))
-        rules = dict(zip(distinct, pool.map(_block_rule, distinct)))
-        totals = pool.map(
-            lambda i: _simulate_tile(scan.seed, i, *tile_args[i], rules[keys[i]]),
-            range(len(tiles)),
-        )
-        records = tuple(
-            SuperpixelRecord(row, col, n_bins, *counts)
-            for (row, col, _, _), counts in zip(tiles, totals)
-        )
+    w_cams = list(dict.fromkeys(args[0] for args in tile_args))
+    laws = dict(zip(w_cams, _tile_laws(w_cams, *common)))
+    n, threads = len(tiles), scan.threads
+    chunks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
+
+    def draw(chunk):
+        return [_simulate_tile(scan.seed, i, *tile_args[i], laws[tile_args[i][0]]) for i in chunk]
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        totals = [counts for part in pool.map(draw, chunks) for counts in part]
+    records = tuple(
+        SuperpixelRecord(row, col, n_bins, *counts)
+        for (row, col, _, _), counts in zip(tiles, totals)
+    )
 
     # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {
@@ -459,7 +461,11 @@ def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
 
 def save_scan_csv(path, result: ScanResult) -> None:
     # the header names SuperpixelRecord's fields in order
-    save_csv(path, SCAN_CSV_HEADER, (astuple(rec) for rec in result.records))
+    rows = (
+        (r.row, r.col, r.n_bins, r.camera_counts, r.herald_counts, r.coincidence_counts)
+        for r in result.records
+    )
+    save_csv(path, SCAN_CSV_HEADER, rows)
 
 
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:

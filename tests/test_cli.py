@@ -244,6 +244,21 @@ def test_bad_config_is_validation_error(tmp_path):
     assert cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "key", ["source.nbar", "source.coherence_time", "scan.dwell", "detector.bin_width"]
+)
+def test_cmd_scan_rejects_non_finite_config_value(tmp_path, capsys, key, value):
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
+    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    field = key.rpartition(".")[2]
+    assert f"{field} must be" in err and f"got {value}" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["scan"]) == 1  # missing required flags
     capsys.readouterr()

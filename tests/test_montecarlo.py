@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from qvampire import analysis, blocktable as bt, montecarlo as mc, spatial
+from qvampire import analysis, blocktable as bt, config, montecarlo as mc, spatial
 from qvampire.errors import ConfigMismatch, NoHeralds, QuadratureUnresolved
 
 
@@ -72,15 +72,31 @@ def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb
 
 def tile_draws(seeds, index, *args):
     """``mc._simulate_tile`` totals of one tile at each seed, all drawn from
-    the one quadrature rule its arguments need."""
-    rule = mc._block_rule(mc._table_key(*args))
-    return np.array([mc._simulate_tile(seed, index, *args, rule) for seed in seeds])
+    the one law its camera weight needs."""
+    (law,) = mc._tile_laws([args[0]], *args[1:])
+    return np.array([mc._simulate_tile(seed, index, *args, law) for seed in seeds])
+
+
+def tile_by_tile(src, scan):
+    """Oracle for ``mc.run_scan``'s records: every tile drawn in index order
+    from a law checked for that tile alone."""
+    derived = mc.derived_settings(src, scan)
+    n_bins = derived["n_bins"]
+    power = (scan.mask.transmission * src.profile.amplitude) ** 2
+    _, _, tiles = mc.superpixel_tiles(src.profile.height, src.profile.width, scan.superpixel)
+    records = []
+    for index, (row, col, ys, xs) in enumerate(tiles):
+        args = (float(power[ys, xs].sum()), derived["r_eff2"], src, scan.camera_detector,
+                scan.herald_detector, n_bins, derived["bins_per_block"])
+        counts = tile_draws([scan.seed], index, *args)[0]
+        records.append(mc.SuperpixelRecord(row, col, n_bins, *map(int, counts)))
+    return tuple(records)
 
 
 def rule_table(bpb, x_cam, dark_cam, x_her, dark_her):
-    """The block-outcome table of the rule ``bt.block_table`` returns, the law a
+    """The block-outcome table of the rule ``bt.block_rules`` returns, the law a
     tile's blocks are drawn from: sum_i w_i Bin(.; s, p_cam(u_i)) (x) Bin(.; s, p_her(u_i))."""
-    u, weights = bt.block_table(bpb, x_cam, dark_cam, x_her, dark_her)
+    ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, x_her, dark_her)
     cam = bt._binomial_rows(bpb, x_cam * u, dark_cam) * weights[:, None]
     return cam.T @ bt._binomial_rows(bpb, x_her * u, dark_her)
 
@@ -207,17 +223,17 @@ def test_table_sums_to_one(x_s, dark_cam, dark_her):
 def test_bright_table_matches_rule_refined_twice_over(monkeypatch, dark_cam, dark_her):
     # x s = 50 for the camera: a cell's peak is far narrower than on a desk tile
     rules = []
-    quadrature = bt._quadrature_table
+    quadrature = bt._quadrature_tables
 
     def spy(*args):
         rules.append(args[-2:])
         return quadrature(*args)
 
-    monkeypatch.setattr(bt, "_quadrature_table", spy)
+    monkeypatch.setattr(bt, "_quadrature_tables", spy)
     args = (BPB, 50.0 / BPB, dark_cam, 20.0 / BPB, dark_her)
     table = rule_table(*args)
     panels, nodes = rules[-1]  # the rule the draw was taken from
-    refined = quadrature(*args, panels, 4 * nodes)
+    (refined,) = quadrature(BPB, [args[1]], *args[2:], panels, 4 * nodes)
     assert np.abs(table - refined).max() < 1e-12
 
 
@@ -226,6 +242,178 @@ def test_table_refinement_that_cannot_converge_raises(monkeypatch):
     monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
     with pytest.raises(QuadratureUnresolved, match="residual"):
         rule_table(BPB, 50.0 / BPB, 0.0, 20.0 / BPB, 0.0)
+
+
+def per_mean_rule(bpb, x_cam, dark_cam, x_her, dark_her):
+    """Oracle for ``bt.block_rules``: the check of one camera mean on its own,
+    its herald rows built for it alone."""
+
+    def table(panels, nodes):
+        u, weights = bt._panel_rule(panels, nodes)
+        out = np.zeros((bpb + 1, bpb + 1))
+        for lo in range(0, len(u), bt.TABLE_ROW_NODES):
+            part = slice(lo, lo + bt.TABLE_ROW_NODES)
+            cam = bt._binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
+            her = bt._binomial_rows(bpb, x_her * u[part], dark_her)
+            for k in range(0, len(cam), bt.TABLE_NODE_BLOCK):
+                out += cam[k : k + bt.TABLE_NODE_BLOCK].T @ her[k : k + bt.TABLE_NODE_BLOCK]
+        return out
+
+    panels = bt.TABLE_MIN_PANELS
+    wanted = 2.0 + 4.0 * math.sqrt(bpb * max(x_cam, x_her))
+    while panels < wanted and 4 * panels * bt.TABLE_NODES <= bt.TABLE_NODE_CAP:
+        panels *= 2
+    nodes = bt.TABLE_NODES
+    coarse = table(panels, nodes)
+    while True:
+        fine = table(panels, 2 * nodes)
+        residual = max(float(np.abs(fine - coarse).max()), abs(float(fine.sum()) - 1.0))
+        if residual <= bt.TABLE_TOL:
+            u, weights = bt._panel_rule(panels, 2 * nodes)
+            return u, weights / weights.sum()
+        assert panels * 4 * nodes <= bt.TABLE_NODE_CAP
+        nodes *= 2
+        coarse = fine
+
+
+def scan_check_args(monkeypatch, src, scan):
+    """The arguments of the one ``bt.block_rules`` call ``mc.run_scan`` makes,
+    caught before the check runs."""
+
+    class Caught(Exception):
+        pass
+
+    def catch(*args):
+        raise Caught(args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bt, "block_rules", catch)
+        with pytest.raises(Caught) as caught:
+            mc.run_scan(src, scan)
+    return caught.value.args[0]
+
+
+def bench_scan(text):
+    """Source and scan of a ``key=value`` config at seed 1."""
+    cfg = dict(line.split("=") for line in text.split())
+    scenario = config.build_scenario(cfg, seed=1)
+    return scenario.source, scenario.scan
+
+
+def gaussian_1024_scan(threads=1):
+    """12 tiles of an off-centre gaussian, each with its own camera weight, at
+    the largest block."""
+    det = mc.DetectorConfig()
+    prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
+    src = mc.SourceConfig(
+        nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
+    )
+    scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
+                      trigger_mode=mc.SINGLES, threads=threads)
+    return src, scan
+
+
+# the scan_desk and scan_full workloads of perfbench/
+DESK = """scenario=subtraction profile.kind=uniform_ellipse profile.rx=28 profile.ry=20
+mask.region=rect:22,17,20,14 mask.herald_target=0.013 scan.superpixel=4 scan.dwell=0.096
+scan.bins_cap=8000000"""
+FULL = """scenario=subtraction mask.region=silhouette mask.herald_target=0.013
+scan.superpixel=11 scan.dwell=3.0 scan.bins_cap=250000000 scan.threads=2"""
+
+
+@pytest.mark.parametrize(
+    "geometry, means",
+    [("desk", 14), ("full", 22), ("gaussian_1024", 12)],
+)
+def test_shared_check_returns_each_mean_its_own_rule(monkeypatch, geometry, means):
+    src, scan = {
+        "desk": lambda: bench_scan(DESK),
+        "full": lambda: bench_scan(FULL),
+        "gaussian_1024": gaussian_1024_scan,
+    }[geometry]()
+    bpb, x_cams, *rest = scan_check_args(monkeypatch, src, scan)
+    assert len(set(x_cams)) == len(x_cams) == means
+    for x_cam, (u, weights) in zip(x_cams, bt.block_rules(bpb, x_cams, *rest)):
+        oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, *rest)
+        assert np.array_equal(u, oracle_u)
+        assert np.array_equal(weights, oracle_weights)
+
+
+def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monkeypatch):
+    # from two nodes a panel, one mean of a six-mean batch needs a level more
+    monkeypatch.setattr(bt, "TABLE_NODES", 2)
+    batch_sizes = []
+    build_tables = bt._quadrature_tables
+
+    def tables_spy(bpb, means, *rest):
+        batch_sizes.append(len(means))
+        return build_tables(bpb, means, *rest)
+
+    monkeypatch.setattr(bt, "_quadrature_tables", tables_spy)
+    x_cams = [x / BPB for x in (0.0, 0.01, 0.1, 1.0, 3.6, 10.0)]
+    x_her = 3.6 / BPB
+    rules = bt.block_rules(BPB, x_cams, 0.0, x_her, 0.0)
+    assert batch_sizes[0] > batch_sizes[-1] > 0
+    for x_cam, (u, weights) in zip(x_cams, rules):
+        oracle_u, oracle_weights = per_mean_rule(BPB, x_cam, 0.0, x_her, 0.0)
+        assert np.array_equal(u, oracle_u)
+        assert np.array_equal(weights, oracle_weights)
+
+
+def test_herald_rows_are_built_once_per_chunk_and_level_of_a_batch(monkeypatch):
+    # four camera means of one panel count form one batch; the two detectors'
+    # dark counts tell their rows apart
+    dark_cam, dark_her = 0.01, 0.03
+    x_cams = [x / BPB for x in (0.0, 0.1, 0.3, 0.5)]
+    rows, levels = [], []
+    build_rows, build_tables = bt._binomial_rows, bt._quadrature_tables
+
+    def rows_spy(size, x_u, dark):
+        rows.append(dark)
+        return build_rows(size, x_u, dark)
+
+    def tables_spy(bpb, means, *rest):
+        panels, nodes = rest[-2:]
+        levels.append((len(means), -(-panels * nodes // bt.TABLE_ROW_NODES)))
+        return build_tables(bpb, means, *rest)
+
+    monkeypatch.setattr(bt, "_binomial_rows", rows_spy)
+    monkeypatch.setattr(bt, "_quadrature_tables", tables_spy)
+    bt.block_rules(BPB, x_cams, dark_cam, 0.65 / BPB, dark_her)
+    assert len(levels) >= 2 and all(means == len(x_cams) for means, _ in levels)
+    assert rows.count(dark_her) == sum(chunks for _, chunks in levels)
+    assert rows.count(dark_cam) == sum(means * chunks for means, chunks in levels)
+
+
+def test_batch_names_the_mean_that_cannot_converge(monkeypatch):
+    # capped at the first refinement of the fewest panels, the dim means of
+    # a batch pass and its bright one fails
+    monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
+    dim, bright, x_her = [0.45 / BPB, 0.65 / BPB], 50.0 / BPB, 0.135 / BPB
+    assert len(bt.block_rules(BPB, dim, 0.0, x_her, 0.0)) == 2
+    with pytest.raises(QuadratureUnresolved, match=f"x_cam {bright:.3g},"):
+        bt.block_rules(BPB, [dim[0], bright, dim[1]], 0.0, x_her, 0.0)
+
+
+def test_scan_whose_means_fill_several_batches_matches_tile_by_tile(monkeypatch):
+    # at 512 bins a block a batch holds 3 means, and the 5 tiles of an
+    # off-centre gaussian have 5 distinct camera weights; the herald, brighter
+    # than any tile, sets one panel count for all of them
+    det = mc.DetectorConfig()
+    prof = spatial.make_profile("gaussian", 10, 2, cx=3.3, cy=0.4)
+    src = mc.SourceConfig(nbar=0.01, profile=prof, coherence_time=512 * det.bin_width)
+    mask = spatial.make_mask("vampire", 10, 2, 0.9, np.ones((2, 10), dtype=bool))
+    batches = []
+    check = bt._check_batch
+    monkeypatch.setattr(bt, "_check_batch", lambda *a: batches.append(a[1]) or check(*a))
+    results = []
+    for threads in (1, 2, 4):
+        batches.clear()
+        scan = small_scan(mask, seed=17, superpixel=2, dwell=1e-4, threads=threads)
+        results.append(mc.run_scan(src, scan).records)
+        assert sorted(map(len, batches)) == [2, 3]
+    assert results[0] == results[1] == results[2] == tile_by_tile(src, scan)
+    assert min(rec.herald_counts for rec in results[0]) > 0
 
 
 def chi2_two_sample_p(a, b, n_bins=10):
@@ -493,29 +681,21 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
     mask = spatial.make_mask("vampire", 64, 48, contrast, region)
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     calls = []
-    build = bt.block_table
-    monkeypatch.setattr(bt, "block_table", lambda *key: calls.append(key) or build(*key))
+    build = bt.block_rules
+    monkeypatch.setattr(bt, "block_rules", lambda *args: calls.append(args[1]) or build(*args))
     results = []
     for threads in (1, 4):
         calls.clear()
         scan = small_scan(mask, seed=801, dwell=0.096, bins_cap=8 * 10**6, threads=threads)
         results.append(mc.run_scan(src, scan))
         assert len(results[-1].records) == 192
-        assert len(calls) == len(set(calls)) == 14
+        # one check of the 14 distinct camera means
+        assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 14
     # the same totals as drawing tile by tile, in index order, each tile
     # from a rule of its own
-    derived = mc.derived_settings(src, scan)
-    power = (mask.transmission * prof.amplitude) ** 2
-    _, _, tiles = mc.superpixel_tiles(48, 64, 4)
-    reference = []
-    for index, (row, col, ys, xs) in enumerate(tiles):
-        args = (float(power[ys, xs].sum()), derived["r_eff2"], src, scan.camera_detector,
-                scan.herald_detector, derived["n_bins"], derived["bins_per_block"])
-        rule = mc._block_rule(mc._table_key(*args))
-        counts = mc._simulate_tile(scan.seed, index, *args, rule)
-        reference.append(mc.SuperpixelRecord(row, col, derived["n_bins"], *counts))
-    assert len(calls) == 14 + 192
-    assert results[0].records == results[1].records == tuple(reference)
+    reference = tile_by_tile(src, scan)
+    assert len(calls) == 1 + 192
+    assert results[0].records == results[1].records == reference
 
 
 def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
