@@ -105,41 +105,36 @@ def _split_list(text: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    states = _split_list(args.states)
+    specs = _split_list(args.states)
     cas = [float(v) for v in _split_list(args.ca)]
     rs = [float(v) for v in _split_list(args.r)]
     models = _split_list(args.models)
-    if not states or not cas or not rs or not models:
+    if not specs or not cas or not rs or not models:
         print("verify: empty sweep (need states, ca, r and models)", file=sys.stderr)
         return 1
-    for model in models:
-        if model not in verify.HERALD_MODELS:
-            print(f"verify: unknown herald model {model!r}", file=sys.stderr)
-            return 1
+    # the whole sweep is checked before its first case runs
+    states = [(spec, _parse_state(spec, args.nmax)) for spec in specs]
+    splits = [verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
     out = _outdir(args)
     rows = []
     margins, complements = [], []  # operator-model cases only
-    for spec in states:
-        rho = _parse_state(spec, args.nmax)
+    for spec, rho in states:
         direct, _ = fock.subtract_photon(rho)
-        for c_a in cas:
-            for r in rs:
-                for model in models:
-                    res = verify.regional_subtraction(
-                        rho, verify.SplitConfig(c_a=c_a, r=r, herald_model=model)
-                    )
-                    fid = fock.fidelity(res.state, direct)
-                    if model == verify.OPERATOR:
-                        margins.append(fid - verify.FIDELITY_FLOOR)
-                        complements.append(res.complement_population)
-                        status = "PASS" if fid >= verify.FIDELITY_FLOOR else "FAIL"
-                    else:
-                        status = "INFO"
-                    print(
-                        f"{status} {spec} c_A={c_a} r={r} {model}: "
-                        f"fidelity={fid:.12f} herald_prob={res.herald_prob:.6e}"
-                    )
-                    rows.append((spec, c_a, r, model, fid, res.herald_prob, res.complement_population))
+        for split in splits:
+            c_a, r, model = split.c_a, split.r, split.herald_model
+            res = verify.regional_subtraction(rho, split)
+            fid = fock.fidelity(res.state, direct)
+            if model == verify.OPERATOR:
+                margins.append(fid - verify.FIDELITY_FLOOR)
+                complements.append(res.complement_population)
+                status = "PASS" if fid >= verify.FIDELITY_FLOOR else "FAIL"
+            else:
+                status = "INFO"
+            print(
+                f"{status} {spec} c_A={c_a} r={r} {model}: "
+                f"fidelity={fid:.12f} herald_prob={res.herald_prob:.6e}"
+            )
+            rows.append((spec, c_a, r, model, fid, res.herald_prob, res.complement_population))
     spatial.save_csv(out / "verify.csv", VERIFY_CSV_HEADER, rows)
     summary = f"verify: {len(rows)} cases"
     if margins:
@@ -239,8 +234,8 @@ def cmd_analyze(args) -> int:
     rows = ((i, j, rmap.ratio[i, j], rmap.sigma[i, j], rmap.tags[i, j]) for i, j in cells)
     spatial.save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
 
-    if args.band:
-        lo, hi = (int(tok) for tok in args.band.split(":"))
+    if args.band is not None:
+        lo, hi = args.band
     else:
         lo = result.n_rows // 3
         hi = max(lo + 1, (2 * result.n_rows) // 3)
@@ -263,6 +258,15 @@ def cmd_analyze(args) -> int:
     mc.save_sidecar(out / "summary.txt", summary)
     print(f"verdict={verdict} p_value={flat.p_value:.4g} best_const={flat.best_const:.4f} z={z:.2f}")
     return 0
+
+
+def _band(text: str) -> tuple[int, int]:
+    """``--band lo:hi``, the superpixel rows the 1-D cut averages."""
+    try:
+        lo, hi = (int(tok) for tok in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi (integer rows), got {text!r}") from None
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", required=True)
     p.add_argument("--reference", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--band", default=None)
+    p.add_argument("--band", type=_band, default=None, metavar="LO:HI")
     p.set_defaults(func=cmd_analyze)
     return parser
 

@@ -187,11 +187,13 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         region = parse_region_spec(merged["mask.region"], width, height)
         target = _opt_float(merged["mask.herald_target"])
         if target is not None:
+            if not 0.0 <= target < np.inf:
+                raise ConfigMismatch(f"mask.herald_target must be finite and >= 0, got {target!r}")
             contrast = contrast_for_herald_rate(profile, region, nbar, target)
         else:
-            contrast = float(
-                merged["mask.contrast"] or _SCENARIO_CONTRAST[scenario]
-            )
+            contrast = float(merged["mask.contrast"] or _SCENARIO_CONTRAST[scenario])
+            if not 0.0 <= contrast <= 1.0:
+                raise ConfigMismatch(f"mask.contrast must lie in [0, 1], got {contrast!r}")
         merged["mask.contrast"] = repr(contrast)
         mask = make_mask("vampire", width, height, contrast, region)
 

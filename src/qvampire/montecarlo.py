@@ -25,13 +25,14 @@ ch. III):
   partial block is one more row at an Exp(1) intensity, and all rows are
   one vectorized multinomial.
 
-A coherent tile has one intensity, so it is that multinomial with a single
-row at u = 1 holding every bin.  Either way a tile's time and memory do
-not grow with the dwell, and every draw is distribution-exact up to the
-rule's quadrature error.  A rule depends on the tile only through the
-camera weight, so a scan checks the rules of all its distinct camera
-weights in one call, which builds the herald's rows once for all of them,
-and computes each weight's outcome rows at the rule's nodes once.
+A coherent tile has one intensity, so its law is one block of all its bins
+at u = 1 with weight 1, drawn by the same two multinomials.  Either way a
+tile's time and memory do not grow with the dwell, and every draw is
+distribution-exact up to the rule's quadrature error.  A rule depends on
+the tile only through the camera weight, so a scan checks the rules of all
+its distinct camera weights in one call, which builds the herald's rows
+once for all of them, and computes each weight's outcome rows at the
+rule's nodes once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -278,11 +280,12 @@ def expected_singles_counts(
 
 
 def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
-    """Bins per coherence block: at least one, at most ``MAX_BINS_PER_BLOCK``."""
+    """Bins per coherence block: at least one, and for a thermal source, whose
+    tiles check a quadrature rule, at most ``MAX_BINS_PER_BLOCK``."""
     if src.coherence_time < det.bin_width:
         raise ConfigMismatch("coherence time must be at least one bin")
     bpb = int(src.coherence_time / det.bin_width + 1e-9)
-    if bpb > MAX_BINS_PER_BLOCK:
+    if src.kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:
         raise ConfigMismatch(
             f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: the check "
             f"of its quadrature rule would build outcome tables of {(bpb + 1) ** 2} cells"
@@ -328,7 +331,7 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
 # the scan itself
 
 
-def _outcome_rows(u, w_cam, w_her, src, det_cam, det_her):
+def _outcome_rows(w_cam, w_her, src, det_cam, det_her, u):
     """One row per block intensity of ``u``: the probabilities that a bin clicks
     both detectors, the camera only, the herald only or neither."""
     intensity = src.nbar * u
@@ -341,12 +344,14 @@ def _outcome_rows(u, w_cam, w_her, src, det_cam, det_her):
 
 
 def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
-    """Per camera weight of ``w_cams``, what its tiles draw from: the weights of
-    the checked rule and the outcome rows at its nodes.  A coherent tile has
-    the one row at u = 1, and a thermal tile without a full block no rule."""
+    """Per camera weight of ``w_cams``, what its tiles draw from: the bins of a
+    full block, the weights of the checked rule, the outcome rows at its nodes
+    and the outcome row of the partial block at a drawn intensity.  A coherent
+    tile is one block of all its bins at u = 1 with weight 1, and a thermal
+    tile shorter than a block has no full block, so it checks no rule."""
+    block = n_bins if src.kind == COHERENT else bpb
     if src.kind == COHERENT or n_bins < bpb:
-        u = np.ones(1) if src.kind == COHERENT else np.zeros(0)
-        rules = [(u, None)] * len(w_cams)
+        rules = [(np.ones(1), np.ones(1))] * len(w_cams)
     else:
         # loaded at a scan's first rule, so commands that do not scan skip it
         from .blocktable import block_rules
@@ -354,43 +359,24 @@ def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
         x_cams = [det_cam.efficiency * w_cam * src.nbar for w_cam in w_cams]
         x_her = det_her.efficiency * w_her * src.nbar
         rules = block_rules(bpb, x_cams, det_cam.dark_prob, x_her, det_her.dark_prob)
-    return [
-        (weights, _outcome_rows(u, w_cam, w_her, src, det_cam, det_her))
-        for w_cam, (u, weights) in zip(w_cams, rules)
-    ]
+    partial_rows = [partial(_outcome_rows, w_cam, w_her, src, det_cam, det_her) for w_cam in w_cams]
+    return [(block, weights, row(u), row) for row, (u, weights) in zip(partial_rows, rules)]
 
 
-def _simulate_tile(
-    seed: int,
-    index: int,
-    w_cam: float,
-    w_her: float,
-    src: SourceConfig,
-    det_cam: DetectorConfig,
-    det_her: DetectorConfig,
-    n_bins: int,
-    bpb: int,
-    law: tuple[np.ndarray | None, np.ndarray],
-):
+def _simulate_tile(seed: int, index: int, n_bins: int, law):
     """One tile's (camera, herald, coincidence) totals from its Philox key
-    (seed, index); ``law`` is the ``_tile_laws`` entry of its camera weight."""
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-    )
-    weights, rows = law
-    if src.kind == COHERENT:
-        bins = np.array([n_bins])
-    else:
-        n_full, rest = divmod(n_bins, bpb)
-        bins = np.zeros(0, dtype=np.int64)
-        if n_full:
-            blocks = gen.multinomial(n_full, weights)
-            occupied = blocks > 0
-            bins, rows = bpb * blocks[occupied], rows[occupied]
-        if rest:
-            u = np.array([gen.standard_exponential()])
-            bins = np.append(bins, rest)
-            rows = np.concatenate([rows, _outcome_rows(u, w_cam, w_her, src, det_cam, det_her)])
+    (seed, index) and the ``_tile_laws`` entry of its camera weight."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    block, weights, rows, partial_row = law
+    n_full, rest = divmod(n_bins, block)
+    # numpy's multinomial draws no number for no trials or one category, so a
+    # coherent tile and a tile shorter than a block spend none here
+    blocks = gen.multinomial(n_full, weights)
+    occupied = blocks > 0
+    bins, rows = block * blocks[occupied], rows[occupied]
+    if rest:
+        bins = np.append(bins, rest)
+        rows = np.concatenate([rows, partial_row(np.array([gen.standard_exponential()]))])
     both, cam_only, her_only, _ = gen.multinomial(bins, rows).sum(axis=0)
     return int(both + cam_only), int(both + her_only), int(both)
 
@@ -408,15 +394,15 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     n_bins, bpb = derived["n_bins"], derived["bins_per_block"]
     transmitted_power = (scan.mask.transmission * profile.amplitude) ** 2
     _, _, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
-    common = (derived["r_eff2"], src, scan.camera_detector, scan.herald_detector, n_bins, bpb)
-    tile_args = [(float(transmitted_power[ys, xs].sum()), *common) for _, _, ys, xs in tiles]
-    w_cams = list(dict.fromkeys(args[0] for args in tile_args))
-    laws = dict(zip(w_cams, _tile_laws(w_cams, *common)))
+    w_cams = [float(transmitted_power[ys, xs].sum()) for _, _, ys, xs in tiles]
+    distinct = list(dict.fromkeys(w_cams))
+    dets = (scan.camera_detector, scan.herald_detector)
+    law_of = dict(zip(distinct, _tile_laws(distinct, derived["r_eff2"], src, *dets, n_bins, bpb)))
     n, threads = len(tiles), scan.threads
     chunks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
 
     def draw(chunk):
-        return [_simulate_tile(scan.seed, i, *tile_args[i], laws[tile_args[i][0]]) for i in chunk]
+        return [_simulate_tile(scan.seed, i, n_bins, law_of[w_cams[i]]) for i in chunk]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         totals = [counts for part in pool.map(draw, chunks) for counts in part]

@@ -173,6 +173,8 @@ def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
         return make_profile("uniform_ellipse_with_ring", width, height, ring_gain=1.0, **params)
     if kind == "uniform_ellipse_with_ring":
         ring_gain = float(params.pop("ring_gain", 1.5))
+        if not 0.0 <= ring_gain < math.inf:
+            raise DegenerateShape(f"ring_gain must be non-negative and finite, got {ring_gain!r}")
         inside = ellipse_region(width, height, **params)
         if not inside.any():
             raise DegenerateShape("ellipse does not cover any pixel")

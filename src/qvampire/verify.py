@@ -67,11 +67,11 @@ class SplitConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.c_a <= 1.0:
-            raise ValueError("c_a must lie in [0, 1]")
+            raise ValueError(f"c_a must lie in [0, 1], got {self.c_a!r}")
         if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [0, 1]")
+            raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
         if self.herald_model not in HERALD_MODELS:
-            raise ValueError(f"herald_model must be one of {HERALD_MODELS}")
+            raise ValueError(f"herald_model {self.herald_model!r} is not one of {HERALD_MODELS}")
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,51 @@ def test_cmd_scan_rejects_non_finite_config_value(tmp_path, capsys, key, value):
     assert f"{field} must be" in err and f"got {value}" in err
 
 
+def test_cmd_scan_rejects_ring_gain_inf_before_dividing(tmp_path, capsys):
+    text = SMOKE_CONFIG.replace("uniform_ellipse", "uniform_ellipse_with_ring")
+    cfg = write_config(tmp_path, text + "profile.ring_gain=inf")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "qvampire: ring_gain must be non-negative and finite, got inf\n"
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mask.herald_target", "nan"), ("mask.herald_target", "-1"), ("mask.herald_target", "inf"),
+     ("mask.contrast", "nan"), ("mask.contrast", "-0.5"), ("mask.contrast", "1.5")],
+)
+def test_cmd_scan_names_the_mask_value_it_rejects(tmp_path, capsys, key, value):
+    lines = SMOKE_CONFIG.strip().splitlines()
+    lines = [line for line in lines if not line.startswith("mask.herald_target")]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
+    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and f"{key} must" in err and f"got {float(value)!r}" in err
+
+
+def test_cmd_scan_coherent_source_takes_a_block_beyond_the_thermal_cap(tmp_path, capsys):
+    # a coherent tile is one block of all its bins, so its coherence time moves
+    # no count; only a thermal tile checks a rule whose tables cap the block
+    csvs = []
+    for tau in ("1e-06", "0.001"):
+        text = SMOKE_CONFIG + f"source.kind=coherent\nsource.coherence_time={tau}"
+        cfg = write_config(tmp_path, text, f"{tau}.cfg")
+        out = tmp_path / tau
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+        csvs.append((out / "scan.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert mc.load_sidecar(out / "scan.cfg")["derived.bins_per_block"] == "83333"
+    capsys.readouterr()
+    cfg = write_config(tmp_path, SMOKE_CONFIG + "source.coherence_time=0.001", "thermal.cfg")
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "thermal")]) == 1
+    assert "a coherence block of 83333 bins exceeds 1024" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["scan"]) == 1  # missing required flags
     capsys.readouterr()
@@ -328,6 +373,21 @@ def test_cmd_verify_empty_sweep_is_usage_error(tmp_path, capsys):
     rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", ""])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--states", "thermal:0.5,fock:1,bogus:1"), ("--ca", "0.5,1.5"), ("--r", "0.1,-0.2"),
+     ("--models", "operator,bogus")],
+)
+def test_cmd_verify_checks_the_whole_sweep_before_the_first_case(tmp_path, capsys, flag, value):
+    out = tmp_path / "v"
+    rc = cli.main(["verify", "--out", str(out), flag, value])
+    printed = capsys.readouterr()
+    assert rc == 1
+    assert printed.out == ""
+    assert printed.err.count("\n") == 1 and value.rpartition(",")[2] in printed.err
+    assert not (out / "verify.csv").exists()
 
 
 def test_cmd_verify_breach_exits_two(tmp_path, monkeypatch, capsys):
@@ -515,3 +575,14 @@ def test_cmd_analyze_rejects_sidecar_value_it_cannot_read(tmp_path, capsys, key,
     rc = cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert f"{key}={value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("band", ["abc", "1:2:3", "1"])
+def test_cmd_analyze_names_a_malformed_band(tmp_path, capsys, band):
+    scan = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "scan") / "scan.csv"
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert cli.main(["analyze", "--scan", str(scan), "--out", str(report), "--band", band]) == 1
+    err = capsys.readouterr().err
+    assert "--band" in err and "expected lo:hi" in err and repr(band) in err
+    assert not report.exists()

@@ -74,7 +74,7 @@ def tile_draws(seeds, index, *args):
     """``mc._simulate_tile`` totals of one tile at each seed, all drawn from
     the one law its camera weight needs."""
     (law,) = mc._tile_laws([args[0]], *args[1:])
-    return np.array([mc._simulate_tile(seed, index, *args, law) for seed in seeds])
+    return np.array([mc._simulate_tile(seed, index, args[5], law) for seed in seeds])
 
 
 def tile_by_tile(src, scan):
@@ -454,6 +454,48 @@ def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_h
     oracle = np.array([per_block_tile(seed, 3, *args) for seed in range(10_000, 10_400)])
     for name, a, b in zip(("camera", "herald", "coincidence"), tiles.T, oracle.T):
         assert chi2_two_sample_p(a, b) > 1e-3, name
+
+
+def three_branch_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb):
+    """Oracle for ``mc._simulate_tile``: the draw with its own branches for a
+    coherent tile, a thermal tile without a full block and a thermal tile."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    dets = (det_cam, det_her)
+    if src.kind == mc.COHERENT:
+        bins, rows = np.array([n_bins]), mc._outcome_rows(w_cam, w_her, src, *dets, np.ones(1))
+    else:
+        n_full, rest = divmod(n_bins, bpb)
+        bins, rows = np.zeros(0, dtype=np.int64), np.zeros((0, 4))
+        if n_full:
+            x_cam = det_cam.efficiency * w_cam * src.nbar
+            x_her = det_her.efficiency * w_her * src.nbar
+            ((u, weights),) = bt.block_rules(bpb, [x_cam], det_cam.dark_prob, x_her,
+                                             det_her.dark_prob)
+            blocks = gen.multinomial(n_full, weights)
+            occupied = blocks > 0
+            bins = bpb * blocks[occupied]
+            rows = mc._outcome_rows(w_cam, w_her, src, *dets, u)[occupied]
+        if rest:
+            u = np.array([gen.standard_exponential()])
+            bins = np.append(bins, rest)
+            rows = np.concatenate([rows, mc._outcome_rows(w_cam, w_her, src, *dets, u)])
+    both, cam_only, her_only, _ = gen.multinomial(bins, rows).sum(axis=0)
+    return int(both + cam_only), int(both + her_only), int(both)
+
+
+@pytest.mark.parametrize("kind", [mc.THERMAL, mc.COHERENT])
+@pytest.mark.parametrize(
+    "n_bins", [BPB - 1, BPB, BPB * 240, BPB * 240 + 17], ids=["short", "one", "full", "partial"]
+)
+def test_tile_totals_equal_the_three_branch_draw(kind, n_bins):
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
+    det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=0.01)
+    det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=0.03)
+    args = (0.4, 0.3, src, det_cam, det_her, n_bins, BPB)
+    for index in (0, 7, 2**40 + 3):
+        seeds = (1, 42, 7919, 2**63 + 5)
+        oracle = np.array([three_branch_tile(seed, index, *args) for seed in seeds])
+        assert np.array_equal(tile_draws(seeds, index, *args), oracle)
 
 
 # ---------------------------------------------------------------------------
