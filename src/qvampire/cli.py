@@ -8,7 +8,6 @@ failure, not a usage one).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -48,12 +47,9 @@ def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
     if scenario.scenario != "subtraction":
         # the initial scenario's white mask transmits the whole profile
         return spatial.loss_profile(profile, mask, nbar)
-    nmax = scenario.stats_nmax
-    if scenario.source.kind == mc.THERMAL:
-        stats = fock.stats(fock.make_thermal(nbar, nmax))
-    else:
-        stats = fock.stats(fock.make_coherent(math.sqrt(nbar), nmax))
-    return spatial.subtracted_profile_analytic(profile, mask, stats, nbar)
+    # g2 of the source's photon statistics: Bose-Einstein 2, Poisson 1
+    g2 = 2.0 if scenario.source.kind == mc.THERMAL else 1.0
+    return spatial.subtracted_profile_analytic(profile, mask, g2, nbar)
 
 
 def cmd_profile(args) -> int:
@@ -192,7 +188,6 @@ def _report_assumptions(path: Path, result: mc.ScanResult, region_note: str | No
 def cmd_analyze(args) -> int:
     scan_path = Path(args.scan)
     result = mc.load_scan_csv(scan_path, config=_sidecar_for(scan_path))
-    out = _outdir(args)
     fracs, region_note = _region_fracs(result)
     _report_assumptions(scan_path, result, region_note)
 
@@ -230,17 +225,19 @@ def cmd_analyze(args) -> int:
 
     verdict = analysis.verdict(flat.p_value, z)
 
-    cells = np.ndindex(result.n_rows, result.n_cols)
-    rows = ((i, j, rmap.ratio[i, j], rmap.sigma[i, j], rmap.tags[i, j]) for i, j in cells)
-    spatial.save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
-
     if args.band is not None:
         lo, hi = args.band
     else:
         lo = result.n_rows // 3
         hi = max(lo + 1, (2 * result.n_rows) // 3)
+    # cut before the first write, so a band off the grid leaves no partial report
     x, cut_num, cut_num_s = analysis.profile_cut(num, num_s, lo, hi)
     _, cut_den, cut_den_s = analysis.profile_cut(den, den_s, lo, hi)
+
+    out = _outdir(args)
+    cells = np.ndindex(result.n_rows, result.n_cols)
+    rows = ((i, j, rmap.ratio[i, j], rmap.sigma[i, j], rmap.tags[i, j]) for i, j in cells)
+    spatial.save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
     spatial.save_csv(out / "cut.csv", CUT_CSV_HEADER, zip(x, cut_num, cut_num_s, cut_den, cut_den_s))
 
     summary = {

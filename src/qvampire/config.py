@@ -68,7 +68,6 @@ DEFAULTS: dict[str, str] = {
     "detector.herald.dark_prob": "0.0",
     "detector.camera.efficiency": "0.6",
     "detector.camera.dark_prob": "0.0",
-    "stats.nmax": "80",
 }
 
 # default vampire-mask contrasts per scenario when neither contrast nor
@@ -87,7 +86,6 @@ class ScenarioConfig:
     scenario: str
     source: SourceConfig
     scan: ScanConfig
-    stats_nmax: int
     echo: dict
 
 
@@ -189,7 +187,12 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         if target is not None:
             if not 0.0 <= target < np.inf:
                 raise ConfigMismatch(f"mask.herald_target must be finite and >= 0, got {target!r}")
-            contrast = contrast_for_herald_rate(profile, region, nbar, target)
+            try:
+                contrast = contrast_for_herald_rate(profile, region, nbar, target)
+            except ValueError as exc:  # the region cannot tap that much light
+                raise ConfigMismatch(
+                    f"mask.herald_target must be reachable, got {target!r}: {exc}"
+                ) from None
         else:
             contrast = float(merged["mask.contrast"] or _SCENARIO_CONTRAST[scenario])
             if not 0.0 <= contrast <= 1.0:
@@ -244,6 +247,5 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         scenario=scenario,
         source=source,
         scan=scan,
-        stats_nmax=int(merged["stats.nmax"]),
         echo=merged,
     )

@@ -21,10 +21,6 @@ class VacuumSubtraction(QVampireError):
     """Photon subtraction attempted on a state with no photons."""
 
 
-class UndefinedG2(QVampireError):
-    """Second-order correlation is undefined for a zero-mean-photon state."""
-
-
 class NonUnitaryParams(QVampireError):
     """Beam-splitter amplitudes do not satisfy t^2 + r^2 = 1."""
 

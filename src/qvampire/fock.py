@@ -1,4 +1,4 @@
-"""Exact truncated Fock-space engine: states, photon subtraction, statistics.
+"""Exact truncated Fock-space engine: states, photon subtraction, fidelity.
 
 States are dense single-mode density matrices over the number basis
 |0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary,
@@ -24,7 +24,6 @@ from .errors import (
     NonUnitaryParams,
     OutOfTruncation,
     TailMassExceeded,
-    UndefinedG2,
     VacuumSubtraction,
 )
 
@@ -93,14 +92,6 @@ class DensityMatrix:
         return _freeze((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
-@dataclass(frozen=True)
-class StateStats:
-    """Mean photon number and normalized second-order correlation."""
-
-    mean_n: float
-    g2: float
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -159,18 +150,7 @@ def make_fock(n: int, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# operators and statistics
-
-
-def stats(rho: DensityMatrix) -> StateStats:
-    """Mean photon number and g2 = <a+ a+ a a> / <n>^2."""
-    p = rho.populations()
-    n = np.arange(rho.dim)
-    mean_n = float(np.dot(n, p))
-    if mean_n < VACUUM_WEIGHT_FLOOR:
-        raise UndefinedG2("g2 undefined: mean photon number is zero")
-    second = float(np.dot(n * (n - 1), p))
-    return StateStats(mean_n=mean_n, g2=second / mean_n**2)
+# photon subtraction and fidelity
 
 
 def subtract_photon(rho: DensityMatrix) -> tuple[DensityMatrix, float]:

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateShape,
-    DimensionMismatch,
-    WeakCouplingViolated,
-)
-from .fock import StateStats
+from .errors import DegenerateShape, DimensionMismatch, WeakCouplingViolated
 
 NORM_TOL = 1e-12
 WEAK_COUPLING_DEFAULT = 0.2
@@ -240,9 +235,7 @@ def contrast_for_herald_rate(
         raise DegenerateShape("region carries no beam power or nbar = 0")
     c2 = target / (nbar * frac)
     if c2 > 1.0:
-        raise ValueError(
-            f"target herald rate {target} unreachable: needs contrast^2 = {c2:.3f}"
-        )
+        raise ValueError(f"needs contrast^2 = {c2:.3f} > 1")
     return math.sqrt(c2)
 
 
@@ -278,12 +271,12 @@ def loss_profile(profile: BeamProfile, mask: MaskSpec, nbar: float) -> np.ndarra
 def subtracted_profile_analytic(
     profile: BeamProfile,
     mask: MaskSpec,
-    input_stats: StateStats,
+    g2: float,
     nbar: float,
 ) -> np.ndarray:
     """Heralded intensity in the weak-coupling limit: g2 * t^2 u^2 * nbar.
 
-    The enhancement factor is the input g2, uniform across the profile:
+    The enhancement factor is the input's g2, uniform across the profile:
     2 for thermal light, 1 for coherent, 1 - 1/n for a number state.
     """
     r_eff = reduce(profile, mask).r_eff
@@ -294,7 +287,7 @@ def subtracted_profile_analytic(
             WeakCouplingViolated,
             stacklevel=2,
         )
-    return input_stats.g2 * loss_profile(profile, mask, nbar)
+    return g2 * loss_profile(profile, mask, nbar)
 
 
 # ---------------------------------------------------------------------------

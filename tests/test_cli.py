@@ -164,6 +164,20 @@ def test_cmd_profile_high_contrast_casts_shadow(tmp_path):
     assert inside < 0.7 * outside
 
 
+@pytest.mark.parametrize("kind, nbar, g2", [("thermal", "5", 2.0), ("coherent", "60", 1.0)])
+def test_cmd_profile_takes_g2_from_the_source_kind_at_any_nbar(tmp_path, kind, nbar, g2):
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith("source.")]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"source.kind={kind}", f"source.nbar={nbar}"]))
+    out = tmp_path / "prof"
+    assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+    scenario = config.build_scenario(config.load_config(cfg))
+    unheralded = spatial.loss_profile(scenario.source.profile, scenario.scan.mask, float(nbar))
+    intensity = load_matrix_csv(out / "intensity.csv")
+    live = unheralded > 0
+    assert np.all(intensity[~live] == 0.0)
+    assert np.abs(intensity[live] / (g2 * unheralded[live]) - 1.0).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # scan command
 
@@ -274,6 +288,7 @@ def test_cmd_scan_rejects_ring_gain_inf_before_dividing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("mask.herald_target", "nan"), ("mask.herald_target", "-1"), ("mask.herald_target", "inf"),
+     ("mask.herald_target", "5"),
      ("mask.contrast", "nan"), ("mask.contrast", "-0.5"), ("mask.contrast", "1.5")],
 )
 def test_cmd_scan_names_the_mask_value_it_rejects(tmp_path, capsys, key, value):
@@ -585,4 +600,14 @@ def test_cmd_analyze_names_a_malformed_band(tmp_path, capsys, band):
     assert cli.main(["analyze", "--scan", str(scan), "--out", str(report), "--band", band]) == 1
     err = capsys.readouterr().err
     assert "--band" in err and "expected lo:hi" in err and repr(band) in err
+    assert not report.exists()
+
+
+def test_cmd_analyze_checks_the_band_before_writing(tmp_path, capsys):
+    # the 32x24 smoke scan tiles 6 superpixel rows, so rows 0:9 run off the grid
+    scan = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "scan") / "scan.csv"
+    capsys.readouterr()
+    report = tmp_path / "report"
+    assert cli.main(["analyze", "--scan", str(scan), "--out", str(report), "--band", "0:9"]) == 1
+    assert "band [0, 9) outside 0..6" in capsys.readouterr().err
     assert not report.exists()

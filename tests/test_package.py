@@ -42,6 +42,26 @@ def test_every_public_name_has_a_production_caller():
     assert not unused, f"public names with no production caller: {unused}"
 
 
+def _package_imports(path):
+    """The sibling modules a package module imports (``from .x`` or ``from . import x``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (a.name for a in node.names))
+    return names
+
+
+def test_monte_carlo_side_never_imports_the_fock_engine():
+    # the scan, its analysis and the analytic profile stand without the exact engine
+    for name in ("spatial", "montecarlo", "blocktable", "analysis", "config"):
+        reached, todo = set(), [name]
+        while todo:
+            new = _package_imports(PACKAGE / f"{todo.pop()}.py") - reached
+            reached |= new
+            todo.extend(new)
+        assert not reached & {"fock", "verify"}, f"{name} reaches {sorted(reached)}"
+
+
 # what ``import qvampire`` adds to ``sys.modules`` beyond numpy and the package itself
 IMPORT_MODULES = {
     "__future__", "_heapq", "_queue", "_string", "concurrent", "concurrent.futures",
