@@ -18,11 +18,10 @@ table.  The (s+1)^2 table exists only inside the check.
 
 In a scan only x_cam varies from tile to tile, and a rule's nodes depend on
 x only through its panel count, so ``block_rules`` checks all of a scan's
-camera means in one call: the means of one panel count form batches, and at
-each refinement level a batch builds each node chunk's herald rows once and
-contracts them with every camera mean's rows.  ``montecarlo`` imports this
-module, and with it ``numpy.polynomial``, at a scan's first thermal rule, so
-commands that do not scan never load either.
+camera means in one call: each mean is checked on its own, and the herald's
+binomial rows of each refinement level are built once and serve every mean.
+``montecarlo`` imports this module, and with it ``numpy.polynomial``, at a
+scan's first thermal rule, so commands that do not scan never load either.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureUnresolved
-from .montecarlo import MAX_BINS_PER_BLOCK
 
 # The rule integrates over u up to TABLE_U_MAX (e^-40 ~ 4e-18 is the mass
 # left out), with equal panels in r = sqrt(u): there a cell's binomial peak
@@ -99,19 +97,17 @@ def _binomial_rows(size: int, x_u: np.ndarray, dark: float) -> np.ndarray:
     return rows
 
 
-def _quadrature_tables(bpb, x_cams, dark_cam, x_her, dark_her, panels, nodes):
-    """P(c, h) of one block at each camera mean of ``x_cams`` on the composite
-    rule of ``panels`` x ``nodes``; each chunk's herald rows serve every mean."""
+def _quadrature_table(bpb, x_cam, dark_cam, her_rows, panels, nodes):
+    """P(c, h) of one block at camera mean ``x_cam`` on the composite rule of
+    ``panels`` x ``nodes``, given the herald's rows of each node chunk."""
     u, weights = _panel_rule(panels, nodes)
-    tables = [np.zeros((bpb + 1, bpb + 1)) for _ in x_cams]
-    for lo in range(0, len(u), TABLE_ROW_NODES):
+    table = np.zeros((bpb + 1, bpb + 1))
+    for lo, her in zip(range(0, len(u), TABLE_ROW_NODES), her_rows):
         part = slice(lo, lo + TABLE_ROW_NODES)
-        her = _binomial_rows(bpb, x_her * u[part], dark_her)
-        for x_cam, table in zip(x_cams, tables):
-            cam = _binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
-            for k in range(0, len(cam), TABLE_NODE_BLOCK):
-                table += cam[k : k + TABLE_NODE_BLOCK].T @ her[k : k + TABLE_NODE_BLOCK]
-    return tables
+        cam = _binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
+        for k in range(0, len(cam), TABLE_NODE_BLOCK):
+            table += cam[k : k + TABLE_NODE_BLOCK].T @ her[k : k + TABLE_NODE_BLOCK]
+    return table
 
 
 def _panel_count(bpb: int, x: float) -> int:
@@ -122,36 +118,6 @@ def _panel_count(bpb: int, x: float) -> int:
     while panels < wanted and 4 * panels * TABLE_NODES <= TABLE_NODE_CAP:
         panels *= 2
     return panels
-
-
-def _check_batch(bpb, x_cams, dark_cam, x_her, dark_her, panels):
-    """The accepted rule of each camera mean of a batch that shares ``panels``;
-    a mean leaves the refinement at the level where it passes."""
-    rules = {}
-    pending = list(x_cams)
-    nodes = TABLE_NODES
-    coarse = _quadrature_tables(bpb, pending, dark_cam, x_her, dark_her, panels, nodes)
-    while pending:
-        fine = _quadrature_tables(bpb, pending, dark_cam, x_her, dark_her, panels, 2 * nodes)
-        u, weights = _panel_rule(panels, 2 * nodes)
-        rule = u, weights / weights.sum()
-        failing = []
-        for x_cam, c, f in zip(pending, coarse, fine):
-            residual = max(float(np.abs(f - c).max()), abs(float(f.sum()) - 1.0))
-            if residual <= TABLE_TOL:
-                rules[x_cam] = rule
-            elif panels * 4 * nodes > TABLE_NODE_CAP:
-                raise QuadratureUnresolved(
-                    f"block table ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
-                    f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
-                    f"{2 * nodes} nodes"
-                )
-            else:
-                failing.append((x_cam, f))
-        pending = [x_cam for x_cam, _ in failing]
-        coarse = [f for _, f in failing]
-        nodes *= 2
-    return rules
 
 
 def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float):
@@ -167,17 +133,38 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
     1e-100.  No such rule within ``TABLE_NODE_CAP`` nodes raises
     ``QuadratureUnresolved`` naming the mean.
 
-    The means are checked in batches that share a panel count.  A batch's
-    tables of one level hold at most the cells of one table of the largest
-    block, so its check holds no more than one check of that block.
+    Each distinct mean is checked on its own.  The herald's rows of a
+    (panels, nodes) level are built once per call, one array per
+    ``TABLE_ROW_NODES`` chunk, and held until return for every mean that
+    reaches that level.
     """
-    size = max(1, (MAX_BINS_PER_BLOCK + 1) ** 2 // (bpb + 1) ** 2)
-    by_panels = {}
-    for x_cam in dict.fromkeys(x_cams):
-        by_panels.setdefault(_panel_count(bpb, max(x_cam, x_her)), []).append(x_cam)
+    herald = {}
+
+    def table(x_cam, panels, nodes):
+        if (panels, nodes) not in herald:
+            u = _panel_rule(panels, nodes)[0]
+            herald[panels, nodes] = [
+                _binomial_rows(bpb, x_her * u[lo : lo + TABLE_ROW_NODES], dark_her)
+                for lo in range(0, len(u), TABLE_ROW_NODES)
+            ]
+        return _quadrature_table(bpb, x_cam, dark_cam, herald[panels, nodes], panels, nodes)
+
     rules = {}
-    for panels, xs in by_panels.items():
-        for lo in range(0, len(xs), size):
-            batch = xs[lo : lo + size]
-            rules.update(_check_batch(bpb, batch, dark_cam, x_her, dark_her, panels))
+    for x_cam in dict.fromkeys(x_cams):
+        panels, nodes = _panel_count(bpb, max(x_cam, x_her)), TABLE_NODES
+        coarse = table(x_cam, panels, nodes)
+        while True:
+            fine = table(x_cam, panels, 2 * nodes)
+            residual = max(float(np.abs(fine - coarse).max()), abs(float(fine.sum()) - 1.0))
+            if residual <= TABLE_TOL:
+                break
+            if panels * 4 * nodes > TABLE_NODE_CAP:
+                raise QuadratureUnresolved(
+                    f"block table ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
+                    f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
+                    f"{2 * nodes} nodes"
+                )
+            coarse, nodes = fine, 2 * nodes
+        u, weights = _panel_rule(panels, 2 * nodes)
+        rules[x_cam] = u, weights / weights.sum()
     return [rules[x_cam] for x_cam in x_cams]

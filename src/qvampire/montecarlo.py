@@ -54,9 +54,8 @@ COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
 
-# the check of a thermal tile's rule builds (s+1)^2-cell outcome tables of a
-# block: 8.4 MB each at the largest block, and a batch of the check holds as
-# many cells at any smaller block
+# the check of a thermal tile's rule holds a few (s+1)^2-cell outcome tables
+# of a block at once, 8.4 MB each at the largest block
 MAX_BINS_PER_BLOCK = 1024
 
 # what a scan is analyzed with when its sidecar lacks the key

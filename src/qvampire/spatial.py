@@ -230,9 +230,11 @@ def contrast_for_herald_rate(
     profile: BeamProfile, region: np.ndarray, nbar: float, target: float
 ) -> float:
     """Uniform in-region contrast giving herald rate r_eff^2 * nbar = target."""
+    if nbar <= 0:
+        raise ValueError(f"source.nbar = {nbar!r} gives no herald rate")
     frac = float(profile.power()[np.asarray(region, dtype=bool)].sum())
-    if frac <= 0 or nbar <= 0:
-        raise DegenerateShape("region carries no beam power or nbar = 0")
+    if frac <= 0:
+        raise ValueError("mask.region carries no beam power")
     c2 = target / (nbar * frac)
     if c2 > 1.0:
         raise ValueError(f"needs contrast^2 = {c2:.3f} > 1")

@@ -301,6 +301,21 @@ def test_cmd_scan_names_the_mask_value_it_rejects(tmp_path, capsys, key, value):
     assert err.count("\n") == 1 and f"{key} must" in err and f"got {float(value)!r}" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, cause",
+    [("source.nbar", "0", "source.nbar = 0.0 gives no herald rate"),
+     ("mask.region", "rect:0,0,1,1", "mask.region carries no beam power")],
+    ids=["nbar_zero", "region_off_beam"],
+)
+def test_cmd_scan_names_why_the_herald_target_is_unreachable(tmp_path, capsys, key, value, cause):
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
+    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"qvampire: mask.herald_target must be reachable, got 0.013: {cause}\n"
+
+
 def test_cmd_scan_coherent_source_takes_a_block_beyond_the_thermal_cap(tmp_path, capsys):
     # a coherent tile is one block of all its bins, so its coherence time moves
     # no count; only a thermal tile checks a rule whose tables cap the block

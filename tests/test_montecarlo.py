@@ -223,17 +223,19 @@ def test_table_sums_to_one(x_s, dark_cam, dark_her):
 def test_bright_table_matches_rule_refined_twice_over(monkeypatch, dark_cam, dark_her):
     # x s = 50 for the camera: a cell's peak is far narrower than on a desk tile
     rules = []
-    quadrature = bt._quadrature_tables
+    quadrature = bt._quadrature_table
 
     def spy(*args):
         rules.append(args[-2:])
         return quadrature(*args)
 
-    monkeypatch.setattr(bt, "_quadrature_tables", spy)
-    args = (BPB, 50.0 / BPB, dark_cam, 20.0 / BPB, dark_her)
-    table = rule_table(*args)
+    monkeypatch.setattr(bt, "_quadrature_table", spy)
+    x_cam, x_her = 50.0 / BPB, 20.0 / BPB
+    table = rule_table(BPB, x_cam, dark_cam, x_her, dark_her)
     panels, nodes = rules[-1]  # the rule the draw was taken from
-    (refined,) = quadrature(BPB, [args[1]], *args[2:], panels, 4 * nodes)
+    u, weights = bt._panel_rule(panels, 4 * nodes)
+    cam = bt._binomial_rows(BPB, x_cam * u, dark_cam) * weights[:, None]
+    refined = cam.T @ bt._binomial_rows(BPB, x_her * u, dark_her)
     assert np.abs(table - refined).max() < 1e-12
 
 
@@ -323,11 +325,15 @@ scan.superpixel=11 scan.dwell=3.0 scan.bins_cap=250000000 scan.threads=2"""
 
 @pytest.mark.parametrize(
     "geometry, means",
-    [("desk", 14), ("full", 22), ("gaussian_1024", 12)],
+    [("desk", 14), ("desk_dark", 14), ("full", 22), ("gaussian_1024", 12)],
 )
 def test_shared_check_returns_each_mean_its_own_rule(monkeypatch, geometry, means):
     src, scan = {
         "desk": lambda: bench_scan(DESK),
+        # realistic dark counts on both detectors
+        "desk_dark": lambda: bench_scan(
+            DESK + " detector.camera.dark_prob=1e-3 detector.herald.dark_prob=1e-3"
+        ),
         "full": lambda: bench_scan(FULL),
         "gaussian_1024": gaussian_1024_scan,
     }[geometry]()
@@ -340,54 +346,56 @@ def test_shared_check_returns_each_mean_its_own_rule(monkeypatch, geometry, mean
 
 
 def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monkeypatch):
-    # from two nodes a panel, one mean of a six-mean batch needs a level more
+    # from two nodes a panel, the six means do not all pass at the same level
     monkeypatch.setattr(bt, "TABLE_NODES", 2)
-    batch_sizes = []
-    build_tables = bt._quadrature_tables
+    finest = {}
+    build_table = bt._quadrature_table
 
-    def tables_spy(bpb, means, *rest):
-        batch_sizes.append(len(means))
-        return build_tables(bpb, means, *rest)
+    def table_spy(bpb, x_cam, *rest):
+        finest[x_cam] = max(finest.get(x_cam, 0), rest[-1])
+        return build_table(bpb, x_cam, *rest)
 
-    monkeypatch.setattr(bt, "_quadrature_tables", tables_spy)
+    monkeypatch.setattr(bt, "_quadrature_table", table_spy)
     x_cams = [x / BPB for x in (0.0, 0.01, 0.1, 1.0, 3.6, 10.0)]
     x_her = 3.6 / BPB
     rules = bt.block_rules(BPB, x_cams, 0.0, x_her, 0.0)
-    assert batch_sizes[0] > batch_sizes[-1] > 0
+    assert len(finest) == len(x_cams) and len(set(finest.values())) > 1
     for x_cam, (u, weights) in zip(x_cams, rules):
         oracle_u, oracle_weights = per_mean_rule(BPB, x_cam, 0.0, x_her, 0.0)
         assert np.array_equal(u, oracle_u)
         assert np.array_equal(weights, oracle_weights)
 
 
-def test_herald_rows_are_built_once_per_chunk_and_level_of_a_batch(monkeypatch):
-    # four camera means of one panel count form one batch; the two detectors'
-    # dark counts tell their rows apart
+def test_herald_rows_are_built_once_per_chunk_and_level_of_a_check(monkeypatch):
+    # four camera means share the herald's panel count, so its rows of a level
+    # serve every mean; the two detectors' dark counts tell their rows apart
     dark_cam, dark_her = 0.01, 0.03
     x_cams = [x / BPB for x in (0.0, 0.1, 0.3, 0.5)]
-    rows, levels = [], []
-    build_rows, build_tables = bt._binomial_rows, bt._quadrature_tables
+    rows, tables = [], []
+    build_rows, build_table = bt._binomial_rows, bt._quadrature_table
 
     def rows_spy(size, x_u, dark):
         rows.append(dark)
         return build_rows(size, x_u, dark)
 
-    def tables_spy(bpb, means, *rest):
-        panels, nodes = rest[-2:]
-        levels.append((len(means), -(-panels * nodes // bt.TABLE_ROW_NODES)))
-        return build_tables(bpb, means, *rest)
+    def table_spy(bpb, x_cam, *rest):
+        tables.append((x_cam, tuple(rest[-2:])))
+        return build_table(bpb, x_cam, *rest)
 
     monkeypatch.setattr(bt, "_binomial_rows", rows_spy)
-    monkeypatch.setattr(bt, "_quadrature_tables", tables_spy)
+    monkeypatch.setattr(bt, "_quadrature_table", table_spy)
     bt.block_rules(BPB, x_cams, dark_cam, 0.65 / BPB, dark_her)
-    assert len(levels) >= 2 and all(means == len(x_cams) for means, _ in levels)
-    assert rows.count(dark_her) == sum(chunks for _, chunks in levels)
-    assert rows.count(dark_cam) == sum(means * chunks for means, chunks in levels)
+    chunks = lambda panels, nodes: -(-panels * nodes // bt.TABLE_ROW_NODES)
+    levels = {level for _, level in tables}
+    assert {x_cam for x_cam, _ in tables} == set(x_cams)
+    assert len(levels) >= 2 and len(tables) == len(x_cams) * len(levels)
+    assert rows.count(dark_her) == sum(chunks(*level) for level in levels)
+    assert rows.count(dark_cam) == sum(chunks(*level) for _, level in tables)
 
 
 def test_batch_names_the_mean_that_cannot_converge(monkeypatch):
     # capped at the first refinement of the fewest panels, the dim means of
-    # a batch pass and its bright one fails
+    # one call pass and its bright one fails
     monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
     dim, bright, x_her = [0.45 / BPB, 0.65 / BPB], 50.0 / BPB, 0.135 / BPB
     assert len(bt.block_rules(BPB, dim, 0.0, x_her, 0.0)) == 2
@@ -395,23 +403,18 @@ def test_batch_names_the_mean_that_cannot_converge(monkeypatch):
         bt.block_rules(BPB, [dim[0], bright, dim[1]], 0.0, x_her, 0.0)
 
 
-def test_scan_whose_means_fill_several_batches_matches_tile_by_tile(monkeypatch):
-    # at 512 bins a block a batch holds 3 means, and the 5 tiles of an
-    # off-centre gaussian have 5 distinct camera weights; the herald, brighter
-    # than any tile, sets one panel count for all of them
+def test_scan_of_distinct_means_at_512_bins_matches_tile_by_tile():
+    # at 512 bins a block the 5 tiles of an off-centre gaussian have 5 distinct
+    # camera weights; the herald, brighter than any tile, sets one panel count
+    # for all of them, so all five share its rows
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 10, 2, cx=3.3, cy=0.4)
     src = mc.SourceConfig(nbar=0.01, profile=prof, coherence_time=512 * det.bin_width)
     mask = spatial.make_mask("vampire", 10, 2, 0.9, np.ones((2, 10), dtype=bool))
-    batches = []
-    check = bt._check_batch
-    monkeypatch.setattr(bt, "_check_batch", lambda *a: batches.append(a[1]) or check(*a))
     results = []
     for threads in (1, 2, 4):
-        batches.clear()
         scan = small_scan(mask, seed=17, superpixel=2, dwell=1e-4, threads=threads)
         results.append(mc.run_scan(src, scan).records)
-        assert sorted(map(len, batches)) == [2, 3]
     assert results[0] == results[1] == results[2] == tile_by_tile(src, scan)
     assert min(rec.herald_counts for rec in results[0]) > 0
 

@@ -62,6 +62,12 @@ def test_monte_carlo_side_never_imports_the_fock_engine():
         assert not reached & {"fock", "verify"}, f"{name} reaches {sorted(reached)}"
 
 
+
+def test_blocktable_imports_no_sibling_but_errors():
+    # the rule check needs no scan setting, so montecarlo's lazy import of it
+    # cannot close a cycle
+    assert _package_imports(PACKAGE / "blocktable.py") == {"errors"}
+
 # what ``import qvampire`` adds to ``sys.modules`` beyond numpy and the package itself
 IMPORT_MODULES = {
     "__future__", "_heapq", "_queue", "_string", "concurrent", "concurrent.futures",
