@@ -11,12 +11,15 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import analysis, fock, montecarlo as mc, spatial, verify
-from .config import ScenarioConfig, apply_env_overrides, build_scenario, load_config, parse_region_spec
 from .errors import QVampireError
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 VERIFY_CSV_HEADER = "state,c_A,r,herald_model,fidelity,herald_prob,complement_population"
 RATIO_CSV_HEADER = "row,col,ratio,sigma,tag"
@@ -28,6 +31,9 @@ DEFAULT_R = "0.05,0.1,0.2"
 
 
 def _load_scenario(args) -> ScenarioConfig:
+    # loaded by the commands that read a config, so verify skips it
+    from .config import apply_env_overrides, build_scenario, load_config
+
     cfg = load_config(args.config)
     cfg = apply_env_overrides(cfg, os.environ)
     seed = getattr(args, "seed", None)
@@ -153,6 +159,8 @@ def _sidecar_for(path: Path) -> dict:
 def _region_fracs(result: mc.ScanResult) -> tuple[np.ndarray, str | None]:
     """Fraction of each superpixel inside the mask region; zeros and the reason
     when the scan names no region (the shadow z-score is then NaN)."""
+    from .config import parse_region_spec
+
     cfg = result.config
     if not cfg:
         reason = "no sidecar"

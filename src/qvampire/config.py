@@ -9,7 +9,7 @@ underscores (e.g. ``QVAMPIRE_SOURCE_NBAR``).
 
 from __future__ import annotations
 
-import secrets
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,7 +210,8 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     if seed is not None:
         merged["scan.seed"] = str(seed)
     if merged["scan.seed"] == "":
-        merged["scan.seed"] = str(secrets.randbits(63))
+        # os.urandom, not secrets: secrets loads hashlib and OpenSSL at import
+        merged["scan.seed"] = str(int.from_bytes(os.urandom(8), "little") >> 1)
     if threads is not None:
         merged["scan.threads"] = str(threads)
 

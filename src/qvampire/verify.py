@@ -26,10 +26,11 @@ dim^2 x dim^2 operator is formed.
 
 Those amplitudes do not depend on the input state, so the whole heralded
 map is built once per split and cached on (dim, c_A, r, herald model):
-``_herald_kernel`` keeps, for each number j of photons the map removes
-from the beam, the Gram matrix of its amplitudes, plus the weight each
-|n> leaves in the complement vacuum.  A call of ``regional_subtraction``
-multiplies those Gram blocks into the state elementwise.
+``_herald_kernel`` keeps the Gram matrix of the amplitudes for each number
+j of photons the map removes from the beam, all in one flat j-major array,
+plus the weight each |n> leaves in the complement vacuum.  A call of
+``regional_subtraction`` gathers the state entry of each Gram entry and
+sums the products per output cell with ``np.bincount``, in ascending j.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import HeraldImpossible, ResidualOrthogonalPopulation
 from .fock import (
     DensityMatrix,
     VACUUM_WEIGHT_FLOOR,
+    _freeze,
     beamsplitter_blocks,
     beamsplitter_unitary,
 )
@@ -122,21 +124,46 @@ def _herald_images(dim: int, r: float, model: str) -> np.ndarray:
             images[k, :k] = u[k - 1].T @ (np.sqrt(k - np.arange(k)) * tapped[:k])
         else:
             images[k, :k] = tapped[:k]  # click POVM: drop the R-vacuum entry A = k
-    images.setflags(write=False)
-    return images
+    return _freeze(images)
+
+
+@lru_cache(maxsize=8)
+def _layout(d: int, lost: int) -> tuple:
+    """Read-only flat index arrays of the heralded map at truncation d.
+
+    The kernel build runs over (total, a, rr) in C order (total photons in
+    (A, B) after the herald, a of them in A, rr in R): where ``split`` and
+    the herald images hold each amplitude's factors, where each total's run
+    starts, and where its amplitude lands in the flat ``amp``.  The
+    contraction runs over (j, p, q) in C order: output cell p * d + q and
+    state entry (p + j) * d + q + j.  0.22 MB at d = 29, 9.5 MB at d = 101.
+    """
+    t, a, rr = np.ogrid[: d - lost, : d - lost, : d - lost]
+    t, a, rr = np.nonzero((a <= t) & (t + rr < d - lost))
+    n, k = t + lost + rr, a + rr + lost  # input photons, A photons before the herald
+    # a also counts beam photons after recombination: amp[t - a, n - a, n]
+    kernel = (n * d + k, k * d + a, np.flatnonzero(np.diff(t)) + 1, ((t - a) * d + n - a) * d + n)
+    j, p, q = np.ogrid[:d, :d, :d]
+    j, p, q = np.nonzero((j >= lost) & (p + j < d) & (q + j < d))
+    return tuple(map(_freeze, (*kernel, p * d + q, (p + j) * d + q + j)))
 
 
 @lru_cache(maxsize=32)
 def _herald_kernel(d: int, c_a: float, r: float, model: str) -> tuple:
     """The part of regional subtraction that does not read the state.
 
-    Returns ``(grams, comp_vacuum)``.  ``grams`` holds the (d - j) x (d - j)
-    Gram matrices K_j^T K_j for j = lost .. d - 1, where lost is the number
+    Returns ``(grams, cells, entries, comp_vacuum)``.  ``grams`` holds the
+    (d - j) x (d - j) Gram matrices K_j^T K_j for j = lost .. d - 1 in one
+    flat array, j-major and each block in C order.  Here lost is the number
     of photons the herald destroys and K_j[m, n] is the amplitude that input
-    |n> leaves n - j beam photons and m complement photons (n >= j).
-    ``comp_vacuum[n]`` is the weight input |n> leaves in the complement
-    vacuum.  An entry holds about d^3 / 3 doubles: 62 kB at d = 29 (the
-    default nmax 28), 2.7 MB at d = 101.
+    |n> leaves n - j beam photons and m complement photons (n >= j).  Term i
+    of the output is grams[i] times state entry ``entries[i]``, added to
+    cell ``cells[i]`` (``_layout``'s arrays).  ``comp_vacuum[n]`` is the
+    weight input |n> leaves in the complement vacuum.  The flat indices only
+    move numbers.  Each total's amplitudes come from one ``rec[total].T @ x``
+    and each block from one ``kj.T @ kj``; a padded 3-D ``matmul`` of either
+    would change the last bits.  An entry holds about d^3 / 3 doubles: 62 kB
+    at d = 29 (the default nmax 28), 2.7 MB at d = 101.
     """
     lost = 1 if model == OPERATOR else 0  # photons the herald destroys
     rec = beamsplitter_blocks(d, *_split_params(c_a))  # blocks < d fit
@@ -144,30 +171,20 @@ def _herald_kernel(d: int, c_a: float, r: float, model: str) -> tuple:
     split = np.zeros((d, d))  # split[n, k]: amplitude of |k_A, (n - k)_B> in |n>
     for n in range(d):
         split[n, : n + 1] = rec[n][:, n]
+    split_at, herald_at, ends, amp_at, cells, entries = _layout(d, lost)
 
     # amp[m, j, n]: amplitude that input |n> leaves n - j beam photons and m
     # complement photons; the herald mode then holds j - lost - m photons
+    runs = np.split(split.ravel()[split_at] * herald.ravel()[herald_at], ends)
     amp = np.zeros((d, d, d))
-    idx = np.arange(d)
-    for total in range(d - lost):  # photons in (A, B) after the herald
-        a = idx[: total + 1, None]  # A photons after the herald; B = total - a
-        rr = idx[None, : d - lost - total]  # herald-mode photons
-        n = total + lost + rr  # input photons
-        k = a + rr + lost  # A photons before the herald
-        x = split[n, k] * herald[k, a]
-        p = a  # beam photons after recombination; complement = total - p
-        amp[total - p, n - p, n] = rec[total].T @ x
+    amp.reshape(-1)[amp_at] = np.concatenate(
+        [(rec[total].T @ x.reshape(total + 1, -1)).ravel() for total, x in enumerate(runs)]
+    )
 
     # trace out the complement and R: terms pair up only at equal (m, j)
-    grams = []
-    for j in range(lost, d):
-        kj = amp[:, j, j:]
-        gram = kj.T @ kj
-        gram.setflags(write=False)
-        grams.append(gram)
-    comp_vacuum = (amp[0] ** 2).sum(axis=0)
-    comp_vacuum.setflags(write=False)
-    return tuple(grams), comp_vacuum
+    blocks = (amp[:, j, j:] for j in range(lost, d))  # none when d = lost
+    grams = np.concatenate([np.zeros(0), *((kj.T @ kj).ravel() for kj in blocks)])
+    return _freeze(grams), cells, entries, _freeze((amp[0] ** 2).sum(axis=0))
 
 
 def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtractionResult:
@@ -178,11 +195,14 @@ def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtra
     output keeps the input's transverse profile, i.e. no shadow.
     """
     d = rho.dim
-    grams, comp_vacuum = _herald_kernel(d, float(cfg.c_a), float(cfg.r), cfg.herald_model)
-    beam = np.zeros((d, d), dtype=complex)
-    for gram in grams:  # the block of j = d - size
-        size = len(gram)
-        beam[:size, :size] += gram * rho.elements[d - size :, d - size :]
+    grams, cells, entries, comp_vacuum = _herald_kernel(
+        d, float(cfg.c_a), float(cfg.r), cfg.herald_model
+    )
+    # np.bincount adds each cell's terms in array order: ascending j, from
+    # zero, real and imaginary parts apart
+    terms = rho.elements.ravel()[entries]
+    parts = [np.bincount(cells, grams * part, d * d) for part in (terms.real, terms.imag)]
+    beam = np.stack(parts, axis=-1).view(complex).reshape(d, d)
     herald_weight = float(beam.trace().real)
     if herald_weight < VACUUM_WEIGHT_FLOOR:
         raise HeraldImpossible(

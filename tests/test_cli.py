@@ -70,8 +70,11 @@ def test_scenario_forcing_rules():
 
 
 def test_missing_seed_is_generated_and_recorded():
-    scenario = config.build_scenario({"scenario": "initial"})
-    assert scenario.echo["scan.seed"] == str(scenario.scan.seed)
+    scenarios = [config.build_scenario({"scenario": "initial"}) for _ in range(2)]
+    for scenario in scenarios:
+        assert scenario.echo["scan.seed"] == str(scenario.scan.seed)
+        assert 0 <= scenario.scan.seed < 2**63
+    assert scenarios[0].scan.seed != scenarios[1].scan.seed
 
 
 def test_herald_target_resolves_contrast():

@@ -90,3 +90,28 @@ def test_import_loads_no_new_module():
     assert "qvampire.blocktable" not in out
     extra = sorted(m for m in out if m.split(".")[0] != "qvampire" and m not in IMPORT_MODULES)
     assert not extra, f"import qvampire loads new modules: {extra}"
+
+
+def _modules_after(code):
+    """The modules a fresh interpreter holds once ``code`` has run."""
+    probe = f"import sys; {code}; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_verify_command_loads_no_scan_side_module(tmp_path):
+    # verify reads no config and checks no quadrature rule
+    argv = ["verify", "--out", str(tmp_path), "--states", "fock:1", "--ca", "0.5", "--r", "0.1"]
+    loaded = _modules_after(f"from qvampire import cli; assert cli.main({argv!r}) == 0")
+    unwanted = {"qvampire.config", "qvampire.blocktable", "numpy.polynomial", "secrets"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def test_config_loads_no_hash_module():
+    # a seedless scan draws its seed from os.urandom
+    loaded = _modules_after("import qvampire.config")
+    unwanted = {"secrets", "hmac", "hashlib", "_hashlib"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)

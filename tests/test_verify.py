@@ -1,6 +1,7 @@
 """Regional-subtraction pipeline tests against independent expansions."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -126,6 +127,11 @@ def test_zero_reflectivity_cannot_herald():
         verify.regional_subtraction(
             fock.make_fock(0, 10), verify.SplitConfig(c_a=0.5, r=0.1)
         )
+    for model in verify.HERALD_MODELS:  # a one-level truncation holds no photon to herald
+        with pytest.raises(HeraldImpossible):
+            verify.regional_subtraction(
+                fock.make_fock(0, 0), verify.SplitConfig(c_a=0.5, r=0.1, herald_model=model)
+            )
 
 
 def _click_fidelities(rho, c_a, rs):
@@ -235,7 +241,7 @@ def _state(spec):
 
 def _clear_caches():
     for cached in (fock._hop_eigenbases, fock.beamsplitter_blocks,
-                   verify._herald_images, verify._herald_kernel):
+                   verify._herald_images, verify._layout, verify._herald_kernel):
         cached.cache_clear()
 
 
@@ -322,13 +328,26 @@ def test_beamsplitter_unitary_rejects_unequal_dims():
         fock.beamsplitter_unitary(7, 11, 0.6, 0.8)
 
 
+def _complex_states(nmax):
+    """A coherent state with complex amplitude and a full-rank, non-diagonal mixture."""
+    coherent = fock.make_coherent(0.7 + 0.4j, nmax)
+    thermal = fock.make_thermal(1.0, nmax)
+    mixture = fock.DensityMatrix(
+        (thermal.elements + coherent.elements) / 2.0,
+        tail_mass=(thermal.tail_mass + coherent.tail_mass) / 2.0,
+    )
+    return [coherent, mixture]
+
+
 @pytest.mark.parametrize("model", verify.HERALD_MODELS)
 def test_regional_subtraction_equals_the_per_state_algorithm(model):
-    d = verify.DEFAULT_VERIFY_NMAX + 1
-    for c_a, r in SPLITS:
-        rec, herald = _oracle_split(d, c_a, r, model)
-        for spec in DEFAULT_STATES:
-            rho = _state(spec)
+    # the complex states exercise the imaginary half of the contraction;
+    # nmax 40 builds the cached layouts at a second d
+    nmax = verify.DEFAULT_VERIFY_NMAX
+    cases = [(nmax, [*map(_state, DEFAULT_STATES), *_complex_states(nmax)]), (40, _complex_states(40))]
+    for (nmax, states), (c_a, r) in itertools.product(cases, SPLITS):
+        rec, herald = _oracle_split(nmax + 1, c_a, r, model)
+        for rho in states:
             res = verify.regional_subtraction(rho, verify.SplitConfig(c_a, r, model))
             state, herald_prob, complement = _oracle_regional_subtraction(rho, rec, herald, model)
             assert np.array_equal(res.state.elements, state)
@@ -363,11 +382,12 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
     cached = [array for basis in fock._hop_eigenbases(d) for array in basis]
     for c_a, r in SPLITS:
         for model in verify.HERALD_MODELS:
-            grams, comp_vacuum = verify._herald_kernel(d, c_a, r, model)
-            cached += [*grams, comp_vacuum, verify._herald_images(d, r, model)]
+            cached += [*verify._herald_kernel(d, c_a, r, model), verify._herald_images(d, r, model)]
         cached += fock.beamsplitter_blocks(d, *verify._split_params(c_a))
+    cached += [*verify._layout(d, 0), *verify._layout(d, 1)]  # the two models' lost
     assert fock._hop_eigenbases.cache_info().misses == 1
     assert verify._herald_kernel.cache_info().misses == len(SPLITS) * len(verify.HERALD_MODELS)
+    assert verify._layout.cache_info().misses == len(verify.HERALD_MODELS)
     assert all(not array.flags.writeable for array in cached)
 
 
