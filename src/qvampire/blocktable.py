@@ -13,15 +13,15 @@ composite Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23, 1969) that
 checks its own refinement, and returns the accepted rule.  On that rule
 P(c, h) = sum_i w_i Bin(c; s, p_cam(u_i)) Bin(h; s, p_her(u_i)), which is the
 law of a block whose intensity is the node u_i with probability w_i, so
-``qvampire.montecarlo`` draws a tile from the nodes and never from the
-table.  The (s+1)^2 table exists only inside the check.
+``qvampire.montecarlo`` draws a tile from the nodes.  The check never forms
+the (s+1)^2 table: it compares the two marginals cell by cell and the mixed
+moments sum_i w_i p_cam^a p_her^b (a, b = 1, 2), O(nodes s) a level, and
+the tests hold its rules to those of the table's per-cell check to s = 1024.
 
 In a scan only x_cam varies from tile to tile, and a rule's nodes depend on
 x only through its panel count, so ``block_rules`` checks all of a scan's
-camera means in one call: each mean is checked on its own, and the herald's
-binomial rows of each refinement level are built once and serve every mean.
-``montecarlo`` imports this module, and with it ``numpy.polynomial``, at a
-scan's first thermal rule, so commands that do not scan never load either.
+camera means in one call, each on its own, with the herald's marginal of
+each refinement level built once for all of them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureUnresolved
 
@@ -45,24 +44,68 @@ TABLE_MIN_PANELS = 4
 TABLE_NODES = 12
 TABLE_NODE_CAP = 1 << 14
 TABLE_TOL = 1e-12
-# nodes per product of the table contraction: (s+1) x 24 x (s+1) at s = 83
-# stays below OpenBLAS's threading size (m n k <= 2^18), so it runs on one core
-TABLE_NODE_BLOCK = 24
-# nodes whose binomial rows are held at once, which bounds a rule's memory
-TABLE_ROW_NODES = 16 * TABLE_NODE_BLOCK
+# nodes whose binomial rows are held at once, which bounds a check's memory
+TABLE_ROW_NODES = 384
 
 
 @lru_cache(maxsize=None)
-def _log_factorials(n: int) -> np.ndarray:
-    out = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, c) for c = 0..n."""
+    lf = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    out = lf[n] - lf - lf[::-1]
     out.setflags(write=False)
     return out
+
+
+def _legendre_series(x, c):
+    """The Legendre series of coefficients ``c`` (at least two) at x, by
+    Clenshaw's recurrence as numpy.polynomial.legendre.legval sums it."""
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int):
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], at least two
+    nodes: numpy.polynomial.legendre.leggauss step for step, so bit for bit,
+    without loading numpy.polynomial.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix, polished
+    by one Newton step on P_n, and w_i is proportional to
+    1 / (P_n'(t_i) P_{n-1}(t_i)), normalized to sum to 2.
+    """
+    c = np.zeros(nodes + 1)
+    c[-1] = 1.0
+    k = np.arange(nodes)
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dc = np.where((nodes - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = np.arange(1, nodes) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    dy = _legendre_series(x, c)
+    df = _legendre_series(x, dc)
+    x -= dy / df
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=None)
 def _panel_rule(panels: int, nodes: int):
     """Nodes u and weights of the composite rule for the integral of f(u) e^-u du."""
-    t, w = leggauss(nodes)
+    t, w = _gauss_legendre(nodes)
     edges = np.linspace(0.0, math.sqrt(TABLE_U_MAX), panels + 1)
     half = np.diff(edges)[:, None] / 2.0
     r = (edges[:-1, None] + half * (1.0 + t)).ravel()
@@ -78,36 +121,45 @@ def _binomial_rows(size: int, x_u: np.ndarray, dark: float) -> np.ndarray:
     """Bin(c; size, p) for c = 0..size, one row per mean photon number x_u of a
     bin, with p = dark + (1 - dark) (1 - exp(-x_u)).
 
-    Every log term but the binomial coefficient is non-positive, so a row is
-    exact to rounding; entries below 1e-100 are set to 0, which moves no
-    cell of a table by more than that and keeps its products out of slow
-    subnormals.
+    An entry is exp(log C(size, c) + size log(1 - p) + c log(p / (1 - p))),
+    exact to rounding relative to its largest term; entries below 1e-100 are
+    raised to 1e-100, which moves no cell of a marginal by more than that
+    and keeps exp and the sums out of slow subnormals.
     """
-    lf = _log_factorials(size)
-    c = np.arange(size + 1)
+    c = np.arange(size + 1.0)
     # 1 - p = (1 - dark) exp(-x_u) has an exact log; p below 1e-300 only adds
     # entries of c >= 1 far below 1e-100
     log_q = math.log1p(-dark) - x_u
     log_p = np.log(np.maximum(dark + (1.0 - dark) * -np.expm1(-x_u), 1e-300))
-    logs = np.multiply.outer(log_q, size - c)
-    logs += np.multiply.outer(log_p, c)
-    logs += lf[size] - lf - lf[::-1]
-    rows = np.exp(logs)
-    rows[logs < math.log(1e-100)] = 0.0
-    return rows
+    logs = np.multiply.outer(log_p - log_q, c)
+    logs += (size * log_q)[:, None]
+    logs += _log_binomials(size)
+    return np.exp(np.maximum(logs, math.log(1e-100), out=logs), out=logs)
 
 
-def _quadrature_table(bpb, x_cam, dark_cam, her_rows, panels, nodes):
-    """P(c, h) of one block at camera mean ``x_cam`` on the composite rule of
-    ``panels`` x ``nodes``, given the herald's rows of each node chunk."""
+def _marginal(bpb, x, dark, panels, nodes):
+    """One detector's marginal sum_i w_i Bin(.; bpb, p(u_i)) on the composite
+    rule of ``panels`` x ``nodes``, its rows summed ``TABLE_ROW_NODES`` nodes at
+    a time, and its click probabilities p(u_i) at the nodes."""
     u, weights = _panel_rule(panels, nodes)
-    table = np.zeros((bpb + 1, bpb + 1))
-    for lo, her in zip(range(0, len(u), TABLE_ROW_NODES), her_rows):
+    out = np.zeros(bpb + 1)
+    for lo in range(0, len(u), TABLE_ROW_NODES):
         part = slice(lo, lo + TABLE_ROW_NODES)
-        cam = _binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
-        for k in range(0, len(cam), TABLE_NODE_BLOCK):
-            table += cam[k : k + TABLE_NODE_BLOCK].T @ her[k : k + TABLE_NODE_BLOCK]
-    return table
+        # einsum's own loop, not BLAS, so no second thread wakes
+        out += np.einsum("i,ij->j", weights[part], _binomial_rows(bpb, x * u[part], dark))
+    return out, dark + (1.0 - dark) * -np.expm1(-x * u)
+
+
+def _level(bpb, x_cam, dark_cam, herald, panels, nodes):
+    """What the check compares of the rule of ``panels`` x ``nodes`` at camera
+    mean ``x_cam``, given the herald's ``_marginal`` of that rule: both
+    marginals, the mixed moments sum_i w_i p_cam^a p_her^b (a, b = 1, 2),
+    and, last, the sums of the two marginals."""
+    weights = _panel_rule(panels, nodes)[1]
+    cam, p_cam = _marginal(bpb, x_cam, dark_cam, panels, nodes)
+    her, p_her = herald
+    moments = np.einsum("i,ai,bi->ab", weights, [p_cam, p_cam**2], [p_her, p_her**2])
+    return np.concatenate([cam, her, moments.ravel(), [cam.sum(), her.sum()]])
 
 
 def _panel_count(bpb: int, x: float) -> int:
@@ -125,42 +177,33 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
     of the click counts of a block of ``bpb`` bins, one rule per camera mean
     of ``x_cams``.
 
-    The check tabulates P(c, h) on the first rule whose refinement (twice
-    the nodes per panel) agrees with it to ``TABLE_TOL`` per cell and sums to
-    1 within ``TABLE_TOL``, and the refined rule is returned; its tables are
-    freed on return.  A block drawn at intensity u_i with probability w_i
-    follows the accepted table up to ``_binomial_rows``' cut of entries below
-    1e-100.  No such rule within ``TABLE_NODE_CAP`` nodes raises
-    ``QuadratureUnresolved`` naming the mean.
-
-    Each distinct mean is checked on its own.  The herald's rows of a
-    (panels, nodes) level are built once per call, one array per
-    ``TABLE_ROW_NODES`` chunk, and held until return for every mean that
-    reaches that level.
+    The check accepts the first rule whose refinement (twice the nodes per
+    panel) agrees with it to ``TABLE_TOL`` in each cell of both marginals
+    and in the four mixed moments, with each marginal of the refinement
+    summing to 1 within ``TABLE_TOL``, and returns the refinement.  No such
+    rule within ``TABLE_NODE_CAP`` nodes raises ``QuadratureUnresolved``
+    naming the mean.  Each distinct mean is checked on its own; the herald's
+    marginal of a (panels, nodes) level is built once per call.
     """
     herald = {}
 
-    def table(x_cam, panels, nodes):
+    def level(x_cam, panels, nodes):
         if (panels, nodes) not in herald:
-            u = _panel_rule(panels, nodes)[0]
-            herald[panels, nodes] = [
-                _binomial_rows(bpb, x_her * u[lo : lo + TABLE_ROW_NODES], dark_her)
-                for lo in range(0, len(u), TABLE_ROW_NODES)
-            ]
-        return _quadrature_table(bpb, x_cam, dark_cam, herald[panels, nodes], panels, nodes)
+            herald[panels, nodes] = _marginal(bpb, x_her, dark_her, panels, nodes)
+        return _level(bpb, x_cam, dark_cam, herald[panels, nodes], panels, nodes)
 
     rules = {}
     for x_cam in dict.fromkeys(x_cams):
         panels, nodes = _panel_count(bpb, max(x_cam, x_her)), TABLE_NODES
-        coarse = table(x_cam, panels, nodes)
+        coarse = level(x_cam, panels, nodes)
         while True:
-            fine = table(x_cam, panels, 2 * nodes)
-            residual = max(float(np.abs(fine - coarse).max()), abs(float(fine.sum()) - 1.0))
+            fine = level(x_cam, panels, 2 * nodes)
+            residual = float(max(np.abs(fine - coarse).max(), np.abs(fine[-2:] - 1.0).max()))
             if residual <= TABLE_TOL:
                 break
             if panels * 4 * nodes > TABLE_NODE_CAP:
                 raise QuadratureUnresolved(
-                    f"block table ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
+                    f"block rule ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
                     f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
                     f"{2 * nodes} nodes"
                 )

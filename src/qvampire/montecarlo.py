@@ -16,8 +16,8 @@ than block by block (Devroye, Non-Uniform Random Variate Generation, 1986,
 ch. III):
 
 - A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
-  whose joint (camera, herald) outcome table must agree with its own
-  refinement to 1e-12 per cell: node u_i with probability w_i.  One
+  whose camera and herald marginals and mixed click moments must agree
+  with its own refinement to 1e-12: node u_i with probability w_i.  One
   multinomial counts the tile's full blocks at each node.
 - Given the field every bin clicks each detector independently, so the
   m s bins of the m blocks at one node are one multinomial over the four
@@ -30,9 +30,9 @@ at u = 1 with weight 1, drawn by the same two multinomials.  Either way a
 tile's time and memory do not grow with the dwell, and every draw is
 distribution-exact up to the rule's quadrature error.  A rule depends on
 the tile only through the camera weight, so a scan checks the rules of all
-its distinct camera weights in one call, which builds the herald's rows
-once for all of them, and computes each weight's outcome rows at the
-rule's nodes once.
+its distinct camera weights in one call, which builds the herald's marginal
+of each refinement level once for all of them, and computes each weight's
+outcome rows at the rule's nodes once.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
 
-# the check of a thermal tile's rule holds a few (s+1)^2-cell outcome tables
-# of a block at once, 8.4 MB each at the largest block
+# the check of a thermal tile's rule compares marginals, not the (s+1)^2-cell
+# outcome table of a block; the tests hold it to the table's check up to here
 MAX_BINS_PER_BLOCK = 1024
 
 # what a scan is analyzed with when its sidecar lacks the key
@@ -286,8 +286,8 @@ def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
     bpb = int(src.coherence_time / det.bin_width + 1e-9)
     if src.kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:
         raise ConfigMismatch(
-            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: the check "
-            f"of its quadrature rule would build outcome tables of {(bpb + 1) ** 2} cells"
+            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: the check of "
+            f"its quadrature rule is tested against the joint outcome table only up to that"
         )
     return bpb
 

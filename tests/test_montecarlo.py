@@ -1,6 +1,7 @@
 """Monte Carlo apparatus tests; rate oracles via numerical quadrature, tile
 oracles via a sampler that draws every coherence block on its own."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -223,13 +224,13 @@ def test_table_sums_to_one(x_s, dark_cam, dark_her):
 def test_bright_table_matches_rule_refined_twice_over(monkeypatch, dark_cam, dark_her):
     # x s = 50 for the camera: a cell's peak is far narrower than on a desk tile
     rules = []
-    quadrature = bt._quadrature_table
+    level = bt._level
 
     def spy(*args):
         rules.append(args[-2:])
-        return quadrature(*args)
+        return level(*args)
 
-    monkeypatch.setattr(bt, "_quadrature_table", spy)
+    monkeypatch.setattr(bt, "_level", spy)
     x_cam, x_her = 50.0 / BPB, 20.0 / BPB
     table = rule_table(BPB, x_cam, dark_cam, x_her, dark_her)
     panels, nodes = rules[-1]  # the rule the draw was taken from
@@ -246,19 +247,26 @@ def test_table_refinement_that_cannot_converge_raises(monkeypatch):
         rule_table(BPB, 50.0 / BPB, 0.0, 20.0 / BPB, 0.0)
 
 
+# nodes per product of the oracle's table contraction, and nodes whose rows it
+# holds at once: (s+1) x 24 x (s+1) at s = 83 stays below OpenBLAS's threading size
+ORACLE_NODE_BLOCK = 24
+ORACLE_ROW_NODES = 16 * ORACLE_NODE_BLOCK
+
+
 def per_mean_rule(bpb, x_cam, dark_cam, x_her, dark_her):
-    """Oracle for ``bt.block_rules``: the check of one camera mean on its own,
-    its herald rows built for it alone."""
+    """Oracle for ``bt.block_rules``: the per-cell check of the joint (s+1)^2
+    outcome table P(c, h) of one camera mean, against its refinement and
+    against a sum of 1, its herald rows built for it alone."""
 
     def table(panels, nodes):
         u, weights = bt._panel_rule(panels, nodes)
         out = np.zeros((bpb + 1, bpb + 1))
-        for lo in range(0, len(u), bt.TABLE_ROW_NODES):
-            part = slice(lo, lo + bt.TABLE_ROW_NODES)
+        for lo in range(0, len(u), ORACLE_ROW_NODES):
+            part = slice(lo, lo + ORACLE_ROW_NODES)
             cam = bt._binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
             her = bt._binomial_rows(bpb, x_her * u[part], dark_her)
-            for k in range(0, len(cam), bt.TABLE_NODE_BLOCK):
-                out += cam[k : k + bt.TABLE_NODE_BLOCK].T @ her[k : k + bt.TABLE_NODE_BLOCK]
+            for k in range(0, len(cam), ORACLE_NODE_BLOCK):
+                out += cam[k : k + ORACLE_NODE_BLOCK].T @ her[k : k + ORACLE_NODE_BLOCK]
         return out
 
     panels = bt.TABLE_MIN_PANELS
@@ -345,17 +353,62 @@ def test_shared_check_returns_each_mean_its_own_rule(monkeypatch, geometry, mean
         assert np.array_equal(weights, oracle_weights)
 
 
+# block lengths, camera means x_cam s, herald means x_her / x_cam and (camera,
+# herald) dark counts from a dim tile to far beyond the click-counting regime
+SWEEP_BINS = (1, 3, 8, 30, 83, 256)
+SWEEP_X_S = (0.01, 0.1, 0.5, 1.0, 3.6, 10.0, 50.0)
+SWEEP_HERALD_RATIOS = (0.0, 0.05, 0.3, 1.0, 3.0)
+SWEEP_DARKS = [(0.0, 0.0), (1e-3, 1e-3), (0.01, 0.03)]
+
+
+@pytest.mark.parametrize("dark_cam, dark_her", SWEEP_DARKS)
+def test_marginal_check_keeps_the_joint_table_checks_rules(dark_cam, dark_her):
+    # the check compares marginals and mixed moments, never the (s+1)^2 table;
+    # over the sweep it stops at the level the table's per-cell check stops at
+    for bpb, x_s, ratio in itertools.product(SWEEP_BINS, SWEEP_X_S, SWEEP_HERALD_RATIOS):
+        x_cam = x_s / bpb
+        ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, ratio * x_cam, dark_her)
+        oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, dark_cam, ratio * x_cam, dark_her)
+        assert np.array_equal(u, oracle_u), (bpb, x_s, ratio)
+        assert np.array_equal(weights, oracle_weights), (bpb, x_s, ratio)
+
+
+@pytest.mark.parametrize("x_s, ratio, dark", [(0.65, 0.3, 0.0), (50.0, 0.05, 1e-3)])
+def test_marginal_check_keeps_the_joint_table_checks_rule_at_the_largest_block(x_s, ratio, dark):
+    bpb = mc.MAX_BINS_PER_BLOCK
+    x_cam = x_s / bpb
+    ((u, weights),) = bt.block_rules(bpb, [x_cam], dark, ratio * x_cam, dark)
+    oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, dark, ratio * x_cam, dark)
+    assert np.array_equal(u, oracle_u)
+    assert np.array_equal(weights, oracle_weights)
+
+
+def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+    # every base rule a check can take: TABLE_NODES doubled until one panel of
+    # the fewest would pass the cap, and the small counts a test may start from
+    from numpy.polynomial.legendre import leggauss
+
+    degrees, nodes = list(range(2, 40)), bt.TABLE_NODES
+    while bt.TABLE_MIN_PANELS * nodes <= bt.TABLE_NODE_CAP:
+        degrees.append(nodes)
+        nodes *= 2
+    assert max(degrees) == 3072
+    for nodes in degrees:
+        for ours, numpys in zip(bt._gauss_legendre(nodes), leggauss(nodes)):
+            assert ours.tobytes() == numpys.tobytes(), nodes
+
+
 def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monkeypatch):
     # from two nodes a panel, the six means do not all pass at the same level
     monkeypatch.setattr(bt, "TABLE_NODES", 2)
     finest = {}
-    build_table = bt._quadrature_table
+    level = bt._level
 
-    def table_spy(bpb, x_cam, *rest):
+    def level_spy(bpb, x_cam, *rest):
         finest[x_cam] = max(finest.get(x_cam, 0), rest[-1])
-        return build_table(bpb, x_cam, *rest)
+        return level(bpb, x_cam, *rest)
 
-    monkeypatch.setattr(bt, "_quadrature_table", table_spy)
+    monkeypatch.setattr(bt, "_level", level_spy)
     x_cams = [x / BPB for x in (0.0, 0.01, 0.1, 1.0, 3.6, 10.0)]
     x_her = 3.6 / BPB
     rules = bt.block_rules(BPB, x_cams, 0.0, x_her, 0.0)
@@ -367,23 +420,23 @@ def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monke
 
 
 def test_herald_rows_are_built_once_per_chunk_and_level_of_a_check(monkeypatch):
-    # four camera means share the herald's panel count, so its rows of a level
-    # serve every mean; the two detectors' dark counts tell their rows apart
+    # four camera means share the herald's panel count, so its marginal of a
+    # level serves every mean; the two detectors' dark counts tell their rows apart
     dark_cam, dark_her = 0.01, 0.03
     x_cams = [x / BPB for x in (0.0, 0.1, 0.3, 0.5)]
     rows, tables = [], []
-    build_rows, build_table = bt._binomial_rows, bt._quadrature_table
+    build_rows, level = bt._binomial_rows, bt._level
 
     def rows_spy(size, x_u, dark):
         rows.append(dark)
         return build_rows(size, x_u, dark)
 
-    def table_spy(bpb, x_cam, *rest):
+    def level_spy(bpb, x_cam, *rest):
         tables.append((x_cam, tuple(rest[-2:])))
-        return build_table(bpb, x_cam, *rest)
+        return level(bpb, x_cam, *rest)
 
     monkeypatch.setattr(bt, "_binomial_rows", rows_spy)
-    monkeypatch.setattr(bt, "_quadrature_table", table_spy)
+    monkeypatch.setattr(bt, "_level", level_spy)
     bt.block_rules(BPB, x_cams, dark_cam, 0.65 / BPB, dark_her)
     chunks = lambda panels, nodes: -(-panels * nodes // bt.TABLE_ROW_NODES)
     levels = {level for _, level in tables}
@@ -745,10 +798,10 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
 
 def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     # blocks of 1024 bins on an off-centre gaussian: each of the 12 tiles
-    # needs its own 8.4 MB table.  A thread holds about four tables at most
-    # (two rules of its table and their difference while it checks them; a
-    # tile's draw holds none), so a scan stays under five tables a thread,
-    # where keeping every table would hold twelve
+    # checks its own rule.  The check holds a level's binomial rows one chunk
+    # of TABLE_ROW_NODES x (s+1) cells (3.1 MB) at a time and a tile's draw
+    # holds none, so at any thread count a scan stays under two chunks, less
+    # than one 8.4 MB (s+1)^2 table
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
     src = mc.SourceConfig(
@@ -757,6 +810,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     threads = 2
     scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
                       trigger_mode=mc.SINGLES, threads=threads)
+    chunk_bytes = bt.TABLE_ROW_NODES * (mc.MAX_BINS_PER_BLOCK + 1) * 8
     table_bytes = (mc.MAX_BINS_PER_BLOCK + 1) ** 2 * 8
     power = prof.power()
     _, _, tiles = mc.superpixel_tiles(6, 8, 2)
@@ -768,7 +822,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     finally:
         tracemalloc.stop()
     assert res.grid("camera_counts").sum() > 0
-    assert peak < 5 * threads * table_bytes < len(tiles) * table_bytes
+    assert peak < 2 * chunk_bytes < table_bytes
 
 def test_conditional_ratio_is_two_for_thermal(tmp_path):
     prof = flat_profile()

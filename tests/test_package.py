@@ -110,6 +110,20 @@ def test_verify_command_loads_no_scan_side_module(tmp_path):
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
+def test_thermal_scan_loads_no_polynomial_module(tmp_path):
+    # blocktable computes its Gauss-Legendre base rule without numpy.polynomial
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        "scenario=subtraction\ngrid.width=16\ngrid.height=12\nprofile.kind=uniform_ellipse\n"
+        "profile.rx=7\nprofile.ry=5\nmask.region=rect:5,4,5,4\nmask.herald_target=0.013\n"
+        "scan.superpixel=4\nscan.dwell=0.00012\nscan.seed=5\n"
+    )
+    argv = ["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    loaded = _modules_after(f"from qvampire import cli; assert cli.main({argv!r}) == 0")
+    assert "qvampire.blocktable" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+
+
 def test_config_loads_no_hash_module():
     # a seedless scan draws its seed from os.urandom
     loaded = _modules_after("import qvampire.config")
