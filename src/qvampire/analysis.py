@@ -20,7 +20,6 @@ from .errors import (
     InsufficientCounts,
     InsufficientData,
 )
-from .montecarlo import superpixel_tiles
 
 TAG_INSIDE = "inside_mask_region"
 TAG_OUTSIDE = "outside"
@@ -201,13 +200,15 @@ def region_fraction_map(
     The region, tiled at ``superpixel``, must give the n_rows x n_cols grid.
     """
     region = np.asarray(region, dtype=bool)
-    rows, cols, tiles = superpixel_tiles(*region.shape, superpixel)
-    if (rows, cols) != (n_rows, n_cols):
+    height, width = region.shape
+    # the first row and column of each superpixel, as ``superpixel_tiles`` lays them
+    ys, xs = np.arange(0, height, superpixel), np.arange(0, width, superpixel)
+    if (len(ys), len(xs)) != (n_rows, n_cols):
         raise GridMismatch(
-            f"a {region.shape[1]}x{region.shape[0]} region at superpixel {superpixel} "
-            f"tiles a {rows}x{cols} grid, but the scan grid is {n_rows}x{n_cols}"
+            f"a {width}x{height} region at superpixel {superpixel} "
+            f"tiles a {len(ys)}x{len(xs)} grid, but the scan grid is {n_rows}x{n_cols}"
         )
-    out = np.zeros((n_rows, n_cols))
-    for row, col, ys, xs in tiles:
-        out[row, col] = region[ys, xs].mean()
-    return out
+    # region pixels over pixels: the float of each tile's mean, whose sum of
+    # zeros and ones is exact
+    inside = np.add.reduceat(np.add.reduceat(region, ys, axis=0, dtype=np.int64), xs, axis=1)
+    return inside / np.multiply.outer(np.diff(ys, append=height), np.diff(xs, append=width))

@@ -50,9 +50,14 @@ TABLE_ROW_NODES = 384
 
 @lru_cache(maxsize=None)
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, c) for c = 0..n."""
-    lf = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    out = lf[n] - lf - lf[::-1]
+    """log C(n, c) for c = 0..n, each the log of the exact integer C(n, c), so
+    within a rounding of its value: the sum test of a long block's marginal
+    then checks the quadrature, not the coefficients."""
+    logs, comb = [], 1
+    for c in range(n + 1):
+        logs.append(math.log(comb))
+        comb = comb * (n - c) // (c + 1)
+    out = np.array(logs)
     out.setflags(write=False)
     return out
 

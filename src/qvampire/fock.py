@@ -41,7 +41,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate_density(elements: np.ndarray, what: str) -> np.ndarray:
+def _validate_density(elements: np.ndarray, what: str):
+    """The elements as a frozen complex array, with their eigenvalues and
+    eigenvectors from the one ``eigh`` that checks them positive semidefinite."""
     arr = np.array(elements, dtype=complex)
     if not np.isfinite(arr).all():
         raise InvalidState(f"{what}: elements must be finite")
@@ -52,9 +54,10 @@ def _validate_density(elements: np.ndarray, what: str) -> np.ndarray:
     tr = arr.trace().real
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidState(f"{what}: trace {tr} differs from 1 beyond {TRACE_TOL}")
-    if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
+    eigh = np.linalg.eigh(arr)
+    if eigh[0].min() < -PSD_TOL:
         raise InvalidState(f"{what}: negative eigenvalue below -{PSD_TOL}")
-    return _freeze(arr)
+    return _freeze(arr), eigh
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,10 @@ class DensityMatrix:
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "elements", _validate_density(self.elements, "DensityMatrix")
-        )
+        elements, eigh = _validate_density(self.elements, "DensityMatrix")
+        object.__setattr__(self, "elements", elements)
+        # kept for ``_sqrt``, so a state is decomposed once
+        object.__setattr__(self, "_eigh", eigh)
 
     @property
     def dim(self) -> int:
@@ -87,8 +91,9 @@ class DensityMatrix:
 
     @cached_property
     def _sqrt(self) -> np.ndarray:
-        """The PSD square root, taken once per state for ``fidelity``."""
-        w, v = np.linalg.eigh(self.elements)  # w >= -1e-10 by construction
+        """The PSD square root, taken once per state for ``fidelity`` from the
+        eigenpairs its validation found."""
+        w, v = self._eigh  # w >= -1e-10 by construction
         return _freeze((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 

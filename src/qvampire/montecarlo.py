@@ -10,10 +10,12 @@ the field, and same-bin herald+camera clicks feed the coincidence counter.
 
 Every superpixel owns a counter-based Philox substream keyed by
 (seed, superpixel index), so results are bit-identical no matter how the
-raster is scheduled or parallelized.  A tile outputs three totals, and
-its full coherence blocks are i.i.d., so it is drawn as a mixture rather
-than block by block (Devroye, Non-Uniform Random Variate Generation, 1986,
-ch. III):
+raster is scheduled or parallelized.  Each draw thread keeps one Philox
+generator and resets it to the start of a tile's substream before the
+tile, which draws what a generator built for that key alone would.  A tile
+outputs three totals, and its full coherence blocks are i.i.d., so it is
+drawn as a mixture rather than block by block (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. III):
 
 - A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
   whose camera and herald marginals and mixed click moments must agree
@@ -23,7 +25,8 @@ ch. III):
   m s bins of the m blocks at one node are one multinomial over the four
   joint outcomes (both, camera only, herald only, neither).  The final
   partial block is one more row at an Exp(1) intensity, and all rows are
-  one vectorized multinomial.
+  one vectorized multinomial, in which a node no full block fell on
+  draws nothing.
 
 A coherent tile has one intensity, so its law is one block of all its bins
 at u = 1 with weight 1, drawn by the same two multinomials.  Either way a
@@ -38,9 +41,9 @@ outcome rows at the rule's nodes once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,10 +295,14 @@ def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
     return bpb
 
 
+def _grid_shape(height: int, width: int, superpixel: int) -> tuple[int, int]:
+    """Rows and columns of the superpixels tiling a grid; edge tiles may be partial."""
+    return -(-height // superpixel), -(-width // superpixel)
+
+
 def superpixel_tiles(height: int, width: int, superpixel: int):
     """Row-major (row, col, yslice, xslice) tiles; edge tiles may be partial."""
-    n_rows = -(-height // superpixel)
-    n_cols = -(-width // superpixel)
+    n_rows, n_cols = _grid_shape(height, width, superpixel)
     tiles = []
     for row in range(n_rows):
         for col in range(n_cols):
@@ -315,7 +322,7 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
     profile, mask = src.profile, scan.mask
     if profile.amplitude.shape != mask.transmission.shape:
         raise ConfigMismatch("profile and mask grids differ")
-    n_rows, n_cols, _ = superpixel_tiles(profile.height, profile.width, scan.superpixel)
+    n_rows, n_cols = _grid_shape(profile.height, profile.width, scan.superpixel)
     return {
         # at least one bin: ScanConfig holds the dwell to one bin and bins_cap to 1
         "n_bins": min(int(scan.dwell / scan.bin_width + 1e-9), scan.bins_cap),
@@ -330,24 +337,41 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
 # the scan itself
 
 
+# a fresh Philox's counter and buffer: a draw thread's generator is reset to
+# them, with the tile's key, before each tile
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZEROS.setflags(write=False)
+
+
 def _outcome_rows(w_cam, w_her, src, det_cam, det_her, u):
     """One row per block intensity of ``u``: the probabilities that a bin clicks
-    both detectors, the camera only, the herald only or neither."""
+    both detectors, the camera only, the herald only or neither.  A scalar
+    ``u`` gives one row of shape (4,), with no array built around it."""
     intensity = src.nbar * u
     p_cam = click_probability(w_cam * intensity, det_cam)
     p_her = click_probability(w_her * intensity, det_her)
-    return np.stack(
-        [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)],
-        axis=-1,
+    rows = np.array(
+        [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)]
     )
+    return np.ascontiguousarray(rows.T)
+
+
+class _TileLaw(NamedTuple):
+    """What every tile of one camera weight draws from."""
+
+    full_blocks: int  # full coherence blocks a tile holds
+    block: int  # bins of a full block
+    weights: np.ndarray  # of the checked rule, one per node
+    rows: np.ndarray  # ``_outcome_rows`` at the rule's nodes
+    rest: int  # bins of the partial block, drawn at an Exp(1) intensity
+    clicks: tuple  # ``_outcome_rows``' arguments before the intensity
 
 
 def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
-    """Per camera weight of ``w_cams``, what its tiles draw from: the bins of a
-    full block, the weights of the checked rule, the outcome rows at its nodes
-    and the outcome row of the partial block at a drawn intensity.  A coherent
-    tile is one block of all its bins at u = 1 with weight 1, and a thermal
-    tile shorter than a block has no full block, so it checks no rule."""
+    """The ``_TileLaw`` of a tile of ``n_bins`` bins at each camera weight of
+    ``w_cams``.  A coherent tile is one block of all its bins at u = 1 with
+    weight 1, and a thermal tile shorter than a block has no full block, so
+    it checks no rule."""
     block = n_bins if src.kind == COHERENT else bpb
     if src.kind == COHERENT or n_bins < bpb:
         rules = [(np.ones(1), np.ones(1))] * len(w_cams)
@@ -358,26 +382,64 @@ def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
         x_cams = [det_cam.efficiency * w_cam * src.nbar for w_cam in w_cams]
         x_her = det_her.efficiency * w_her * src.nbar
         rules = block_rules(bpb, x_cams, det_cam.dark_prob, x_her, det_her.dark_prob)
-    partial_rows = [partial(_outcome_rows, w_cam, w_her, src, det_cam, det_her) for w_cam in w_cams]
-    return [(block, weights, row(u), row) for row, (u, weights) in zip(partial_rows, rules)]
-
-
-def _simulate_tile(seed: int, index: int, n_bins: int, law):
-    """One tile's (camera, herald, coincidence) totals from its Philox key
-    (seed, index) and the ``_tile_laws`` entry of its camera weight."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-    block, weights, rows, partial_row = law
     n_full, rest = divmod(n_bins, block)
-    # numpy's multinomial draws no number for no trials or one category, so a
-    # coherent tile and a tile shorter than a block spend none here
-    blocks = gen.multinomial(n_full, weights)
-    occupied = blocks > 0
-    bins, rows = block * blocks[occupied], rows[occupied]
-    if rest:
-        bins = np.append(bins, rest)
-        rows = np.concatenate([rows, partial_row(np.array([gen.standard_exponential()]))])
-    both, cam_only, her_only, _ = gen.multinomial(bins, rows).sum(axis=0)
+    laws = []
+    for w_cam, (u, weights) in zip(w_cams, rules):
+        clicks = (w_cam, w_her, src, det_cam, det_her)
+        laws.append(_TileLaw(n_full, block, weights, _outcome_rows(*clicks, u), rest, clicks))
+    return laws
+
+
+def _simulate_tile(gen: np.random.Generator, seed: int, index: int, law: _TileLaw):
+    """One tile's (camera, herald, coincidence) totals from its ``_TileLaw``.
+
+    ``gen`` is first reset to the start of the tile's Philox substream, keyed
+    (seed, index), so it draws what a fresh ``Philox(key=(seed, index))``
+    would, whatever it drew before."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": np.array([seed, index], dtype=np.uint64)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,  # the buffer's length: nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    # numpy's multinomial draws no number for a row of no trials or of one
+    # category: a coherent tile and a tile shorter than a block draw none for
+    # their blocks, and the row of a node that holds no full block draws none
+    # for its outcomes, so it need not be dropped
+    bins, rows = law.block * gen.multinomial(law.full_blocks, law.weights), law.rows
+    if law.rest:
+        u = gen.standard_exponential()
+        bins = np.concatenate((bins, (law.rest,)))
+        rows = np.concatenate((rows, (_outcome_rows(*law.clicks, u),)))
+    # the column sums as an integer product: exact, and faster on four columns
+    both, cam_only, her_only, _ = np.ones(len(bins), dtype=np.int64) @ gen.multinomial(bins, rows)
     return int(both + cam_only), int(both + her_only), int(both)
+
+
+def _run_chunks(work, chunks) -> None:
+    """``work(chunk)`` for each chunk: the first on the calling thread, each
+    other on a thread of its own.  Returns once all have ended; the calling
+    thread's exception, else the first a thread raised, is raised then."""
+    errors = []
+
+    def guarded(chunk):
+        try:
+            work(chunk)
+        except BaseException as exc:  # handed to the caller, which raises it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(chunk,)) for chunk in chunks[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(chunks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
@@ -386,7 +448,9 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     Deterministic for a fixed (seed, config) at any thread count: each
     superpixel draws from its own keyed Philox substream.  In a scan only the
     camera weight varies, so the rules of all distinct weights are checked in
-    one call, then the pool draws the tiles, one contiguous chunk a thread.
+    one call.  Then ``scan.threads`` draw threads, the calling thread first,
+    draw the tiles, one contiguous chunk a thread.  Each builds one Philox
+    generator and re-keys it to (seed, index) before each tile.
     """
     profile = src.profile
     derived = derived_settings(src, scan)
@@ -399,12 +463,15 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     law_of = dict(zip(distinct, _tile_laws(distinct, derived["r_eff2"], src, *dets, n_bins, bpb)))
     n, threads = len(tiles), scan.threads
     chunks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
+    totals = [None] * n
 
     def draw(chunk):
-        return [_simulate_tile(scan.seed, i, n_bins, law_of[w_cams[i]]) for i in chunk]
+        # any key: each tile re-keys it
+        gen = np.random.Generator(np.random.Philox(0))
+        for i in chunk:
+            totals[i] = _simulate_tile(gen, scan.seed, i, law_of[w_cams[i]])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        totals = [counts for part in pool.map(draw, chunks) for counts in part]
+    _run_chunks(draw, chunks)
     records = tuple(
         SuperpixelRecord(row, col, n_bins, *counts)
         for (row, col, _, _), counts in zip(tiles, totals)

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import chdtrc
 from scipy.stats import chi2 as chi2_dist
 
-from qvampire import analysis
+from qvampire import analysis, montecarlo as mc
 from qvampire.errors import (
     BandOutOfRange,
     EmptyRegion,
@@ -287,6 +287,18 @@ def test_region_fraction_map():
     region[0:2, 4:8] = True
     frac = analysis.region_fraction_map(region, 4, 2, 2)
     assert frac[0, 1] == 0.5
+
+
+def test_region_fraction_map_is_each_tiles_mean():
+    # edge tiles of 13 x 11 are partial at every superpixel but 1
+    region = np.random.default_rng(5).random((11, 13)) < 0.4
+    for superpixel in (1, 3, 4, 5, 13):
+        rows, cols, tiles = mc.superpixel_tiles(11, 13, superpixel)
+        frac = analysis.region_fraction_map(region, superpixel, rows, cols)
+        oracle = np.zeros((rows, cols))
+        for row, col, ys, xs in tiles:
+            oracle[row, col] = region[ys, xs].mean()
+        assert np.array_equal(frac, oracle)
 
 
 def test_region_fraction_map_rejects_a_raster_off_the_scan_grid():

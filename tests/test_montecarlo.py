@@ -3,6 +3,8 @@ oracles via a sampler that draws every coherence block on its own."""
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -73,9 +75,10 @@ def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb
 
 def tile_draws(seeds, index, *args):
     """``mc._simulate_tile`` totals of one tile at each seed, all drawn from
-    the one law its camera weight needs."""
+    the one law its camera weight needs by one re-keyed generator."""
     (law,) = mc._tile_laws([args[0]], *args[1:])
-    return np.array([mc._simulate_tile(seed, index, args[5], law) for seed in seeds])
+    gen = np.random.Generator(np.random.Philox(0))
+    return np.array([mc._simulate_tile(gen, seed, index, law) for seed in seeds])
 
 
 def tile_by_tile(src, scan):
@@ -218,6 +221,18 @@ def test_table_sums_to_one(x_s, dark_cam, dark_her):
     assert table.shape == (BPB + 1, BPB + 1)
     assert table.min() >= 0.0
     assert abs(table.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bpb", [512, 1024])
+def test_long_block_marginals_sum_to_one_far_inside_the_check(bpb):
+    # the check holds each marginal's sum to 1 within TABLE_TOL; rounding in
+    # the binomial rows must leave that tolerance to the quadrature, so each
+    # sum is held to a twentieth of it
+    for dark in (0.0, 1e-4, 0.01, 0.05):
+        for x_s in np.geomspace(0.01, 10.0, 7):
+            panels = bt._panel_count(bpb, x_s / bpb)
+            marginal, _ = bt._marginal(bpb, x_s / bpb, dark, panels, 2 * bt.TABLE_NODES)
+            assert abs(marginal.sum() - 1.0) < bt.TABLE_TOL / 20, (dark, x_s)
 
 
 @pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
@@ -554,6 +569,27 @@ def test_tile_totals_equal_the_three_branch_draw(kind, n_bins):
         assert np.array_equal(tile_draws(seeds, index, *args), oracle)
 
 
+@pytest.mark.parametrize("kind", [mc.THERMAL, mc.COHERENT])
+@pytest.mark.parametrize(
+    "n_bins", [BPB - 1, BPB * 240, BPB * 240 + 17], ids=["short", "full", "partial"]
+)
+def test_a_rekeyed_generator_draws_each_tile_as_a_fresh_one(kind, n_bins):
+    # one generator draws the tiles out of order and a tile twice, with its
+    # counter and buffer wherever the last draw left them: each tile must
+    # still draw what a fresh Philox(key=(seed, index)) draws
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
+    det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=0.01)
+    det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=0.03)
+    args = (0.4, 0.3, src, det_cam, det_her, n_bins, BPB)
+    (law,) = mc._tile_laws([args[0]], *args[1:])
+    gen = np.random.Generator(np.random.Philox(0))
+    for seed in (1, 42, 7919, 2**63 + 5):
+        for index in (7, 0, 2**40 + 3, 7):
+            got = mc._simulate_tile(gen, seed, index, law)
+            assert got == three_branch_tile(seed, index, *args)
+            gen.integers(2**32, dtype=np.uint32, size=3)  # a draw between tiles
+
+
 # ---------------------------------------------------------------------------
 # run_scan
 
@@ -768,6 +804,44 @@ def test_determinism_across_thread_counts():
         ]
         assert results[0].records == results[1].records == results[2].records
     assert results[0].records[0].n_bins == long_bins
+
+
+@pytest.mark.parametrize("failing", [0, 47], ids=["calling-thread", "worker"])
+def test_a_tile_error_reaches_the_caller_after_every_thread_ends(monkeypatch, failing):
+    # 48 tiles on three threads: tile 0 is the calling thread's, tile 47 the
+    # last worker's
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
+    mask = spatial.make_mask("white", 16, 12)
+    scan = small_scan(mask, superpixel=2, threads=3)
+    draw = mc._simulate_tile
+
+    def faulty(gen, seed, index, law):
+        if index == failing:
+            raise FloatingPointError(f"tile {index}")
+        return draw(gen, seed, index, law)
+
+    monkeypatch.setattr(mc, "_simulate_tile", faulty)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"tile {failing}$"):
+        mc.run_scan(src, scan)
+    assert threading.active_count() == before
+
+
+def test_draw_threads_lose_no_tile_under_fast_switching():
+    # eight draw threads on two cores write their totals into one list; with
+    # the interpreter switching threads every microsecond a lost or misplaced
+    # write would change a record
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
+    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3,
+                             region=spatial.rect_region(16, 12, 4, 4, 6, 4))
+    reference = mc.run_scan(src, small_scan(mask, superpixel=2, threads=1)).records
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = mc.run_scan(src, small_scan(mask, superpixel=2, threads=8)).records
+    finally:
+        sys.setswitchinterval(interval)
+    assert records == reference
 
 
 def test_run_scan_builds_each_distinct_table_once(monkeypatch):

@@ -394,13 +394,15 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
 def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     # the 54 operator cases at nmax 28 hold 9 distinct (c_A, r) splits: each
     # kernel build reads the herald images once, each of the 57 blocks takes
-    # its two half-order eigendecompositions once, and fock.fidelity takes
-    # one per state: the 54 outputs and the 6 directly subtracted states
+    # its two half-order eigendecompositions once, and each state takes one
+    # eigh, which validates it and gives fock.fidelity its square root: the
+    # 6 input states, the 54 outputs and the 6 directly subtracted states
     _clear_caches()
     kernels, eighs = [], []
     images, eigh = verify._herald_images, np.linalg.eigh
     monkeypatch.setattr(verify, "_herald_images", lambda *key: kernels.append(key) or images(*key))
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or eigh(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("a second decomposition"))
     tracemalloc.start()
     try:
         assert cli.main(["verify", "--out", str(tmp_path)]) == 0
@@ -418,7 +420,7 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     hops = [shape for shape in eighs if shape != (d, d)]
     assert len(hops) == 2 * (2 * d - 1)
     assert max(shape[0] for shape in hops) == (d + 1) // 2
-    assert len(eighs) - len(hops) == 54 + 6
+    assert len(eighs) - len(hops) == 6 + 54 + 6
     # the kernels and eigenbases the sweep leaves alive: about 0.8 MB, where
     # a dense d x d x d kernel per split would hold 2 MB
     assert 0 < held < 1.5e6
