@@ -6,8 +6,21 @@ shadow appears) while the brightness changes by the input state's g2
 factor, doubling for thermal light.  This package verifies that exactly
 in a truncated Fock space and reproduces it statistically with a Monte
 Carlo model of the tap-and-trigger single-pixel imaging apparatus.
+
+``import qvampire`` loads no submodule: each of the documented ones below
+loads on first access (``qvampire.fock.make_thermal``), so a command pays
+only for the modules it runs.
 """
 
-from . import analysis, errors, fock, montecarlo, spatial, verify
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset({"analysis", "errors", "fock", "montecarlo", "spatial", "verify"})
+
+
+def __getattr__(name):
+    # PEP 562: called only for names the module does not hold yet
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 1 on validation or I/O problems, 2 when the
 verification suite finds an operator-model fidelity breach (a scientific
 failure, not a usage one).
+
+Each command imports the modules it runs inside its own function, and
+building the parser imports none: ``verify`` loads ``fock``, ``verify`` and
+the CSV writer and no module of the Monte Carlo side, and ``profile``,
+``scan`` and ``analyze`` load no part of the exact Fock engine.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, fock, montecarlo as mc, spatial, verify
 from .errors import QVampireError
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
+    from .fock import DensityMatrix
+    from .montecarlo import ScanResult
 
 VERIFY_CSV_HEADER = "state,c_A,r,herald_model,fidelity,herald_prob,complement_population"
 RATIO_CSV_HEADER = "row,col,ratio,sigma,tag"
@@ -28,6 +34,7 @@ CUT_CSV_HEADER = "x,scan_value,scan_sigma,ref_value,ref_sigma"
 DEFAULT_STATES = "thermal:0.5,thermal:1,coherent:1,fock:1,fock:2,fock:3"
 DEFAULT_CA = "0.1,0.5,0.9"
 DEFAULT_R = "0.05,0.1,0.2"
+STATE_FORMS = "thermal:<nbar>, coherent:<alpha> or fock:<n>"
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -48,6 +55,8 @@ def _outdir(args) -> Path:
 
 
 def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
+    from . import montecarlo as mc, spatial
+
     nbar = scenario.source.nbar
     profile, mask = scenario.source.profile, scenario.scan.mask
     if scenario.scenario != "subtraction":
@@ -59,6 +68,8 @@ def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
 
 
 def cmd_profile(args) -> int:
+    from . import montecarlo as mc, spatial
+
     scenario = _load_scenario(args)
     out = _outdir(args)
     intensity = _analytic_map(scenario)
@@ -76,6 +87,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import montecarlo as mc
+
     scenario = _load_scenario(args)
     out = _outdir(args)
     result = mc.run_scan(scenario.source, scenario.scan)
@@ -91,15 +104,24 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _parse_state(spec: str, nmax: int) -> fock.DensityMatrix:
+def _parse_state(spec: str, nmax: int) -> DensityMatrix:
+    from . import fock
+
+    makers = {
+        "thermal": (float, fock.make_thermal),
+        "coherent": (complex, fock.make_coherent),
+        "fock": (int, fock.make_fock),
+    }
     kind, _, value = spec.partition(":")
-    if kind == "thermal":
-        return fock.make_thermal(float(value), nmax)
-    if kind == "coherent":
-        return fock.make_coherent(complex(value), nmax)
-    if kind == "fock":
-        return fock.make_fock(int(value), nmax)
-    raise QVampireError(f"unknown state spec {spec!r}")
+    try:
+        convert, make = makers[kind]
+        number = convert(value)
+    except (KeyError, ValueError):
+        raise QVampireError(f"state spec {spec!r}: expected {STATE_FORMS}") from None
+    try:
+        return make(number, nmax)
+    except (QVampireError, ValueError) as exc:  # a value out of the maker's range
+        raise QVampireError(f"state spec {spec!r}: {exc}") from None
 
 
 def _split_list(text: str) -> list[str]:
@@ -107,15 +129,19 @@ def _split_list(text: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from . import fock, verify
+    from .csvio import save_csv
+
     specs = _split_list(args.states)
     cas = [float(v) for v in _split_list(args.ca)]
     rs = [float(v) for v in _split_list(args.r)]
-    models = _split_list(args.models)
+    models = _split_list(verify.OPERATOR if args.models is None else args.models)
+    nmax = verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
     if not specs or not cas or not rs or not models:
         print("verify: empty sweep (need states, ca, r and models)", file=sys.stderr)
         return 1
     # the whole sweep is checked before its first case runs
-    states = [(spec, _parse_state(spec, args.nmax)) for spec in specs]
+    states = [(spec, _parse_state(spec, nmax)) for spec in specs]
     splits = [verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
     out = _outdir(args)
     rows = []
@@ -137,7 +163,7 @@ def cmd_verify(args) -> int:
                 f"fidelity={fid:.12f} herald_prob={res.herald_prob:.6e}"
             )
             rows.append((spec, c_a, r, model, fid, res.herald_prob, res.complement_population))
-    spatial.save_csv(out / "verify.csv", VERIFY_CSV_HEADER, rows)
+    save_csv(out / "verify.csv", VERIFY_CSV_HEADER, rows)
     summary = f"verify: {len(rows)} cases"
     if margins:
         summary += (
@@ -152,13 +178,16 @@ def cmd_verify(args) -> int:
 
 
 def _sidecar_for(path: Path) -> dict:
+    from . import montecarlo as mc
+
     sidecar = path.with_suffix(".cfg")
     return mc.load_sidecar(sidecar) if sidecar.exists() else {}
 
 
-def _region_fracs(result: mc.ScanResult) -> tuple[np.ndarray, str | None]:
+def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str | None]:
     """Fraction of each superpixel inside the mask region; zeros and the reason
     when the scan names no region (the shadow z-score is then NaN)."""
+    from . import analysis
     from .config import parse_region_spec
 
     cfg = result.config
@@ -183,8 +212,10 @@ def _region_fracs(result: mc.ScanResult) -> tuple[np.ndarray, str | None]:
     return np.zeros((result.n_rows, result.n_cols)), note
 
 
-def _report_assumptions(path: Path, result: mc.ScanResult, region_note: str | None = None) -> None:
+def _report_assumptions(path: Path, result: ScanResult, region_note: str | None = None) -> None:
     """One stderr line per scan naming the sidecar defaults it was analyzed with."""
+    from . import montecarlo as mc
+
     used = [f"{k}={v}" for k, v in mc.SIDECAR_DEFAULTS.items() if k not in result.config]
     notes = [f"defaults used: {', '.join(used)}"] if used else []
     if region_note:
@@ -194,6 +225,9 @@ def _report_assumptions(path: Path, result: mc.ScanResult, region_note: str | No
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, montecarlo as mc
+    from .csvio import save_csv
+
     scan_path = Path(args.scan)
     result = mc.load_scan_csv(scan_path, config=_sidecar_for(scan_path))
     fracs, region_note = _region_fracs(result)
@@ -245,8 +279,8 @@ def cmd_analyze(args) -> int:
     out = _outdir(args)
     cells = np.ndindex(result.n_rows, result.n_cols)
     rows = ((i, j, rmap.ratio[i, j], rmap.sigma[i, j], rmap.tags[i, j]) for i, j in cells)
-    spatial.save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
-    spatial.save_csv(out / "cut.csv", CUT_CSV_HEADER, zip(x, cut_num, cut_num_s, cut_den, cut_den_s))
+    save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
+    save_csv(out / "cut.csv", CUT_CSV_HEADER, zip(x, cut_num, cut_num_s, cut_den, cut_den_s))
 
     summary = {
         "chi2": repr(flat.chi2),
@@ -298,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", default=DEFAULT_STATES)
     p.add_argument("--ca", default=DEFAULT_CA)
     p.add_argument("--r", default=DEFAULT_R)
-    p.add_argument("--models", default=verify.OPERATOR)
-    p.add_argument("--nmax", type=int, default=verify.DEFAULT_VERIFY_NMAX)
+    # None takes verify.OPERATOR and verify.DEFAULT_VERIFY_NMAX in cmd_verify,
+    # so building the parser imports no module
+    p.add_argument("--models", default=None)
+    p.add_argument("--nmax", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="ratio maps, flatness/shadow verdict, g2")

@@ -47,8 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvio import save_csv
 from .errors import ConfigMismatch, NoHeralds
-from .spatial import BeamProfile, MaskSpec, reduce, save_csv
+from .spatial import BeamProfile, MaskSpec, reduce
 
 THERMAL = "thermal"
 COHERENT = "coherent"
@@ -158,6 +159,8 @@ class SuperpixelRecord:
     coincidence_counts: int
 
     def __post_init__(self):
+        if min(self.n_bins, self.camera_counts, self.herald_counts, self.coincidence_counts) < 0:
+            raise ConfigMismatch("counts must be non-negative")
         if self.coincidence_counts > min(self.camera_counts, self.herald_counts):
             raise ConfigMismatch("coincidences exceed a singles counter")
         if max(self.camera_counts, self.herald_counts) > self.n_bins:
@@ -520,32 +523,43 @@ def save_scan_csv(path, result: ScanResult) -> None:
     save_csv(path, SCAN_CSV_HEADER, rows)
 
 
+def _scan_record(fields: list[str], tokens: list[str]) -> SuperpixelRecord:
+    """One scan CSV row; a failed rule raises ``ConfigMismatch`` naming it."""
+    if len(tokens) != len(fields):
+        wanted = f"{len(fields)} fields ({','.join(fields)})"
+        raise ConfigMismatch(f"expected {wanted}, got {len(tokens)}")
+    values = []
+    for name, tok in zip(fields, tokens):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ConfigMismatch(f"{name}={tok!r} is not an integer") from None
+    return SuperpixelRecord(*values)
+
+
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:
     """Read a scan CSV; every superpixel of the grid must appear exactly once."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != SCAN_CSV_HEADER:
             raise ConfigMismatch(f"unexpected scan CSV header: {header!r}")
+        fields = header.split(",")
         records = []
         seen = set()
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            row, col, n_bins, cam, her, both = (int(tok) for tok in line.split(","))
-            if (row, col) in seen:
-                raise ConfigMismatch(f"{path}: superpixel ({row}, {col}) appears twice")
-            seen.add((row, col))
-            records.append(
-                SuperpixelRecord(
-                    row=row,
-                    col=col,
-                    n_bins=n_bins,
-                    camera_counts=cam,
-                    herald_counts=her,
-                    coincidence_counts=both,
+            try:
+                record = _scan_record(fields, line.split(","))
+            except ConfigMismatch as exc:
+                raise ConfigMismatch(f"{path}: line {lineno}: {exc}") from None
+            if (record.row, record.col) in seen:
+                raise ConfigMismatch(
+                    f"{path}: line {lineno}: superpixel ({record.row}, {record.col}) appears twice"
                 )
-            )
+            seen.add((record.row, record.col))
+            records.append(record)
     if not records:
         raise ConfigMismatch(f"{path}: no superpixel rows")
     config = dict(config or {})

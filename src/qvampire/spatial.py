@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import save_csv
 from .errors import DegenerateShape, DimensionMismatch, WeakCouplingViolated
 
 NORM_TOL = 1e-12
@@ -294,15 +295,6 @@ def subtracted_profile_analytic(
 
 # ---------------------------------------------------------------------------
 # CSV / PGM writers (the CLI writes these; nothing here reads them back)
-
-
-def save_csv(path, header: str, rows) -> None:
-    """ASCII CSV: the header line, then one line per row; floats as their repr."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
 
 
 def save_matrix_csv(path, arr: np.ndarray) -> None:

@@ -423,6 +423,22 @@ def test_cmd_verify_checks_the_whole_sweep_before_the_first_case(tmp_path, capsy
     assert not (out / "verify.csv").exists()
 
 
+@pytest.mark.parametrize("spec", ["thermal", "thermal:", "fock:2.5", "coherent:x", "squeezed:1"])
+def test_cmd_verify_bad_state_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", spec])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and repr(spec) in err
+    assert all(form in err for form in ("thermal:<nbar>", "coherent:<alpha>", "fock:<n>"))
+
+
+def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys):
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", "thermal:-1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "qvampire: state spec 'thermal:-1': nbar must be non-negative\n"
+
+
 def test_cmd_verify_breach_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fock, "fidelity", lambda a, b: 0.5)
     rc = cli.main(

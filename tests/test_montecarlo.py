@@ -197,6 +197,12 @@ def test_superpixel_record_invariants():
         mc.SuperpixelRecord(0, 0, 100, camera_counts=101, herald_counts=3, coincidence_counts=1)
 
 
+def test_superpixel_record_names_a_negative_count():
+    # the sign rule comes first: -1 camera counts also sits below 0 coincidences
+    with pytest.raises(ConfigMismatch, match="non-negative"):
+        mc.SuperpixelRecord(0, 0, 100, camera_counts=-1, herald_counts=3, coincidence_counts=0)
+
+
 # ---------------------------------------------------------------------------
 # the block-outcome table
 
@@ -1018,6 +1024,23 @@ def test_load_scan_csv_rejects_malformed_grid(tmp_path, rows, config):
     path.write_text(mc.SCAN_CSV_HEADER + "\n" + body)
     with pytest.raises(ConfigMismatch):
         mc.load_scan_csv(path, config=config)
+
+
+@pytest.mark.parametrize(
+    "row, rule",
+    [
+        ("0,0,5", "expected 6 fields"),  # short row
+        ("0,0,10,2.5,1,1", "camera_counts='2.5' is not an integer"),
+        ("0,0,10,2,-1,0", "non-negative"),  # negative herald count
+    ],
+)
+def test_load_scan_csv_names_file_line_and_rule(tmp_path, row, rule):
+    path = tmp_path / "scan.csv"
+    path.write_text(f"{mc.SCAN_CSV_HEADER}\n0,1,10,2,1,1\n{row}\n")
+    with pytest.raises(ConfigMismatch) as info:
+        mc.load_scan_csv(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: line 3: ") and rule in message
 
 
 def test_sidecar_rejects_line_without_equals(tmp_path):

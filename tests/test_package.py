@@ -68,25 +68,6 @@ def test_blocktable_imports_no_sibling_but_errors():
     # cannot close a cycle
     assert _package_imports(PACKAGE / "blocktable.py") == {"errors"}
 
-# what ``import qvampire`` adds to ``sys.modules`` beyond numpy and the package itself
-IMPORT_MODULES = {"__future__", "copy", "dataclasses"}
-
-
-def test_import_loads_no_new_module():
-    # the checked Gauss-Legendre rule loads at a scan's first thermal tile
-    probe = (
-        "import sys, numpy; before = set(sys.modules); import qvampire; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "numpy.polynomial" not in out
-    assert "qvampire.blocktable" not in out
-    extra = sorted(m for m in out if m.split(".")[0] != "qvampire" and m not in IMPORT_MODULES)
-    assert not extra, f"import qvampire loads new modules: {extra}"
-
 
 def _modules_after(code):
     """The modules a fresh interpreter holds once ``code`` has run."""
@@ -98,22 +79,45 @@ def _modules_after(code):
     return set(out.splitlines()[-1].split())
 
 
+def test_import_loads_no_new_module():
+    # each submodule loads on first access, so a command pays only for what it runs
+    added = _modules_after("import numpy, qvampire") - _modules_after("import numpy")
+    assert added == {"qvampire"}
+
+
+def test_submodule_loads_on_first_access():
+    # only the six documented submodules load by attribute; other names raise
+    loaded = _modules_after(
+        "import qvampire; assert qvampire.fock.make_thermal(1.0).dim > 0; "
+        "assert not hasattr(qvampire, 'nope') and not hasattr(qvampire, 'config')"
+    )
+    package = {m for m in loaded if m.split(".")[0] == "qvampire"}
+    assert package == {"qvampire", "qvampire.errors", "qvampire.fock"}
+
+
 def test_verify_command_loads_no_scan_side_module(tmp_path):
     # verify reads no config and checks no quadrature rule
     argv = ["verify", "--out", str(tmp_path), "--states", "fock:1", "--ca", "0.5", "--r", "0.1"]
     loaded = _modules_after(f"from qvampire import cli; assert cli.main({argv!r}) == 0")
     unwanted = {"qvampire.config", "qvampire.blocktable", "numpy.polynomial", "secrets"}
+    unwanted |= {"qvampire.montecarlo", "qvampire.spatial", "qvampire.analysis"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
+    package = {m for m in loaded if m.split(".")[0] == "qvampire"}
+    expected = {"cli", "csvio", "errors", "fock", "verify"}
+    assert package == {"qvampire"} | {f"qvampire.{m}" for m in expected}
+
+
+SMALL_SCAN = (
+    "scenario=subtraction\ngrid.width=16\ngrid.height=12\nprofile.kind=uniform_ellipse\n"
+    "profile.rx=7\nprofile.ry=5\nmask.region=rect:5,4,5,4\nmask.herald_target=0.013\n"
+    "scan.superpixel=4\nscan.dwell=0.00012\nscan.seed=5\n"
+)
 
 
 def test_thermal_scan_loads_no_polynomial_module(tmp_path):
     # blocktable computes its Gauss-Legendre base rule without numpy.polynomial
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text(
-        "scenario=subtraction\ngrid.width=16\ngrid.height=12\nprofile.kind=uniform_ellipse\n"
-        "profile.rx=7\nprofile.ry=5\nmask.region=rect:5,4,5,4\nmask.herald_target=0.013\n"
-        "scan.superpixel=4\nscan.dwell=0.00012\nscan.seed=5\n"
-    )
+    cfg.write_text(SMALL_SCAN)
     argv = ["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]
     loaded = _modules_after(f"from qvampire import cli; assert cli.main({argv!r}) == 0")
     assert "qvampire.blocktable" in loaded
@@ -125,3 +129,18 @@ def test_config_loads_no_hash_module():
     loaded = _modules_after("import qvampire.config")
     unwanted = {"secrets", "hmac", "hashlib", "_hashlib"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def test_scan_and_analyze_load_no_fock_engine(tmp_path):
+    # the Monte Carlo commands run without the exact engine, each in its own process
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SMALL_SCAN)
+    commands = (
+        ["scan", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        ["analyze", "--scan", str(tmp_path / "out" / "scan.csv"), "--out", str(tmp_path / "rep")],
+    )
+    for argv in commands:
+        loaded = _modules_after(f"from qvampire import cli; assert cli.main({argv!r}) == 0")
+        assert {"qvampire.montecarlo", "qvampire.spatial"} <= loaded
+        assert not loaded & {"qvampire.fock", "qvampire.verify"}, argv[0]
+
