@@ -4,10 +4,10 @@ Exit codes: 0 on success, 1 on validation or I/O problems, 2 when the
 verification suite finds an operator-model fidelity breach (a scientific
 failure, not a usage one).
 
-Each command imports the modules it runs inside its own function, and
-building the parser imports none: ``verify`` loads ``fock``, ``verify`` and
-the CSV writer and no module of the Monte Carlo side, and ``profile``,
-``scan`` and ``analyze`` load no part of the exact Fock engine.
+Each command reaches its modules through the package root, which loads a
+submodule at its first use, and building the parser loads none: ``verify``
+loads ``fock`` and ``verify`` and no module of the Monte Carlo side, and
+``profile``, ``scan`` and ``analyze`` load no part of the exact Fock engine.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+import qvampire as qv  # each submodule loads on first access
+
+from .csvio import save_csv
 from .errors import QVampireError
 
 if TYPE_CHECKING:
@@ -55,47 +58,41 @@ def _outdir(args) -> Path:
 
 
 def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
-    from . import montecarlo as mc, spatial
-
     nbar = scenario.source.nbar
     profile, mask = scenario.source.profile, scenario.scan.mask
     if scenario.scenario != "subtraction":
         # the initial scenario's white mask transmits the whole profile
-        return spatial.loss_profile(profile, mask, nbar)
+        return qv.spatial.loss_profile(profile, mask, nbar)
     # g2 of the source's photon statistics: Bose-Einstein 2, Poisson 1
-    g2 = 2.0 if scenario.source.kind == mc.THERMAL else 1.0
-    return spatial.subtracted_profile_analytic(profile, mask, g2, nbar)
+    g2 = 2.0 if scenario.source.kind == qv.montecarlo.THERMAL else 1.0
+    return qv.spatial.subtracted_profile_analytic(profile, mask, g2, nbar)
 
 
 def cmd_profile(args) -> int:
-    from . import montecarlo as mc, spatial
-
     scenario = _load_scenario(args)
     out = _outdir(args)
     intensity = _analytic_map(scenario)
-    spatial.save_matrix_csv(out / "intensity.csv", intensity)
+    qv.spatial.save_matrix_csv(out / "intensity.csv", intensity)
     peak = intensity.max()
-    spatial.save_pgm(out / "intensity.pgm", intensity / peak if peak > 0 else intensity)
+    qv.spatial.save_pgm(out / "intensity.pgm", intensity / peak if peak > 0 else intensity)
     profile, mask = scenario.source.profile, scenario.scan.mask
-    spatial.save_matrix_csv(out / "profile.csv", profile.amplitude)
-    spatial.save_matrix_csv(out / "mask.csv", mask.transmission)
-    spatial.save_pgm(out / "mask.pgm", mask.transmission)
-    mc.save_sidecar(out / "profile.cfg", scenario.echo)
-    rate = spatial.herald_rate(profile, mask, scenario.source.nbar)
+    qv.spatial.save_matrix_csv(out / "profile.csv", profile.amplitude)
+    qv.spatial.save_matrix_csv(out / "mask.csv", mask.transmission)
+    qv.spatial.save_pgm(out / "mask.pgm", mask.transmission)
+    qv.montecarlo.save_sidecar(out / "profile.cfg", scenario.echo)
+    rate = qv.spatial.herald_rate(profile, mask, scenario.source.nbar)
     print(f"herald_rate={rate!r}")
     return 0
 
 
 def cmd_scan(args) -> int:
-    from . import montecarlo as mc
-
     scenario = _load_scenario(args)
     out = _outdir(args)
-    result = mc.run_scan(scenario.source, scenario.scan)
+    result = qv.montecarlo.run_scan(scenario.source, scenario.scan)
     echo = dict(scenario.echo)
     echo.update(result.config)
-    mc.save_scan_csv(out / "scan.csv", result)
-    mc.save_sidecar(out / "scan.cfg", echo)
+    qv.montecarlo.save_scan_csv(out / "scan.csv", result)
+    qv.montecarlo.save_sidecar(out / "scan.cfg", echo)
     total = result.grid("camera_counts").sum()
     print(
         f"scan complete: {result.n_rows}x{result.n_cols} superpixels, "
@@ -105,12 +102,10 @@ def cmd_scan(args) -> int:
 
 
 def _parse_state(spec: str, nmax: int) -> DensityMatrix:
-    from . import fock
-
     makers = {
-        "thermal": (float, fock.make_thermal),
-        "coherent": (complex, fock.make_coherent),
-        "fock": (int, fock.make_fock),
+        "thermal": (float, qv.fock.make_thermal),
+        "coherent": (complex, qv.fock.make_coherent),
+        "fock": (int, qv.fock.make_fock),
     }
     kind, _, value = spec.partition(":")
     try:
@@ -129,33 +124,32 @@ def _split_list(text: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    from . import fock, verify
-    from .csvio import save_csv
-
     specs = _split_list(args.states)
     cas = [float(v) for v in _split_list(args.ca)]
     rs = [float(v) for v in _split_list(args.r)]
-    models = _split_list(verify.OPERATOR if args.models is None else args.models)
-    nmax = verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
+    models = _split_list(qv.verify.OPERATOR if args.models is None else args.models)
+    nmax = qv.verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
     if not specs or not cas or not rs or not models:
         print("verify: empty sweep (need states, ca, r and models)", file=sys.stderr)
         return 1
+    if nmax < 1:  # checked once here, so no state spec takes the blame
+        raise QVampireError(f"--nmax must be at least 1, got {nmax}")
     # the whole sweep is checked before its first case runs
     states = [(spec, _parse_state(spec, nmax)) for spec in specs]
-    splits = [verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
+    splits = [qv.verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
     out = _outdir(args)
     rows = []
     margins, complements = [], []  # operator-model cases only
     for spec, rho in states:
-        direct, _ = fock.subtract_photon(rho)
+        direct, _ = qv.fock.subtract_photon(rho)
         for split in splits:
             c_a, r, model = split.c_a, split.r, split.herald_model
-            res = verify.regional_subtraction(rho, split)
-            fid = fock.fidelity(res.state, direct)
-            if model == verify.OPERATOR:
-                margins.append(fid - verify.FIDELITY_FLOOR)
+            res = qv.verify.regional_subtraction(rho, split)
+            fid = qv.fock.fidelity(res.state, direct)
+            if model == qv.verify.OPERATOR:
+                margins.append(fid - qv.verify.FIDELITY_FLOOR)
                 complements.append(res.complement_population)
-                status = "PASS" if fid >= verify.FIDELITY_FLOOR else "FAIL"
+                status = "PASS" if fid >= qv.verify.FIDELITY_FLOOR else "FAIL"
             else:
                 status = "INFO"
             print(
@@ -178,16 +172,13 @@ def cmd_verify(args) -> int:
 
 
 def _sidecar_for(path: Path) -> dict:
-    from . import montecarlo as mc
-
     sidecar = path.with_suffix(".cfg")
-    return mc.load_sidecar(sidecar) if sidecar.exists() else {}
+    return qv.montecarlo.load_sidecar(sidecar) if sidecar.exists() else {}
 
 
 def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str | None]:
     """Fraction of each superpixel inside the mask region; zeros and the reason
     when the scan names no region (the shadow z-score is then NaN)."""
-    from . import analysis
     from .config import parse_region_spec
 
     cfg = result.config
@@ -206,7 +197,9 @@ def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str | None]:
         except ValueError as exc:
             reason = f"bad region spec or grid size: {exc}"
         else:
-            fracs = analysis.region_fraction_map(region, superpixel, result.n_rows, result.n_cols)
+            fracs = qv.analysis.region_fraction_map(
+                region, superpixel, result.n_rows, result.n_cols
+            )
             return fracs, None
     note = f"no mask region ({reason}); shadow z-score is NaN"
     return np.zeros((result.n_rows, result.n_cols)), note
@@ -214,9 +207,7 @@ def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str | None]:
 
 def _report_assumptions(path: Path, result: ScanResult, region_note: str | None = None) -> None:
     """One stderr line per scan naming the sidecar defaults it was analyzed with."""
-    from . import montecarlo as mc
-
-    used = [f"{k}={v}" for k, v in mc.SIDECAR_DEFAULTS.items() if k not in result.config]
+    used = [f"{k}={v}" for k, v in qv.montecarlo.SIDECAR_DEFAULTS.items() if k not in result.config]
     notes = [f"defaults used: {', '.join(used)}"] if used else []
     if region_note:
         notes.append(region_note)
@@ -225,17 +216,14 @@ def _report_assumptions(path: Path, result: ScanResult, region_note: str | None 
 
 
 def cmd_analyze(args) -> int:
-    from . import analysis, montecarlo as mc
-    from .csvio import save_csv
-
     scan_path = Path(args.scan)
-    result = mc.load_scan_csv(scan_path, config=_sidecar_for(scan_path))
+    result = qv.montecarlo.load_scan_csv(scan_path, config=_sidecar_for(scan_path))
     fracs, region_note = _region_fracs(result)
     _report_assumptions(scan_path, result, region_note)
 
     if args.reference:
         ref_path = Path(args.reference)
-        reference = mc.load_scan_csv(ref_path, config=_sidecar_for(ref_path))
+        reference = qv.montecarlo.load_scan_csv(ref_path, config=_sidecar_for(ref_path))
         _report_assumptions(ref_path, reference)
         if (reference.n_rows, reference.n_cols) != (result.n_rows, result.n_cols):
             raise QVampireError(
@@ -245,14 +233,14 @@ def cmd_analyze(args) -> int:
         num, num_s = result.camera_rate_map()
         den, den_s = reference.camera_rate_map()
     else:
-        maps = mc.conditional_profile_mc(result)
+        maps = qv.montecarlo.conditional_profile_mc(result)
         num, num_s = maps.conditional.values, maps.conditional.sigmas
         den, den_s = maps.unconditional.values, maps.unconditional.sigmas
 
-    rmap = analysis.ratio_map(num, num_s, den, den_s, fracs)
-    flat = analysis.flatness_test(rmap)
+    rmap = qv.analysis.ratio_map(num, num_s, den, den_s, fracs)
+    flat = qv.analysis.flatness_test(rmap)
     try:
-        depth, z = analysis.shadow_depth(rmap)
+        depth, z = qv.analysis.shadow_depth(rmap)
     except QVampireError:
         depth, z = float("nan"), float("nan")
 
@@ -261,11 +249,11 @@ def cmd_analyze(args) -> int:
     both = int(result.grid("coincidence_counts").sum())
     bins = int(result.grid("n_bins").sum())
     if her > 0 and cam > 0:
-        g2, g2_sigma = analysis.g2_estimate(cam, her, both, bins)
+        g2, g2_sigma = qv.analysis.g2_estimate(cam, her, both, bins)
     else:
         g2, g2_sigma = float("nan"), float("nan")
 
-    verdict = analysis.verdict(flat.p_value, z)
+    verdict = qv.analysis.verdict(flat.p_value, z)
 
     if args.band is not None:
         lo, hi = args.band
@@ -273,8 +261,8 @@ def cmd_analyze(args) -> int:
         lo = result.n_rows // 3
         hi = max(lo + 1, (2 * result.n_rows) // 3)
     # cut before the first write, so a band off the grid leaves no partial report
-    x, cut_num, cut_num_s = analysis.profile_cut(num, num_s, lo, hi)
-    _, cut_den, cut_den_s = analysis.profile_cut(den, den_s, lo, hi)
+    x, cut_num, cut_num_s = qv.analysis.profile_cut(num, num_s, lo, hi)
+    _, cut_den, cut_den_s = qv.analysis.profile_cut(den, den_s, lo, hi)
 
     out = _outdir(args)
     cells = np.ndindex(result.n_rows, result.n_cols)
@@ -294,7 +282,7 @@ def cmd_analyze(args) -> int:
         "band": f"{lo}:{hi}",
         "verdict": verdict,
     }
-    mc.save_sidecar(out / "summary.txt", summary)
+    qv.montecarlo.save_sidecar(out / "summary.txt", summary)
     print(f"verdict={verdict} p_value={flat.p_value:.4g} best_const={flat.best_const:.4f} z={z:.2f}")
     return 0
 

@@ -159,11 +159,19 @@ class SuperpixelRecord:
     coincidence_counts: int
 
     def __post_init__(self):
-        if min(self.n_bins, self.camera_counts, self.herald_counts, self.coincidence_counts) < 0:
-            raise ConfigMismatch("counts must be non-negative")
-        if self.coincidence_counts > min(self.camera_counts, self.herald_counts):
-            raise ConfigMismatch("coincidences exceed a singles counter")
-        if max(self.camera_counts, self.herald_counts) > self.n_bins:
+        # 0 <= coincidences <= each singles counter <= bins holds all four
+        # non-negative, so a valid record pays one sign test; a broken one
+        # is named with the sign rule first
+        if (
+            self.coincidence_counts < 0
+            or self.coincidence_counts > min(self.camera_counts, self.herald_counts)
+            or max(self.camera_counts, self.herald_counts) > self.n_bins
+        ):
+            counts = (self.n_bins, self.camera_counts, self.herald_counts, self.coincidence_counts)
+            if min(counts) < 0:
+                raise ConfigMismatch("counts must be non-negative")
+            if self.coincidence_counts > min(self.camera_counts, self.herald_counts):
+                raise ConfigMismatch("coincidences exceed a singles counter")
             raise ConfigMismatch("counts exceed the number of bins")
 
 
@@ -523,18 +531,20 @@ def save_scan_csv(path, result: ScanResult) -> None:
     save_csv(path, SCAN_CSV_HEADER, rows)
 
 
-def _scan_record(fields: list[str], tokens: list[str]) -> SuperpixelRecord:
-    """One scan CSV row; a failed rule raises ``ConfigMismatch`` naming it."""
+def _broken_row_rule(line: str, exc: Exception) -> str:
+    """The rule a scan CSV row breaks: its field count, an integer field, or
+    the ``SuperpixelRecord`` rule that ``exc`` names."""
+    if isinstance(exc, ConfigMismatch):
+        return str(exc)
+    fields, tokens = SCAN_CSV_HEADER.split(","), line.split(",")
     if len(tokens) != len(fields):
-        wanted = f"{len(fields)} fields ({','.join(fields)})"
-        raise ConfigMismatch(f"expected {wanted}, got {len(tokens)}")
-    values = []
+        return f"expected {len(fields)} fields ({SCAN_CSV_HEADER}), got {len(tokens)}"
     for name, tok in zip(fields, tokens):
         try:
-            values.append(int(tok))
+            int(tok)
         except ValueError:
-            raise ConfigMismatch(f"{name}={tok!r} is not an integer") from None
-    return SuperpixelRecord(*values)
+            return f"{name}={tok!r} is not an integer"
+    return str(exc)
 
 
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:
@@ -543,7 +553,6 @@ def load_scan_csv(path, config: dict | None = None) -> ScanResult:
         header = fh.readline().strip()
         if header != SCAN_CSV_HEADER:
             raise ConfigMismatch(f"unexpected scan CSV header: {header!r}")
-        fields = header.split(",")
         records = []
         seen = set()
         for lineno, line in enumerate(fh, start=2):
@@ -551,14 +560,23 @@ def load_scan_csv(path, config: dict | None = None) -> ScanResult:
             if not line:
                 continue
             try:
-                record = _scan_record(fields, line.split(","))
-            except ConfigMismatch as exc:
-                raise ConfigMismatch(f"{path}: line {lineno}: {exc}") from None
-            if (record.row, record.col) in seen:
-                raise ConfigMismatch(
-                    f"{path}: line {lineno}: superpixel ({record.row}, {record.col}) appears twice"
+                row, col, n_bins, cam, her, both = (int(tok) for tok in line.split(","))
+                record = SuperpixelRecord(
+                    row=row,
+                    col=col,
+                    n_bins=n_bins,
+                    camera_counts=cam,
+                    herald_counts=her,
+                    coincidence_counts=both,
                 )
-            seen.add((record.row, record.col))
+            except (ValueError, ConfigMismatch) as exc:
+                # only a broken row pays for finding which rule it breaks
+                rule = _broken_row_rule(line, exc)
+                raise ConfigMismatch(f"{path}: line {lineno}: {rule}") from None
+            if (row, col) in seen:
+                where = f"{path}: line {lineno}"
+                raise ConfigMismatch(f"{where}: superpixel ({row}, {col}) appears twice")
+            seen.add((row, col))
             records.append(record)
     if not records:
         raise ConfigMismatch(f"{path}: no superpixel rows")

@@ -432,11 +432,20 @@ def test_cmd_verify_bad_state_spec_names_the_spec_and_its_forms(tmp_path, capsys
     assert all(form in err for form in ("thermal:<nbar>", "coherent:<alpha>", "fock:<n>"))
 
 
-def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys):
-    rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", "thermal:-1"])
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--states", "thermal:-1"], "state spec 'thermal:-1': nbar must be non-negative"),
+        (["--nmax", "0"], "--nmax must be at least 1, got 0"),  # blames no state spec
+    ],
+    ids=["state", "nmax"],
+)
+def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys, option, message):
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), *option])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == "qvampire: state spec 'thermal:-1': nbar must be non-negative\n"
+    assert err == f"qvampire: {message}\n"
+    assert not (tmp_path / "v").exists()
 
 
 def test_cmd_verify_breach_exits_two(tmp_path, monkeypatch, capsys):

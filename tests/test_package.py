@@ -85,6 +85,17 @@ def test_import_loads_no_new_module():
     assert added == {"qvampire"}
 
 
+def test_submodules_load_no_new_library_module():
+    # all six documented submodules: numpy.polynomial and blocktable load at a
+    # scan's first thermal tile, and no draw pool loads concurrent.futures
+    names = ("analysis", "errors", "fock", "montecarlo", "spatial", "verify")
+    imports = ", ".join(f"qvampire.{name}" for name in names)
+    added = _modules_after(f"import numpy, {imports}") - _modules_after("import numpy")
+    assert not added & {"numpy.polynomial", "qvampire.blocktable"}
+    extra = sorted(m for m in added if m.split(".")[0] != "qvampire")
+    assert set(extra) <= {"__future__", "copy", "dataclasses"}, extra
+
+
 def test_submodule_loads_on_first_access():
     # only the six documented submodules load by attribute; other names raise
     loaded = _modules_after(
