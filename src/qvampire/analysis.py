@@ -9,17 +9,21 @@ while real per-pixel loss shows up as a dip no rescaling removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .config import parse_region_spec
 from .errors import (
     BandOutOfRange,
+    ConfigMismatch,
     EmptyRegion,
     GridMismatch,
     InsufficientCounts,
     InsufficientData,
+    QVampireError,
 )
+from .montecarlo import SIDECAR_DEFAULTS, ScanResult, conditional_profile_mc
 
 TAG_INSIDE = "inside_mask_region"
 TAG_OUTSIDE = "outside"
@@ -31,8 +35,7 @@ FLATNESS_ALPHA = 0.01
 SHADOW_Z = 3.0
 
 
-@dataclass(frozen=True)
-class RatioMap:
+class RatioMap(NamedTuple):
     """Per-superpixel ratio with errors and region tags."""
 
     ratio: np.ndarray
@@ -43,12 +46,42 @@ class RatioMap:
         return self.tags != TAG_EXCLUDED
 
 
-@dataclass(frozen=True)
-class FlatnessResult:
+class FlatnessResult(NamedTuple):
     chi2: float
     dof: int
     p_value: float
     best_const: float
+
+
+class Report(NamedTuple):
+    """What ``analyze`` concludes from a scan, and what it read the scan with."""
+
+    rmap: RatioMap
+    flat: FlatnessResult
+    depth: float  # depth and z are NaN without usable superpixels inside and outside
+    z: float
+    g2: float  # g2 and its sigma are NaN without camera and herald singles
+    g2_sigma: float
+    band: tuple[int, int]
+    cut: tuple[np.ndarray, ...]  # x, then value and sigma of numerator and denominator
+    verdict: str
+    notes: tuple[str, ...]  # one per input, scan first; "" when it needs none
+
+    def summary(self) -> dict[str, str]:
+        """The ``summary.txt`` mapping."""
+        flat = self.flat
+        return {
+            "chi2": repr(flat.chi2),
+            "dof": str(flat.dof),
+            "p_value": repr(flat.p_value),
+            "best_const": repr(flat.best_const),
+            "depth": repr(self.depth),
+            "z_score": repr(self.z),
+            "g2": repr(self.g2),
+            "g2_sigma": repr(self.g2_sigma),
+            "band": "{}:{}".format(*self.band),
+            "verdict": self.verdict,
+        }
 
 
 def g2_estimate(
@@ -212,3 +245,90 @@ def region_fraction_map(
     # zeros and ones is exact
     inside = np.add.reduceat(np.add.reduceat(region, ys, axis=0, dtype=np.int64), xs, axis=1)
     return inside / np.multiply.outer(np.diff(ys, append=height), np.diff(xs, append=width))
+
+
+def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str]:
+    """Fraction of each superpixel inside the mask region; zeros and the reason
+    when the scan names no region (the shadow z-score is then NaN)."""
+    cfg = result.config
+    if not cfg:
+        reason = "no sidecar"
+    elif cfg.get("scenario") == "initial":
+        reason = "initial scenario"
+    else:
+        try:
+            width = int(cfg["grid.width"])
+            height = int(cfg["grid.height"])
+            superpixel = int(cfg["scan.superpixel"])
+            region = parse_region_spec(cfg["mask.region"], width, height)
+        except KeyError as exc:
+            reason = f"sidecar lacks {exc.args[0]}"
+        except (ConfigMismatch, ValueError) as exc:
+            reason = f"bad region spec or grid size: {exc}"
+        else:
+            return region_fraction_map(region, superpixel, result.n_rows, result.n_cols), ""
+    note = f"no mask region ({reason}); shadow z-score is NaN"
+    return np.zeros((result.n_rows, result.n_cols)), note
+
+
+def _input_note(result: ScanResult, region_note: str = "") -> str:
+    """The sidecar defaults a scan is analyzed with, then its region note."""
+    used = [f"{k}={v}" for k, v in SIDECAR_DEFAULTS.items() if k not in result.config]
+    notes = [f"defaults used: {', '.join(used)}"] if used else []
+    if region_note:
+        notes.append(region_note)
+    return "; ".join(notes)
+
+
+def analyze(
+    result: ScanResult, reference: ScanResult | None = None, band: tuple[int, int] | None = None
+) -> Report:
+    """Ratio map, flatness and shadow tests, g2 and verdict of a scan.
+
+    The ratio is the scan's camera rate over the ``reference``'s, or else
+    its heralded over its unconditional rate.  ``band`` (rows lo:hi of the
+    cut) defaults to the middle third.  An error raised once the notes are
+    known carries them as ``notes``, so a failing run still names them.
+    """
+    fracs, region_note = _region_fracs(result)
+    notes = (_input_note(result, region_note),)
+    if reference is not None:
+        notes += (_input_note(reference),)
+    try:
+        if reference is not None:
+            if (reference.n_rows, reference.n_cols) != (result.n_rows, result.n_cols):
+                raise GridMismatch(
+                    f"superpixel grids differ: scan {result.n_rows}x{result.n_cols} "
+                    f"vs reference {reference.n_rows}x{reference.n_cols}"
+                )
+            num, num_s = result.camera_rate_map()
+            den, den_s = reference.camera_rate_map()
+        else:
+            maps = conditional_profile_mc(result)
+            num, num_s = maps.conditional.values, maps.conditional.sigmas
+            den, den_s = maps.unconditional.values, maps.unconditional.sigmas
+
+        rmap = ratio_map(num, num_s, den, den_s, fracs)
+        flat = flatness_test(rmap)
+        try:
+            depth, z = shadow_depth(rmap)
+        except EmptyRegion:
+            depth, z = math.nan, math.nan
+
+        cam, her, both, bins = (
+            int(result.grid(name).sum())
+            for name in ("camera_counts", "herald_counts", "coincidence_counts", "n_bins")
+        )
+        if her > 0 and cam > 0:
+            g2, g2_sigma = g2_estimate(cam, her, both, bins)
+        else:
+            g2, g2_sigma = math.nan, math.nan
+
+        if band is None:
+            lo = result.n_rows // 3
+            band = lo, max(lo + 1, (2 * result.n_rows) // 3)
+        cut = (*profile_cut(num, num_s, *band), *profile_cut(den, den_s, *band)[1:])
+    except (QVampireError, ValueError) as exc:
+        exc.notes = notes
+        raise
+    return Report(rmap, flat, depth, z, g2, g2_sigma, band, cut, verdict(flat.p_value, z), notes)

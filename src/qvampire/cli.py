@@ -1,13 +1,13 @@
 """Command-line front end: profile, scan, verify, analyze.
 
+Each command parses its inputs, makes its calls and writes what they
+return; the verdicts are ``analysis.analyze``'s and ``verify.sweep``'s.
 Exit codes: 0 on success, 1 on validation or I/O problems, 2 when the
 verification suite finds an operator-model fidelity breach (a scientific
-failure, not a usage one).
-
-Each command reaches its modules through the package root, which loads a
-submodule at its first use, and building the parser loads none: ``verify``
-loads ``fock`` and ``verify`` and no module of the Monte Carlo side, and
-``profile``, ``scan`` and ``analyze`` load no part of the exact Fock engine.
+failure, not a usage one).  Each command reaches its modules through the
+package root, which loads a submodule at its first use, so ``verify``
+loads no module of the Monte Carlo side and the other commands no part
+of the exact Fock engine.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .errors import QVampireError
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
-    from .fock import DensityMatrix
-    from .montecarlo import ScanResult
 
 VERIFY_CSV_HEADER = "state,c_A,r,herald_model,fidelity,herald_prob,complement_population"
 RATIO_CSV_HEADER = "row,col,ratio,sigma,tag"
@@ -37,7 +35,6 @@ CUT_CSV_HEADER = "x,scan_value,scan_sigma,ref_value,ref_sigma"
 DEFAULT_STATES = "thermal:0.5,thermal:1,coherent:1,fock:1,fock:2,fock:3"
 DEFAULT_CA = "0.1,0.5,0.9"
 DEFAULT_R = "0.05,0.1,0.2"
-STATE_FORMS = "thermal:<nbar>, coherent:<alpha> or fock:<n>"
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -57,21 +54,10 @@ def _outdir(args) -> Path:
     return out
 
 
-def _analytic_map(scenario: ScenarioConfig) -> np.ndarray:
-    nbar = scenario.source.nbar
-    profile, mask = scenario.source.profile, scenario.scan.mask
-    if scenario.scenario != "subtraction":
-        # the initial scenario's white mask transmits the whole profile
-        return qv.spatial.loss_profile(profile, mask, nbar)
-    # g2 of the source's photon statistics: Bose-Einstein 2, Poisson 1
-    g2 = 2.0 if scenario.source.kind == qv.montecarlo.THERMAL else 1.0
-    return qv.spatial.subtracted_profile_analytic(profile, mask, g2, nbar)
-
-
 def cmd_profile(args) -> int:
     scenario = _load_scenario(args)
     out = _outdir(args)
-    intensity = _analytic_map(scenario)
+    intensity = scenario.analytic_map()
     qv.spatial.save_matrix_csv(out / "intensity.csv", intensity)
     peak = intensity.max()
     qv.spatial.save_pgm(out / "intensity.pgm", intensity / peak if peak > 0 else intensity)
@@ -101,24 +87,6 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _parse_state(spec: str, nmax: int) -> DensityMatrix:
-    makers = {
-        "thermal": (float, qv.fock.make_thermal),
-        "coherent": (complex, qv.fock.make_coherent),
-        "fock": (int, qv.fock.make_fock),
-    }
-    kind, _, value = spec.partition(":")
-    try:
-        convert, make = makers[kind]
-        number = convert(value)
-    except (KeyError, ValueError):
-        raise QVampireError(f"state spec {spec!r}: expected {STATE_FORMS}") from None
-    try:
-        return make(number, nmax)
-    except (QVampireError, ValueError) as exc:  # a value out of the maker's range
-        raise QVampireError(f"state spec {spec!r}: {exc}") from None
-
-
 def _split_list(text: str) -> list[str]:
     return [tok for tok in (t.strip() for t in text.split(",")) if tok]
 
@@ -135,37 +103,31 @@ def cmd_verify(args) -> int:
     if nmax < 1:  # checked once here, so no state spec takes the blame
         raise QVampireError(f"--nmax must be at least 1, got {nmax}")
     # the whole sweep is checked before its first case runs
-    states = [(spec, _parse_state(spec, nmax)) for spec in specs]
+    states = [(spec, qv.verify.parse_state(spec, nmax)) for spec in specs]
     splits = [qv.verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
     out = _outdir(args)
-    rows = []
-    margins, complements = [], []  # operator-model cases only
-    for spec, rho in states:
-        direct, _ = qv.fock.subtract_photon(rho)
-        for split in splits:
-            c_a, r, model = split.c_a, split.r, split.herald_model
-            res = qv.verify.regional_subtraction(rho, split)
-            fid = qv.fock.fidelity(res.state, direct)
-            if model == qv.verify.OPERATOR:
-                margins.append(fid - qv.verify.FIDELITY_FLOOR)
-                complements.append(res.complement_population)
-                status = "PASS" if fid >= qv.verify.FIDELITY_FLOOR else "FAIL"
-            else:
-                status = "INFO"
-            print(
-                f"{status} {spec} c_A={c_a} r={r} {model}: "
-                f"fidelity={fid:.12f} herald_prob={res.herald_prob:.6e}"
-            )
-            rows.append((spec, c_a, r, model, fid, res.herald_prob, res.complement_population))
+    rows, operator, breach = [], [], False  # only numbers outlive a case
+    for case in qv.verify.sweep(states, splits):
+        split, res = case.split, case.result
+        print(
+            f"{case.status} {case.label} c_A={split.c_a} r={split.r} {split.herald_model}: "
+            f"fidelity={case.fidelity:.12f} herald_prob={res.herald_prob:.6e}"
+        )
+        rows.append((case.label, split.c_a, split.r, split.herald_model, case.fidelity,
+                     res.herald_prob, res.complement_population))
+        if case.margin is not None:  # an operator-model case
+            operator.append((case.margin, res.complement_population))
+        breach |= case.status == "FAIL"
     save_csv(out / "verify.csv", VERIFY_CSV_HEADER, rows)
     summary = f"verify: {len(rows)} cases"
-    if margins:
+    if operator:
+        margins, complements = zip(*operator)
         summary += (
             f"; operator model: min fidelity - floor = {min(margins):+.3e}, "
             f"max complement population = {max(complements):.3e}"
         )
     print(summary)
-    if margins and min(margins) < 0:
+    if breach:
         print("verify: operator-model fidelity breach", file=sys.stderr)
         return 2
     return 0
@@ -176,114 +138,34 @@ def _sidecar_for(path: Path) -> dict:
     return qv.montecarlo.load_sidecar(sidecar) if sidecar.exists() else {}
 
 
-def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str | None]:
-    """Fraction of each superpixel inside the mask region; zeros and the reason
-    when the scan names no region (the shadow z-score is then NaN)."""
-    from .config import parse_region_spec
-
-    cfg = result.config
-    if not cfg:
-        reason = "no sidecar"
-    elif cfg.get("scenario") == "initial":
-        reason = "initial scenario"
-    else:
-        try:
-            width = int(cfg["grid.width"])
-            height = int(cfg["grid.height"])
-            superpixel = int(cfg["scan.superpixel"])
-            region = parse_region_spec(cfg["mask.region"], width, height)
-        except KeyError as exc:
-            reason = f"sidecar lacks {exc.args[0]}"
-        except ValueError as exc:
-            reason = f"bad region spec or grid size: {exc}"
-        else:
-            fracs = qv.analysis.region_fraction_map(
-                region, superpixel, result.n_rows, result.n_cols
-            )
-            return fracs, None
-    note = f"no mask region ({reason}); shadow z-score is NaN"
-    return np.zeros((result.n_rows, result.n_cols)), note
-
-
-def _report_assumptions(path: Path, result: ScanResult, region_note: str | None = None) -> None:
-    """One stderr line per scan naming the sidecar defaults it was analyzed with."""
-    used = [f"{k}={v}" for k, v in qv.montecarlo.SIDECAR_DEFAULTS.items() if k not in result.config]
-    notes = [f"defaults used: {', '.join(used)}"] if used else []
-    if region_note:
-        notes.append(region_note)
-    if notes:
-        print(f"analyze: {path}: {'; '.join(notes)}", file=sys.stderr)
+def _print_notes(paths: list[Path], notes) -> None:
+    for path, note in zip(paths, notes):
+        if note:
+            print(f"analyze: {path}: {note}", file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
-    scan_path = Path(args.scan)
-    result = qv.montecarlo.load_scan_csv(scan_path, config=_sidecar_for(scan_path))
-    fracs, region_note = _region_fracs(result)
-    _report_assumptions(scan_path, result, region_note)
-
-    if args.reference:
-        ref_path = Path(args.reference)
-        reference = qv.montecarlo.load_scan_csv(ref_path, config=_sidecar_for(ref_path))
-        _report_assumptions(ref_path, reference)
-        if (reference.n_rows, reference.n_cols) != (result.n_rows, result.n_cols):
-            raise QVampireError(
-                f"superpixel grids differ: scan {result.n_rows}x{result.n_cols} "
-                f"vs reference {reference.n_rows}x{reference.n_cols}"
-            )
-        num, num_s = result.camera_rate_map()
-        den, den_s = reference.camera_rate_map()
-    else:
-        maps = qv.montecarlo.conditional_profile_mc(result)
-        num, num_s = maps.conditional.values, maps.conditional.sigmas
-        den, den_s = maps.unconditional.values, maps.unconditional.sigmas
-
-    rmap = qv.analysis.ratio_map(num, num_s, den, den_s, fracs)
-    flat = qv.analysis.flatness_test(rmap)
+    paths = [Path(p) for p in (args.scan, args.reference) if p]
+    scans = [qv.montecarlo.load_scan_csv(p, config=_sidecar_for(p)) for p in paths]
     try:
-        depth, z = qv.analysis.shadow_depth(rmap)
-    except QVampireError:
-        depth, z = float("nan"), float("nan")
-
-    cam = int(result.grid("camera_counts").sum())
-    her = int(result.grid("herald_counts").sum())
-    both = int(result.grid("coincidence_counts").sum())
-    bins = int(result.grid("n_bins").sum())
-    if her > 0 and cam > 0:
-        g2, g2_sigma = qv.analysis.g2_estimate(cam, her, both, bins)
-    else:
-        g2, g2_sigma = float("nan"), float("nan")
-
-    verdict = qv.analysis.verdict(flat.p_value, z)
-
-    if args.band is not None:
-        lo, hi = args.band
-    else:
-        lo = result.n_rows // 3
-        hi = max(lo + 1, (2 * result.n_rows) // 3)
-    # cut before the first write, so a band off the grid leaves no partial report
-    x, cut_num, cut_num_s = qv.analysis.profile_cut(num, num_s, lo, hi)
-    _, cut_den, cut_den_s = qv.analysis.profile_cut(den, den_s, lo, hi)
+        report = qv.analysis.analyze(*scans, band=args.band)
+    except (QVampireError, ValueError) as exc:
+        _print_notes(paths, getattr(exc, "notes", ()))  # a failing run still names them
+        raise
+    _print_notes(paths, report.notes)
 
     out = _outdir(args)
-    cells = np.ndindex(result.n_rows, result.n_cols)
+    rmap = report.rmap
+    cells = np.ndindex(rmap.ratio.shape)
     rows = ((i, j, rmap.ratio[i, j], rmap.sigma[i, j], rmap.tags[i, j]) for i, j in cells)
     save_csv(out / "ratio_map.csv", RATIO_CSV_HEADER, rows)
-    save_csv(out / "cut.csv", CUT_CSV_HEADER, zip(x, cut_num, cut_num_s, cut_den, cut_den_s))
-
-    summary = {
-        "chi2": repr(flat.chi2),
-        "dof": str(flat.dof),
-        "p_value": repr(flat.p_value),
-        "best_const": repr(flat.best_const),
-        "depth": repr(depth),
-        "z_score": repr(z),
-        "g2": repr(g2),
-        "g2_sigma": repr(g2_sigma),
-        "band": f"{lo}:{hi}",
-        "verdict": verdict,
-    }
-    qv.montecarlo.save_sidecar(out / "summary.txt", summary)
-    print(f"verdict={verdict} p_value={flat.p_value:.4g} best_const={flat.best_const:.4f} z={z:.2f}")
+    save_csv(out / "cut.csv", CUT_CSV_HEADER, zip(*report.cut))
+    qv.montecarlo.save_sidecar(out / "summary.txt", report.summary())
+    flat = report.flat
+    print(
+        f"verdict={report.verdict} p_value={flat.p_value:.4g} "
+        f"best_const={flat.best_const:.4f} z={report.z:.2f}"
+    )
     return 0
 
 

@@ -21,6 +21,7 @@ from .montecarlo import (
     ScanConfig,
     SINGLES,
     SourceConfig,
+    THERMAL,
     derived_settings,
     load_sidecar as load_config,  # a config is read like a sidecar echo
 )
@@ -28,14 +29,17 @@ from .spatial import (
     BeamProfile,
     contrast_for_herald_rate,
     ellipse_region,
+    loss_profile,
     make_mask,
     make_profile,
     PROFILE_PARAMS,
     rect_region,
     silhouette_region,
+    subtracted_profile_analytic,
 )
 
 ENV_PREFIX = "QVAMPIRE_"
+REGION_FORMS = "all, silhouette, rect:<x0>,<y0>,<w>,<h> or ellipse:<cx>,<cy>,<rx>,<ry>"
 
 SCENARIOS = ("initial", "loss_high_contrast", "loss_low_contrast", "subtraction")
 
@@ -88,6 +92,16 @@ class ScenarioConfig:
     scan: ScanConfig
     echo: dict
 
+    def analytic_map(self) -> np.ndarray:
+        """The camera intensity the scenario predicts, per pixel."""
+        profile, mask, nbar = self.source.profile, self.scan.mask, self.source.nbar
+        if self.scenario != "subtraction":
+            # the initial scenario's white mask transmits the whole profile
+            return loss_profile(profile, mask, nbar)
+        # g2 of the source's photon statistics: Bose-Einstein 2, Poisson 1
+        g2 = 2.0 if self.source.kind == THERMAL else 1.0
+        return subtracted_profile_analytic(profile, mask, g2, nbar)
+
 
 def apply_env_overrides(cfg: dict, environ) -> dict:
     """Overlay QVAMPIRE_* environment variables onto a config dict."""
@@ -112,24 +126,30 @@ def _resolve(cfg: dict) -> dict:
     return merged
 
 
-def _opt_float(value: str):
-    return float(value) if value != "" else None
+def _number(key: str, value: str, kind=float):
+    """A config value as ``kind`` (int or float); a ``ConfigMismatch`` names the key."""
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigMismatch(f"{key}={value!r}: expected {expected}") from None
 
 
 def parse_region_spec(spec: str, width: int, height: int) -> np.ndarray:
-    """Pixel-set specs: all | silhouette | rect:x0,y0,w,h | ellipse:cx,cy,rx,ry."""
+    """The pixel set a spec names, one of ``REGION_FORMS``."""
     if spec == "all":
         return np.ones((height, width), dtype=bool)
     if spec == "silhouette":
         return silhouette_region(width, height)
+    shapes = {"rect": (int, rect_region), "ellipse": (float, ellipse_region)}
     kind, _, rest = spec.partition(":")
-    if kind == "rect":
-        x0, y0, w, h = (int(tok) for tok in rest.split(","))
-        return rect_region(width, height, x0, y0, w, h)
-    if kind == "ellipse":
-        cx, cy, rx, ry = (float(tok) for tok in rest.split(","))
-        return ellipse_region(width, height, cx, cy, rx, ry)
-    raise ConfigMismatch(f"unknown region spec {spec!r}")
+    try:
+        convert, shape = shapes[kind]
+        # a rect's corner and size, or an ellipse's centre and radii
+        x, y, a, b = (convert(tok) for tok in rest.split(","))
+    except (KeyError, ValueError):
+        raise ConfigMismatch(f"region spec {spec!r}: expected {REGION_FORMS}") from None
+    return shape(width, height, x, y, a, b)
 
 
 def _build_profile(merged: dict, width: int, height: int) -> BeamProfile:
@@ -147,8 +167,26 @@ def _build_profile(merged: dict, width: int, height: int) -> BeamProfile:
     if stray:
         raise ConfigMismatch(f"profile kind {kind!r} takes no {', '.join(stray)}")
     given = {name: merged[f"profile.{name}"] for name in PROFILE_PARAMS[kind]}
-    params = {name: float(value) for name, value in given.items() if value != ""}
+    params = {
+        name: _number(f"profile.{name}", value) for name, value in given.items() if value != ""
+    }
     return make_profile(kind, width, height, **params)
+
+
+def _detector(merged: dict, role: str) -> DetectorConfig:
+    """The herald or camera detector; a range error names the key that fed it."""
+    keys = {
+        "efficiency": f"detector.{role}.efficiency",
+        "dark_prob": f"detector.{role}.dark_prob",
+        "bin_width": "detector.bin_width",
+    }
+    values = {field: _number(key, merged[key]) for field, key in keys.items()}
+    try:
+        return DetectorConfig(**values)
+    except ConfigMismatch as exc:
+        # each of DetectorConfig's range messages opens with its field's name
+        key = next(key for field, key in keys.items() if str(exc).startswith(field))
+        raise ConfigMismatch(f"{key}={merged[key]!r}: {exc}") from None
 
 
 def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = None) -> ScenarioConfig:
@@ -165,16 +203,16 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigMismatch(f"unknown scenario {scenario!r}")
-    width = int(merged["grid.width"])
-    height = int(merged["grid.height"])
-    nbar = float(merged["source.nbar"])
+    width = _number("grid.width", merged["grid.width"], int)
+    height = _number("grid.height", merged["grid.height"], int)
+    nbar = _number("source.nbar", merged["source.nbar"])
 
     profile = _build_profile(merged, width, height)
     # checked before the herald target divides by nbar
     source = SourceConfig(
         nbar=nbar,
         profile=profile,
-        coherence_time=float(merged["source.coherence_time"]),
+        coherence_time=_number("source.coherence_time", merged["source.coherence_time"]),
         kind=merged["source.kind"],
     )
 
@@ -183,8 +221,8 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         merged["mask.contrast"] = "0.0"
     else:
         region = parse_region_spec(merged["mask.region"], width, height)
-        target = _opt_float(merged["mask.herald_target"])
-        if target is not None:
+        if merged["mask.herald_target"] != "":
+            target = _number("mask.herald_target", merged["mask.herald_target"])
             if not 0.0 <= target < np.inf:
                 raise ConfigMismatch(f"mask.herald_target must be finite and >= 0, got {target!r}")
             try:
@@ -194,7 +232,8 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
                     f"mask.herald_target must be reachable, got {target!r}: {exc}"
                 ) from None
         else:
-            contrast = float(merged["mask.contrast"] or _SCENARIO_CONTRAST[scenario])
+            value = merged["mask.contrast"] or _SCENARIO_CONTRAST[scenario]
+            contrast = _number("mask.contrast", value)
             if not 0.0 <= contrast <= 1.0:
                 raise ConfigMismatch(f"mask.contrast must lie in [0, 1], got {contrast!r}")
         merged["mask.contrast"] = repr(contrast)
@@ -215,34 +254,24 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     if threads is not None:
         merged["scan.threads"] = str(threads)
 
-    bin_width = float(merged["detector.bin_width"])
-    herald_det = DetectorConfig(
-        efficiency=float(merged["detector.herald.efficiency"]),
-        dark_prob=float(merged["detector.herald.dark_prob"]),
-        bin_width=bin_width,
-    )
-    camera_det = DetectorConfig(
-        efficiency=float(merged["detector.camera.efficiency"]),
-        dark_prob=float(merged["detector.camera.dark_prob"]),
-        bin_width=bin_width,
-    )
+    herald_det, camera_det = _detector(merged, "herald"), _detector(merged, "camera")
     scan = ScanConfig(
         mask=mask,
-        seed=int(merged["scan.seed"]),
-        superpixel=int(merged["scan.superpixel"]),
-        dwell=float(merged["scan.dwell"]),
-        bins_cap=int(merged["scan.bins_cap"]),
+        seed=_number("scan.seed", merged["scan.seed"], int),
+        superpixel=_number("scan.superpixel", merged["scan.superpixel"], int),
+        dwell=_number("scan.dwell", merged["scan.dwell"]),
+        bins_cap=_number("scan.bins_cap", merged["scan.bins_cap"], int),
         trigger_mode=trigger,
         herald_detector=herald_det,
         camera_detector=camera_det,
-        threads=int(merged["scan.threads"]),
+        threads=_number("scan.threads", merged["scan.threads"], int),
     )
     derived = derived_settings(source, scan) if given else {}
     for key, value in sorted(given.items()):
         name = key[len("derived.") :]
         if name not in derived:
             raise ConfigMismatch(f"unknown config keys: {[key]}")
-        if float(value) != derived[name]:
+        if _number(key, value) != derived[name]:
             raise ConfigMismatch(f"{key}={value}, but the config derives {derived[name]}")
     return ScenarioConfig(
         scenario=scenario,

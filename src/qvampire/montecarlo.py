@@ -217,16 +217,14 @@ class ScanResult:
         return rates, sigmas
 
 
-@dataclass(frozen=True)
-class RateMap:
+class RateMap(NamedTuple):
     """A per-superpixel rate map with one-sigma errors."""
 
     values: np.ndarray
     sigmas: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConditionalProfile:
+class ConditionalProfile(NamedTuple):
     """Heralded and unconditional camera rates from one coincidence scan."""
 
     conditional: RateMap

@@ -38,10 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HeraldImpossible, ResidualOrthogonalPopulation
+from . import fock  # the sweep looks its fidelity up at each call
+from .errors import HeraldImpossible, QVampireError, ResidualOrthogonalPopulation
 from .fock import (
     DensityMatrix,
     VACUUM_WEIGHT_FLOOR,
@@ -57,6 +59,7 @@ HERALD_MODELS = (OPERATOR, CLICK_POVM)
 DEFAULT_VERIFY_NMAX = 28
 COMPLEMENT_TOL = 1e-10
 FIDELITY_FLOOR = 1.0 - 1e-9  # operator-model pass rule against direct subtraction
+STATE_FORMS = "thermal:<nbar>, coherent:<alpha> or fock:<n>"
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,23 @@ class SplitConfig:
             raise ValueError(f"herald_model {self.herald_model!r} is not one of {HERALD_MODELS}")
 
 
-@dataclass(frozen=True)
-class RegionalSubtractionResult:
+class RegionalSubtractionResult(NamedTuple):
     """Whole-beam output state plus heralding diagnostics."""
 
     state: DensityMatrix
     herald_prob: float
     complement_population: float
+
+
+class Case(NamedTuple):
+    """One case of a sweep, checked against direct subtraction of its state."""
+
+    label: str
+    split: SplitConfig
+    result: RegionalSubtractionResult
+    fidelity: float
+    status: str  # PASS or FAIL (operator model, against the floor), INFO (click model)
+    margin: float | None  # fidelity - FIDELITY_FLOOR, operator model only
 
 
 def _split_params(c_a: float) -> tuple[float, float]:
@@ -224,3 +237,40 @@ def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtra
         complement_population=complement_population,
     )
 
+
+def parse_state(spec: str, nmax: int) -> DensityMatrix:
+    """The input state a spec names: ``STATE_FORMS``, truncated at ``nmax``."""
+    makers = {
+        "thermal": (float, fock.make_thermal),
+        "coherent": (complex, fock.make_coherent),
+        "fock": (int, fock.make_fock),
+    }
+    kind, _, value = spec.partition(":")
+    try:
+        convert, make = makers[kind]
+        number = convert(value)
+    except (KeyError, ValueError):
+        raise QVampireError(f"state spec {spec!r}: expected {STATE_FORMS}") from None
+    try:
+        return make(number, nmax)
+    except (QVampireError, ValueError) as exc:  # a value out of the maker's range
+        raise QVampireError(f"state spec {spec!r}: {exc}") from None
+
+
+def sweep(states, splits):
+    """Yield a ``Case`` for each ``(label, state)`` under each split, state-major.
+
+    An operator-model case FAILs, a breach, below ``FIDELITY_FLOOR``; the
+    click model is not exact at finite r, so its fidelity is INFO.
+    """
+    for label, rho in states:
+        direct, _ = fock.subtract_photon(rho)
+        for split in splits:
+            res = regional_subtraction(rho, split)
+            fid = fock.fidelity(res.state, direct)
+            if split.herald_model == OPERATOR:
+                margin = fid - FIDELITY_FLOOR
+                status = "PASS" if fid >= FIDELITY_FLOOR else "FAIL"
+            else:
+                margin, status = None, "INFO"
+            yield Case(label, split, res, fid, status, margin)

@@ -1,5 +1,7 @@
 """Estimator tests: g2, ratio maps, flatness calibration, shadow detection."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 from scipy.special import chdtrc
 from scipy.stats import chi2 as chi2_dist
 
-from qvampire import analysis, montecarlo as mc
+from qvampire import analysis, config, montecarlo as mc
 from qvampire.errors import (
     BandOutOfRange,
     EmptyRegion,
@@ -308,3 +310,142 @@ def test_region_fraction_map_rejects_a_raster_off_the_scan_grid():
         analysis.region_fraction_map(region, 3, 2, 2)
     with pytest.raises(GridMismatch, match="2x2 grid, but the scan grid is 2x3"):
         analysis.region_fraction_map(region, 4, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# analyze: the report the CLI writes
+
+SCAN = {
+    "scenario": "subtraction",
+    "grid.width": "32",
+    "grid.height": "24",
+    "profile.kind": "uniform_ellipse",
+    "profile.rx": "14",
+    "profile.ry": "10",
+    "mask.region": "rect:11,8,10,8",
+    "mask.herald_target": "0.013",
+    "scan.superpixel": "4",
+    "scan.dwell": "0.0012",
+}
+COUNTS = ("camera_counts", "herald_counts", "coincidence_counts", "n_bins")
+NO_SIDECAR = (
+    "defaults used: derived.bins_per_block=1, source.kind=thermal, "
+    "scan.trigger_mode=coincidence; no mask region (no sidecar); shadow z-score is NaN"
+)
+
+
+def _scan(seed):
+    """A 6x8-superpixel scan as ``analyze`` reads it back: counts and sidecar echo."""
+    scenario = config.build_scenario({**SCAN, "scan.seed": str(seed)})
+    result = mc.run_scan(scenario.source, scenario.scan)
+    return dataclasses.replace(result, config={**scenario.echo, **result.config})
+
+
+def _fracs():
+    region = config.parse_region_spec(SCAN["mask.region"], 32, 24)
+    return analysis.region_fraction_map(region, 4, 6, 8)
+
+
+@pytest.fixture(scope="module")
+def scans():
+    return _scan(123), _scan(124)
+
+
+def _steps(num, num_s, den, den_s, fracs, band=(2, 4)):
+    """The report ``analyze`` should give, assembled from the public steps."""
+    rmap = analysis.ratio_map(num, num_s, den, den_s, fracs)
+    flat = analysis.flatness_test(rmap)
+    try:
+        depth, z = analysis.shadow_depth(rmap)
+    except EmptyRegion:
+        depth, z = math.nan, math.nan
+    cut = analysis.profile_cut(num, num_s, *band) + analysis.profile_cut(den, den_s, *band)[1:]
+    return rmap, flat, depth, z, cut
+
+
+def _assert_report(report, rmap, flat, depth, z, cut):
+    assert all(np.array_equal(a, b) for a, b in zip(report.rmap, rmap))
+    assert report.flat == flat
+    assert np.array_equal([report.depth, report.z], [depth, z], equal_nan=True)
+    assert len(report.cut) == 5 and all(np.array_equal(a, b) for a, b in zip(report.cut, cut))
+    assert report.verdict == analysis.verdict(flat.p_value, z)
+
+
+def test_analyze_self_conditional_report_and_summary(scans):
+    scan = scans[0]
+    maps = mc.conditional_profile_mc(scan)
+    fracs = _fracs()
+    expected = _steps(*maps.conditional, *maps.unconditional, fracs)
+    report = analysis.analyze(scan)
+    _assert_report(report, *expected)
+    assert (analysis.TAG_INSIDE == report.rmap.tags).any() and math.isfinite(report.z)
+    g2 = analysis.g2_estimate(*(int(scan.grid(name).sum()) for name in COUNTS))
+    assert (report.g2, report.g2_sigma) == g2
+    assert report.band == (2, 4)  # rows 6 // 3 to 2 * 6 // 3: the middle third
+    assert report.notes == ("",)
+    flat = report.flat
+    assert report.summary() == {
+        "chi2": repr(flat.chi2),
+        "dof": str(flat.dof),
+        "p_value": repr(flat.p_value),
+        "best_const": repr(flat.best_const),
+        "depth": repr(report.depth),
+        "z_score": repr(report.z),
+        "g2": repr(g2[0]),
+        "g2_sigma": repr(g2[1]),
+        "band": "2:4",
+        "verdict": report.verdict,
+    }
+
+
+def test_analyze_with_a_reference_divides_the_camera_rates(scans):
+    scan, reference = scans
+    fracs = _fracs()
+    expected = _steps(*scan.camera_rate_map(), *reference.camera_rate_map(), fracs, band=(0, 6))
+    report = analysis.analyze(scan, reference, band=(0, 6))
+    _assert_report(report, *expected)
+    assert report.notes == ("", "")
+    assert report.summary()["band"] == "0:6"
+
+
+def test_analyze_without_a_sidecar_names_the_defaults_and_has_no_z(scans):
+    scan = dataclasses.replace(scans[0], config={})
+    report = analysis.analyze(scan)
+    assert report.notes == (NO_SIDECAR,)
+    assert math.isnan(report.depth) and math.isnan(report.z)
+    assert not (report.rmap.tags == analysis.TAG_INSIDE).any()
+    assert report.verdict in ("NO_SHADOW", "NONFLAT")
+    assert report.summary()["z_score"] == "nan"
+
+
+@pytest.mark.parametrize("region", ["all", "rect:0,0,1,1"], ids=["no_outside", "no_inside"])
+def test_analyze_with_an_empty_side_has_no_z(scans, region):
+    scan = scans[0]
+    scan = dataclasses.replace(scan, config={**scan.config, "mask.region": region})
+    report = analysis.analyze(scan)
+    assert math.isnan(report.depth) and math.isnan(report.z)
+    assert report.notes == ("",)
+    assert report.summary()["depth"] == "nan"
+
+
+def test_analyze_without_herald_singles_has_no_g2(scans):
+    # self-conditional analysis needs heralds, so the silent scan takes a reference
+    scan, reference = scans
+    silent = tuple(
+        dataclasses.replace(rec, herald_counts=0, coincidence_counts=0) for rec in scan.records
+    )
+    report = analysis.analyze(dataclasses.replace(scan, records=silent), reference)
+    assert math.isnan(report.g2) and math.isnan(report.g2_sigma)
+    assert report.summary()["g2"] == report.summary()["g2_sigma"] == "nan"
+
+
+def test_analyze_errors_carry_the_notes(scans):
+    scan, reference = scans
+    bare = dataclasses.replace(scan, config={})
+    with pytest.raises(BandOutOfRange, match=r"band \[0, 9\) outside 0..6") as caught:
+        analysis.analyze(bare, band=(0, 9))
+    assert caught.value.notes == (NO_SIDECAR,)
+    coarse = dataclasses.replace(reference, n_rows=3, n_cols=4, records=reference.records[:12])
+    with pytest.raises(GridMismatch, match="scan 6x8 vs reference 3x4") as caught:
+        analysis.analyze(bare, coarse)
+    assert caught.value.notes == (NO_SIDECAR, "")

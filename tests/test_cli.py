@@ -133,6 +133,46 @@ def test_gaussian_profile_config_builds_make_profile():
     assert np.array_equal(scenario.source.profile.amplitude, expected.amplitude)
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [("scan.superpixel", "abc", "an integer"), ("scan.dwell", "fast", "a number"),
+     ("grid.width", "1.5", "an integer"), ("profile.rx", "wide", "a number")],
+)
+def test_cmd_scan_names_the_config_value_it_cannot_read(tmp_path, capsys, key, value, expected):
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
+    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qvampire: {key}={value!r}: expected {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [("detector.camera.efficiency", "2", "efficiency must lie in [0, 1]"),
+     ("detector.herald.dark_prob", "1", "dark_prob must lie in [0, 1)")],
+)
+def test_detector_range_error_names_its_config_key(key, value, rule):
+    with pytest.raises(ConfigMismatch) as caught:
+        config.build_scenario({key: value, "scan.seed": "1"})
+    assert str(caught.value) == f"{key}={value!r}: {rule}"
+
+
+@pytest.mark.parametrize("spec", ["rect:1,2", "rect:a,b,c,d", "ellipse:1", "blob:1"])
+def test_bad_region_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
+    forms = ("all", "silhouette", "rect:<x0>,<y0>,<w>,<h>", "ellipse:<cx>,<cy>,<rx>,<ry>")
+    with pytest.raises(ConfigMismatch) as caught:
+        config.parse_region_spec(spec, 32, 24)
+    assert repr(spec) in str(caught.value) and all(form in str(caught.value) for form in forms)
+    # a scan sidecar with the spec analyzes with no region, and its note says why
+    out = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "sub")
+    echo = mc.load_sidecar(out / "scan.cfg")
+    mc.save_sidecar(out / "scan.cfg", {**echo, "mask.region": spec})
+    capsys.readouterr()
+    assert cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")]) == 0
+    err = capsys.readouterr().err
+    assert f"no mask region (bad region spec or grid size: {caught.value})" in err
+
+
 # ---------------------------------------------------------------------------
 # profile command
 

@@ -42,6 +42,20 @@ def test_every_public_name_has_a_production_caller():
     assert not unused, f"public names with no production caller: {unused}"
 
 
+def test_cli_leaves_the_verdicts_to_analysis_and_verify():
+    # cli parses and writes: analysis.analyze and verify.sweep decide
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    reached = {
+        (getattr(node.value, "attr", None) or getattr(node.value, "id", None), node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    assert {attr for module, attr in reached if module == "analysis"} == {"analyze"}
+    assert not reached & {("verify", "regional_subtraction"), ("fock", "fidelity")}
+    assert "analysis" not in _package_imports(PACKAGE / "cli.py")
+    assert "parse_region_spec" not in _referenced_names(PACKAGE / "cli.py")
+
+
 def _package_imports(path):
     """The sibling modules a package module imports (``from .x`` or ``from . import x``)."""
     names = set()

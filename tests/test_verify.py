@@ -236,7 +236,7 @@ SPLITS = ((0.1, 0.05), (0.5, 0.1), (0.9, 0.2))  # (c_A, r) from the default grid
 
 
 def _state(spec):
-    return cli._parse_state(spec, verify.DEFAULT_VERIFY_NMAX)
+    return verify.parse_state(spec, verify.DEFAULT_VERIFY_NMAX)
 
 
 def _clear_caches():
@@ -424,3 +424,37 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     # the kernels and eigenbases the sweep leaves alive: about 0.8 MB, where
     # a dense d x d x d kernel per split would hold 2 MB
     assert 0 < held < 1.5e6
+
+
+# ---------------------------------------------------------------------------
+# the sweep qvampire verify prints
+
+
+def test_sweep_checks_each_case_against_direct_subtraction():
+    states = [(spec, verify.parse_state(spec, 20)) for spec in ("thermal:0.5", "fock:2")]
+    models = (verify.OPERATOR, verify.CLICK_POVM)
+    splits = [verify.SplitConfig(0.5, 0.1, model) for model in models]
+    cases = list(verify.sweep(states, splits))
+    assert [(case.label, case.split) for case in cases] == list(itertools.product(
+        ["thermal:0.5", "fock:2"], splits
+    ))
+    for case, (label, rho) in zip(cases, [states[0]] * 2 + [states[1]] * 2):
+        direct, _ = fock.subtract_photon(rho)
+        res = verify.regional_subtraction(rho, case.split)
+        assert np.array_equal(case.result.state.elements, res.state.elements)
+        assert case.fidelity == fock.fidelity(res.state, direct)
+        if case.split.herald_model == verify.OPERATOR:
+            assert case.status == "PASS"
+            assert case.margin == case.fidelity - verify.FIDELITY_FLOOR >= 0
+        else:
+            assert (case.status, case.margin) == ("INFO", None)
+
+
+def test_sweep_fails_an_operator_case_below_the_floor(monkeypatch):
+    # the sweep reads fock.fidelity at each case, so a patched one reaches it
+    monkeypatch.setattr(fock, "fidelity", lambda a, b: verify.FIDELITY_FLOOR - 1e-12)
+    states = [("fock:1", verify.parse_state("fock:1", 8))]
+    splits = [verify.SplitConfig(0.5, 0.1, model) for model in verify.HERALD_MODELS]
+    operator, click = verify.sweep(states, splits)
+    assert operator.status == "FAIL" and operator.margin == pytest.approx(-1e-12, abs=1e-15)
+    assert (click.status, click.margin) == ("INFO", None)
