@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import parse_region_spec
+from .config import parse_region_spec, read_value
 from .errors import (
     BandOutOfRange,
     ConfigMismatch,
@@ -257,13 +257,12 @@ def _region_fracs(result: ScanResult) -> tuple[np.ndarray, str]:
         reason = "initial scenario"
     else:
         try:
-            width = int(cfg["grid.width"])
-            height = int(cfg["grid.height"])
-            superpixel = int(cfg["scan.superpixel"])
+            keys = ("grid.width", "grid.height", "scan.superpixel")
+            width, height, superpixel = (read_value(key, cfg[key]) for key in keys)
             region = parse_region_spec(cfg["mask.region"], width, height)
         except KeyError as exc:
             reason = f"sidecar lacks {exc.args[0]}"
-        except (ConfigMismatch, ValueError) as exc:
+        except ConfigMismatch as exc:
             reason = f"bad region spec or grid size: {exc}"
         else:
             return region_fraction_map(region, superpixel, result.n_rows, result.n_cols), ""
@@ -328,7 +327,7 @@ def analyze(
             lo = result.n_rows // 3
             band = lo, max(lo + 1, (2 * result.n_rows) // 3)
         cut = (*profile_cut(num, num_s, *band), *profile_cut(den, den_s, *band)[1:])
-    except (QVampireError, ValueError) as exc:
+    except QVampireError as exc:
         exc.notes = notes
         raise
     return Report(rmap, flat, depth, z, g2, g2_sigma, band, cut, verdict(flat.p_value, z), notes)

@@ -74,6 +74,7 @@ def cmd_profile(args) -> int:
 def cmd_scan(args) -> int:
     scenario = _load_scenario(args)
     out = _outdir(args)
+    scenario.check_blocks()  # before run_scan makes it, so the error names its keys
     result = qv.montecarlo.run_scan(scenario.source, scenario.scan)
     echo = dict(scenario.echo)
     echo.update(result.config)
@@ -91,11 +92,21 @@ def _split_list(text: str) -> list[str]:
     return [tok for tok in (t.strip() for t in text.split(",")) if tok]
 
 
+def _values(option: str, text: str, read) -> list:
+    """``option``'s comma-separated values through ``read``; its ValueError names the option."""
+    try:
+        return [read(tok) for tok in _split_list(text)]
+    except ValueError as exc:
+        raise QVampireError(f"{option} {text!r}: {exc}") from None
+
+
 def cmd_verify(args) -> int:
     specs = _split_list(args.states)
-    cas = [float(v) for v in _split_list(args.ca)]
-    rs = [float(v) for v in _split_list(args.r)]
-    models = _split_list(qv.verify.OPERATOR if args.models is None else args.models)
+    split = qv.verify.SplitConfig  # checks each option's values with the others held valid
+    cas = _values("--ca", args.ca, lambda v: split(float(v), 0.0).c_a)
+    rs = _values("--r", args.r, lambda v: split(0.0, float(v)).r)
+    models = qv.verify.OPERATOR if args.models is None else args.models
+    models = _values("--models", models, lambda v: split(0.0, 0.0, v).herald_model)
     nmax = qv.verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
     if not specs or not cas or not rs or not models:
         print("verify: empty sweep (need states, ca, r and models)", file=sys.stderr)
@@ -149,7 +160,7 @@ def cmd_analyze(args) -> int:
     scans = [qv.montecarlo.load_scan_csv(p, config=_sidecar_for(p)) for p in paths]
     try:
         report = qv.analysis.analyze(*scans, band=args.band)
-    except (QVampireError, ValueError) as exc:
+    except QVampireError as exc:
         _print_notes(paths, getattr(exc, "notes", ()))  # a failing run still names them
         raise
     _print_notes(paths, report.notes)
@@ -225,7 +236,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (QVampireError, OSError, ValueError) as exc:
+    except (QVampireError, OSError) as exc:
         print(f"qvampire: {exc}", file=sys.stderr)
         return 1
 

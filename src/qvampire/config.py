@@ -10,18 +10,23 @@ underscores (e.g. ``QVAMPIRE_SOURCE_NBAR``).
 from __future__ import annotations
 
 import os
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigMismatch
+from .errors import ConfigMismatch, QVampireError
 from .montecarlo import (
     COINCIDENCE,
     DetectorConfig,
     ScanConfig,
+    COHERENT,
     SINGLES,
     SourceConfig,
     THERMAL,
+    bins_per_block,
     derived_settings,
     load_sidecar as load_config,  # a config is read like a sidecar echo
 )
@@ -43,44 +48,62 @@ REGION_FORMS = "all, silhouette, rect:<x0>,<y0>,<w>,<h> or ellipse:<cx>,<cy>,<rx
 
 SCENARIOS = ("initial", "loss_high_contrast", "loss_low_contrast", "subtraction")
 
-DEFAULTS: dict[str, str] = {
-    "scenario": "initial",
-    "grid.width": "64",
-    "grid.height": "48",
-    "profile.kind": "uniform_ellipse_with_ring",
-    "profile.cx": "",
-    "profile.cy": "",
-    "profile.rx": "",
-    "profile.ry": "",
-    "profile.ring_gain": "1.5",
-    "profile.sigma_x": "",
-    "profile.sigma_y": "",
-    "mask.region": "silhouette",
-    "mask.contrast": "",
-    "mask.herald_target": "",
-    "source.nbar": "1.0",
-    "source.kind": "thermal",
-    "source.coherence_time": "1e-06",
-    "scan.superpixel": "11",
-    "scan.dwell": "0.01",
-    "scan.bins_cap": "1000000",
-    "scan.trigger_mode": "",
-    "scan.seed": "",
-    "scan.threads": "1",
-    "detector.bin_width": "1.2e-08",
-    "detector.herald.efficiency": "0.6",
-    "detector.herald.dark_prob": "0.0",
-    "detector.camera.efficiency": "0.6",
-    "detector.camera.dark_prob": "0.0",
-}
 
-# default vampire-mask contrasts per scenario when neither contrast nor
-# herald target is given
-_SCENARIO_CONTRAST = {
-    "loss_high_contrast": "0.8",
-    "loss_low_contrast": "0.3",
-    "subtraction": "0.3",
+def _count(text: str, bits: int = 63) -> int:
+    """A size or count: an integer in [1, 2**bits).  Numpy's int64 holds 2**63 - 1; a grid
+    side (``_side``) is below 2**28, so a float64 map of a grid is under numpy's 2**63 bytes."""
+    value = int(text)
+    if not 0 < value < 2**bits:
+        raise ConfigMismatch(f"expected an integer in [1, 2**{bits})")
+    return value
+
+
+_side = partial(_count, bits=28)
+
+
+# each key's default and what ``read_value`` reads it as: an integer, a number, a
+# count or grid side, one of a tuple of words, or text (a key whose default is empty may be empty)
+_KEYS = {
+    "scenario": ("initial", SCENARIOS),
+    "grid.width": ("64", _side),
+    "grid.height": ("48", _side),
+    "profile.kind": ("uniform_ellipse_with_ring", tuple(PROFILE_PARAMS)),
+    "profile.cx": ("", float),
+    "profile.cy": ("", float),
+    "profile.rx": ("", float),
+    "profile.ry": ("", float),
+    "profile.ring_gain": ("1.5", float),
+    "profile.sigma_x": ("", float),
+    "profile.sigma_y": ("", float),
+    "mask.region": ("silhouette", str),
+    "mask.contrast": ("", float),
+    "mask.herald_target": ("", float),
+    "source.nbar": ("1.0", float),
+    "source.kind": (THERMAL, (THERMAL, COHERENT)),
+    "source.coherence_time": ("1e-06", float),
+    "scan.superpixel": ("11", _count),
+    "scan.dwell": ("0.01", float),
+    "scan.bins_cap": ("1000000", _count),
+    "scan.trigger_mode": ("", (SINGLES, COINCIDENCE)),
+    "scan.seed": ("", int),
+    "scan.threads": ("1", _count),
+    "detector.bin_width": ("1.2e-08", float),
+    "detector.herald.efficiency": ("0.6", float),
+    "detector.herald.dark_prob": ("0.0", float),
+    "detector.camera.efficiency": ("0.6", float),
+    "detector.camera.dark_prob": ("0.0", float),
 }
+DEFAULTS: dict[str, str] = {key: default for key, (default, _) in _KEYS.items()}
+# a sidecar's derived.* values are read as the scan derives them
+TYPES: dict = {key: kind for key, (_, kind) in _KEYS.items()} | {
+    "derived.n_bins": int, "derived.bins_per_block": _count, "derived.r_eff2": float,
+    "derived.n_rows": int, "derived.n_cols": int,
+}
+_EXPECTED = {float: "a number", str: "ASCII text"}
+_EXPECTED |= dict.fromkeys((int, _count, _side), "an integer")
+
+# default vampire-mask contrasts per scenario when neither contrast nor herald target is given
+_SCENARIO_CONTRAST = {"loss_high_contrast": 0.8, "loss_low_contrast": 0.3, "subtraction": 0.3}
 
 
 @dataclass(frozen=True)
@@ -102,6 +125,11 @@ class ScenarioConfig:
         g2 = 2.0 if self.source.kind == THERMAL else 1.0
         return subtracted_profile_analytic(profile, mask, g2, nbar)
 
+    def check_blocks(self) -> None:
+        """``run_scan``'s coherence-block check, its range error named by its keys."""
+        with _keyed(self.echo, "source.coherence_time", "detector.bin_width", "source.kind"):
+            bins_per_block(self.source, self.scan.herald_detector)
+
 
 def apply_env_overrides(cfg: dict, environ) -> dict:
     """Overlay QVAMPIRE_* environment variables onto a config dict."""
@@ -117,22 +145,34 @@ def apply_env_overrides(cfg: dict, environ) -> dict:
     return out
 
 
-def _resolve(cfg: dict) -> dict:
-    unknown = set(cfg) - set(DEFAULTS)
-    if unknown:
-        raise ConfigMismatch(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(DEFAULTS)
-    merged.update(cfg)
-    return merged
-
-
-def _number(key: str, value: str, kind=float):
-    """A config value as ``kind`` (int or float); a ``ConfigMismatch`` names the key."""
+def read_value(key: str, text: str):
+    """A config or sidecar value read as its ``TYPES`` entry, or None when a key
+    whose default is empty is left empty; ``ConfigMismatch`` names the key."""
+    if text == "" and DEFAULTS.get(key) == "":
+        return None
+    kind = TYPES.get(key, str)
     try:
-        return kind(value)
+        if not text.isascii():  # a sidecar echoes the value as ASCII
+            raise ValueError(text)
+        return kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
     except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigMismatch(f"{key}={value!r}: expected {expected}") from None
+        expected = _EXPECTED.get(kind) or " or ".join([", ".join(kind[:-1]), kind[-1]])
+        raise ConfigMismatch(f"{key}={text!r}: expected {expected}") from None
+    except ConfigMismatch as exc:  # an integer outside its range
+        raise ConfigMismatch(f"{key}={text!r}: {exc}") from None
+
+
+@contextmanager
+def _keyed(merged: dict, *keys: str):
+    """Re-raise a range error of the block as ``{key}={value!r}: {rule}``, for each
+    of ``keys`` whose field (its last part) the rule names, or each key if it names none."""
+    try:
+        yield
+    except QVampireError as exc:
+        words = set(re.findall(r"\w+", str(exc)))
+        named = [key for key in keys if key.rpartition(".")[2] in words] or keys
+        given = ", ".join(f"{key}={merged[key]!r}" for key in named)
+        raise ConfigMismatch(f"{given}: {exc}") from None
 
 
 def parse_region_spec(spec: str, width: int, height: int) -> np.ndarray:
@@ -147,46 +187,25 @@ def parse_region_spec(spec: str, width: int, height: int) -> np.ndarray:
         convert, shape = shapes[kind]
         # a rect's corner and size, or an ellipse's centre and radii
         x, y, a, b = (convert(tok) for tok in rest.split(","))
+        if not (a > 0 and b > 0):
+            raise ValueError(spec)
     except (KeyError, ValueError):
-        raise ConfigMismatch(f"region spec {spec!r}: expected {REGION_FORMS}") from None
+        raise ConfigMismatch(f"mask.region={spec!r}: expected {REGION_FORMS}") from None
     return shape(width, height, x, y, a, b)
 
 
-def _build_profile(merged: dict, width: int, height: int) -> BeamProfile:
-    kind = merged["profile.kind"]
-    if kind not in PROFILE_PARAMS:
-        raise ConfigMismatch(f"unknown profile kind {kind!r}")
+def _build_profile(merged: dict, cfg: dict) -> BeamProfile:
+    kind = cfg["profile.kind"]
+    keys = [f"profile.{name}" for name in PROFILE_PARAMS[kind]]
     # a key of another kind must keep its default, so no sidecar echoes an unused value
-    stray = [
-        key
-        for key in DEFAULTS
-        if key.startswith("profile.")
-        and key.removeprefix("profile.") not in ("kind", *PROFILE_PARAMS[kind])
-        and merged[key] != DEFAULTS[key]
-    ]
+    stray = [key for key in DEFAULTS if key.startswith("profile.") and key not in keys
+             and key != "profile.kind" and merged[key] != DEFAULTS[key]]
     if stray:
         raise ConfigMismatch(f"profile kind {kind!r} takes no {', '.join(stray)}")
-    given = {name: merged[f"profile.{name}"] for name in PROFILE_PARAMS[kind]}
-    params = {
-        name: _number(f"profile.{name}", value) for name, value in given.items() if value != ""
-    }
-    return make_profile(kind, width, height, **params)
-
-
-def _detector(merged: dict, role: str) -> DetectorConfig:
-    """The herald or camera detector; a range error names the key that fed it."""
-    keys = {
-        "efficiency": f"detector.{role}.efficiency",
-        "dark_prob": f"detector.{role}.dark_prob",
-        "bin_width": "detector.bin_width",
-    }
-    values = {field: _number(key, merged[key]) for field, key in keys.items()}
-    try:
-        return DetectorConfig(**values)
-    except ConfigMismatch as exc:
-        # each of DetectorConfig's range messages opens with its field's name
-        key = next(key for field, key in keys.items() if str(exc).startswith(field))
-        raise ConfigMismatch(f"{key}={merged[key]!r}: {exc}") from None
+    keys = [key for key in keys if cfg[key] is not None]  # an empty key takes its default
+    with _keyed(merged, "profile.kind", "grid.width", "grid.height", *keys):
+        params = {key.removeprefix("profile."): cfg[key] for key in keys}
+        return make_profile(kind, cfg["grid.width"], cfg["grid.height"], **params)
 
 
 def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = None) -> ScenarioConfig:
@@ -194,88 +213,68 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
 
     The scenario fixes the parts the physics requires: the initial run
     uses the white mask, the subtraction run acquires in coincidence
-    mode.  A missing seed is generated and recorded in the echo.  The
-    ``derived.*`` keys of a scan sidecar are accepted and must match what
-    this config derives.
+    mode.  A missing seed is generated and recorded in the echo.  Each value
+    is read by ``read_value``, and a range error names the key that fed it.
+    The ``derived.*`` keys of a scan sidecar are accepted and must match
+    what this config derives.
     """
     given = {key: value for key, value in cfg.items() if key.startswith("derived.")}
-    merged = _resolve({key: value for key, value in cfg.items() if key not in given})
-    scenario = merged["scenario"]
-    if scenario not in SCENARIOS:
-        raise ConfigMismatch(f"unknown scenario {scenario!r}")
-    width = _number("grid.width", merged["grid.width"], int)
-    height = _number("grid.height", merged["grid.height"], int)
-    nbar = _number("source.nbar", merged["source.nbar"])
+    unknown = set(cfg) - set(TYPES)  # the config keys and the derived.* keys of a sidecar
+    if unknown:
+        raise ConfigMismatch(f"unknown config keys: {sorted(unknown)}")
+    merged = {**DEFAULTS, **{key: value for key, value in cfg.items() if key not in given}}
+    for key, value in (("scan.seed", seed), ("scan.threads", threads)):
+        if value is not None:
+            merged[key] = str(value)
+    if merged["scan.seed"] == "":
+        # os.urandom, not secrets: secrets loads hashlib and OpenSSL at import
+        merged["scan.seed"] = str(int.from_bytes(os.urandom(8), "little") >> 1)
+    cfg = {key: read_value(key, text) for key, text in merged.items()}
+    scenario, width, height = cfg["scenario"], cfg["grid.width"], cfg["grid.height"]
 
-    profile = _build_profile(merged, width, height)
-    # checked before the herald target divides by nbar
-    source = SourceConfig(
-        nbar=nbar,
-        profile=profile,
-        coherence_time=_number("source.coherence_time", merged["source.coherence_time"]),
-        kind=merged["source.kind"],
-    )
+    profile = _build_profile(merged, cfg)
+    keys = ("source.nbar", "source.coherence_time", "source.kind")
+    with _keyed(merged, *keys):  # checked before the herald target divides by nbar
+        source = SourceConfig(profile=profile, **{key.partition(".")[2]: cfg[key] for key in keys})
 
     if scenario == "initial":
         mask = make_mask("white", width, height)
         merged["mask.contrast"] = "0.0"
     else:
         region = parse_region_spec(merged["mask.region"], width, height)
-        if merged["mask.herald_target"] != "":
-            target = _number("mask.herald_target", merged["mask.herald_target"])
+        target = cfg["mask.herald_target"]
+        if target is not None:
             if not 0.0 <= target < np.inf:
                 raise ConfigMismatch(f"mask.herald_target must be finite and >= 0, got {target!r}")
             try:
-                contrast = contrast_for_herald_rate(profile, region, nbar, target)
+                contrast = contrast_for_herald_rate(profile, region, source.nbar, target)
             except ValueError as exc:  # the region cannot tap that much light
                 raise ConfigMismatch(
                     f"mask.herald_target must be reachable, got {target!r}: {exc}"
                 ) from None
         else:
-            value = merged["mask.contrast"] or _SCENARIO_CONTRAST[scenario]
-            contrast = _number("mask.contrast", value)
+            asked = cfg["mask.contrast"]  # None when the config leaves it empty
+            contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
             if not 0.0 <= contrast <= 1.0:
                 raise ConfigMismatch(f"mask.contrast must lie in [0, 1], got {contrast!r}")
         merged["mask.contrast"] = repr(contrast)
         mask = make_mask("vampire", width, height, contrast, region)
 
-    trigger = merged["scan.trigger_mode"]
-    if scenario == "subtraction":
-        trigger = COINCIDENCE
-    elif trigger == "":
-        trigger = SINGLES
-    merged["scan.trigger_mode"] = trigger
+    # the subtraction run acquires in coincidence mode
+    trigger = COINCIDENCE if scenario == "subtraction" else cfg["scan.trigger_mode"] or SINGLES
+    merged["scan.trigger_mode"] = cfg["scan.trigger_mode"] = trigger
 
-    if seed is not None:
-        merged["scan.seed"] = str(seed)
-    if merged["scan.seed"] == "":
-        # os.urandom, not secrets: secrets loads hashlib and OpenSSL at import
-        merged["scan.seed"] = str(int.from_bytes(os.urandom(8), "little") >> 1)
-    if threads is not None:
-        merged["scan.threads"] = str(threads)
-
-    herald_det, camera_det = _detector(merged, "herald"), _detector(merged, "camera")
-    scan = ScanConfig(
-        mask=mask,
-        seed=_number("scan.seed", merged["scan.seed"], int),
-        superpixel=_number("scan.superpixel", merged["scan.superpixel"], int),
-        dwell=_number("scan.dwell", merged["scan.dwell"]),
-        bins_cap=_number("scan.bins_cap", merged["scan.bins_cap"], int),
-        trigger_mode=trigger,
-        herald_detector=herald_det,
-        camera_detector=camera_det,
-        threads=_number("scan.threads", merged["scan.threads"], int),
-    )
+    detectors = {}
+    for role in ("herald", "camera"):
+        keys = (f"detector.{role}.efficiency", f"detector.{role}.dark_prob", "detector.bin_width")
+        with _keyed(merged, *keys):
+            detectors[f"{role}_detector"] = DetectorConfig(*(cfg[key] for key in keys))
+    fields = ("seed", "superpixel", "dwell", "bins_cap", "trigger_mode", "threads")
+    with _keyed(merged, *(f"scan.{name}" for name in fields), "detector.bin_width"):
+        values = {name: cfg[f"scan.{name}"] for name in fields}
+        scan = ScanConfig(mask, **detectors, **values)
     derived = derived_settings(source, scan) if given else {}
     for key, value in sorted(given.items()):
-        name = key[len("derived.") :]
-        if name not in derived:
-            raise ConfigMismatch(f"unknown config keys: {[key]}")
-        if _number(key, value) != derived[name]:
-            raise ConfigMismatch(f"{key}={value}, but the config derives {derived[name]}")
-    return ScenarioConfig(
-        scenario=scenario,
-        source=source,
-        scan=scan,
-        echo=merged,
-    )
+        if read_value(key, value) != (want := derived[key.partition(".")[2]]):
+            raise ConfigMismatch(f"{key}={value}, but the config derives {want}")
+    return ScenarioConfig(scenario, source, scan, merged)

@@ -68,11 +68,6 @@ SIDECAR_DEFAULTS = {
     "source.kind": THERMAL,
     "scan.trigger_mode": COINCIDENCE,
 }
-# the values a sidecar may give them; derived.bins_per_block is a positive integer
-_SIDECAR_CHOICES = {
-    "source.kind": (THERMAL, COHERENT),
-    "scan.trigger_mode": (SINGLES, COINCIDENCE),
-}
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ class ScanConfig:
             raise ConfigMismatch("detectors must share one time-bin width")
         if not self.herald_detector.bin_width <= self.dwell < math.inf:
             raise ConfigMismatch(
-                f"dwell must be finite and cover at least one time bin, got {self.dwell!r}"
+                f"dwell must be finite and at least one bin_width, got {self.dwell!r}"
             )
         if self.bins_cap < 1 or self.threads < 1:
             raise ConfigMismatch("bins_cap and threads must be positive")
@@ -166,12 +161,15 @@ class SuperpixelRecord:
             self.coincidence_counts < 0
             or self.coincidence_counts > min(self.camera_counts, self.herald_counts)
             or max(self.camera_counts, self.herald_counts) > self.n_bins
+            or self.n_bins >= 2**63
         ):
             counts = (self.n_bins, self.camera_counts, self.herald_counts, self.coincidence_counts)
             if min(counts) < 0:
                 raise ConfigMismatch("counts must be non-negative")
             if self.coincidence_counts > min(self.camera_counts, self.herald_counts):
                 raise ConfigMismatch("coincidences exceed a singles counter")
+            if self.n_bins >= 2**63:
+                raise ConfigMismatch("n_bins must be below 2**63, as an int64 grid holds it")
             raise ConfigMismatch("counts exceed the number of bins")
 
 
@@ -190,17 +188,13 @@ class ScanResult:
             out[rec.row, rec.col] = getattr(rec, name)
         return out
 
-    def setting(self, key: str) -> str:
-        """A sidecar value, or its ``SIDECAR_DEFAULTS`` entry when the sidecar lacks
-        it; a value analysis cannot read raises ``ConfigMismatch`` naming the key."""
-        value = self.config.get(key, SIDECAR_DEFAULTS[key])
-        choices = _SIDECAR_CHOICES.get(key)
-        if choices is None:
-            valid, wanted = value.isdecimal() and int(value) > 0, "a positive integer"
-        else:
-            valid, wanted = value in choices, " or ".join(choices)
-        if not valid:
-            raise ConfigMismatch(f"sidecar {key}={value!r}: expected {wanted}")
+    def setting(self, key: str):
+        """A sidecar value read by ``config.read_value``, or its ``SIDECAR_DEFAULTS``
+        entry when the sidecar lacks it; ``ConfigMismatch`` names the key."""
+        from .config import read_value  # config imports this module
+        value = read_value(key, self.config.get(key, SIDECAR_DEFAULTS[key]))
+        if value is None:  # a scan echoes its trigger mode; only a config leaves it empty
+            raise ConfigMismatch(f"{key}='': expected {SINGLES} or {COINCIDENCE}")
         return value
 
     def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +205,7 @@ class ScanResult:
         n_bins = self.grid("n_bins").astype(float)
         rates = np.divide(counts, n_bins, out=np.zeros_like(counts), where=n_bins > 0)
         _, p_sq = _click_moments(rates, 0.0, self.setting("source.kind"))
-        bpb = int(self.setting("derived.bins_per_block"))
+        bpb = self.setting("derived.bins_per_block")
         sigmas = np.sqrt(np.clip(_count_variance(n_bins, bpb, rates, p_sq), 1.0, None))
         sigmas = np.divide(sigmas, n_bins, out=np.full_like(counts, np.inf), where=n_bins > 0)
         return rates, sigmas
@@ -294,8 +288,9 @@ def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
     """Bins per coherence block: at least one, and for a thermal source, whose
     tiles check a quadrature rule, at most ``MAX_BINS_PER_BLOCK``."""
     if src.coherence_time < det.bin_width:
-        raise ConfigMismatch("coherence time must be at least one bin")
-    bpb = int(src.coherence_time / det.bin_width + 1e-9)
+        raise ConfigMismatch("coherence_time must be at least one bin_width")
+    # capped before int(): a subnormal bin_width sends the ratio to inf
+    bpb = int(min(src.coherence_time / det.bin_width + 1e-9, 2**63 - 1))
     if src.kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:
         raise ConfigMismatch(
             f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: the check of "
@@ -334,7 +329,7 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
     n_rows, n_cols = _grid_shape(profile.height, profile.width, scan.superpixel)
     return {
         # at least one bin: ScanConfig holds the dwell to one bin and bins_cap to 1
-        "n_bins": min(int(scan.dwell / scan.bin_width + 1e-9), scan.bins_cap),
+        "n_bins": int(min(scan.dwell / scan.bin_width + 1e-9, scan.bins_cap)),
         "bins_per_block": bins_per_block(src, scan.herald_detector),
         "r_eff2": reduce(profile, mask).r_eff ** 2,
         "n_rows": n_rows,
@@ -470,7 +465,8 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     distinct = list(dict.fromkeys(w_cams))
     dets = (scan.camera_detector, scan.herald_detector)
     law_of = dict(zip(distinct, _tile_laws(distinct, derived["r_eff2"], src, *dets, n_bins, bpb)))
-    n, threads = len(tiles), scan.threads
+    n = len(tiles)
+    threads = min(scan.threads, n)  # a thread draws one chunk of at least one tile
     chunks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
     totals = [None] * n
 
@@ -547,10 +543,12 @@ def _broken_row_rule(line: str, exc: Exception) -> str:
 
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:
     """Read a scan CSV; every superpixel of the grid must appear exactly once."""
-    with open(path, "r", encoding="ascii") as fh:
+    from .config import read_value  # config imports this module
+    # a byte outside ASCII reads as a lone surrogate, which no integer field takes
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != SCAN_CSV_HEADER:
-            raise ConfigMismatch(f"unexpected scan CSV header: {header!r}")
+            raise ConfigMismatch(f"{path}: line 1: unexpected scan CSV header: {header!r}")
         records = []
         seen = set()
         for lineno, line in enumerate(fh, start=2):
@@ -579,8 +577,9 @@ def load_scan_csv(path, config: dict | None = None) -> ScanResult:
     if not records:
         raise ConfigMismatch(f"{path}: no superpixel rows")
     config = dict(config or {})
-    n_rows = int(config.get("derived.n_rows", max(r.row for r in records) + 1))
-    n_cols = int(config.get("derived.n_cols", max(r.col for r in records) + 1))
+    rows = config.get("derived.n_rows", str(max(r.row for r in records) + 1))
+    cols = config.get("derived.n_cols", str(max(r.col for r in records) + 1))
+    n_rows, n_cols = read_value("derived.n_rows", rows), read_value("derived.n_cols", cols)
     if any(not (0 <= r < n_rows and 0 <= c < n_cols) for r, c in seen):
         raise ConfigMismatch(f"{path}: superpixel outside the {n_rows}x{n_cols} grid")
     if len(seen) != n_rows * n_cols:
@@ -598,7 +597,7 @@ def save_sidecar(path, config: dict) -> None:
 def load_sidecar(path) -> dict:
     """Read ``key=value`` lines (configs and sidecars); '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

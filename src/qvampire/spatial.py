@@ -126,7 +126,8 @@ def ellipse_region(
 def rect_region(width: int, height: int, x0: int, y0: int, w: int, h: int) -> np.ndarray:
     """Boolean pixel set of an axis-aligned rectangle."""
     region = np.zeros((height, width), dtype=bool)
-    region[max(y0, 0) : y0 + h, max(x0, 0) : x0 + w] = True
+    # each end clipped at 0: a negative slice end would count from the far edge
+    region[max(y0, 0) : max(y0 + h, 0), max(x0, 0) : max(x0 + w, 0)] = True
     return region
 
 

@@ -65,7 +65,7 @@ def test_scenario_forcing_rules():
     init = config.build_scenario({"scenario": "initial", "scan.seed": "1"})
     assert np.all(init.scan.mask.transmission == 1.0)
     assert init.scan.trigger_mode == mc.SINGLES
-    with pytest.raises(ConfigMismatch, match="unknown trigger mode 'both'"):
+    with pytest.raises(ConfigMismatch, match="scan.trigger_mode='both': expected singles or "):
         config.build_scenario({"scan.trigger_mode": "both", "scan.seed": "1"})
 
 
@@ -94,7 +94,7 @@ def test_profile_keys_are_the_profile_params_table():
     keys = {key for key in config.DEFAULTS if key.startswith("profile.")} - {"profile.kind"}
     params = set().union(*spatial.PROFILE_PARAMS.values())
     assert keys == {f"profile.{name}" for name in params}
-    with pytest.raises(ConfigMismatch, match="unknown profile kind"):
+    with pytest.raises(ConfigMismatch, match="profile.kind='donut': expected uniform_ellipse, "):
         config.build_scenario({"profile.kind": "donut", "scan.seed": "1"})
 
 
@@ -136,7 +136,8 @@ def test_gaussian_profile_config_builds_make_profile():
 @pytest.mark.parametrize(
     "key, value, expected",
     [("scan.superpixel", "abc", "an integer"), ("scan.dwell", "fast", "a number"),
-     ("grid.width", "1.5", "an integer"), ("profile.rx", "wide", "a number")],
+     ("grid.width", "1.5", "an integer"), ("profile.rx", "wide", "a number"),
+     ("scan.seed", "1.5", "an integer"), ("scan.bins_cap", "0", "an integer in [1, 2**63)")],
 )
 def test_cmd_scan_names_the_config_value_it_cannot_read(tmp_path, capsys, key, value, expected):
     lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
@@ -157,7 +158,9 @@ def test_detector_range_error_names_its_config_key(key, value, rule):
     assert str(caught.value) == f"{key}={value!r}: {rule}"
 
 
-@pytest.mark.parametrize("spec", ["rect:1,2", "rect:a,b,c,d", "ellipse:1", "blob:1"])
+@pytest.mark.parametrize(
+    "spec", ["rect:1,2", "rect:a,b,c,d", "ellipse:1", "blob:1", "rect:0,0,-1,2", "ellipse:1,1,0,2"]
+)
 def test_bad_region_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
     forms = ("all", "silhouette", "rect:<x0>,<y0>,<w>,<h>", "ellipse:<cx>,<cy>,<rx>,<ry>")
     with pytest.raises(ConfigMismatch) as caught:
@@ -171,6 +174,49 @@ def test_bad_region_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
     assert cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")]) == 0
     err = capsys.readouterr().err
     assert f"no mask region (bad region spec or grid size: {caught.value})" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("scan.superpixel", "0"), ("source.nbar", "-1"), ("scan.bins_cap", "0"), ("scan.threads", "0"),
+     ("scan.trigger_mode", "x"), ("grid.width", "99999999999999999999"),
+     ("scan.superpixel", "99999999999999999999"), ("detector.bin_width", "1.5"),
+     ("grid.width", str(2**62)), ("grid.height", str(2**28)), ("source.coherence_time", "1e-9"),
+     ("source.coherence_time", "1e-4")],
+)
+def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, key, value):
+    # the smoke config is a subtraction scan, which forces coincidence mode
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
+    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and f"{key}={value!r}" in err and "Traceback" not in err
+
+
+def test_a_bin_count_beyond_int64_is_rejected_before_the_scan():
+    # a 1e12 s dwell holds 8.3e19 bins of 12 ns, which no cap below 2**63 lets through
+    with pytest.raises(ConfigMismatch, match=r"scan.bins_cap='99999999999999999999': expected"):
+        config.build_scenario(
+            {"scan.dwell": "1e12", "scan.bins_cap": "99999999999999999999", "scan.seed": "1"}
+        )
+
+
+def test_cmd_profile_takes_a_coherence_block_the_scan_cannot_draw(tmp_path):
+    # the analytic maps do not depend on the coherence time; only the scan checks its block
+    cfg = write_config(tmp_path, SMOKE_CONFIG + "source.coherence_time=1e-4\n")
+    assert cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+
+
+def test_main_lets_a_bare_value_error_through(tmp_path, monkeypatch):
+    # a ValueError that reaches main is a bug, not a validation message
+    def broken(args):
+        raise ValueError("not the package's message")
+
+    monkeypatch.setattr(cli, "cmd_profile", broken)
+    with pytest.raises(ValueError):
+        cli.main(["profile", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +370,8 @@ def test_cmd_scan_rejects_ring_gain_inf_before_dividing(tmp_path, capsys):
         rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == "qvampire: ring_gain must be non-negative and finite, got inf\n"
+    rule = "ring_gain must be non-negative and finite, got inf"
+    assert err == f"qvampire: profile.ring_gain='inf': {rule}\n"
     assert caught == []
 
 
@@ -461,6 +508,19 @@ def test_cmd_verify_checks_the_whole_sweep_before_the_first_case(tmp_path, capsy
     assert printed.out == ""
     assert printed.err.count("\n") == 1 and value.rpartition(",")[2] in printed.err
     assert not (out / "verify.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, rule",
+    [("--ca", "x", "could not convert string to float: 'x'"),
+     ("--ca", "2", "c_a must lie in [0, 1], got 2.0"),
+     ("--r", "0.1,-0.2", "r must lie in [0, 1], got -0.2"),
+     ("--models", "foo", "herald_model 'foo' is not one of ('operator', 'click_povm')")],
+)
+def test_cmd_verify_names_the_option_of_a_bad_value(tmp_path, capsys, option, value, rule):
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), option, value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qvampire: {option} {value!r}: {rule}\n"
 
 
 @pytest.mark.parametrize("spec", ["thermal", "thermal:", "fock:2.5", "coherent:x", "squeezed:1"])
@@ -673,6 +733,17 @@ def test_cmd_analyze_rejects_sidecar_value_it_cannot_read(tmp_path, capsys, key,
     rc = cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert f"{key}={value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["32.0", str(2**62)])
+def test_cmd_analyze_notes_the_sidecar_key_it_cannot_read(tmp_path, capsys, value):
+    out = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "sub")
+    echo = mc.load_sidecar(out / "scan.cfg")
+    mc.save_sidecar(out / "scan.cfg", {**echo, "grid.width": value})
+    capsys.readouterr()
+    assert cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"grid.width={value!r}: expected an integer" in err
 
 
 @pytest.mark.parametrize("band", ["abc", "1:2:3", "1"])

@@ -1,6 +1,7 @@
 """Monte Carlo apparatus tests; rate oracles via numerical quadrature, tile
 oracles via a sampler that draws every coherence block on its own."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -633,6 +634,17 @@ def test_coherence_block_beyond_table_cap_rejected():
         mc.bins_per_block(src, det)
 
 
+def test_a_ratio_past_float_range_is_capped_before_int():
+    # dwell / bin_width and coherence_time / bin_width overflow to inf
+    scenario = config.build_scenario({"scan.dwell": "1e308", "scan.seed": "1"})
+    assert mc.derived_settings(scenario.source, scenario.scan)["n_bins"] == 1_000_000
+    det = mc.DetectorConfig(bin_width=5e-324)
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), kind=mc.COHERENT)
+    assert mc.bins_per_block(src, det) == 2**63 - 1
+    with pytest.raises(ConfigMismatch, match="outcome table"):
+        mc.bins_per_block(dataclasses.replace(src, kind=mc.THERMAL), det)
+
+
 def test_singles_rates_match_quadrature_oracle():
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
@@ -810,6 +822,22 @@ def test_determinism_across_thread_counts():
         ]
         assert results[0].records == results[1].records == results[2].records
     assert results[0].records[0].n_bins == long_bins
+
+
+def test_a_scan_starts_no_more_draw_threads_than_tiles(monkeypatch):
+    # 16x12 pixels at superpixel 8 tile 2x2: three threads besides the caller's
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    mask = spatial.make_mask("white", 16, 12)
+    result = mc.run_scan(src, small_scan(mask, superpixel=8, threads=16))
+    assert len(result.records) == 4 and len(started) == 3
 
 
 @pytest.mark.parametrize("failing", [0, 47], ids=["calling-thread", "worker"])
@@ -1032,6 +1060,7 @@ def test_load_scan_csv_rejects_malformed_grid(tmp_path, rows, config):
         ("0,0,5", "expected 6 fields"),  # short row
         ("0,0,10,2.5,1,1", "camera_counts='2.5' is not an integer"),
         ("0,0,10,2,-1,0", "non-negative"),  # negative herald count
+        (f"0,0,{2**63},2,1,1", "n_bins must be below 2**63"),  # beyond an int64 grid
     ],
 )
 def test_load_scan_csv_names_file_line_and_rule(tmp_path, row, rule):

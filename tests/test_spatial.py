@@ -48,6 +48,13 @@ def test_degenerate_profile_rejected():
         spatial.make_profile("donut", 8, 8)
 
 
+def test_rect_region_clips_a_rect_off_the_near_edge():
+    # a negative slice end would count from the far edge and mark the grid
+    assert not spatial.rect_region(8, 4, -5, 0, 3, 2).any()
+    assert not spatial.rect_region(8, 4, 0, -3, 8, 2).any()
+    assert spatial.rect_region(8, 4, -2, 1, 3, 2).sum() == 2
+
+
 def test_silhouette_region_is_nonempty_pixel_set():
     region = spatial.silhouette_region(64, 48)
     assert region.dtype == bool and region.shape == (48, 64)
