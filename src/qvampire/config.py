@@ -211,12 +211,12 @@ def _build_profile(merged: dict, cfg: dict) -> BeamProfile:
 def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = None) -> ScenarioConfig:
     """Assemble a scenario from a flat config dict.
 
-    The scenario fixes the parts the physics requires: the initial run
-    uses the white mask, the subtraction run acquires in coincidence
-    mode.  A missing seed is generated and recorded in the echo.  Each value
-    is read by ``read_value``, and a range error names the key that fed it.
-    The ``derived.*`` keys of a scan sidecar are accepted and must match
-    what this config derives.
+    The scenario fixes the parts the physics requires: the initial run uses
+    the white mask, the subtraction run coincidence mode.  A missing seed is
+    generated and recorded in the echo.  Each value is read by ``read_value``,
+    and a range error names the key that fed it.  The ``derived.*`` keys of a
+    scan sidecar, and a ``mask.contrast`` next to a ``mask.herald_target``, are
+    accepted only as what the rest of the config derives.
     """
     given = {key: value for key, value in cfg.items() if key.startswith("derived.")}
     unknown = set(cfg) - set(TYPES)  # the config keys and the derived.* keys of a sidecar
@@ -242,7 +242,7 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         merged["mask.contrast"] = "0.0"
     else:
         region = parse_region_spec(merged["mask.region"], width, height)
-        target = cfg["mask.herald_target"]
+        target, asked = cfg["mask.herald_target"], cfg["mask.contrast"]  # None when left empty
         if target is not None:
             if not 0.0 <= target < np.inf:
                 raise ConfigMismatch(f"mask.herald_target must be finite and >= 0, got {target!r}")
@@ -252,16 +252,19 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
                 raise ConfigMismatch(
                     f"mask.herald_target must be reachable, got {target!r}: {exc}"
                 ) from None
+            if asked not in (None, contrast):  # a sidecar echoes the solved contrast
+                raise ConfigMismatch(f"mask.contrast={asked!r}, but mask.herald_target={target!r} "
+                                     f"solves contrast {contrast!r}")
         else:
-            asked = cfg["mask.contrast"]  # None when the config leaves it empty
             contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
             if not 0.0 <= contrast <= 1.0:
                 raise ConfigMismatch(f"mask.contrast must lie in [0, 1], got {contrast!r}")
         merged["mask.contrast"] = repr(contrast)
         mask = make_mask("vampire", width, height, contrast, region)
 
-    # the subtraction run acquires in coincidence mode
-    trigger = COINCIDENCE if scenario == "subtraction" else cfg["scan.trigger_mode"] or SINGLES
+    trigger = cfg["scan.trigger_mode"] or (COINCIDENCE if scenario == "subtraction" else SINGLES)
+    if scenario == "subtraction" and trigger != COINCIDENCE:
+        raise ConfigMismatch(f"scan.trigger_mode={trigger!r}: subtraction needs {COINCIDENCE}")
     merged["scan.trigger_mode"] = cfg["scan.trigger_mode"] = trigger
 
     detectors = {}

@@ -12,10 +12,10 @@ Every superpixel owns a counter-based Philox substream keyed by
 (seed, superpixel index), so results are bit-identical no matter how the
 raster is scheduled or parallelized.  Each draw thread keeps one Philox
 generator and resets it to the start of a tile's substream before the
-tile, which draws what a generator built for that key alone would.  A tile
-outputs three totals, and its full coherence blocks are i.i.d., so it is
-drawn as a mixture rather than block by block (Devroye, Non-Uniform Random
-Variate Generation, 1986, ch. III):
+tile, which draws what a generator built for that key alone would.  A tile's
+three totals are its cell of the scan's count grids; its full coherence
+blocks are i.i.d., so it is drawn as a mixture rather than block by block
+(Devroye, Non-Uniform Random Variate Generation, 1986, ch. III):
 
 - A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
   whose camera and herald marginals and mixed click moments must agree
@@ -142,9 +142,8 @@ class ScanConfig:
         return self.herald_detector.bin_width
 
 
-@dataclass(frozen=True)
-class SuperpixelRecord:
-    """Counts accumulated while one superpixel was open."""
+class SuperpixelRecord(NamedTuple):
+    """One superpixel's counts, as a scan CSV row in ``SCAN_CSV_HEADER``'s column order."""
 
     row: int
     col: int
@@ -153,40 +152,39 @@ class SuperpixelRecord:
     herald_counts: int
     coincidence_counts: int
 
-    def __post_init__(self):
-        # 0 <= coincidences <= each singles counter <= bins holds all four
-        # non-negative, so a valid record pays one sign test; a broken one
-        # is named with the sign rule first
-        if (
-            self.coincidence_counts < 0
-            or self.coincidence_counts > min(self.camera_counts, self.herald_counts)
-            or max(self.camera_counts, self.herald_counts) > self.n_bins
-            or self.n_bins >= 2**63
-        ):
-            counts = (self.n_bins, self.camera_counts, self.herald_counts, self.coincidence_counts)
-            if min(counts) < 0:
-                raise ConfigMismatch("counts must be non-negative")
-            if self.coincidence_counts > min(self.camera_counts, self.herald_counts):
-                raise ConfigMismatch("coincidences exceed a singles counter")
-            if self.n_bins >= 2**63:
-                raise ConfigMismatch("n_bins must be below 2**63, as an int64 grid holds it")
-            raise ConfigMismatch("counts exceed the number of bins")
+
+# the count grids of a ScanResult, in the scan CSV's column order
+COUNTS = SuperpixelRecord._fields[2:]
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Per-superpixel counts plus the flat config keys analysis reads them with."""
+    """Per-superpixel counts as four read-only int64 (n_rows, n_cols) grids, plus
+    the flat config keys analysis reads them with."""
 
-    records: tuple[SuperpixelRecord, ...]
-    n_rows: int
-    n_cols: int
+    n_bins: np.ndarray
+    camera_counts: np.ndarray
+    herald_counts: np.ndarray
+    coincidence_counts: np.ndarray
     config: dict
 
+    n_rows = property(lambda self: self.n_bins.shape[0])
+    n_cols = property(lambda self: self.n_bins.shape[1])
+
+    def __post_init__(self):
+        for name in COUNTS:  # an int64 copy that nothing can write
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.int64))
+            getattr(self, name).setflags(write=False)
+
     def grid(self, name: str) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for rec in self.records:
-            out[rec.row, rec.col] = getattr(rec, name)
-        return out
+        """The stored grid of one of ``COUNTS``."""
+        return getattr(self, name)
+
+    @property
+    def records(self) -> tuple[SuperpixelRecord, ...]:
+        """The grids as scan CSV rows, row-major."""
+        columns = (*np.indices(self.n_bins.shape), *(getattr(self, name) for name in COUNTS))
+        return tuple(map(SuperpixelRecord._make, zip(*(c.ravel().tolist() for c in columns))))
 
     def setting(self, key: str):
         """A sidecar value read by ``config.read_value``, or its ``SIDECAR_DEFAULTS``
@@ -468,19 +466,16 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     n = len(tiles)
     threads = min(scan.threads, n)  # a thread draws one chunk of at least one tile
     chunks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
-    totals = [None] * n
+    # camera, herald and coincidence totals; row-major tiles index the flattened grid
+    totals = np.empty((3, n), dtype=np.int64)
 
     def draw(chunk):
         # any key: each tile re-keys it
         gen = np.random.Generator(np.random.Philox(0))
         for i in chunk:
-            totals[i] = _simulate_tile(gen, scan.seed, i, law_of[w_cams[i]])
+            totals[:, i] = _simulate_tile(gen, scan.seed, i, law_of[w_cams[i]])
 
     _run_chunks(draw, chunks)
-    records = tuple(
-        SuperpixelRecord(row, col, n_bins, *counts)
-        for (row, col, _, _), counts in zip(tiles, totals)
-    )
 
     # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {
@@ -488,9 +483,8 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
         "scan.trigger_mode": scan.trigger_mode,
         **{f"derived.{name}": str(value) for name, value in derived.items()},
     }
-    return ScanResult(
-        records=records, n_rows=derived["n_rows"], n_cols=derived["n_cols"], config=echo
-    )
+    shape = (derived["n_rows"], derived["n_cols"])
+    return ScanResult(np.full(shape, n_bins), *totals.reshape(3, *shape), config=echo)
 
 
 def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
@@ -517,74 +511,75 @@ def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
 
 
 def save_scan_csv(path, result: ScanResult) -> None:
-    # the header names SuperpixelRecord's fields in order
-    rows = (
-        (r.row, r.col, r.n_bins, r.camera_counts, r.herald_counts, r.coincidence_counts)
-        for r in result.records
-    )
-    save_csv(path, SCAN_CSV_HEADER, rows)
+    save_csv(path, SCAN_CSV_HEADER, result.records)
 
 
-def _broken_row_rule(line: str, exc: Exception) -> str:
-    """The rule a scan CSV row breaks: its field count, an integer field, or
-    the ``SuperpixelRecord`` rule that ``exc`` names."""
-    if isinstance(exc, ConfigMismatch):
-        return str(exc)
-    fields, tokens = SCAN_CSV_HEADER.split(","), line.split(",")
+def _unreadable(line: str) -> str | None:
+    """Why ``np.loadtxt`` cannot read a scan CSV line as six int64 fields: its field
+    count, a field that is no integer, or one outside int64; None if it can."""
+    fields, tokens = SuperpixelRecord._fields, line.split(",")
     if len(tokens) != len(fields):
         return f"expected {len(fields)} fields ({SCAN_CSV_HEADER}), got {len(tokens)}"
     for name, tok in zip(fields, tokens):
         try:
-            int(tok)
+            value = int(tok.replace("_", "/"))  # np.loadtxt reads no digit separator
         except ValueError:
             return f"{name}={tok!r} is not an integer"
-    return str(exc)
+        if not -(2**63) <= value < 2**63:
+            return f"{name} must be below 2**63 and at least -2**63, as an int64 grid holds it"
+    return None
 
 
 def load_scan_csv(path, config: dict | None = None) -> ScanResult:
-    """Read a scan CSV; every superpixel of the grid must appear exactly once."""
+    """Read a scan CSV; every superpixel of the grid must appear exactly once.
+
+    One ``np.loadtxt`` parses the body and each rule is one array test over its
+    rows, so only a broken file pays to find the line of its first broken row."""
     from .config import read_value  # config imports this module
     # a byte outside ASCII reads as a lone surrogate, which no integer field takes
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != SCAN_CSV_HEADER:
             raise ConfigMismatch(f"{path}: line 1: unexpected scan CSV header: {header!r}")
-        records = []
-        seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row, col, n_bins, cam, her, both = (int(tok) for tok in line.split(","))
-                record = SuperpixelRecord(
-                    row=row,
-                    col=col,
-                    n_bins=n_bins,
-                    camera_counts=cam,
-                    herald_counts=her,
-                    coincidence_counts=both,
-                )
-            except (ValueError, ConfigMismatch) as exc:
-                # only a broken row pays for finding which rule it breaks
-                rule = _broken_row_rule(line, exc)
-                raise ConfigMismatch(f"{path}: line {lineno}: {rule}") from None
-            if (row, col) in seen:
-                where = f"{path}: line {lineno}"
-                raise ConfigMismatch(f"{where}: superpixel ({row}, {col}) appears twice")
-            seen.add((row, col))
-            records.append(record)
-    if not records:
+        lines = fh.read().split("\n")
+    if not any(lines):  # np.loadtxt warns on no data
         raise ConfigMismatch(f"{path}: no superpixel rows")
+    try:
+        table = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != len(SuperpixelRecord._fields):  # every line has one wrong count
+            raise ValueError(table.shape)
+    except ValueError:
+        # only an unreadable file pays to find its first unreadable line
+        at, rule = next((at, rule) for at, line in enumerate(lines)
+                        if line and (rule := _unreadable(line)))
+        raise ConfigMismatch(f"{path}: line {at + 2}: {rule}") from None
     config = dict(config or {})
-    rows = config.get("derived.n_rows", str(max(r.row for r in records) + 1))
-    cols = config.get("derived.n_cols", str(max(r.col for r in records) + 1))
+    row, col, n_bins, cam, her, both = table.T
+    rows = config.get("derived.n_rows", str(int(row.max()) + 1))
+    cols = config.get("derived.n_cols", str(int(col.max()) + 1))
     n_rows, n_cols = read_value("derived.n_rows", rows), read_value("derived.n_cols", cols)
-    if any(not (0 <= r < n_rows and 0 <= c < n_cols) for r, c in seen):
-        raise ConfigMismatch(f"{path}: superpixel outside the {n_rows}x{n_cols} grid")
-    if len(seen) != n_rows * n_cols:
-        raise ConfigMismatch(f"{path}: {n_rows * n_cols - len(seen)} superpixels missing")
-    return ScanResult(records=tuple(records), n_rows=n_rows, n_cols=n_cols, config=config)
+    outside = (row < 0) | (row >= n_rows) | (col < 0) | (col >= n_cols)
+    repeat = np.ones(len(table), dtype=bool)
+    repeat[np.unique(table[:, :2], axis=0, return_index=True)[1]] = False
+    rules = {  # in the order a row that breaks several is named by
+        "counts must be non-negative": (table[:, 2:] < 0).any(axis=1),
+        "coincidences exceed a singles counter": both > np.minimum(cam, her),
+        "counts exceed the number of bins": np.maximum(cam, her) > n_bins,
+        "superpixel ({}, {}) appears twice": repeat,
+        "superpixel ({}, {}) outside the {}x{} grid": outside,
+    }
+    broken = np.array(list(rules.values()))
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))  # the first broken row, named by its first rule
+        rule = list(rules)[int(np.argmax(broken[:, i]))].format(row[i], col[i], n_rows, n_cols)
+        lineno = [n for n, line in enumerate(lines, start=2) if line][i]  # an empty line holds none
+        raise ConfigMismatch(f"{path}: line {lineno}: {rule}")
+    # no superpixel repeats or lies outside, so a full grid has one row each
+    if len(table) != n_rows * n_cols:
+        raise ConfigMismatch(f"{path}: {n_rows * n_cols - len(table)} superpixels missing")
+    grids = np.empty((len(COUNTS), n_rows, n_cols), dtype=np.int64)
+    grids[:, row, col] = table[:, 2:].T
+    return ScanResult(*grids, config=config)
 
 
 def save_sidecar(path, config: dict) -> None:

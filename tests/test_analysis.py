@@ -431,10 +431,10 @@ def test_analyze_with_an_empty_side_has_no_z(scans, region):
 def test_analyze_without_herald_singles_has_no_g2(scans):
     # self-conditional analysis needs heralds, so the silent scan takes a reference
     scan, reference = scans
-    silent = tuple(
-        dataclasses.replace(rec, herald_counts=0, coincidence_counts=0) for rec in scan.records
+    silent = np.zeros((scan.n_rows, scan.n_cols), dtype=np.int64)
+    report = analysis.analyze(
+        dataclasses.replace(scan, herald_counts=silent, coincidence_counts=silent), reference
     )
-    report = analysis.analyze(dataclasses.replace(scan, records=silent), reference)
     assert math.isnan(report.g2) and math.isnan(report.g2_sigma)
     assert report.summary()["g2"] == report.summary()["g2_sigma"] == "nan"
 
@@ -445,7 +445,9 @@ def test_analyze_errors_carry_the_notes(scans):
     with pytest.raises(BandOutOfRange, match=r"band \[0, 9\) outside 0..6") as caught:
         analysis.analyze(bare, band=(0, 9))
     assert caught.value.notes == (NO_SIDECAR,)
-    coarse = dataclasses.replace(reference, n_rows=3, n_cols=4, records=reference.records[:12])
+    coarse = dataclasses.replace(
+        reference, **{name: reference.grid(name)[:3, :4] for name in mc.COUNTS}
+    )
     with pytest.raises(GridMismatch, match="scan 6x8 vs reference 3x4") as caught:
         analysis.analyze(bare, coarse)
     assert caught.value.notes == (NO_SIDECAR, "")

@@ -182,7 +182,7 @@ def test_bad_region_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
      ("scan.trigger_mode", "x"), ("grid.width", "99999999999999999999"),
      ("scan.superpixel", "99999999999999999999"), ("detector.bin_width", "1.5"),
      ("grid.width", str(2**62)), ("grid.height", str(2**28)), ("source.coherence_time", "1e-9"),
-     ("source.coherence_time", "1e-4")],
+     ("source.coherence_time", "1e-4"), ("scan.trigger_mode", "singles")],
 )
 def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, key, value):
     # the smoke config is a subtraction scan, which forces coincidence mode
@@ -389,6 +389,22 @@ def test_cmd_scan_names_the_mask_value_it_rejects(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and f"{key} must" in err and f"got {float(value)!r}" in err
+
+
+def test_cmd_scan_takes_a_contrast_beside_a_herald_target_only_as_solved(tmp_path, capsys):
+    solved = config.build_scenario(config.load_config(write_config(tmp_path))).echo["mask.contrast"]
+    runs = {}
+    for name, contrast in (("alone", None), ("solved", solved), ("other", "0.9")):
+        text = SMOKE_CONFIG if contrast is None else f"{SMOKE_CONFIG}mask.contrast={contrast}\n"
+        cfg = write_config(tmp_path, text, f"{name}.cfg")
+        runs[name] = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / name)])
+    err = capsys.readouterr().err
+    # the solved contrast, as the echo writes it, reproduces the run
+    assert runs == {"alone": 0, "solved": 0, "other": 1}
+    assert (tmp_path / "alone" / "scan.csv").read_bytes() == (
+        tmp_path / "solved" / "scan.csv").read_bytes()
+    assert err == (f"qvampire: mask.contrast=0.9, but mask.herald_target=0.013 "
+                   f"solves contrast {solved}\n")
 
 
 @pytest.mark.parametrize(

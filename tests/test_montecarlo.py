@@ -82,20 +82,24 @@ def tile_draws(seeds, index, *args):
     return np.array([mc._simulate_tile(gen, seed, index, law) for seed in seeds])
 
 
+def count_grids(result):
+    """A scan's four count grids, stacked in ``mc.COUNTS`` order."""
+    return np.stack([result.grid(name) for name in mc.COUNTS])
+
+
 def tile_by_tile(src, scan):
-    """Oracle for ``mc.run_scan``'s records: every tile drawn in index order
-    from a law checked for that tile alone."""
+    """Oracle for ``count_grids`` of ``mc.run_scan``: every tile drawn in index
+    order from a law checked for that tile alone, written to its own cell."""
     derived = mc.derived_settings(src, scan)
     n_bins = derived["n_bins"]
     power = (scan.mask.transmission * src.profile.amplitude) ** 2
     _, _, tiles = mc.superpixel_tiles(src.profile.height, src.profile.width, scan.superpixel)
-    records = []
+    grids = np.zeros((len(mc.COUNTS), derived["n_rows"], derived["n_cols"]), dtype=np.int64)
     for index, (row, col, ys, xs) in enumerate(tiles):
         args = (float(power[ys, xs].sum()), derived["r_eff2"], src, scan.camera_detector,
                 scan.herald_detector, n_bins, derived["bins_per_block"])
-        counts = tile_draws([scan.seed], index, *args)[0]
-        records.append(mc.SuperpixelRecord(row, col, n_bins, *map(int, counts)))
-    return tuple(records)
+        grids[:, row, col] = (n_bins, *tile_draws([scan.seed], index, *args)[0])
+    return grids
 
 
 def rule_table(bpb, x_cam, dark_cam, x_her, dark_her):
@@ -189,19 +193,6 @@ def test_scan_config_validation():
             herald_detector=mc.DetectorConfig(bin_width=12e-9),
             camera_detector=mc.DetectorConfig(bin_width=24e-9),
         )
-
-
-def test_superpixel_record_invariants():
-    with pytest.raises(ConfigMismatch):
-        mc.SuperpixelRecord(0, 0, 100, camera_counts=5, herald_counts=3, coincidence_counts=4)
-    with pytest.raises(ConfigMismatch):
-        mc.SuperpixelRecord(0, 0, 100, camera_counts=101, herald_counts=3, coincidence_counts=1)
-
-
-def test_superpixel_record_names_a_negative_count():
-    # the sign rule comes first: -1 camera counts also sits below 0 coincidences
-    with pytest.raises(ConfigMismatch, match="non-negative"):
-        mc.SuperpixelRecord(0, 0, 100, camera_counts=-1, herald_counts=3, coincidence_counts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +480,10 @@ def test_scan_of_distinct_means_at_512_bins_matches_tile_by_tile():
     results = []
     for threads in (1, 2, 4):
         scan = small_scan(mask, seed=17, superpixel=2, dwell=1e-4, threads=threads)
-        results.append(mc.run_scan(src, scan).records)
-    assert results[0] == results[1] == results[2] == tile_by_tile(src, scan)
-    assert min(rec.herald_counts for rec in results[0]) > 0
+        results.append(count_grids(mc.run_scan(src, scan)))
+    reference = tile_by_tile(src, scan)
+    assert all(np.array_equal(grids, reference) for grids in results)
+    assert results[0][mc.COUNTS.index("herald_counts")].min() > 0
 
 
 def chi2_two_sample_p(a, b, n_bins=10):
@@ -687,11 +679,10 @@ def test_camera_rate_sigma_is_the_expected_singles_sigma(kind):
     assert bpb == 83
     n_bins = 1_000_000  # ends in a partial block
     counts = (3_000, 120_000, 450_000)
-    records = tuple(
-        mc.SuperpixelRecord(0, col, n_bins, cam, 0, 0) for col, cam in enumerate(counts)
-    )
+    silent = [[0] * len(counts)]
     config = {"source.kind": kind, "derived.bins_per_block": str(bpb)}
-    rates, sigmas = mc.ScanResult(records, 1, len(counts), config).camera_rate_map()
+    result = mc.ScanResult([[n_bins] * len(counts)], [counts], silent, silent, config)
+    rates, sigmas = result.camera_rate_map()
     for p, sigma in zip(rates[0], sigmas[0]):
         # the coupling whose dark-free click mean is the measured rate p
         if kind == mc.THERMAL:
@@ -708,9 +699,8 @@ def test_saturated_superpixel_gets_the_one_count_floor(kind):
     # every bin clicked: the rate is 1 and the field cannot move it, so the
     # error is the one-count floor 1/n whatever the source
     n_bins = 10_000
-    records = (mc.SuperpixelRecord(0, 0, n_bins, n_bins, 0, 0),)
     config = {"source.kind": kind, "derived.bins_per_block": "83"}
-    rates, sigmas = mc.ScanResult(records, 1, 1, config).camera_rate_map()
+    rates, sigmas = mc.ScanResult([[n_bins]], [[n_bins]], [[0]], [[0]], config).camera_rate_map()
     assert rates[0, 0] == 1.0
     assert sigmas[0, 0] == 1.0 / n_bins
 
@@ -817,11 +807,11 @@ def test_determinism_across_thread_counts():
     long_bins = bpb * 70_000 + 17
     for kw in ({}, {"superpixel": 8, "dwell": 0.1, "bins_cap": long_bins}):
         results = [
-            mc.run_scan(src, small_scan(mask, seed=77, threads=threads, **kw))
+            count_grids(mc.run_scan(src, small_scan(mask, seed=77, threads=threads, **kw)))
             for threads in (1, 4, 8)
         ]
-        assert results[0].records == results[1].records == results[2].records
-    assert results[0].records[0].n_bins == long_bins
+        assert np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
+    assert (results[0][mc.COUNTS.index("n_bins")] == long_bins).all()
 
 
 def test_a_scan_starts_no_more_draw_threads_than_tiles(monkeypatch):
@@ -862,20 +852,20 @@ def test_a_tile_error_reaches_the_caller_after_every_thread_ends(monkeypatch, fa
 
 
 def test_draw_threads_lose_no_tile_under_fast_switching():
-    # eight draw threads on two cores write their totals into one list; with
+    # eight draw threads on two cores write their totals into one array; with
     # the interpreter switching threads every microsecond a lost or misplaced
-    # write would change a record
+    # write would change a cell
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
     mask = spatial.make_mask("vampire", 16, 12, contrast=0.3,
                              region=spatial.rect_region(16, 12, 4, 4, 6, 4))
-    reference = mc.run_scan(src, small_scan(mask, superpixel=2, threads=1)).records
+    reference = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=1)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        records = mc.run_scan(src, small_scan(mask, superpixel=2, threads=8)).records
+        grids = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=8)))
     finally:
         sys.setswitchinterval(interval)
-    assert records == reference
+    assert np.array_equal(grids, reference)
 
 
 def test_run_scan_builds_each_distinct_table_once(monkeypatch):
@@ -893,15 +883,15 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
     for threads in (1, 4):
         calls.clear()
         scan = small_scan(mask, seed=801, dwell=0.096, bins_cap=8 * 10**6, threads=threads)
-        results.append(mc.run_scan(src, scan))
-        assert len(results[-1].records) == 192
+        results.append(count_grids(mc.run_scan(src, scan)))
+        assert results[-1][0].size == 192
         # one check of the 14 distinct camera means
         assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 14
     # the same totals as drawing tile by tile, in index order, each tile
     # from a rule of its own
     reference = tile_by_tile(src, scan)
     assert len(calls) == 1 + 192
-    assert results[0].records == results[1].records == reference
+    assert np.array_equal(results[0], reference) and np.array_equal(results[1], reference)
 
 
 def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
@@ -1017,7 +1007,7 @@ def test_scan_csv_roundtrip(tmp_path):
     with open(path) as fh:
         assert fh.readline().strip() == mc.SCAN_CSV_HEADER
     back = mc.load_scan_csv(path, config=res.config)
-    assert back.records == res.records
+    assert np.array_equal(count_grids(back), count_grids(res))
     assert (back.n_rows, back.n_cols) == (res.n_rows, res.n_cols)
     # byte-identical rewrite
     path2 = tmp_path / "again.csv"
@@ -1061,6 +1051,13 @@ def test_load_scan_csv_rejects_malformed_grid(tmp_path, rows, config):
         ("0,0,10,2.5,1,1", "camera_counts='2.5' is not an integer"),
         ("0,0,10,2,-1,0", "non-negative"),  # negative herald count
         (f"0,0,{2**63},2,1,1", "n_bins must be below 2**63"),  # beyond an int64 grid
+        (f"0,0,10,{-(2**63) - 1},1,1", "camera_counts must be below 2**63 and at least -2**63"),
+        ("0,0,1_0,2,1,1", "n_bins='1_0' is not an integer"),  # np.loadtxt reads no '_'
+        ("0,0,100,5,3,4", "coincidences exceed a singles counter"),
+        ("0,0,100,101,3,1", "counts exceed the number of bins"),
+        # the sign rule first: -1 camera counts also sits below 0 coincidences
+        ("0,0,100,-1,3,0", "counts must be non-negative"),
+        ("0,1,10,2,1,1", "superpixel (0, 1) appears twice"),  # line 2's superpixel
     ],
 )
 def test_load_scan_csv_names_file_line_and_rule(tmp_path, row, rule):
@@ -1070,6 +1067,44 @@ def test_load_scan_csv_names_file_line_and_rule(tmp_path, row, rule):
         mc.load_scan_csv(path)
     message = str(info.value)
     assert message.startswith(f"{path}: line 3: ") and rule in message
+
+
+@pytest.mark.parametrize(
+    "row, rule",
+    [("0,0,5", "expected 6 fields"), ("0,1,10,2,1,1", "superpixel (0, 1) appears twice"),
+     ("0,2,10,2,1,1", "superpixel (0, 2) outside the 1x2 grid")],
+)
+def test_load_scan_csv_counts_empty_lines_in_the_line_it_names(tmp_path, row, rule):
+    path = tmp_path / "scan.csv"
+    path.write_text(f"{mc.SCAN_CSV_HEADER}\n\n0,1,10,2,1,1\n\n{row}\n0,0,10,2,1,1\n")
+    with pytest.raises(ConfigMismatch) as info:
+        mc.load_scan_csv(path, config=GRID_1X2)
+    message = str(info.value)
+    assert message.startswith(f"{path}: line 5: ") and rule in message
+
+
+def test_load_scan_csv_names_a_field_count_every_row_shares(tmp_path):
+    # np.loadtxt reads rows of one wrong length as a table of that many columns
+    path = tmp_path / "scan.csv"
+    path.write_text(f"{mc.SCAN_CSV_HEADER}\n0,0,5\n0,1,5\n")
+    with pytest.raises(ConfigMismatch, match=r": line 2: expected 6 fields .*, got 3$"):
+        mc.load_scan_csv(path)
+
+
+def test_a_scan_result_holds_read_only_int64_grids(tmp_path):
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
+    res = mc.run_scan(src, small_scan(spatial.make_mask("white", 16, 12)))
+    mc.save_scan_csv(tmp_path / "scan.csv", res)
+    for result in (res, mc.load_scan_csv(tmp_path / "scan.csv", config=res.config)):
+        assert (result.n_rows, result.n_cols) == (3, 4)
+        for name in mc.COUNTS:
+            grid = result.grid(name)
+            assert grid is result.grid(name)  # the stored grid, not a copy
+            assert grid.dtype == np.int64 and grid.shape == (3, 4) and not grid.flags.writeable
+        # the records are the cells, row-major
+        cells = [(row, col) for row in range(3) for col in range(4)]
+        assert [rec[:2] for rec in result.records] == cells
+        assert result.records[5] == (1, 1, *(result.grid(name)[1, 1] for name in mc.COUNTS))
 
 
 def test_sidecar_rejects_line_without_equals(tmp_path):

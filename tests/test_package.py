@@ -1,10 +1,13 @@
 """Package-wide structure checks."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qvampire"
@@ -169,3 +172,18 @@ def test_scan_and_analyze_load_no_fock_engine(tmp_path):
         assert {"qvampire.montecarlo", "qvampire.spatial"} <= loaded
         assert not loaded & {"qvampire.fock", "qvampire.verify"}, argv[0]
 
+
+
+@pytest.mark.parametrize("workload", ["scan_desk", "verify_sweep"])
+def test_traced_benchmark_worker_runs(tmp_path, workload):
+    # the traced worker calls the package's functions and reads its results by
+    # name, so a renamed name would otherwise fail only when the benchmark runs
+    result = tmp_path / "result.json"
+    argv = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
+            "--seed", "1", "--mode", "traced", "--src", str(PACKAGE.parent),
+            "--out", str(tmp_path / "out"), "--result", str(result)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(result.read_text(encoding="utf-8"))
+    assert res["exit_codes"] and not any(res["exit_codes"])
+    assert res["check"]["failed"] == 0, res["check"]["problems"]
