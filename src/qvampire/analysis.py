@@ -14,15 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import parse_region_spec, read_value
-from .errors import (
-    BandOutOfRange,
-    ConfigMismatch,
-    EmptyRegion,
-    GridMismatch,
-    InsufficientCounts,
-    InsufficientData,
-    QVampireError,
-)
+from .errors import ConfigMismatch, QVampireError
 from .montecarlo import SIDECAR_DEFAULTS, ScanResult, conditional_profile_mc
 
 TAG_INSIDE = "inside_mask_region"
@@ -89,9 +81,9 @@ def g2_estimate(
 ) -> tuple[float, float]:
     """Normalized coincidence rate g2 = cc * n / (cam * her) with its error."""
     if min(camera_counts, herald_counts, coincidences, n_bins) < 0:
-        raise InsufficientCounts("counts must be non-negative")
+        raise QVampireError("counts must be non-negative")
     if camera_counts * herald_counts == 0:
-        raise InsufficientCounts("need camera and herald singles for g2")
+        raise QVampireError("need camera and herald singles for g2")
     g2 = coincidences * n_bins / (camera_counts * herald_counts)
     if coincidences == 0:
         return 0.0, n_bins / (camera_counts * herald_counts)
@@ -123,12 +115,12 @@ def ratio_map(
     num_s = np.asarray(numerator_sigma, dtype=float)
     den_s = np.asarray(denominator_sigma, dtype=float)
     if not (num.shape == den.shape == num_s.shape == den_s.shape):
-        raise GridMismatch("rate maps live on different superpixel grids")
+        raise QVampireError("rate maps live on different superpixel grids")
     if region_frac is None:
         region_frac = np.zeros_like(num)
     region_frac = np.asarray(region_frac, dtype=float)
     if region_frac.shape != num.shape:
-        raise GridMismatch("region map grid differs from the rate maps")
+        raise QVampireError("region map grid differs from the rate maps")
 
     good = (den > 0) & np.isfinite(den_s) & (den_s <= SIGNAL_FLOOR_RELERR * den)
     ratio = np.zeros_like(num)
@@ -150,7 +142,7 @@ def flatness_test(rmap: RatioMap) -> FlatnessResult:
     r = rmap.ratio[use]
     s = rmap.sigma[use]
     if r.size < 2:
-        raise InsufficientData("flatness test needs at least two superpixels")
+        raise QVampireError("flatness test needs at least two superpixels")
     w = 1.0 / s**2
     best = float((w * r).sum() / w.sum())
     chi2 = float((w * (r - best) ** 2).sum())
@@ -189,11 +181,12 @@ def verdict(p_value: float, z: float) -> str:
 
 
 def shadow_depth(rmap: RatioMap) -> tuple[float, float]:
-    """Depth 1 - mean(inside)/mean(outside) with its significance z-score."""
+    """Depth 1 - mean(inside)/mean(outside) with its significance z-score; both
+    NaN without usable superpixels inside and outside."""
     inside = rmap.tags == TAG_INSIDE
     outside = rmap.tags == TAG_OUTSIDE
     if not inside.any() or not outside.any():
-        raise EmptyRegion("need usable superpixels both inside and outside")
+        return math.nan, math.nan
 
     def wmean(sel):
         w = 1.0 / rmap.sigma[sel] ** 2
@@ -214,10 +207,10 @@ def profile_cut(
     values = np.asarray(values, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     if values.shape != sigmas.shape:
-        raise GridMismatch("values and sigmas differ in shape")
+        raise QVampireError("values and sigmas differ in shape")
     n_rows = values.shape[0]
     if not (0 <= row_lo < row_hi <= n_rows):
-        raise BandOutOfRange(f"band [{row_lo}, {row_hi}) outside 0..{n_rows}")
+        raise QVampireError(f"band [{row_lo}, {row_hi}) outside 0..{n_rows}")
     band = values[row_lo:row_hi]
     band_s = sigmas[row_lo:row_hi]
     k = row_hi - row_lo
@@ -237,7 +230,7 @@ def region_fraction_map(
     # the first row and column of each superpixel, as ``superpixel_tiles`` lays them
     ys, xs = np.arange(0, height, superpixel), np.arange(0, width, superpixel)
     if (len(ys), len(xs)) != (n_rows, n_cols):
-        raise GridMismatch(
+        raise QVampireError(
             f"a {width}x{height} region at superpixel {superpixel} "
             f"tiles a {len(ys)}x{len(xs)} grid, but the scan grid is {n_rows}x{n_cols}"
         )
@@ -296,7 +289,7 @@ def analyze(
     try:
         if reference is not None:
             if (reference.n_rows, reference.n_cols) != (result.n_rows, result.n_cols):
-                raise GridMismatch(
+                raise QVampireError(
                     f"superpixel grids differ: scan {result.n_rows}x{result.n_cols} "
                     f"vs reference {reference.n_rows}x{reference.n_cols}"
                 )
@@ -309,13 +302,10 @@ def analyze(
 
         rmap = ratio_map(num, num_s, den, den_s, fracs)
         flat = flatness_test(rmap)
-        try:
-            depth, z = shadow_depth(rmap)
-        except EmptyRegion:
-            depth, z = math.nan, math.nan
+        depth, z = shadow_depth(rmap)
 
-        cam, her, both, bins = (
-            int(result.grid(name).sum())
+        cam, her, both, bins = (  # Python ints: an int64 sum of the grid could wrap
+            sum(result.grid(name).ravel().tolist())
             for name in ("camera_counts", "herald_counts", "coincidence_counts", "n_bins")
         )
         if her > 0 and cam > 0:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureUnresolved
+from .errors import QVampireError
 
 # The rule integrates over u up to TABLE_U_MAX (e^-40 ~ 4e-18 is the mass
 # left out), with equal panels in r = sqrt(u): there a cell's binomial peak
@@ -186,7 +186,7 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
     panel) agrees with it to ``TABLE_TOL`` in each cell of both marginals
     and in the four mixed moments, with each marginal of the refinement
     summing to 1 within ``TABLE_TOL``, and returns the refinement.  No such
-    rule within ``TABLE_NODE_CAP`` nodes raises ``QuadratureUnresolved``
+    rule within ``TABLE_NODE_CAP`` nodes raises ``QVampireError``
     naming the mean.  Each distinct mean is checked on its own; the herald's
     marginal of a (panels, nodes) level is built once per call.
     """
@@ -207,7 +207,7 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
             if residual <= TABLE_TOL:
                 break
             if panels * 4 * nodes > TABLE_NODE_CAP:
-                raise QuadratureUnresolved(
+                raise QVampireError(
                     f"block rule ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
                     f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
                     f"{2 * nodes} nodes"

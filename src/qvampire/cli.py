@@ -43,9 +43,7 @@ def _load_scenario(args) -> ScenarioConfig:
 
     cfg = load_config(args.config)
     cfg = apply_env_overrides(cfg, os.environ)
-    seed = getattr(args, "seed", None)
-    threads = getattr(args, "threads", None)
-    return build_scenario(cfg, seed=seed, threads=threads)
+    return build_scenario(cfg, seed=getattr(args, "seed", None))
 
 
 def _outdir(args) -> Path:
@@ -205,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="brute-force regional-subtraction check")

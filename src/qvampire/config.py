@@ -39,11 +39,13 @@ from .spatial import (
     make_profile,
     PROFILE_PARAMS,
     rect_region,
+    reduce,
     silhouette_region,
     subtracted_profile_analytic,
 )
 
 ENV_PREFIX = "QVAMPIRE_"
+_MASK_KEYS = ("mask.region", "mask.contrast", "mask.herald_target")
 REGION_FORMS = "all, silhouette, rect:<x0>,<y0>,<w>,<h> or ellipse:<cx>,<cy>,<rx>,<ry>"
 
 SCENARIOS = ("initial", "loss_high_contrast", "loss_low_contrast", "subtraction")
@@ -165,10 +167,13 @@ def read_value(key: str, text: str):
 @contextmanager
 def _keyed(merged: dict, *keys: str):
     """Re-raise a range error of the block as ``{key}={value!r}: {rule}``, for each
-    of ``keys`` whose field (its last part) the rule names, or each key if it names none."""
+    of ``keys`` whose field (its last part) the rule names, or each key if it names none.
+    An error that already starts with one of ``keys`` passes unchanged."""
     try:
         yield
     except QVampireError as exc:
+        if str(exc).startswith(tuple(f"{key}=" for key in keys)):
+            raise
         words = set(re.findall(r"\w+", str(exc)))
         named = [key for key in keys if key.rpartition(".")[2] in words] or keys
         given = ", ".join(f"{key}={merged[key]!r}" for key in named)
@@ -208,7 +213,7 @@ def _build_profile(merged: dict, cfg: dict) -> BeamProfile:
         return make_profile(kind, cfg["grid.width"], cfg["grid.height"], **params)
 
 
-def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = None) -> ScenarioConfig:
+def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     """Assemble a scenario from a flat config dict.
 
     The scenario fixes the parts the physics requires: the initial run uses
@@ -223,9 +228,8 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
     if unknown:
         raise ConfigMismatch(f"unknown config keys: {sorted(unknown)}")
     merged = {**DEFAULTS, **{key: value for key, value in cfg.items() if key not in given}}
-    for key, value in (("scan.seed", seed), ("scan.threads", threads)):
-        if value is not None:
-            merged[key] = str(value)
+    if seed is not None:
+        merged["scan.seed"] = str(seed)
     if merged["scan.seed"] == "":
         # os.urandom, not secrets: secrets loads hashlib and OpenSSL at import
         merged["scan.seed"] = str(int.from_bytes(os.urandom(8), "little") >> 1)
@@ -241,7 +245,8 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
         mask = make_mask("white", width, height)
         merged["mask.contrast"] = "0.0"
     else:
-        region = parse_region_spec(merged["mask.region"], width, height)
+        with _keyed(merged, "mask.region", "grid.width", "grid.height"):
+            region = parse_region_spec(merged["mask.region"], width, height)
         target, asked = cfg["mask.herald_target"], cfg["mask.contrast"]  # None when left empty
         if target is not None:
             if not 0.0 <= target < np.inf:
@@ -259,8 +264,10 @@ def build_scenario(cfg: dict, seed: int | None = None, threads: int | None = Non
             contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
             if not 0.0 <= contrast <= 1.0:
                 raise ConfigMismatch(f"mask.contrast must lie in [0, 1], got {contrast!r}")
-        merged["mask.contrast"] = repr(contrast)
         mask = make_mask("vampire", width, height, contrast, region)
+        with _keyed(merged, *(key for key in _MASK_KEYS if merged[key])):  # the keys given
+            reduce(profile, mask)  # the mask must pass some of the beam
+        merged["mask.contrast"] = repr(contrast)
 
     trigger = cfg["scan.trigger_mode"] or (COINCIDENCE if scenario == "subtraction" else SINGLES)
     if scenario == "subtraction" and trigger != COINCIDENCE:

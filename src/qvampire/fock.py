@@ -18,14 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidState,
-    NonUnitaryParams,
-    OutOfTruncation,
-    TailMassExceeded,
-    VacuumSubtraction,
-)
+from .errors import QVampireError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -46,17 +39,17 @@ def _validate_density(elements: np.ndarray, what: str):
     eigenvectors from the one ``eigh`` that checks them positive semidefinite."""
     arr = np.array(elements, dtype=complex)
     if not np.isfinite(arr).all():
-        raise InvalidState(f"{what}: elements must be finite")
+        raise QVampireError(f"{what}: elements must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidState(f"{what}: elements must be a square matrix")
+        raise QVampireError(f"{what}: elements must be a square matrix")
     if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
-        raise InvalidState(f"{what}: not Hermitian within {HERMITICITY_TOL}")
+        raise QVampireError(f"{what}: not Hermitian within {HERMITICITY_TOL}")
     tr = arr.trace().real
     if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidState(f"{what}: trace {tr} differs from 1 beyond {TRACE_TOL}")
+        raise QVampireError(f"{what}: trace {tr} differs from 1 beyond {TRACE_TOL}")
     eigh = np.linalg.eigh(arr)
     if eigh[0].min() < -PSD_TOL:
-        raise InvalidState(f"{what}: negative eigenvalue below -{PSD_TOL}")
+        raise QVampireError(f"{what}: negative eigenvalue below -{PSD_TOL}")
     return _freeze(arr), eigh
 
 
@@ -115,7 +108,7 @@ def make_thermal(nbar: float, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     weights = q ** np.arange(nmax + 1) / (1.0 + nbar)
     tail = q ** (nmax + 1)
     if tail > DEFAULT_TAIL_TOL:
-        raise TailMassExceeded(
+        raise QVampireError(
             f"thermal nbar={nbar} at nmax={nmax}: tail {tail:.3e} > {DEFAULT_TAIL_TOL:.1e}"
         )
     return DensityMatrix(np.diag(weights / weights.sum()), tail_mass=float(tail))
@@ -135,7 +128,7 @@ def make_coherent(alpha: complex, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     norm2 = float(np.vdot(amp, amp).real)
     tail = 1.0 - norm2
     if tail > DEFAULT_TAIL_TOL:
-        raise TailMassExceeded(
+        raise QVampireError(
             f"coherent |alpha|={abs(alpha)} at nmax={nmax}: "
             f"tail {tail:.3e} > {DEFAULT_TAIL_TOL:.1e}"
         )
@@ -148,7 +141,7 @@ def make_fock(n: int, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > nmax:
-        raise OutOfTruncation(f"Fock level {n} above truncation {nmax}")
+        raise QVampireError(f"Fock level {n} above truncation {nmax}")
     mat = np.zeros((nmax + 1, nmax + 1), dtype=complex)
     mat[n, n] = 1.0
     return DensityMatrix(mat, tail_mass=0.0)
@@ -167,7 +160,7 @@ def subtract_photon(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """
     weight = rho.mean_photons()
     if weight < VACUUM_WEIGHT_FLOOR:
-        raise VacuumSubtraction("cannot subtract a photon from (near-)vacuum")
+        raise QVampireError("cannot subtract a photon from (near-)vacuum")
     s = np.sqrt(np.arange(1.0, rho.dim))  # a[n-1, n] = sqrt(n)
     out = np.zeros_like(rho.elements)
     out[:-1, :-1] = s[:, None] * rho.elements[1:, 1:] * s / weight
@@ -182,7 +175,7 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     (Jozsa, J. Mod. Opt. 41, 2315, 1994); symmetric by construction.
     """
     if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
+        raise QVampireError(f"dims {rho1.dim} vs {rho2.dim}")
     root = np.linalg.svd(rho1._sqrt @ rho2._sqrt, compute_uv=False).sum()
     return float(min(root * root, 1.0))
 
@@ -247,7 +240,7 @@ def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
     that ``_hop_eigenbases`` caches on dim alone.
     """
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
-        raise NonUnitaryParams(f"t^2 + r^2 = {t * t + r * r} != 1")
+        raise QVampireError(f"t^2 + r^2 = {t * t + r * r} != 1")
     theta = math.atan2(r, t)
     blocks = []
     for evals, gauged in _hop_eigenbases(dim):
@@ -265,7 +258,7 @@ def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarr
     Only square splitters (dim_i == dim_j) are built.
     """
     if dim_i != dim_j:
-        raise DimensionMismatch(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")
+        raise QVampireError(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")
     d = dim_i
     u = np.zeros((d * d,) * 2)
     for total, block in enumerate(beamsplitter_blocks(d, t, r)):

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import save_csv
-from .errors import ConfigMismatch, NoHeralds
+from .errors import ConfigMismatch, QVampireError
 from .spatial import BeamProfile, MaskSpec, reduce
 
 THERMAL = "thermal"
@@ -494,7 +494,7 @@ def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
         raise ConfigMismatch("conditional profile needs a coincidence-mode scan")
     heralds = result.grid("herald_counts").astype(float)
     if (heralds <= 0).any():
-        raise NoHeralds("a superpixel recorded zero herald counts")
+        raise QVampireError("a superpixel recorded zero herald counts")
     both = result.grid("coincidence_counts").astype(float)
     p_cond = both / heralds
     # each herald is one Bernoulli trial of a coincidence: no block term

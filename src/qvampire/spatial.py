@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import save_csv
-from .errors import DegenerateShape, DimensionMismatch, WeakCouplingViolated
+from .errors import QVampireError, WeakCouplingViolated
 
 NORM_TOL = 1e-12
 WEAK_COUPLING_DEFAULT = 0.2
@@ -39,12 +39,12 @@ class BeamProfile:
     def __post_init__(self):
         arr = np.array(self.amplitude, dtype=float)
         if arr.ndim != 2:
-            raise DegenerateShape("profile must be a 2-D array")
+            raise QVampireError("profile must be a 2-D array")
         if not np.isfinite(arr).all() or (arr < 0).any():
-            raise DegenerateShape("amplitudes must be finite and non-negative")
+            raise QVampireError("amplitudes must be finite and non-negative")
         norm2 = float((arr * arr).sum())
         if abs(norm2 - 1.0) > NORM_TOL:
-            raise DegenerateShape(f"profile power {norm2} != 1 beyond {NORM_TOL}")
+            raise QVampireError(f"profile power {norm2} != 1 beyond {NORM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitude", arr)
 
@@ -69,9 +69,9 @@ class MaskSpec:
     def __post_init__(self):
         arr = np.array(self.transmission, dtype=float)
         if arr.ndim != 2:
-            raise DegenerateShape("mask must be a 2-D array")
+            raise QVampireError("mask must be a 2-D array")
         if not np.isfinite(arr).all() or (arr < 0).any() or (arr > 1).any():
-            raise DegenerateShape("transmissions must lie in [0, 1]")
+            raise QVampireError("transmissions must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "transmission", arr)
 
@@ -89,7 +89,7 @@ class ModeReduction:
 def _normalized(amp: np.ndarray, what: str) -> BeamProfile:
     norm = math.sqrt(float((amp * amp).sum()))
     if norm <= 0.0:
-        raise DegenerateShape(f"{what}: no power left to normalize")
+        raise QVampireError(f"{what}: no power left to normalize")
     return BeamProfile(amp / norm)
 
 
@@ -99,7 +99,7 @@ def _normalized(amp: np.ndarray, what: str) -> BeamProfile:
 
 def _grid(width: int, height: int):
     if width < 1 or height < 1:
-        raise DegenerateShape("grid dimensions must be positive")
+        raise QVampireError("grid dimensions must be positive")
     y, x = np.mgrid[0:height, 0:width]
     return x.astype(float), y.astype(float)
 
@@ -119,7 +119,7 @@ def ellipse_region(
     rx = 0.4 * width if rx is None else rx
     ry = 0.4 * height if ry is None else ry
     if rx <= 0 or ry <= 0:
-        raise DegenerateShape("ellipse radii must be positive")
+        raise QVampireError("ellipse radii must be positive")
     return ((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2 <= 1.0
 
 
@@ -159,7 +159,7 @@ def silhouette_region(width: int, height: int) -> np.ndarray:
 
     region = body | head | wing(1.0) | wing(-1.0)
     if not region.any():
-        raise DegenerateShape("silhouette does not intersect the grid")
+        raise QVampireError("silhouette does not intersect the grid")
     return region
 
 
@@ -171,10 +171,10 @@ def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
     if kind == "uniform_ellipse_with_ring":
         ring_gain = float(params.pop("ring_gain", 1.5))
         if not 0.0 <= ring_gain < math.inf:
-            raise DegenerateShape(f"ring_gain must be non-negative and finite, got {ring_gain!r}")
+            raise QVampireError(f"ring_gain must be non-negative and finite, got {ring_gain!r}")
         inside = ellipse_region(width, height, **params)
         if not inside.any():
-            raise DegenerateShape("ellipse does not cover any pixel")
+            raise QVampireError("ellipse does not cover any pixel")
         amp = inside.astype(float)
         interior = (
             np.roll(inside, 1, 0)
@@ -193,7 +193,7 @@ def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
         sx = float(params.get("sigma_x", 0.2 * width))
         sy = float(params.get("sigma_y", 0.2 * height))
         if sx <= 0 or sy <= 0:
-            raise DegenerateShape("gaussian widths must be positive")
+            raise QVampireError("gaussian widths must be positive")
         amp = np.exp(-((x - cx) ** 2) / (2 * sx**2) - ((y - cy) ** 2) / (2 * sy**2))
         return _normalized(amp, "gaussian")
     raise ValueError(f"unknown profile kind {kind!r}")
@@ -221,7 +221,7 @@ def make_mask(
             raise ValueError("vampire mask needs a pixel region")
         region = np.asarray(region, dtype=bool)
         if region.shape != (height, width):
-            raise DimensionMismatch("region shape does not match the grid")
+            raise QVampireError("region shape does not match the grid")
         t = np.ones((height, width))
         t[region] = math.sqrt(1.0 - contrast * contrast)
         return MaskSpec(t)
@@ -250,13 +250,11 @@ def contrast_for_herald_rate(
 def reduce(profile: BeamProfile, mask: MaskSpec) -> ModeReduction:
     """Collapse a (profile, mask) pair to its coupling into the heralding mode."""
     if profile.amplitude.shape != mask.transmission.shape:
-        raise DimensionMismatch(
-            f"profile {profile.amplitude.shape} vs mask {mask.transmission.shape}"
-        )
+        raise QVampireError(f"profile {profile.amplitude.shape} vs mask {mask.transmission.shape}")
     r = mask.reflectivity()
     r_eff = math.sqrt(float((r * r * profile.power()).sum()))
     if float(((mask.transmission * profile.amplitude) ** 2).sum()) <= 0.0:
-        raise DegenerateShape("mask transmits no beam power")
+        raise QVampireError("mask transmits no beam power")
     return ModeReduction(r_eff=r_eff)
 
 
@@ -268,7 +266,7 @@ def herald_rate(profile: BeamProfile, mask: MaskSpec, nbar: float) -> float:
 def loss_profile(profile: BeamProfile, mask: MaskSpec, nbar: float) -> np.ndarray:
     """Unconditional transmitted intensity t^2 u^2 nbar (photons/mode/pixel)."""
     if profile.amplitude.shape != mask.transmission.shape:
-        raise DimensionMismatch("profile and mask grids differ")
+        raise QVampireError("profile and mask grids differ")
     return mask.transmission**2 * profile.power() * nbar
 
 

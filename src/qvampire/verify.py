@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock  # the sweep looks its fidelity up at each call
-from .errors import HeraldImpossible, QVampireError, ResidualOrthogonalPopulation
+from .errors import QVampireError
 from .fock import (
     DensityMatrix,
     VACUUM_WEIGHT_FLOOR,
@@ -218,12 +218,10 @@ def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtra
     beam = np.stack(parts, axis=-1).view(complex).reshape(d, d)
     herald_weight = float(beam.trace().real)
     if herald_weight < VACUUM_WEIGHT_FLOOR:
-        raise HeraldImpossible(
-            f"herald weight {herald_weight:.3e} below {VACUUM_WEIGHT_FLOOR}"
-        )
+        raise QVampireError(f"herald weight {herald_weight:.3e} below {VACUUM_WEIGHT_FLOOR}")
     complement_population = 1.0 - float(comp_vacuum @ rho.populations()) / herald_weight
     if cfg.herald_model == OPERATOR and complement_population > COMPLEMENT_TOL:
-        raise ResidualOrthogonalPopulation(
+        raise QVampireError(
             f"operator-model complement population {complement_population:.3e} "
             f"exceeds {COMPLEMENT_TOL:.1e}"
         )

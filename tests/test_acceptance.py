@@ -259,8 +259,7 @@ def test_criterion_9_mc_matches_analytic_rates():
 
 
 def test_criterion_10_scan_determinism(tmp_path):
-    cfg = tmp_path / "det.cfg"
-    cfg.write_text(
+    base = (
         "\n".join(
             [
                 "scenario=subtraction",
@@ -281,11 +280,10 @@ def test_criterion_10_scan_determinism(tmp_path):
     )
     payloads = []
     for threads in (1, 4, 8):
+        cfg = tmp_path / f"det{threads}.cfg"
+        cfg.write_text(base + f"scan.threads={threads}\n")
         out = tmp_path / f"threads{threads}"
-        rc = cli.main(
-            ["scan", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
-        )
-        assert rc == 0
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
         payloads.append((out / "scan.csv").read_bytes())
     _report(
         10,

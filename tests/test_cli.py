@@ -166,6 +166,10 @@ def test_bad_region_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
     with pytest.raises(ConfigMismatch) as caught:
         config.parse_region_spec(spec, 32, 24)
     assert repr(spec) in str(caught.value) and all(form in str(caught.value) for form in forms)
+    # a scan config prints that message alone: it names its key already
+    bad = write_config(tmp_path, SMOKE_CONFIG.replace("rect:11,8,10,8", spec), "bad.cfg")
+    assert cli.main(["scan", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"qvampire: {caught.value}\n"
     # a scan sidecar with the spec analyzes with no region, and its note says why
     out = _run_scan_cli(tmp_path, SMOKE_CONFIG, "sub.cfg", "sub")
     echo = mc.load_sidecar(out / "scan.cfg")
@@ -176,22 +180,36 @@ def test_bad_region_spec_names_the_spec_and_its_forms(tmp_path, capsys, spec):
     assert f"no mask region (bad region spec or grid size: {caught.value})" in err
 
 
+# a mask that passes no beam power: the whole beam behind an opaque mask
+NO_POWER = {"mask.region": "all", "mask.contrast": "1", "mask.herald_target": None}
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("scan.superpixel", "0"), ("source.nbar", "-1"), ("scan.bins_cap", "0"), ("scan.threads", "0"),
-     ("scan.trigger_mode", "x"), ("grid.width", "99999999999999999999"),
-     ("scan.superpixel", "99999999999999999999"), ("detector.bin_width", "1.5"),
-     ("grid.width", str(2**62)), ("grid.height", str(2**28)), ("source.coherence_time", "1e-9"),
-     ("source.coherence_time", "1e-4"), ("scan.trigger_mode", "singles")],
+    "command, settings",
+    [pytest.param("scan", {key: value}, id=f"{key}-{value}") for key, value in [
+        ("scan.superpixel", "0"), ("source.nbar", "-1"), ("scan.bins_cap", "0"),
+        ("scan.threads", "0"), ("scan.trigger_mode", "x"), ("grid.width", "99999999999999999999"),
+        ("scan.superpixel", "99999999999999999999"), ("detector.bin_width", "1.5"),
+        ("grid.width", str(2**62)), ("grid.height", str(2**28)),
+        ("source.coherence_time", "1e-9"), ("source.coherence_time", "1e-4"),
+        ("scan.trigger_mode", "singles")]]
+    + [pytest.param("scan", {"grid.width": "2", "grid.height": "2", "mask.region": "silhouette"},
+                    id="silhouette-off-a-tiny-grid"),
+       pytest.param("scan", NO_POWER, id="opaque-mask"),
+       pytest.param("profile", NO_POWER, id="profile-opaque-mask")],
 )
-def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, key, value):
-    # the smoke config is a subtraction scan, which forces coincidence mode
-    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
-    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
-    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, command, settings):
+    # the smoke config is a subtraction scan, which forces coincidence mode; a key set
+    # to None is left out
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines()
+             if line.partition("=")[0] not in settings]
+    given = {key: value for key, value in settings.items() if value is not None}
+    cfg = write_config(tmp_path, "\n".join([*lines, *(f"{k}={v}" for k, v in given.items())]))
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "s")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.count("\n") == 1 and f"{key}={value!r}" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert all(f"{key}={value!r}" in err for key, value in given.items()), err
 
 
 def test_a_bin_count_beyond_int64_is_rejected_before_the_scan():
@@ -312,14 +330,11 @@ def test_cmd_scan_rejects_sidecar_with_edited_derived_value(tmp_path, capsys):
 
 
 def test_cmd_scan_thread_count_does_not_change_bytes(tmp_path):
-    cfg = write_config(tmp_path)
     outs = []
     for threads in (1, 4):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + f"scan.threads={threads}\n", f"t{threads}.cfg")
         out = tmp_path / f"t{threads}"
-        rc = cli.main(
-            ["scan", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
-        )
-        assert rc == 0
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "scan.csv").read_bytes())
     assert outs[0] == outs[1]
 

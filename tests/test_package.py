@@ -45,6 +45,28 @@ def test_every_public_name_has_a_production_caller():
     assert not unused, f"public names with no production caller: {unused}"
 
 
+def _caught_names(path):
+    """The names (and attribute names) in the ``except`` clauses of a module."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for handler in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+    }
+
+
+def test_every_error_type_is_told_apart_by_production_code():
+    # a type that no handler catches by name is only a message of QVampireError
+    from qvampire import errors
+
+    caught = set().union(*(_caught_names(p) for p in CALLERS))
+    untold = sorted(
+        name for name in _public_definitions(PACKAGE / "errors.py")
+        if not issubclass(getattr(errors, name), Warning) and name not in caught
+    )
+    assert not untold, f"error types no production code catches: {untold}"
+
+
 def test_cli_leaves_the_verdicts_to_analysis_and_verify():
     # cli parses and writes: analysis.analyze and verify.sweep decide
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
@@ -174,7 +196,7 @@ def test_scan_and_analyze_load_no_fock_engine(tmp_path):
 
 
 
-@pytest.mark.parametrize("workload", ["scan_desk", "verify_sweep"])
+@pytest.mark.parametrize("workload", ["scan_desk", "scan_full", "verify_sweep"])
 def test_traced_benchmark_worker_runs(tmp_path, workload):
     # the traced worker calls the package's functions and reads its results by
     # name, so a renamed name would otherwise fail only when the benchmark runs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qvampire import spatial
-from qvampire.errors import DegenerateShape, DimensionMismatch, WeakCouplingViolated
+from qvampire.errors import QVampireError, WeakCouplingViolated
 
 
 def uniform_profile(width, height):
@@ -42,7 +42,7 @@ def test_ring_pixels_carry_gain_before_normalization():
 
 
 def test_degenerate_profile_rejected():
-    with pytest.raises(DegenerateShape):
+    with pytest.raises(QVampireError, match="ellipse does not cover any pixel"):
         spatial.make_profile("uniform_ellipse", 20, 20, cx=-50.0, cy=-50.0, rx=1, ry=1)
     with pytest.raises(ValueError):
         spatial.make_profile("donut", 8, 8)
@@ -86,7 +86,7 @@ def test_reduce_rejects_mask_transmitting_no_beam_power():
     prof = spatial.BeamProfile(amp / np.sqrt((amp**2).sum()))
     region = spatial.rect_region(10, 10, 0, 0, 10, 5)
     mask = spatial.make_mask("vampire", 10, 10, contrast=1.0, region=region)
-    with pytest.raises(DegenerateShape):
+    with pytest.raises(QVampireError, match="mask transmits no beam power"):
         spatial.reduce(prof, mask)
 
 
@@ -111,7 +111,7 @@ def test_uniform_mask_over_full_beam():
 
 
 def test_reduce_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(QVampireError, match=r"profile \(4, 4\) vs mask \(4, 5\)"):
         spatial.reduce(uniform_profile(4, 4), spatial.make_mask("white", 5, 4))
 
 
