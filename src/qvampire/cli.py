@@ -37,13 +37,14 @@ DEFAULT_CA = "0.1,0.5,0.9"
 DEFAULT_R = "0.05,0.1,0.2"
 
 
-def _load_scenario(args) -> ScenarioConfig:
+def _load_scenario(args) -> tuple[dict, ScenarioConfig]:
+    """The config as read, overrides applied, and the scenario built from it."""
     # loaded by the commands that read a config, so verify skips it
     from .config import apply_env_overrides, build_scenario, load_config
 
     cfg = load_config(args.config)
     cfg = apply_env_overrides(cfg, os.environ)
-    return build_scenario(cfg, seed=getattr(args, "seed", None))
+    return cfg, build_scenario(cfg, seed=getattr(args, "seed", None))
 
 
 def _outdir(args) -> Path:
@@ -53,7 +54,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_profile(args) -> int:
-    scenario = _load_scenario(args)
+    cfg, scenario = _load_scenario(args)
     out = _outdir(args)
     intensity = scenario.analytic_map()
     qv.spatial.save_matrix_csv(out / "intensity.csv", intensity)
@@ -63,14 +64,16 @@ def cmd_profile(args) -> int:
     qv.spatial.save_matrix_csv(out / "profile.csv", profile.amplitude)
     qv.spatial.save_matrix_csv(out / "mask.csv", mask.transmission)
     qv.spatial.save_pgm(out / "mask.pgm", mask.transmission)
-    qv.montecarlo.save_sidecar(out / "profile.cfg", scenario.echo)
+    # profile draws nothing, so it echoes only a seed the config gave
+    echo = scenario.echo | {"scan.seed": cfg.get("scan.seed", "")}
+    qv.montecarlo.save_sidecar(out / "profile.cfg", echo)
     rate = qv.spatial.herald_rate(profile, mask, scenario.source.nbar)
     print(f"herald_rate={rate!r}")
     return 0
 
 
 def cmd_scan(args) -> int:
-    scenario = _load_scenario(args)
+    _, scenario = _load_scenario(args)
     out = _outdir(args)
     scenario.check_blocks()  # before run_scan makes it, so the error names its keys
     result = qv.montecarlo.run_scan(scenario.source, scenario.scan)

@@ -236,7 +236,11 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     cfg = {key: read_value(key, text) for key, text in merged.items()}
     scenario, width, height = cfg["scenario"], cfg["grid.width"], cfg["grid.height"]
 
-    profile = _build_profile(merged, cfg)
+    try:  # the profile is the first array of the grid's size
+        profile = _build_profile(merged, cfg)
+    except MemoryError:
+        given = ", ".join(f"{key}={merged[key]!r}" for key in ("grid.width", "grid.height"))
+        raise ConfigMismatch(f"{given}: the grid does not fit in memory") from None
     keys = ("source.nbar", "source.coherence_time", "source.kind")
     with _keyed(merged, *keys):  # checked before the herald target divides by nbar
         source = SourceConfig(profile=profile, **{key.partition(".")[2]: cfg[key] for key in keys})

@@ -3,11 +3,13 @@
 States are dense single-mode density matrices over the number basis
 |0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary,
 conserve the total photon number and are kept as one block per total;
-applying them to a state is the job of ``verify``.  A square splitter's
-blocks are real: in the gauge diag(i^k) each block's generator is a real
-tridiagonal matrix that the mode exchange splits into two eigenproblems
-of half the order.  All operations are pure functions; the backing
-arrays are frozen so values can be shared.
+applying them to a state is the job of ``verify``, which reads only the
+blocks N < dim that the truncation leaves whole.  The truncated blocks
+N >= dim are built only for the dense ``beamsplitter_unitary``.  A square
+splitter's blocks are real: in the gauge diag(i^k) each block's generator
+is a real tridiagonal matrix that the mode exchange splits into two
+eigenproblems of half the order.  All operations are pure functions; the
+backing arrays are frozen so values can be shared.
 """
 
 from __future__ import annotations
@@ -197,9 +199,8 @@ def _exchange_basis(order: int) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=4)
-def _hop_eigenbases(dim: int) -> tuple:
-    """(evals, D W) of i * (ai+ aj - ai aj+) on each block N, N = 0 .. 2 dim - 2.
+def _hop_eigenbasis(dim: int, total: int) -> tuple:
+    """(evals, D W) of i * (ai+ aj - ai aj+) on block N = total.
 
     Over the block's sites k (n = n_min + k) the gauge D = diag(i^k) turns
     the Hermitian generator H into the real tridiagonal T = D+ H D, whose
@@ -212,56 +213,69 @@ def _hop_eigenbases(dim: int) -> tuple:
     on odd sites.  The generator does not depend on the splitter's angle,
     so one eigendecomposition per block serves every (t, r).
     """
-    bases = []
-    for total in range(2 * dim - 1):
-        # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
-        n = np.arange(max(0, total - dim + 1), min(total, dim - 1), dtype=float)
-        hop = np.sqrt((n + 1) * (total - n))
-        order = len(hop) + 1
-        q = _exchange_basis(order)
-        split = q.T @ (np.diag(hop, -1) + np.diag(hop, 1)) @ q
-        half = order - order // 2
-        even_vals, even_vecs = np.linalg.eigh(split[:half, :half])
-        odd_vals, odd_vecs = np.linalg.eigh(split[half:, half:])
-        w = np.hstack((q[:, :half] @ even_vecs, q[:, half:] @ odd_vecs))
-        gauge = np.array([1, 1j, -1, -1j])[np.arange(order) % 4]  # i^k
-        bases.append((_freeze(np.concatenate((even_vals, odd_vals))), _freeze(gauge[:, None] * w)))
-    return tuple(bases)
+    # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
+    n = np.arange(max(0, total - dim + 1), min(total, dim - 1), dtype=float)
+    hop = np.sqrt((n + 1) * (total - n))
+    order = len(hop) + 1
+    q = _exchange_basis(order)
+    split = q.T @ (np.diag(hop, -1) + np.diag(hop, 1)) @ q
+    half = order - order // 2
+    even_vals, even_vecs = np.linalg.eigh(split[:half, :half])
+    odd_vals, odd_vecs = np.linalg.eigh(split[half:, half:])
+    w = np.hstack((q[:, :half] @ even_vecs, q[:, half:] @ odd_vecs))
+    gauge = np.array([1, 1j, -1, -1j])[np.arange(order) % 4]  # i^k
+    return _freeze(np.concatenate((even_vals, odd_vals))), _freeze(gauge[:, None] * w)
+
+
+@lru_cache(maxsize=4)
+def _hop_eigenbases(dim: int) -> tuple:
+    """``_hop_eigenbasis`` of the blocks the truncation leaves whole, N = 0 .. dim - 1."""
+    return tuple(_hop_eigenbasis(dim, total) for total in range(dim))
+
+
+def _rotated_block(evals: np.ndarray, gauged: np.ndarray, theta: float) -> np.ndarray:
+    """Re(D W e^{-i theta L} W^T D+), one block of the splitter at angle theta."""
+    # with D W = A + iB and e^{-i theta L} = c - is, the float views
+    # interleave the columns of [Ac + Bs, Bc - As] and [A B]: their
+    # product is the real part, and the imaginary part is never formed
+    rotated = gauged * np.exp(-1j * theta * evals)
+    return _freeze(rotated.view(np.float64) @ gauged.view(np.float64).T)
 
 
 @lru_cache(maxsize=64)
 def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
-    """exp(theta (ai+ aj - ai aj+)), t = cos, r = sin, as blocks of total N.
+    """exp(theta (ai+ aj - ai aj+)), t = cos, r = sin, on the blocks the
+    truncation leaves whole.
 
-    Both modes are truncated to dim levels.  Block N = 0 .. 2 dim - 2 acts
-    on |n, N - n> for n = max(0, N - dim + 1) .. min(N, dim - 1).  The
-    blocks are cached on (dim, t, r) as C-contiguous real arrays; each one
-    is Re(D W e^{-i theta L} W^T D+) formed from the angle-free eigenbasis
-    that ``_hop_eigenbases`` caches on dim alone.
+    Both modes are truncated to dim levels.  Block N = 0 .. dim - 1 acts on
+    all of |n, N - n>, n = 0 .. N.  The blocks are cached on (dim, t, r) as
+    C-contiguous real arrays, each one ``_rotated_block`` of the angle-free
+    eigenbasis that ``_hop_eigenbases`` caches on dim alone.  The blocks
+    N >= dim, which the truncation cuts, are built only by
+    ``beamsplitter_unitary``.
     """
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
         raise QVampireError(f"t^2 + r^2 = {t * t + r * r} != 1")
     theta = math.atan2(r, t)
-    blocks = []
-    for evals, gauged in _hop_eigenbases(dim):
-        # with D W = A + iB and e^{-i theta L} = c - is, the float views
-        # interleave the columns of [Ac + Bs, Bc - As] and [A B]: their
-        # product is the real part, and the imaginary part is never formed
-        rotated = gauged * np.exp(-1j * theta * evals)
-        blocks.append(_freeze(rotated.view(np.float64) @ gauged.view(np.float64).T))
-    return tuple(blocks)
+    return tuple(_rotated_block(*basis, theta) for basis in _hop_eigenbases(dim))
 
 
 def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarray:
     """exp(theta (ai+ aj - ai aj+)) as a dense matrix over |n_i, n_j>, n_i slow.
 
-    Only square splitters (dim_i == dim_j) are built.
+    Only square splitters (dim_i == dim_j) are built.  The blocks N < d
+    come from ``beamsplitter_blocks``; the truncated blocks N = d .. 2 d - 2,
+    on |n, N - n> for n = N - d + 1 .. d - 1, are built here, uncached,
+    by the same per-block code.
     """
     if dim_i != dim_j:
         raise QVampireError(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")
     d = dim_i
+    whole = beamsplitter_blocks(d, t, r)  # checks t^2 + r^2 = 1
+    theta = math.atan2(r, t)
+    cut = [_rotated_block(*_hop_eigenbasis(d, total), theta) for total in range(d, 2 * d - 1)]
     u = np.zeros((d * d,) * 2)
-    for total, block in enumerate(beamsplitter_blocks(d, t, r)):
+    for total, block in enumerate((*whole, *cut)):
         n_i = max(0, total - d + 1) + np.arange(len(block))
         u[np.ix_(n_i * d + total - n_i, n_i * d + total - n_i)] = block
     return u

@@ -8,6 +8,7 @@ import pytest
 
 from qvampire import cli, config, fock, montecarlo as mc, spatial, verify
 from qvampire.errors import ConfigMismatch
+from test_golden import DESK
 
 SMOKE_CONFIG = """
 scenario=subtraction
@@ -212,6 +213,21 @@ def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, comman
     assert all(f"{key}={value!r}" in err for key, value in given.items()), err
 
 
+@pytest.mark.parametrize("command", ["scan", "profile"])
+def test_a_grid_too_large_to_allocate_names_its_keys(tmp_path, capsys, monkeypatch, command):
+    # a grid too large for memory ends in numpy's MemoryError at its first array;
+    # the grid here is small, and the error is raised in place of that array
+    def no_memory(width, height):
+        raise MemoryError(f"Unable to allocate an array with shape ({height}, {width})")
+
+    monkeypatch.setattr(spatial, "_grid", no_memory)
+    cfg = write_config(tmp_path, SMOKE_CONFIG.replace("grid.width=32", "grid.width=4096"))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == (
+        "qvampire: grid.width='4096', grid.height='24': the grid does not fit in memory\n"
+    )
+
+
 def test_a_bin_count_beyond_int64_is_rejected_before_the_scan():
     # a 1e12 s dwell holds 8.3e19 bins of 12 ns, which no cap below 2**63 lets through
     with pytest.raises(ConfigMismatch, match=r"scan.bins_cap='99999999999999999999': expected"):
@@ -256,6 +272,20 @@ def test_cmd_profile_outputs(tmp_path, capsys):
     live = intensity > 0
     assert np.abs(intensity[live] / expected[live] - 1.0).max() < 1e-6
     assert (out / "intensity.pgm").exists() and (out / "mask.pgm").exists()
+
+
+def test_cmd_profile_of_a_seedless_config_is_reproducible(tmp_path, capsys):
+    # profile draws nothing, so it echoes no seed; scan draws one and echoes it
+    cfg = write_config(tmp_path, DESK)
+    outputs = []
+    for name in ("a", "b"):
+        assert cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in (tmp_path / name).iterdir()})
+    assert outputs[0] == outputs[1]
+    assert mc.load_sidecar(tmp_path / "a" / "profile.cfg")["scan.seed"] == ""
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan")]) == 0
+    seed = capsys.readouterr().out.split("seed=")[1].split(",")[0]
+    assert mc.load_sidecar(tmp_path / "scan" / "scan.cfg")["scan.seed"] == seed
 
 
 def test_cmd_profile_high_contrast_casts_shadow(tmp_path):

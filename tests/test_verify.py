@@ -309,17 +309,22 @@ def _oracle_regional_subtraction(rho, rec, herald, model):
 
 def test_beamsplitter_blocks_equal_the_per_angle_eigh():
     d = verify.DEFAULT_VERIFY_NMAX + 1  # blocks of every order 1 .. d
-    # blocks N >= d are cut by the truncation and are covered too
     for theta in (0.05, 0.3, 1.1, 2.5, -0.4):
         t, r = math.cos(theta), math.sin(theta)
-        got = fock.beamsplitter_blocks(d, t, r)
+        got = fock.beamsplitter_blocks(d, t, r)  # the blocks N < d the truncation leaves whole
         want = _oracle_blocks(d, t, r)
-        assert len(got) == len(want) == 2 * d - 1
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(got) == d
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[:d], strict=True))
         # each block is a real array of its own, not a view of a complex product
         assert all(
             g.dtype == np.float64 and g.flags.c_contiguous and g.flags.owndata for g in got
         )
+        # the blocks N >= d, cut by the truncation, live only in the dense unitary
+        u = fock.beamsplitter_unitary(d, d, t, r)
+        for total, block in enumerate(want[d:], start=d):
+            n_i = np.arange(total - d + 1, d)
+            idx = n_i * d + total - n_i
+            assert np.array_equal(u[np.ix_(idx, idx)], block)
 
 
 def test_beamsplitter_unitary_rejects_unequal_dims():
@@ -393,8 +398,9 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
 
 def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     # the 54 operator cases at nmax 28 hold 9 distinct (c_A, r) splits: each
-    # kernel build reads the herald images once, each of the 57 blocks takes
-    # its two half-order eigendecompositions once, and each state takes one
+    # kernel build reads the herald images once, each of the 29 blocks N < d
+    # the truncation leaves whole takes its two half-order eigendecompositions
+    # once, no block N >= d is built, and each state takes one
     # eigh, which validates it and gives fock.fidelity its square root: the
     # 6 input states, the 54 outputs and the 6 directly subtracted states
     _clear_caches()
@@ -410,6 +416,7 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
         held = tracemalloc.get_traced_memory()[0]
         fock._hop_eigenbases.cache_clear()
         verify._herald_kernel.cache_clear()
+        fock.beamsplitter_blocks.cache_clear()
         gc.collect()
         held -= tracemalloc.get_traced_memory()[0]
     finally:
@@ -418,12 +425,13 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     assert len(kernels) == 9
     d = verify.DEFAULT_VERIFY_NMAX + 1
     hops = [shape for shape in eighs if shape != (d, d)]
-    assert len(hops) == 2 * (2 * d - 1)
+    assert len(hops) == 2 * d
     assert max(shape[0] for shape in hops) == (d + 1) // 2
     assert len(eighs) - len(hops) == 6 + 54 + 6
-    # the kernels and eigenbases the sweep leaves alive: about 0.8 MB, where
-    # a dense d x d x d kernel per split would hold 2 MB
-    assert 0 < held < 1.5e6
+    # the eigenbases, kernels and splitter blocks the sweep leaves alive:
+    # 0.15 + 0.56 + 0.44 MB, where the truncated blocks N >= d would add
+    # 0.53 MB and a dense d x d x d kernel per split 2 MB
+    assert 0 < held < 1.3e6
 
 
 # ---------------------------------------------------------------------------
