@@ -231,7 +231,7 @@ def region_fraction_map(
     ys, xs = np.arange(0, height, superpixel), np.arange(0, width, superpixel)
     if (len(ys), len(xs)) != (n_rows, n_cols):
         raise QVampireError(
-            f"a {width}x{height} region at superpixel {superpixel} "
+            f"grid.width={width}, grid.height={height}, scan.superpixel={superpixel}: the region "
             f"tiles a {len(ys)}x{len(xs)} grid, but the scan grid is {n_rows}x{n_cols}"
         )
     # region pixels over pixels: the float of each tile's mean, whose sum of

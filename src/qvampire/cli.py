@@ -13,7 +13,6 @@ of the exact Fock engine.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -38,12 +37,11 @@ DEFAULT_R = "0.05,0.1,0.2"
 
 
 def _load_scenario(args) -> tuple[dict, ScenarioConfig]:
-    """The config as read, overrides applied, and the scenario built from it."""
+    """The config as read and the scenario built from it."""
     # loaded by the commands that read a config, so verify skips it
-    from .config import apply_env_overrides, build_scenario, load_config
+    from .config import build_scenario, load_config
 
     cfg = load_config(args.config)
-    cfg = apply_env_overrides(cfg, os.environ)
     return cfg, build_scenario(cfg, seed=getattr(args, "seed", None))
 
 
@@ -76,6 +74,11 @@ def cmd_scan(args) -> int:
     _, scenario = _load_scenario(args)
     out = _outdir(args)
     scenario.check_blocks()  # before run_scan makes it, so the error names its keys
+    held, cap = qv.montecarlo._dwell_bins(scenario.scan), scenario.scan.bins_cap
+    if held > cap:
+        dwell, given = scenario.echo["scan.dwell"], scenario.echo["scan.bins_cap"]
+        print(f"scan: scan.bins_cap={given!r} cuts scan.dwell={dwell!r} from {held:.0f} to "
+              f"{cap} bins a superpixel", file=sys.stderr)
     result = qv.montecarlo.run_scan(scenario.source, scenario.scan)
     echo = dict(scenario.echo)
     echo.update(result.config)

@@ -1,10 +1,8 @@
-"""Flat key=value scenario configuration with env-var overrides.
+"""Flat key=value scenario configuration.
 
 The config format is one ``section.key=value`` pair per line, chosen so
 sidecar echoes diff cleanly and any run can be reproduced by feeding its
-echo back in.  Every key can also be overridden by an environment
-variable: ``QVAMPIRE_`` plus the key upper-cased with dots replaced by
-underscores (e.g. ``QVAMPIRE_SOURCE_NBAR``).
+echo back in.
 """
 
 from __future__ import annotations
@@ -19,11 +17,9 @@ import numpy as np
 
 from .errors import ConfigMismatch, QVampireError
 from .montecarlo import (
-    COINCIDENCE,
     DetectorConfig,
     ScanConfig,
     COHERENT,
-    SINGLES,
     SourceConfig,
     THERMAL,
     bins_per_block,
@@ -44,7 +40,6 @@ from .spatial import (
     subtracted_profile_analytic,
 )
 
-ENV_PREFIX = "QVAMPIRE_"
 _MASK_KEYS = ("mask.region", "mask.contrast", "mask.herald_target")
 REGION_FORMS = "all, silhouette, rect:<x0>,<y0>,<w>,<h> or ellipse:<cx>,<cy>,<rx>,<ry>"
 
@@ -86,7 +81,6 @@ _KEYS = {
     "scan.superpixel": ("11", _count),
     "scan.dwell": ("0.01", float),
     "scan.bins_cap": ("1000000", _count),
-    "scan.trigger_mode": ("", (SINGLES, COINCIDENCE)),
     "scan.seed": ("", int),
     "scan.threads": ("1", _count),
     "detector.bin_width": ("1.2e-08", float),
@@ -133,20 +127,6 @@ class ScenarioConfig:
             bins_per_block(self.source, self.scan.herald_detector)
 
 
-def apply_env_overrides(cfg: dict, environ) -> dict:
-    """Overlay QVAMPIRE_* environment variables onto a config dict."""
-    lookup = {key.replace(".", "_").upper(): key for key in DEFAULTS}
-    out = dict(cfg)
-    for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = lookup.get(name[len(ENV_PREFIX) :])
-        if key is None:
-            raise ConfigMismatch(f"unknown config override {name}")
-        out[key] = value
-    return out
-
-
 def read_value(key: str, text: str):
     """A config or sidecar value read as its ``TYPES`` entry, or None when a key
     whose default is empty is left empty; ``ConfigMismatch`` names the key."""
@@ -164,6 +144,11 @@ def read_value(key: str, text: str):
         raise ConfigMismatch(f"{key}={text!r}: {exc}") from None
 
 
+def _given(merged: dict, *keys: str) -> str:
+    """Each of ``keys`` as ``key='value'``, the way a range error names what fed it."""
+    return ", ".join(f"{key}={merged[key]!r}" for key in keys)
+
+
 @contextmanager
 def _keyed(merged: dict, *keys: str):
     """Re-raise a range error of the block as ``{key}={value!r}: {rule}``, for each
@@ -176,8 +161,7 @@ def _keyed(merged: dict, *keys: str):
             raise
         words = set(re.findall(r"\w+", str(exc)))
         named = [key for key in keys if key.rpartition(".")[2] in words] or keys
-        given = ", ".join(f"{key}={merged[key]!r}" for key in named)
-        raise ConfigMismatch(f"{given}: {exc}") from None
+        raise ConfigMismatch(f"{_given(merged, *named)}: {exc}") from None
 
 
 def parse_region_spec(spec: str, width: int, height: int) -> np.ndarray:
@@ -216,8 +200,7 @@ def _build_profile(merged: dict, cfg: dict) -> BeamProfile:
 def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     """Assemble a scenario from a flat config dict.
 
-    The scenario fixes the parts the physics requires: the initial run uses
-    the white mask, the subtraction run coincidence mode.  A missing seed is
+    The initial scenario uses the white mask.  A missing seed is
     generated and recorded in the echo.  Each value is read by ``read_value``,
     and a range error names the key that fed it.  The ``derived.*`` keys of a
     scan sidecar, and a ``mask.contrast`` next to a ``mask.herald_target``, are
@@ -239,8 +222,8 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     try:  # the profile is the first array of the grid's size
         profile = _build_profile(merged, cfg)
     except MemoryError:
-        given = ", ".join(f"{key}={merged[key]!r}" for key in ("grid.width", "grid.height"))
-        raise ConfigMismatch(f"{given}: the grid does not fit in memory") from None
+        named = _given(merged, "grid.width", "grid.height")
+        raise ConfigMismatch(f"{named}: the grid does not fit in memory") from None
     keys = ("source.nbar", "source.coherence_time", "source.kind")
     with _keyed(merged, *keys):  # checked before the herald target divides by nbar
         source = SourceConfig(profile=profile, **{key.partition(".")[2]: cfg[key] for key in keys})
@@ -254,36 +237,32 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
         target, asked = cfg["mask.herald_target"], cfg["mask.contrast"]  # None when left empty
         if target is not None:
             if not 0.0 <= target < np.inf:
-                raise ConfigMismatch(f"mask.herald_target must be finite and >= 0, got {target!r}")
+                named = _given(merged, "mask.herald_target")
+                raise ConfigMismatch(f"{named}: herald_target must be finite and >= 0")
             try:
                 contrast = contrast_for_herald_rate(profile, region, source.nbar, target)
             except ValueError as exc:  # the region cannot tap that much light
-                raise ConfigMismatch(
-                    f"mask.herald_target must be reachable, got {target!r}: {exc}"
-                ) from None
+                named = _given(merged, "mask.herald_target", "mask.region")
+                raise ConfigMismatch(f"{named}: the target is out of reach: {exc}") from None
             if asked not in (None, contrast):  # a sidecar echoes the solved contrast
                 raise ConfigMismatch(f"mask.contrast={asked!r}, but mask.herald_target={target!r} "
                                      f"solves contrast {contrast!r}")
         else:
             contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
             if not 0.0 <= contrast <= 1.0:
-                raise ConfigMismatch(f"mask.contrast must lie in [0, 1], got {contrast!r}")
+                named = _given(merged, "mask.contrast")
+                raise ConfigMismatch(f"{named}: contrast must lie in [0, 1]")
         mask = make_mask("vampire", width, height, contrast, region)
         with _keyed(merged, *(key for key in _MASK_KEYS if merged[key])):  # the keys given
             reduce(profile, mask)  # the mask must pass some of the beam
         merged["mask.contrast"] = repr(contrast)
-
-    trigger = cfg["scan.trigger_mode"] or (COINCIDENCE if scenario == "subtraction" else SINGLES)
-    if scenario == "subtraction" and trigger != COINCIDENCE:
-        raise ConfigMismatch(f"scan.trigger_mode={trigger!r}: subtraction needs {COINCIDENCE}")
-    merged["scan.trigger_mode"] = cfg["scan.trigger_mode"] = trigger
 
     detectors = {}
     for role in ("herald", "camera"):
         keys = (f"detector.{role}.efficiency", f"detector.{role}.dark_prob", "detector.bin_width")
         with _keyed(merged, *keys):
             detectors[f"{role}_detector"] = DetectorConfig(*(cfg[key] for key in keys))
-    fields = ("seed", "superpixel", "dwell", "bins_cap", "trigger_mode", "threads")
+    fields = ("seed", "superpixel", "dwell", "bins_cap", "threads")
     with _keyed(merged, *(f"scan.{name}" for name in fields), "detector.bin_width"):
         values = {name: cfg[f"scan.{name}"] for name in fields}
         scan = ScanConfig(mask, **detectors, **values)

@@ -261,12 +261,11 @@ def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
 
 
 def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarray:
-    """exp(theta (ai+ aj - ai aj+)) as a dense matrix over |n_i, n_j>, n_i slow.
+    """exp(theta (ai+ aj - ai aj+)) as a dense matrix, laid out by ``_scatter_blocks``.
 
-    Only square splitters (dim_i == dim_j) are built.  The blocks N < d
-    come from ``beamsplitter_blocks``; the truncated blocks N = d .. 2 d - 2,
-    on |n, N - n> for n = N - d + 1 .. d - 1, are built here, uncached,
-    by the same per-block code.
+    Only square splitters (dim_i == dim_j) are built.  The blocks N < d come from
+    ``beamsplitter_blocks``; the truncated blocks N = d .. 2 d - 2 are built here,
+    uncached, by the same per-block code.
     """
     if dim_i != dim_j:
         raise QVampireError(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")
@@ -274,8 +273,13 @@ def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarr
     whole = beamsplitter_blocks(d, t, r)  # checks t^2 + r^2 = 1
     theta = math.atan2(r, t)
     cut = [_rotated_block(*_hop_eigenbasis(d, total), theta) for total in range(d, 2 * d - 1)]
+    return _scatter_blocks(d, (*whole, *cut))
+
+
+def _scatter_blocks(d: int, blocks) -> np.ndarray:
+    """Blocks N = 0, 1, .. as one dense matrix over |n_i, n_j>, n_i slow; the rest is zero."""
     u = np.zeros((d * d,) * 2)
-    for total, block in enumerate((*whole, *cut)):
+    for total, block in enumerate(blocks):
         n_i = max(0, total - d + 1) + np.arange(len(block))
         u[np.ix_(n_i * d + total - n_i, n_i * d + total - n_i)] = block
     return u

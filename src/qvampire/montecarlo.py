@@ -53,8 +53,6 @@ from .spatial import BeamProfile, MaskSpec, reduce
 
 THERMAL = "thermal"
 COHERENT = "coherent"
-SINGLES = "singles"
-COINCIDENCE = "coincidence"
 
 SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
 
@@ -66,7 +64,6 @@ MAX_BINS_PER_BLOCK = 1024
 SIDECAR_DEFAULTS = {
     "derived.bins_per_block": "1",
     "source.kind": THERMAL,
-    "scan.trigger_mode": COINCIDENCE,
 }
 
 
@@ -109,14 +106,13 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Raster-scan schedule, mask, trigger mode, and RNG seed."""
+    """Raster-scan schedule, mask, and RNG seed."""
 
     mask: MaskSpec
     seed: int
     superpixel: int = 11
     dwell: float = 0.010
     bins_cap: int = 1_000_000
-    trigger_mode: str = COINCIDENCE
     herald_detector: DetectorConfig = field(default_factory=DetectorConfig)
     camera_detector: DetectorConfig = field(default_factory=DetectorConfig)
     threads: int = 1
@@ -124,8 +120,6 @@ class ScanConfig:
     def __post_init__(self):
         if self.superpixel < 1:
             raise ConfigMismatch("superpixel side must be at least 1")
-        if self.trigger_mode not in (SINGLES, COINCIDENCE):
-            raise ConfigMismatch(f"unknown trigger mode {self.trigger_mode!r}")
         if self.herald_detector.bin_width != self.camera_detector.bin_width:
             raise ConfigMismatch("detectors must share one time-bin width")
         if not self.herald_detector.bin_width <= self.dwell < math.inf:
@@ -190,10 +184,7 @@ class ScanResult:
         """A sidecar value read by ``config.read_value``, or its ``SIDECAR_DEFAULTS``
         entry when the sidecar lacks it; ``ConfigMismatch`` names the key."""
         from .config import read_value  # config imports this module
-        value = read_value(key, self.config.get(key, SIDECAR_DEFAULTS[key]))
-        if value is None:  # a scan echoes its trigger mode; only a config leaves it empty
-            raise ConfigMismatch(f"{key}='': expected {SINGLES} or {COINCIDENCE}")
-        return value
+        return read_value(key, self.config.get(key, SIDECAR_DEFAULTS[key]))
 
     def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Unconditional camera rate per bin with its standard error: the singles
@@ -202,8 +193,12 @@ class ScanResult:
         counts = self.grid("camera_counts").astype(float)
         n_bins = self.grid("n_bins").astype(float)
         rates = np.divide(counts, n_bins, out=np.zeros_like(counts), where=n_bins > 0)
-        _, p_sq = _click_moments(rates, 0.0, self.setting("source.kind"))
-        bpb = self.setting("derived.bins_per_block")
+        kind, bpb = self.setting("source.kind"), self.setting("derived.bins_per_block")
+        if kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:  # no thermal scan draws such a block
+            given = self.config["derived.bins_per_block"]
+            raise ConfigMismatch(f"derived.bins_per_block={given!r}: a thermal scan draws at "
+                                 f"most {MAX_BINS_PER_BLOCK} bins a block")
+        _, p_sq = _click_moments(rates, 0.0, kind)
         sigmas = np.sqrt(np.clip(_count_variance(n_bins, bpb, rates, p_sq), 1.0, None))
         sigmas = np.divide(sigmas, n_bins, out=np.full_like(counts, np.inf), where=n_bins > 0)
         return rates, sigmas
@@ -319,6 +314,12 @@ def superpixel_tiles(height: int, width: int, superpixel: int):
     return n_rows, n_cols, tiles
 
 
+def _dwell_bins(scan: ScanConfig) -> float:
+    """The whole bins the dwell holds; a float, so a subnormal bin_width gives inf, not
+    an ``int()`` overflow.  A scan draws at most ``scan.bins_cap`` of them."""
+    return np.floor(scan.dwell / scan.bin_width + 1e-9)
+
+
 def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
     """What a scan computes from its config; its sidecar echoes each as ``derived.<name>``."""
     profile, mask = src.profile, scan.mask
@@ -327,7 +328,7 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
     n_rows, n_cols = _grid_shape(profile.height, profile.width, scan.superpixel)
     return {
         # at least one bin: ScanConfig holds the dwell to one bin and bins_cap to 1
-        "n_bins": int(min(scan.dwell / scan.bin_width + 1e-9, scan.bins_cap)),
+        "n_bins": int(min(_dwell_bins(scan), scan.bins_cap)),
         "bins_per_block": bins_per_block(src, scan.herald_detector),
         "r_eff2": reduce(profile, mask).r_eff ** 2,
         "n_rows": n_rows,
@@ -480,7 +481,6 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {
         "source.kind": src.kind,
-        "scan.trigger_mode": scan.trigger_mode,
         **{f"derived.{name}": str(value) for name, value in derived.items()},
     }
     shape = (derived["n_rows"], derived["n_cols"])
@@ -489,9 +489,6 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
 
 def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
     """Heralded camera rate (coincidences per herald) next to the singles rate."""
-    mode = result.setting("scan.trigger_mode")
-    if mode != COINCIDENCE:
-        raise ConfigMismatch("conditional profile needs a coincidence-mode scan")
     heralds = result.grid("herald_counts").astype(float)
     if (heralds <= 0).any():
         raise QVampireError("a superpixel recorded zero herald counts")

@@ -48,8 +48,8 @@ from .fock import (
     DensityMatrix,
     VACUUM_WEIGHT_FLOOR,
     _freeze,
+    _scatter_blocks,
     beamsplitter_blocks,
-    beamsplitter_unitary,
 )
 
 OPERATOR = "operator"
@@ -110,15 +110,11 @@ def _split_params(c_a: float) -> tuple[float, float]:
 def recombination_unitary(c_a: float, dim: int) -> np.ndarray:
     """Change of basis from (beam, complement) to (A, B) occupations.
 
-    Column (n, m) holds the Fock expansion of n beam-mode and m
-    complement-mode photons over the (A, B) pixel-partition modes.
-    Columns with n + m > dim - 1 are not representable in the truncation
-    and are left zero; the matrix is exactly unitary on the total-photon
-    blocks that fit.
+    Column (n, m) holds the Fock expansion of n beam-mode and m complement-mode
+    photons over the (A, B) pixel-partition modes.  The columns n + m >= dim, which
+    the truncation cuts, are zero; the matrix is unitary on the blocks that fit.
     """
-    w = beamsplitter_unitary(dim, dim, *_split_params(c_a))
-    w[:, np.add.outer(np.arange(dim), np.arange(dim)).ravel() >= dim] = 0.0
-    return w
+    return _scatter_blocks(dim, beamsplitter_blocks(dim, *_split_params(c_a)))
 
 
 @lru_cache(maxsize=64)

@@ -36,7 +36,7 @@ def _vampire_mask(target_herald_rate: float) -> spatial.MaskSpec:
     return spatial.make_mask("vampire", GRID_W, GRID_H, contrast, REGION)
 
 
-def _scan(mask, seed, dwell, trigger, bins_cap=10**6):
+def _scan(mask, seed, dwell, bins_cap=10**6):
     src = mc.SourceConfig(nbar=NBAR, profile=PROFILE)
     scan = mc.ScanConfig(
         mask=mask,
@@ -44,7 +44,6 @@ def _scan(mask, seed, dwell, trigger, bins_cap=10**6):
         superpixel=SUPERPIXEL,
         dwell=dwell,
         bins_cap=bins_cap,
-        trigger_mode=trigger,
     )
     return mc.run_scan(src, scan)
 
@@ -178,10 +177,8 @@ def test_criterion_6_herald_model_gap_scaling():
 def test_criterion_7_high_contrast_shadow():
     t0 = time.perf_counter()
     mask = _vampire_mask(1.0 * WEAK_CLICK_SCALE)
-    loss = _scan(mask, seed=701, dwell=0.012, trigger=mc.SINGLES)
-    initial = _scan(
-        spatial.make_mask("white", GRID_W, GRID_H), seed=702, dwell=0.012, trigger=mc.SINGLES
-    )
+    loss = _scan(mask, seed=701, dwell=0.012)
+    initial = _scan(spatial.make_mask("white", GRID_W, GRID_H), seed=702, dwell=0.012)
     num, num_s = loss.camera_rate_map()
     den, den_s = initial.camera_rate_map()
     fracs = analysis.region_fraction_map(REGION, SUPERPIXEL, loss.n_rows, loss.n_cols)
@@ -200,9 +197,7 @@ def test_criterion_7_high_contrast_shadow():
 def test_criterion_8_subtraction_no_shadow_twice_brighter():
     t0 = time.perf_counter()
     mask = _vampire_mask(0.13 * WEAK_CLICK_SCALE)
-    result = _scan(
-        mask, seed=801, dwell=0.096, trigger=mc.COINCIDENCE, bins_cap=8 * 10**6
-    )
+    result = _scan(mask, seed=801, dwell=0.096, bins_cap=8 * 10**6)
     maps = mc.conditional_profile_mc(result)
     fracs = analysis.region_fraction_map(REGION, SUPERPIXEL, result.n_rows, result.n_cols)
     rmap = analysis.ratio_map(
@@ -235,9 +230,7 @@ def test_criterion_9_mc_matches_analytic_rates():
     tested = 0
     outliers = 0
     for seed in range(900, 910):
-        scan = mc.ScanConfig(
-            mask=mask, seed=seed, superpixel=SUPERPIXEL, dwell=0.0024, trigger_mode=mc.SINGLES
-        )
+        scan = mc.ScanConfig(mask=mask, seed=seed, superpixel=SUPERPIXEL, dwell=0.0024)
         result = mc.run_scan(src, scan)
         for row, col, ys, xs in tiles:
             n_bins, counts = (int(result.grid(name)[row, col]) for name in mc.COUNTS[:2])

@@ -322,8 +322,8 @@ SCAN = {
 }
 COUNTS = ("camera_counts", "herald_counts", "coincidence_counts", "n_bins")
 NO_SIDECAR = (
-    "defaults used: derived.bins_per_block=1, source.kind=thermal, "
-    "scan.trigger_mode=coincidence; no mask region (no sidecar); shadow z-score is NaN"
+    "defaults used: derived.bins_per_block=1, source.kind=thermal; "
+    "no mask region (no sidecar); shadow z-score is NaN"
 )
 
 

@@ -51,23 +51,10 @@ def test_unknown_keys_rejected():
         config.build_scenario({"scenario": "initial", "mask.color": "red"})
 
 
-def test_env_override_known_and_unknown(monkeypatch):
-    cfg = config.apply_env_overrides(
-        {"source.nbar": "1.0"}, {"QVAMPIRE_SOURCE_NBAR": "2.5", "PATH": "/bin"}
-    )
-    assert cfg["source.nbar"] == "2.5"
-    with pytest.raises(Exception):
-        config.apply_env_overrides({}, {"QVAMPIRE_SOURCE_FLAVOR": "x"})
-
-
 def test_scenario_forcing_rules():
-    sub = config.build_scenario({"scenario": "subtraction", "scan.seed": "1"})
-    assert sub.scan.trigger_mode == mc.COINCIDENCE
     init = config.build_scenario({"scenario": "initial", "scan.seed": "1"})
     assert np.all(init.scan.mask.transmission == 1.0)
-    assert init.scan.trigger_mode == mc.SINGLES
-    with pytest.raises(ConfigMismatch, match="scan.trigger_mode='both': expected singles or "):
-        config.build_scenario({"scan.trigger_mode": "both", "scan.seed": "1"})
+    assert init.echo["mask.contrast"] == "0.0"
 
 
 def test_missing_seed_is_generated_and_recorded():
@@ -189,19 +176,23 @@ NO_POWER = {"mask.region": "all", "mask.contrast": "1", "mask.herald_target": No
     "command, settings",
     [pytest.param("scan", {key: value}, id=f"{key}-{value}") for key, value in [
         ("scan.superpixel", "0"), ("source.nbar", "-1"), ("scan.bins_cap", "0"),
-        ("scan.threads", "0"), ("scan.trigger_mode", "x"), ("grid.width", "99999999999999999999"),
+        ("scan.threads", "0"), ("grid.width", "99999999999999999999"),
         ("scan.superpixel", "99999999999999999999"), ("detector.bin_width", "1.5"),
         ("grid.width", str(2**62)), ("grid.height", str(2**28)),
         ("source.coherence_time", "1e-9"), ("source.coherence_time", "1e-4"),
-        ("scan.trigger_mode", "singles")]]
+        ("mask.herald_target", "-1")]]
     + [pytest.param("scan", {"grid.width": "2", "grid.height": "2", "mask.region": "silhouette"},
                     id="silhouette-off-a-tiny-grid"),
+       # an unreachable target names the region that cannot tap enough light
+       pytest.param("scan", {"mask.herald_target": "5", "mask.region": "rect:11,8,10,8"},
+                    id="unreachable-herald-target"),
+       pytest.param("scan", {"mask.contrast": "2", "mask.herald_target": None},
+                    id="mask.contrast-2"),
        pytest.param("scan", NO_POWER, id="opaque-mask"),
        pytest.param("profile", NO_POWER, id="profile-opaque-mask")],
 )
 def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, command, settings):
-    # the smoke config is a subtraction scan, which forces coincidence mode; a key set
-    # to None is left out
+    # a key set to None is left out of the smoke config
     lines = [line for line in SMOKE_CONFIG.strip().splitlines()
              if line.partition("=")[0] not in settings]
     given = {key: value for key, value in settings.items() if value is not None}
@@ -226,6 +217,23 @@ def test_a_grid_too_large_to_allocate_names_its_keys(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         "qvampire: grid.width='4096', grid.height='24': the grid does not fit in memory\n"
     )
+
+
+@pytest.mark.parametrize(
+    "settings, held, cap",
+    [("scan.dwell=0.5", "41666666", "1000000"),  # of 12 ns bins, at the default cap
+     ("scan.dwell=0.096\nscan.bins_cap=8000000", "", ""),  # scan_desk: exactly at its cap
+     ("scan.bins_cap=9999", "10000", "9999"),  # the smoke dwell, one bin over
+     ("scan.bins_cap=10000", "", ""),
+     ("detector.bin_width=5e-324\nsource.kind=coherent", "inf", "1000000")],
+    ids=["cut", "scan_desk", "cut_by_one", "at_the_cap", "subnormal_bin"],
+)
+def test_cmd_scan_says_when_the_bin_cap_cuts_the_dwell(tmp_path, capsys, settings, held, cap):
+    cfg = write_config(tmp_path, SMOKE_CONFIG + settings)  # a later line overrides
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    dwell = mc.load_sidecar(tmp_path / "s" / "scan.cfg")["scan.dwell"]
+    rule = f"scan.bins_cap={cap!r} cuts scan.dwell={dwell!r} from {held} to {cap} bins"
+    assert capsys.readouterr().err == (f"scan: {rule} a superpixel\n" if held else "")
 
 
 def test_a_bin_count_beyond_int64_is_rejected_before_the_scan():
@@ -379,12 +387,19 @@ def test_cmd_scan_seed_flag_overrides(tmp_path):
     assert (out_a / "scan.csv").read_bytes() != (out_b / "scan.csv").read_bytes()
 
 
-def test_env_override_reaches_scan(tmp_path, monkeypatch):
+def test_qvampire_environment_variables_change_no_scan(tmp_path, capsys, monkeypatch):
+    # a run reads only its config file and flags
     cfg = write_config(tmp_path)
-    monkeypatch.setenv("QVAMPIRE_SCAN_SEED", "7")
-    out = tmp_path / "env"
-    assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
-    assert mc.load_sidecar(out / "scan.cfg")["scan.seed"] == "7"
+    runs = []
+    for name in ("plain", "env"):
+        if name == "env":
+            monkeypatch.setenv("QVAMPIRE_SOURCE_NBAR", "2.5")
+            monkeypatch.setenv("QVAMPIRE_FOO", "1")
+        out = tmp_path / name
+        assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+        files = [(out / file).read_bytes() for file in ("scan.csv", "scan.cfg")]
+        runs.append([capsys.readouterr().out, *files])
+    assert runs[0] == runs[1]
 
 
 def test_bad_config_is_validation_error(tmp_path):
@@ -433,7 +448,7 @@ def test_cmd_scan_names_the_mask_value_it_rejects(tmp_path, capsys, key, value):
     rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.count("\n") == 1 and f"{key} must" in err and f"got {float(value)!r}" in err
+    assert err.count("\n") == 1 and err.startswith(f"qvampire: {key}={value!r}")
 
 
 def test_cmd_scan_takes_a_contrast_beside_a_herald_target_only_as_solved(tmp_path, capsys):
@@ -463,8 +478,9 @@ def test_cmd_scan_names_why_the_herald_target_is_unreachable(tmp_path, capsys, k
     cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
     rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err == f"qvampire: mask.herald_target must be reachable, got 0.013: {cause}\n"
+    region = value if key == "mask.region" else "rect:11,8,10,8"
+    given = f"mask.herald_target='0.013', mask.region={region!r}"
+    assert capsys.readouterr().err == f"qvampire: {given}: the target is out of reach: {cause}\n"
 
 
 def test_cmd_scan_coherent_source_takes_a_block_beyond_the_thermal_cap(tmp_path, capsys):
@@ -737,7 +753,7 @@ scan.dwell=0.02
     assert len(err) == 2
     for line, path in zip(err, (scan_a, scan_b)):
         assert line.startswith(f"analyze: {path}: ")
-        for used in ("derived.bins_per_block=1", "source.kind=thermal", "scan.trigger_mode=coincidence"):
+        for used in ("derived.bins_per_block=1", "source.kind=thermal"):
             assert used in line
 
 
@@ -771,7 +787,7 @@ def test_cmd_analyze_rejects_sidecar_raster_off_the_csv_grid(tmp_path, capsys):
     rc = cli.main(["analyze", "--scan", str(out / "scan.csv"), "--out", str(tmp_path / "r")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "5x7 grid" in err and "scan grid is 6x8" in err
+    assert "scan.superpixel=5: " in err and "5x7 grid" in err and "scan grid is 6x8" in err
 
 
 @pytest.mark.parametrize(
@@ -780,7 +796,7 @@ def test_cmd_analyze_rejects_sidecar_raster_off_the_csv_grid(tmp_path, capsys):
         ("source.kind", "thermla"),
         ("derived.bins_per_block", "0"),
         ("derived.bins_per_block", "abc"),
-        ("scan.trigger_mode", "coincidnce"),
+        ("derived.bins_per_block", "2048"),  # beyond what a thermal scan draws
     ],
 )
 def test_cmd_analyze_rejects_sidecar_value_it_cannot_read(tmp_path, capsys, key, value):

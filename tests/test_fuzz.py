@@ -174,7 +174,7 @@ def test_a_mutated_scan_row_names_its_file_and_line(smoke_scan, row, field, valu
 @FUZZ
 @given(
     key=st.sampled_from(["grid.width", "grid.height", "scan.superpixel", "mask.region",
-                         "source.kind", "scan.trigger_mode", "derived.bins_per_block",
+                         "source.kind", "derived.bins_per_block",
                          "derived.n_rows", "derived.n_cols", "scenario"]),
     value=MALFORMED_OR_HUGE,
 )

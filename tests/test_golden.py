@@ -13,7 +13,6 @@ replaces the table with it and names each changed entry.
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +132,6 @@ def _run_all(capsys, laws: list) -> dict:
 
 def test_outputs_keep_their_golden_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name in [name for name in os.environ if name.startswith("QVAMPIRE_")]:
-        monkeypatch.delenv(name)  # a config override would change the runs
     laws, tile_laws = [], montecarlo._tile_laws
 
     def recorded(*args):

@@ -183,8 +183,6 @@ def test_scan_config_validation():
     with pytest.raises(ConfigMismatch):
         mc.ScanConfig(mask=mask, seed=1, superpixel=0)
     with pytest.raises(ConfigMismatch):
-        mc.ScanConfig(mask=mask, seed=1, trigger_mode="gated")
-    with pytest.raises(ConfigMismatch):
         mc.ScanConfig(mask=mask, seed=1, dwell=1e-9)
     with pytest.raises(ConfigMismatch):
         mc.ScanConfig(
@@ -332,7 +330,7 @@ def gaussian_1024_scan(threads=1):
         nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
     )
     scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
-                      trigger_mode=mc.SINGLES, threads=threads)
+                      threads=threads)
     return src, scan
 
 
@@ -907,7 +905,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     )
     threads = 2
     scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
-                      trigger_mode=mc.SINGLES, threads=threads)
+                      threads=threads)
     chunk_bytes = bt.TABLE_ROW_NODES * (mc.MAX_BINS_PER_BLOCK + 1) * 8
     table_bytes = (mc.MAX_BINS_PER_BLOCK + 1) ** 2 * 8
     power = prof.power()
@@ -971,16 +969,6 @@ def test_no_heralds_raises():
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     res = mc.run_scan(src, small_scan(spatial.make_mask("white", 16, 12)))
     with pytest.raises(QVampireError, match="zero herald counts"):
-        mc.conditional_profile_mc(res)
-
-
-def test_conditional_profile_requires_coincidence_mode():
-    prof = flat_profile()
-    src = mc.SourceConfig(nbar=1.0, profile=prof)
-    region = np.ones((12, 16), dtype=bool)
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3, region=region)
-    res = mc.run_scan(src, small_scan(mask, trigger_mode=mc.SINGLES))
-    with pytest.raises(ConfigMismatch):
         mc.conditional_profile_mc(res)
 
 

@@ -209,3 +209,60 @@ def test_traced_benchmark_worker_runs(tmp_path, workload):
     res = json.loads(result.read_text(encoding="utf-8"))
     assert res["exit_codes"] and not any(res["exit_codes"])
     assert res["check"]["failed"] == 0, res["check"]["problems"]
+
+
+# a small scan, and per config key a value that must change its scan.csv; a
+# profile key of another kind than the default names that kind
+CONFIG_BASE = {
+    "scenario": "subtraction", "grid.width": "16", "grid.height": "12",
+    "mask.region": "rect:4,3,8,6", "scan.superpixel": "4", "scan.dwell": "1.2e-05",
+    "scan.seed": "1",
+}
+CONFIG_CHANGES = {
+    "scenario": "initial",
+    "grid.width": "20",
+    "grid.height": "16",
+    "profile.kind": "gaussian",
+    "profile.cx": "5",
+    "profile.cy": "4",
+    "profile.rx": "4",
+    "profile.ry": "3",
+    "profile.ring_gain": "3",
+    "profile.sigma_x": ("2", "gaussian"),
+    "profile.sigma_y": ("2", "gaussian"),
+    "mask.region": "rect:0,0,8,6",
+    "mask.contrast": "0.9",
+    "mask.herald_target": "0.05",
+    "source.nbar": "2",
+    "source.kind": "coherent",
+    "source.coherence_time": "2e-07",
+    "scan.superpixel": "3",
+    "scan.dwell": "6e-06",
+    "scan.bins_cap": "500",
+    "scan.seed": "2",
+    "detector.bin_width": "2.4e-08",
+    "detector.herald.efficiency": "0.3",
+    "detector.herald.dark_prob": "0.01",
+    "detector.camera.efficiency": "0.3",
+    "detector.camera.dark_prob": "0.01",
+}
+# byte-identical at any thread count by design; ROADMAP item 6 deletes the key
+SAME_SCAN_KEYS = {"scan.threads"}
+
+
+def test_every_config_key_changes_a_scan(tmp_path):
+    from qvampire import config, montecarlo as mc
+
+    def scan_csv(cfg):
+        scenario = config.build_scenario(cfg)
+        path = tmp_path / "scan.csv"
+        mc.save_scan_csv(path, mc.run_scan(scenario.source, scenario.scan))
+        return path.read_bytes()
+
+    assert set(config.DEFAULTS) - SAME_SCAN_KEYS == set(CONFIG_CHANGES)
+    kinds = ("uniform_ellipse_with_ring", "gaussian")
+    bases = {kind: {**CONFIG_BASE, "profile.kind": kind} for kind in kinds}
+    scans = {kind: scan_csv(base) for kind, base in bases.items()}
+    for key, change in CONFIG_CHANGES.items():
+        value, kind = change if isinstance(change, tuple) else (change, kinds[0])
+        assert scan_csv({**bases[kind], key: value}) != scans[kind], key

@@ -22,6 +22,17 @@ def test_recombination_unitary_on_supported_blocks():
     assert np.abs(gram - np.eye(len(cols))).max() < 1e-12
 
 
+def test_recombination_unitary_builds_only_the_blocks_it_keeps(monkeypatch):
+    # its columns n + m >= d are zero, so no truncated block N >= d is built
+    _clear_caches()
+    built, hop = [], fock._hop_eigenbasis
+    monkeypatch.setattr(fock, "_hop_eigenbasis", lambda d, total: built.append(total) or hop(d, total))
+    d = 8
+    w = verify.recombination_unitary(0.6, d)
+    assert sorted(built) == list(range(d))
+    assert not w[:, np.add.outer(np.arange(d), np.arange(d)).ravel() >= d].any()
+
+
 def test_split_isometry_matches_binomial_expansion():
     d = 8
     c_a = 0.6
