@@ -142,7 +142,10 @@ def flatness_test(rmap: RatioMap) -> FlatnessResult:
     r = rmap.ratio[use]
     s = rmap.sigma[use]
     if r.size < 2:
-        raise QVampireError("flatness test needs at least two superpixels")
+        excluded = f"{use.size - use.sum()} of {use.size}"
+        raise QVampireError(f"flatness test needs at least two superpixels, but excluded "
+                            f"{excluded} for a zero camera rate or a camera-rate relative "
+                            f"error above SIGNAL_FLOOR_RELERR={SIGNAL_FLOOR_RELERR}")
     w = 1.0 / s**2
     best = float((w * r).sum() / w.sum())
     chi2 = float((w * (r - best) ** 2).sum())

@@ -245,8 +245,8 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
                 named = _given(merged, "mask.herald_target", "mask.region")
                 raise ConfigMismatch(f"{named}: the target is out of reach: {exc}") from None
             if asked not in (None, contrast):  # a sidecar echoes the solved contrast
-                raise ConfigMismatch(f"mask.contrast={asked!r}, but mask.herald_target={target!r} "
-                                     f"solves contrast {contrast!r}")
+                named = _given(merged, "mask.contrast", "mask.herald_target")
+                raise ConfigMismatch(f"{named}: the target solves contrast {contrast!r}")
         else:
             contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
             if not 0.0 <= contrast <= 1.0:
@@ -266,8 +266,11 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     with _keyed(merged, *(f"scan.{name}" for name in fields), "detector.bin_width"):
         values = {name: cfg[f"scan.{name}"] for name in fields}
         scan = ScanConfig(mask, **detectors, **values)
-    derived = derived_settings(source, scan) if given else {}
-    for key, value in sorted(given.items()):
-        if read_value(key, value) != (want := derived[key.partition(".")[2]]):
-            raise ConfigMismatch(f"{key}={value}, but the config derives {want}")
-    return ScenarioConfig(scenario, source, scan, merged)
+    built = ScenarioConfig(scenario, source, scan, merged)
+    if given:
+        built.check_blocks()  # before derived_settings makes it, so the error names its keys
+        derived = derived_settings(source, scan)
+        for key, value in sorted(given.items()):
+            if read_value(key, value) != (want := derived[key.partition(".")[2]]):
+                raise ConfigMismatch(f"{key}={value}, but the config derives {want}")
+    return built

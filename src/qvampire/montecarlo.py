@@ -9,13 +9,14 @@ into the currently open superpixel; on/off clicks are independent given
 the field, and same-bin herald+camera clicks feed the coincidence counter.
 
 Every superpixel owns a counter-based Philox substream keyed by
-(seed, superpixel index), so results are bit-identical no matter how the
-raster is scheduled or parallelized.  Each draw thread keeps one Philox
-generator and resets it to the start of a tile's substream before the
-tile, which draws what a generator built for that key alone would.  A tile's
-three totals are its cell of the scan's count grids; its full coherence
-blocks are i.i.d., so it is drawn as a mixture rather than block by block
-(Devroye, Non-Uniform Random Variate Generation, 1986, ch. III):
+(seed, superpixel index), so results do not depend on the order the tiles
+are drawn in.  A scan draws them in index order on the calling thread with
+one Philox generator, reset to the start of a tile's substream before the
+tile, which draws what a generator built for that key alone would;
+``scan.threads`` is accepted and echoed but draws nothing in parallel, and
+ROADMAP item 2 removes it.  A tile's three totals are its cell of the
+scan's count grids; its full coherence blocks are i.i.d., so it is drawn
+as a mixture rather than block by block (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III):
 
 - A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
   whose camera and herald marginals and mixed click moments must agree
@@ -41,7 +42,6 @@ outcome rows at the rule's nodes once.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -115,7 +115,7 @@ class ScanConfig:
     bins_cap: int = 1_000_000
     herald_detector: DetectorConfig = field(default_factory=DetectorConfig)
     camera_detector: DetectorConfig = field(default_factory=DetectorConfig)
-    threads: int = 1
+    threads: int = 1  # checked and echoed; a scan draws on the calling thread
 
     def __post_init__(self):
         if self.superpixel < 1:
@@ -340,7 +340,7 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
 # the scan itself
 
 
-# a fresh Philox's counter and buffer: a draw thread's generator is reset to
+# a fresh Philox's counter and buffer: the scan's one generator is reset to
 # them, with the tile's key, before each tile
 _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 _PHILOX_ZEROS.setflags(write=False)
@@ -421,39 +421,14 @@ def _simulate_tile(gen: np.random.Generator, seed: int, index: int, law: _TileLa
     return int(both + cam_only), int(both + her_only), int(both)
 
 
-def _run_chunks(work, chunks) -> None:
-    """``work(chunk)`` for each chunk: the first on the calling thread, each
-    other on a thread of its own.  Returns once all have ended; the calling
-    thread's exception, else the first a thread raised, is raised then."""
-    errors = []
-
-    def guarded(chunk):
-        try:
-            work(chunk)
-        except BaseException as exc:  # handed to the caller, which raises it
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(chunk,)) for chunk in chunks[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        work(chunks[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     """Raster-scan the camera superpixel over the masked beam.
 
-    Deterministic for a fixed (seed, config) at any thread count: each
-    superpixel draws from its own keyed Philox substream.  In a scan only the
-    camera weight varies, so the rules of all distinct weights are checked in
-    one call.  Then ``scan.threads`` draw threads, the calling thread first,
-    draw the tiles, one contiguous chunk a thread.  Each builds one Philox
-    generator and re-keys it to (seed, index) before each tile.
+    Deterministic for a fixed (seed, config): each superpixel draws from its
+    own keyed Philox substream.  In a scan only the camera weight varies, so
+    the rules of all distinct weights are checked in one call.  Then the tiles
+    are drawn in index order on the calling thread by one Philox generator,
+    re-keyed to (seed, index) before each tile.  ``scan.threads`` goes unread.
     """
     profile = src.profile
     derived = derived_settings(src, scan)
@@ -464,20 +439,10 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     distinct = list(dict.fromkeys(w_cams))
     dets = (scan.camera_detector, scan.herald_detector)
     law_of = dict(zip(distinct, _tile_laws(distinct, derived["r_eff2"], src, *dets, n_bins, bpb)))
-    n = len(tiles)
-    threads = min(scan.threads, n)  # a thread draws one chunk of at least one tile
-    chunks = [range(n * t // threads, n * (t + 1) // threads) for t in range(threads)]
+    gen = np.random.Generator(np.random.Philox(0))  # any key: each tile re-keys it
     # camera, herald and coincidence totals; row-major tiles index the flattened grid
-    totals = np.empty((3, n), dtype=np.int64)
-
-    def draw(chunk):
-        # any key: each tile re-keys it
-        gen = np.random.Generator(np.random.Philox(0))
-        for i in chunk:
-            totals[:, i] = _simulate_tile(gen, scan.seed, i, law_of[w_cams[i]])
-
-    _run_chunks(draw, chunks)
-
+    totals = np.array([_simulate_tile(gen, scan.seed, i, law_of[w_cam])
+                       for i, w_cam in enumerate(w_cams)], dtype=np.int64).T
     # what analysis reads back; build_scenario's echo holds the rest of the config
     echo = {
         "source.kind": src.kind,

@@ -149,7 +149,7 @@ def test_flatness_needs_two_points():
     rm = analysis.RatioMap(
         ratio=np.array([[1.0, 1.0]]), sigma=np.array([[0.1, np.inf]]), tags=tags
     )
-    with pytest.raises(QVampireError, match="needs at least two superpixels"):
+    with pytest.raises(QVampireError, match="needs at least two superpixels, but excluded 1 of 2 "):
         analysis.flatness_test(rm)
 
 

@@ -188,6 +188,9 @@ NO_POWER = {"mask.region": "all", "mask.contrast": "1", "mask.herald_target": No
                     id="unreachable-herald-target"),
        pytest.param("scan", {"mask.contrast": "2", "mask.herald_target": None},
                     id="mask.contrast-2"),
+       # a contrast beside a herald target must be the one the target solves
+       pytest.param("scan", {"mask.contrast": "0.9", "mask.herald_target": "0.013"},
+                    id="contrast-beside-herald-target"),
        pytest.param("scan", NO_POWER, id="opaque-mask"),
        pytest.param("profile", NO_POWER, id="profile-opaque-mask")],
 )
@@ -367,6 +370,24 @@ def test_cmd_scan_rejects_sidecar_with_edited_derived_value(tmp_path, capsys):
     assert "derived.n_bins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scan", "profile"])
+def test_a_fed_back_sidecar_names_the_keys_of_its_coherence_block(tmp_path, capsys, command):
+    # the derived.* lines make build_scenario derive the block, which must
+    # name its keys as a scan's own block check does
+    out = tmp_path / "first"
+    assert cli.main(["scan", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    echo = mc.load_sidecar(out / "scan.cfg")
+    assert "derived.bins_per_block" in echo
+    mc.save_sidecar(tmp_path / "fed.cfg", {**echo, "source.coherence_time": "1e-09"})
+    capsys.readouterr()
+    rc = cli.main([command, "--config", str(tmp_path / "fed.cfg"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qvampire: source.coherence_time='1e-09', detector.bin_width='1.2e-08': "
+        "coherence_time must be at least one bin_width\n"
+    )
+
+
 def test_cmd_scan_thread_count_does_not_change_bytes(tmp_path):
     outs = []
     for threads in (1, 4):
@@ -463,8 +484,8 @@ def test_cmd_scan_takes_a_contrast_beside_a_herald_target_only_as_solved(tmp_pat
     assert runs == {"alone": 0, "solved": 0, "other": 1}
     assert (tmp_path / "alone" / "scan.csv").read_bytes() == (
         tmp_path / "solved" / "scan.csv").read_bytes()
-    assert err == (f"qvampire: mask.contrast=0.9, but mask.herald_target=0.013 "
-                   f"solves contrast {solved}\n")
+    assert err == (f"qvampire: mask.contrast='0.9', mask.herald_target='0.013': "
+                   f"the target solves contrast {solved}\n")
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ oracles via a sampler that draws every coherence block on its own."""
 import dataclasses
 import itertools
 import math
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -812,26 +811,27 @@ def test_determinism_across_thread_counts():
     assert (results[0][mc.COUNTS.index("n_bins")] == long_bins).all()
 
 
-def test_a_scan_starts_no_more_draw_threads_than_tiles(monkeypatch):
-    # 16x12 pixels at superpixel 8 tile 2x2: three threads besides the caller's
+def test_a_scan_starts_no_thread_at_any_thread_count(monkeypatch):
+    # scan.threads is checked and echoed, but every tile is drawn on the
+    # calling thread: 48 tiles at threads=16 start no thread and draw the
+    # grids of threads=1
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
-    started = []
+    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3,
+                             region=spatial.rect_region(16, 12, 4, 4, 6, 4))
+    reference = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=1)))
 
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def start(self):
+        raise AssertionError("a scan started a thread")
 
-    monkeypatch.setattr(threading, "Thread", Thread)
-    mask = spatial.make_mask("white", 16, 12)
-    result = mc.run_scan(src, small_scan(mask, superpixel=8, threads=16))
-    assert len(result.records) == 4 and len(started) == 3
+    monkeypatch.setattr(threading.Thread, "start", start)
+    grids = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=16)))
+    assert grids[0].size == 48 and np.array_equal(grids, reference)
 
 
 @pytest.mark.parametrize("failing", [0, 47], ids=["calling-thread", "worker"])
 def test_a_tile_error_reaches_the_caller_after_every_thread_ends(monkeypatch, failing):
-    # 48 tiles on three threads: tile 0 is the calling thread's, tile 47 the
-    # last worker's
+    # 48 tiles at threads=3: the first tile's error or the last's reaches the
+    # caller, with no thread left running
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
     mask = spatial.make_mask("white", 16, 12)
     scan = small_scan(mask, superpixel=2, threads=3)
@@ -847,23 +847,6 @@ def test_a_tile_error_reaches_the_caller_after_every_thread_ends(monkeypatch, fa
     with pytest.raises(FloatingPointError, match=f"tile {failing}$"):
         mc.run_scan(src, scan)
     assert threading.active_count() == before
-
-
-def test_draw_threads_lose_no_tile_under_fast_switching():
-    # eight draw threads on two cores write their totals into one array; with
-    # the interpreter switching threads every microsecond a lost or misplaced
-    # write would change a cell
-    src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3,
-                             region=spatial.rect_region(16, 12, 4, 4, 6, 4))
-    reference = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=1)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        grids = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=8)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(grids, reference)
 
 
 def test_run_scan_builds_each_distinct_table_once(monkeypatch):
@@ -896,7 +879,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     # blocks of 1024 bins on an off-centre gaussian: each of the 12 tiles
     # checks its own rule.  The check holds a level's binomial rows one chunk
     # of TABLE_ROW_NODES x (s+1) cells (3.1 MB) at a time and a tile's draw
-    # holds none, so at any thread count a scan stays under two chunks, less
+    # holds none, so a scan, at threads=2 too, stays under two chunks, less
     # than one 8.4 MB (s+1)^2 table
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)

@@ -246,7 +246,8 @@ CONFIG_CHANGES = {
     "detector.camera.efficiency": "0.3",
     "detector.camera.dark_prob": "0.01",
 }
-# byte-identical at any thread count by design; ROADMAP item 6 deletes the key
+# checked and echoed, but a scan draws on the calling thread at any value; ROADMAP
+# item 2 deletes the key
 SAME_SCAN_KEYS = {"scan.threads"}
 
 
