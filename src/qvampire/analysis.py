@@ -198,6 +198,9 @@ def shadow_depth(rmap: RatioMap) -> tuple[float, float]:
 
     m_in, s_in = wmean(inside)
     m_out, s_out = wmean(outside)
+    if m_out == 0.0:  # not NaN: with no z, an all-zero map would read as flat
+        raise QVampireError(f"the {outside.sum()} usable superpixels outside the region all "
+                            f"have ratio 0, so the shadow depth 1 - inside/outside is undefined")
     depth = 1.0 - m_in / m_out
     s_depth = math.sqrt((s_in / m_out) ** 2 + (m_in * s_out / m_out**2) ** 2)
     return depth, depth / s_depth

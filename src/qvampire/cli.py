@@ -74,17 +74,12 @@ def cmd_scan(args) -> int:
     _, scenario = _load_scenario(args)
     out = _outdir(args)
     scenario.check_blocks()  # before run_scan makes it, so the error names its keys
-    held, cap = qv.montecarlo._dwell_bins(scenario.scan), scenario.scan.bins_cap
-    if held > cap:
-        dwell, given = scenario.echo["scan.dwell"], scenario.echo["scan.bins_cap"]
-        print(f"scan: scan.bins_cap={given!r} cuts scan.dwell={dwell!r} from {held:.0f} to "
-              f"{cap} bins a superpixel", file=sys.stderr)
     result = qv.montecarlo.run_scan(scenario.source, scenario.scan)
     echo = dict(scenario.echo)
     echo.update(result.config)
     qv.montecarlo.save_scan_csv(out / "scan.csv", result)
     qv.montecarlo.save_sidecar(out / "scan.cfg", echo)
-    total = result.grid("camera_counts").sum()
+    total = sum(result.grid("camera_counts").ravel().tolist())  # an int64 sum could wrap
     print(
         f"scan complete: {result.n_rows}x{result.n_cols} superpixels, "
         f"seed={scenario.scan.seed}, camera_counts={total}"
@@ -107,10 +102,10 @@ def _values(option: str, text: str, read) -> list:
 def cmd_verify(args) -> int:
     specs = _split_list(args.states)
     split = qv.verify.SplitConfig  # checks each option's values with the others held valid
-    cas = _values("--ca", args.ca, lambda v: split(float(v), 0.0).c_a)
-    rs = _values("--r", args.r, lambda v: split(0.0, float(v)).r)
+    cas = _values("--ca", args.ca, lambda v: split(float(v), 1.0).c_a)
+    rs = _values("--r", args.r, lambda v: split(1.0, float(v)).r)
     models = qv.verify.OPERATOR if args.models is None else args.models
-    models = _values("--models", models, lambda v: split(0.0, 0.0, v).herald_model)
+    models = _values("--models", models, lambda v: split(1.0, 1.0, v).herald_model)
     nmax = qv.verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
     if not specs or not cas or not rs or not models:
         print("verify: empty sweep (need states, ca, r and models)", file=sys.stderr)

@@ -112,7 +112,7 @@ class ScanConfig:
     seed: int
     superpixel: int = 11
     dwell: float = 0.010
-    bins_cap: int = 1_000_000
+    bins_cap: int = 1_000_000  # checked and echoed; a scan draws the dwell's whole bins
     herald_detector: DetectorConfig = field(default_factory=DetectorConfig)
     camera_detector: DetectorConfig = field(default_factory=DetectorConfig)
     threads: int = 1  # checked and echoed; a scan draws on the calling thread
@@ -122,10 +122,10 @@ class ScanConfig:
             raise ConfigMismatch("superpixel side must be at least 1")
         if self.herald_detector.bin_width != self.camera_detector.bin_width:
             raise ConfigMismatch("detectors must share one time-bin width")
-        if not self.herald_detector.bin_width <= self.dwell < math.inf:
-            raise ConfigMismatch(
-                f"dwell must be finite and at least one bin_width, got {self.dwell!r}"
-            )
+        # the whole bins derived_settings takes; a subnormal bin_width gives inf
+        if not 1.0 <= self.dwell / self.bin_width + 1e-9 < 2**63:
+            raise ConfigMismatch(f"dwell must be at least one bin_width and hold fewer than "
+                                 f"2**63 bins, got {self.dwell!r}")
         if self.bins_cap < 1 or self.threads < 1:
             raise ConfigMismatch("bins_cap and threads must be positive")
         if not 0 <= self.seed < 2**64:
@@ -314,12 +314,6 @@ def superpixel_tiles(height: int, width: int, superpixel: int):
     return n_rows, n_cols, tiles
 
 
-def _dwell_bins(scan: ScanConfig) -> float:
-    """The whole bins the dwell holds; a float, so a subnormal bin_width gives inf, not
-    an ``int()`` overflow.  A scan draws at most ``scan.bins_cap`` of them."""
-    return np.floor(scan.dwell / scan.bin_width + 1e-9)
-
-
 def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
     """What a scan computes from its config; its sidecar echoes each as ``derived.<name>``."""
     profile, mask = src.profile, scan.mask
@@ -327,8 +321,8 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
         raise ConfigMismatch("profile and mask grids differ")
     n_rows, n_cols = _grid_shape(profile.height, profile.width, scan.superpixel)
     return {
-        # at least one bin: ScanConfig holds the dwell to one bin and bins_cap to 1
-        "n_bins": int(min(_dwell_bins(scan), scan.bins_cap)),
+        # the dwell's whole bins: ScanConfig holds them to [1, 2**63)
+        "n_bins": int(scan.dwell / scan.bin_width + 1e-9),
         "bins_per_block": bins_per_block(src, scan.herald_detector),
         "r_eff2": reduce(profile, mask).r_eff ** 2,
         "n_rows": n_rows,

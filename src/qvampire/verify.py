@@ -64,17 +64,17 @@ STATE_FORMS = "thermal:<nbar>, coherent:<alpha> or fock:<n>"
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Sub-mode power split, tap reflectivity, and herald model."""
+    """Sub-mode power split and tap reflectivity, each in (0, 1], and herald model."""
 
     c_a: float
     r: float
     herald_model: str = OPERATOR
 
     def __post_init__(self):
-        if not 0.0 <= self.c_a <= 1.0:
-            raise ValueError(f"c_a must lie in [0, 1], got {self.c_a!r}")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
+        if not 0.0 < self.c_a <= 1.0:
+            raise ValueError(f"c_a must lie in (0, 1], got {self.c_a!r}")
+        if not 0.0 < self.r <= 1.0:
+            raise ValueError(f"r must lie in (0, 1], got {self.r!r}")
         if self.herald_model not in HERALD_MODELS:
             raise ValueError(f"herald_model {self.herald_model!r} is not one of {HERALD_MODELS}")
 
@@ -246,9 +246,12 @@ def parse_state(spec: str, nmax: int) -> DensityMatrix:
     except (KeyError, ValueError):
         raise QVampireError(f"state spec {spec!r}: expected {STATE_FORMS}") from None
     try:
-        return make(number, nmax)
-    except (QVampireError, ValueError) as exc:  # a value out of the maker's range
+        rho = make(number, nmax)
+        if (mean := rho.mean_photons()) < VACUUM_WEIGHT_FLOOR:  # no photon to subtract
+            raise QVampireError(f"mean photon number {mean:.3e} below {VACUUM_WEIGHT_FLOOR}")
+    except (QVampireError, ValueError) as exc:  # a value out of range
         raise QVampireError(f"state spec {spec!r}: {exc}") from None
+    return rho
 
 
 def sweep(states, splits):
@@ -260,7 +263,11 @@ def sweep(states, splits):
     for label, rho in states:
         direct, _ = fock.subtract_photon(rho)
         for split in splits:
-            res = regional_subtraction(rho, split)
+            try:
+                res = regional_subtraction(rho, split)
+            except QVampireError as exc:  # named by its case, as cli prints one
+                case = f"{label} c_A={split.c_a} r={split.r} {split.herald_model}"
+                raise QVampireError(f"case {case}: {exc}") from None
             fid = fock.fidelity(res.state, direct)
             if split.herald_model == OPERATOR:
                 margin = fid - FIDELITY_FLOOR

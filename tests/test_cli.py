@@ -223,20 +223,61 @@ def test_a_grid_too_large_to_allocate_names_its_keys(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "settings, held, cap",
-    [("scan.dwell=0.5", "41666666", "1000000"),  # of 12 ns bins, at the default cap
-     ("scan.dwell=0.096\nscan.bins_cap=8000000", "", ""),  # scan_desk: exactly at its cap
-     ("scan.bins_cap=9999", "10000", "9999"),  # the smoke dwell, one bin over
-     ("scan.bins_cap=10000", "", ""),
-     ("detector.bin_width=5e-324\nsource.kind=coherent", "inf", "1000000")],
-    ids=["cut", "scan_desk", "cut_by_one", "at_the_cap", "subnormal_bin"],
+    "settings, bins",
+    [("scan.dwell=0.5", 41_666_666),  # of 12 ns bins, 41.7 times the default cap
+     ("scan.dwell=0.096\nscan.bins_cap=8000000", 8_000_000),  # scan_desk: at its cap
+     ("scan.bins_cap=9999", 10_000),  # the smoke dwell, one bin over the cap
+     ("scan.bins_cap=10000", 10_000)],
+    ids=["cut", "scan_desk", "cut_by_one", "at_the_cap"],
 )
-def test_cmd_scan_says_when_the_bin_cap_cuts_the_dwell(tmp_path, capsys, settings, held, cap):
+def test_cmd_scan_draws_the_whole_dwell_past_the_bin_cap(tmp_path, capsys, settings, bins):
     cfg = write_config(tmp_path, SMOKE_CONFIG + settings)  # a later line overrides
-    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
-    dwell = mc.load_sidecar(tmp_path / "s" / "scan.cfg")["scan.dwell"]
-    rule = f"scan.bins_cap={cap!r} cuts scan.dwell={dwell!r} from {held} to {cap} bins"
-    assert capsys.readouterr().err == (f"scan: {rule} a superpixel\n" if held else "")
+    out = tmp_path / "s"
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert mc.load_sidecar(out / "scan.cfg")["derived.n_bins"] == str(bins)
+    assert (np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1)[:, 2] == bins).all()
+
+
+@pytest.mark.parametrize(
+    "settings, given",
+    [("scan.dwell=1e12", "scan.dwell='1e12', detector.bin_width='1.2e-08'"),
+     ("detector.bin_width=5e-324\nsource.kind=coherent",
+      "scan.dwell='0.00012', detector.bin_width='5e-324'")],
+    ids=["past_int64", "subnormal_bin"],
+)
+def test_cmd_scan_refuses_a_dwell_of_2_63_bins(tmp_path, capsys, settings, given):
+    cfg = write_config(tmp_path, SMOKE_CONFIG + settings)
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    dwell = float(given.split("'")[1])
+    assert capsys.readouterr().err == (
+        f"qvampire: {given}: dwell must be at least one bin_width and hold fewer than "
+        f"2**63 bins, got {dwell!r}\n"
+    )
+    assert not (tmp_path / "s").exists()
+
+
+def test_cmd_scan_totals_camera_counts_past_int64(tmp_path, capsys):
+    # four tiles of 8.3e18 bins whose camera counts sum past 2**63
+    cfg = write_config(tmp_path, """
+scenario=subtraction
+grid.width=8
+grid.height=8
+profile.kind=uniform_ellipse
+mask.region=rect:0,0,4,4
+mask.contrast=0.3
+source.kind=coherent
+source.nbar=1000
+scan.superpixel=4
+scan.dwell=1e11
+scan.seed=1
+""")
+    out = tmp_path / "s"
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    counts = np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1, dtype=np.int64)[:, 3]
+    total = sum(counts.tolist())
+    assert total >= 2**63
+    assert capsys.readouterr().out.endswith(f"camera_counts={total}\n")
 
 
 def test_a_bin_count_beyond_int64_is_rejected_before_the_scan():
@@ -596,7 +637,9 @@ def test_cmd_verify_empty_sweep_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--states", "thermal:0.5,fock:1,bogus:1"), ("--ca", "0.5,1.5"), ("--r", "0.1,-0.2"),
-     ("--models", "operator,bogus")],
+     ("--models", "operator,bogus"),
+     # no photon to subtract, or none that reaches the herald
+     ("--states", "thermal:1,fock:0"), ("--ca", "0.5,0"), ("--r", "0.1,0")],
 )
 def test_cmd_verify_checks_the_whole_sweep_before_the_first_case(tmp_path, capsys, flag, value):
     out = tmp_path / "v"
@@ -611,8 +654,8 @@ def test_cmd_verify_checks_the_whole_sweep_before_the_first_case(tmp_path, capsy
 @pytest.mark.parametrize(
     "option, value, rule",
     [("--ca", "x", "could not convert string to float: 'x'"),
-     ("--ca", "2", "c_a must lie in [0, 1], got 2.0"),
-     ("--r", "0.1,-0.2", "r must lie in [0, 1], got -0.2"),
+     ("--ca", "2", "c_a must lie in (0, 1], got 2.0"),
+     ("--r", "0.1,-0.2", "r must lie in (0, 1], got -0.2"),
      ("--models", "foo", "herald_model 'foo' is not one of ('operator', 'click_povm')")],
 )
 def test_cmd_verify_names_the_option_of_a_bad_value(tmp_path, capsys, option, value, rule):
@@ -635,8 +678,11 @@ def test_cmd_verify_bad_state_spec_names_the_spec_and_its_forms(tmp_path, capsys
     [
         (["--states", "thermal:-1"], "state spec 'thermal:-1': nbar must be non-negative"),
         (["--nmax", "0"], "--nmax must be at least 1, got 0"),  # blames no state spec
+        # no photon to subtract
+        (["--states", "thermal:1e-20"],
+         "state spec 'thermal:1e-20': mean photon number 1.000e-20 below 1e-14"),
     ],
-    ids=["state", "nmax"],
+    ids=["state", "nmax", "vacuum"],
 )
 def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys, option, message):
     rc = cli.main(["verify", "--out", str(tmp_path / "v"), *option])
@@ -644,6 +690,18 @@ def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys, option, 
     assert rc == 1
     assert err == f"qvampire: {message}\n"
     assert not (tmp_path / "v").exists()
+
+
+def test_cmd_verify_names_the_case_an_error_stops(tmp_path, capsys):
+    # a positive r too small for the herald passes the parse but fails its case
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", "fock:2",
+                   "--ca", "0.5", "--r", "0.1,1e-20", "--nmax", "8"])
+    printed = capsys.readouterr()
+    assert rc == 1
+    assert printed.out.startswith("PASS fock:2 c_A=0.5 r=0.1 operator: ")
+    assert printed.err.startswith("qvampire: case fock:2 c_A=0.5 r=1e-20 operator: herald weight ")
+    assert printed.err.count("\n") == 1
+    assert not (tmp_path / "v" / "verify.csv").exists()
 
 
 def test_cmd_verify_breach_exits_two(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ oracles via a sampler that draws every coherence block on its own."""
 import dataclasses
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -624,14 +625,32 @@ def test_coherence_block_beyond_table_cap_rejected():
 
 
 def test_a_ratio_past_float_range_is_capped_before_int():
-    # dwell / bin_width and coherence_time / bin_width overflow to inf
-    scenario = config.build_scenario({"scan.dwell": "1e308", "scan.seed": "1"})
-    assert mc.derived_settings(scenario.source, scenario.scan)["n_bins"] == 1_000_000
+    # dwell / bin_width and coherence_time / bin_width overflow to inf: a scan
+    # refuses the dwell, naming both keys, and the block is capped
+    rule = "hold fewer than 2**63 bins"
+    for given in ({"scan.dwell": "1e308"}, {"detector.bin_width": "5e-324"}):
+        with pytest.raises(ConfigMismatch, match=re.escape(rule)) as caught:
+            config.build_scenario({**given, "source.kind": "coherent", "scan.seed": "1"})
+        assert str(caught.value).startswith("scan.dwell='")
+        assert "detector.bin_width='" in str(caught.value)
     det = mc.DetectorConfig(bin_width=5e-324)
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), kind=mc.COHERENT)
     assert mc.bins_per_block(src, det) == 2**63 - 1
     with pytest.raises(ConfigMismatch, match="outcome table"):
         mc.bins_per_block(dataclasses.replace(src, kind=mc.THERMAL), det)
+
+
+def test_a_dwell_holds_fewer_than_2_63_bins():
+    # one-second bins: the float below 2**63 is drawn whole, 2**63 itself refused
+    mask = spatial.make_mask("white", 16, 12)
+    det = mc.DetectorConfig(bin_width=1.0)
+    below = math.nextafter(2.0**63, 0)
+    scan = small_scan(mask, dwell=below, herald_detector=det, camera_detector=det)
+    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=1.0, kind=mc.COHERENT)
+    assert mc.derived_settings(src, scan)["n_bins"] == int(below)
+    assert (mc.run_scan(src, scan).grid("n_bins") == int(below)).all()
+    with pytest.raises(ConfigMismatch, match=re.escape("hold fewer than 2**63 bins")):
+        small_scan(mask, dwell=2.0**63, herald_detector=det, camera_detector=det)
 
 
 def test_singles_rates_match_quadrature_oracle():
@@ -799,10 +818,12 @@ def test_determinism_across_thread_counts():
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     region = spatial.rect_region(16, 12, 4, 4, 6, 4)
     mask = spatial.make_mask("vampire", 16, 12, contrast=0.3, region=region)
-    bpb = mc.bins_per_block(src, mc.DetectorConfig())
-    # tiles of many full blocks that end in a partial block
+    det = mc.DetectorConfig()
+    bpb = mc.bins_per_block(src, det)
+    # tiles of many full blocks that end in a partial block; half a bin over,
+    # so the dwell floors to long_bins whatever the rounding
     long_bins = bpb * 70_000 + 17
-    for kw in ({}, {"superpixel": 8, "dwell": 0.1, "bins_cap": long_bins}):
+    for kw in ({}, {"superpixel": 8, "dwell": (long_bins + 0.5) * det.bin_width}):
         results = [
             count_grids(mc.run_scan(src, small_scan(mask, seed=77, threads=threads, **kw)))
             for threads in (1, 4, 8)

@@ -238,7 +238,6 @@ CONFIG_CHANGES = {
     "source.coherence_time": "2e-07",
     "scan.superpixel": "3",
     "scan.dwell": "6e-06",
-    "scan.bins_cap": "500",
     "scan.seed": "2",
     "detector.bin_width": "2.4e-08",
     "detector.herald.efficiency": "0.3",
@@ -246,9 +245,9 @@ CONFIG_CHANGES = {
     "detector.camera.efficiency": "0.3",
     "detector.camera.dark_prob": "0.01",
 }
-# checked and echoed, but a scan draws on the calling thread at any value; ROADMAP
-# item 2 deletes the key
-SAME_SCAN_KEYS = {"scan.threads"}
+# checked and echoed, but a scan draws on the calling thread at any thread count and
+# the dwell's whole bins at any cap; ROADMAP item 2 deletes both keys
+SAME_SCAN_KEYS = {"scan.threads": "4", "scan.bins_cap": "500"}
 
 
 def test_every_config_key_changes_a_scan(tmp_path):
@@ -260,10 +259,12 @@ def test_every_config_key_changes_a_scan(tmp_path):
         mc.save_scan_csv(path, mc.run_scan(scenario.source, scenario.scan))
         return path.read_bytes()
 
-    assert set(config.DEFAULTS) - SAME_SCAN_KEYS == set(CONFIG_CHANGES)
+    assert set(config.DEFAULTS) - set(SAME_SCAN_KEYS) == set(CONFIG_CHANGES)
     kinds = ("uniform_ellipse_with_ring", "gaussian")
     bases = {kind: {**CONFIG_BASE, "profile.kind": kind} for kind in kinds}
     scans = {kind: scan_csv(base) for kind, base in bases.items()}
     for key, change in CONFIG_CHANGES.items():
         value, kind = change if isinstance(change, tuple) else (change, kinds[0])
         assert scan_csv({**bases[kind], key: value}) != scans[kind], key
+    for key, value in SAME_SCAN_KEYS.items():  # a key that regains an effect leaves the set
+        assert scan_csv({**bases[kinds[0]], key: value}) == scans[kinds[0]], key

@@ -130,9 +130,10 @@ def test_single_photon_regional_subtraction_gives_vacuum():
 
 
 def test_zero_reflectivity_cannot_herald():
+    # SplitConfig refuses r = 0, so the floor is met at a tiny positive r
     with pytest.raises(QVampireError, match="herald weight .* below"):
         verify.regional_subtraction(
-            fock.make_thermal(0.5, 20), verify.SplitConfig(c_a=0.5, r=0.0)
+            fock.make_thermal(0.5, 20), verify.SplitConfig(c_a=0.5, r=1e-20)
         )
     with pytest.raises(QVampireError, match="herald weight .* below"):
         verify.regional_subtraction(
@@ -223,6 +224,9 @@ def test_split_config_validation():
         verify.SplitConfig(c_a=1.5, r=0.1)
     with pytest.raises(ValueError):
         verify.SplitConfig(c_a=0.5, r=-0.1)
+    for c_a, r in ((0.0, 0.1), (0.5, 0.0)):  # no photon reaches the herald
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            verify.SplitConfig(c_a=c_a, r=r)
     with pytest.raises(ValueError):
         verify.SplitConfig(c_a=0.5, r=0.1, herald_model="photon_number")
 
