@@ -115,11 +115,10 @@ def cmd_verify(args) -> int:
     # the whole sweep is checked before its first case runs
     states = [(spec, qv.verify.parse_state(spec, nmax)) for spec in specs]
     splits = [qv.verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
-    out = _outdir(args)
-    rows, operator, breach = [], [], False  # only numbers outlive a case
+    lines, rows, operator, breach = [], [], [], False  # only text and numbers outlive a case
     for case in qv.verify.sweep(states, splits):
         split, res = case.split, case.result
-        print(
+        lines.append(
             f"{case.status} {case.label} c_A={split.c_a} r={split.r} {split.herald_model}: "
             f"fidelity={case.fidelity:.12f} herald_prob={res.herald_prob:.6e}"
         )
@@ -128,7 +127,9 @@ def cmd_verify(args) -> int:
         if case.margin is not None:  # an operator-model case
             operator.append((case.margin, res.complement_population))
         breach |= case.status == "FAIL"
-    save_csv(out / "verify.csv", VERIFY_CSV_HEADER, rows)
+    # nothing is printed or written until the whole sweep has run, so a refused case leaves neither
+    print("\n".join(lines))
+    save_csv(_outdir(args) / "verify.csv", VERIFY_CSV_HEADER, rows)
     summary = f"verify: {len(rows)} cases"
     if operator:
         margins, complements = zip(*operator)

@@ -31,13 +31,14 @@ from .spatial import (
     contrast_for_herald_rate,
     ellipse_region,
     loss_profile,
-    make_mask,
     make_profile,
+    MaskSpec,
     PROFILE_PARAMS,
     rect_region,
     reduce,
     silhouette_region,
     subtracted_profile_analytic,
+    vampire_mask,
 )
 
 _MASK_KEYS = ("mask.region", "mask.contrast", "mask.herald_target")
@@ -229,7 +230,7 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
         source = SourceConfig(profile=profile, **{key.partition(".")[2]: cfg[key] for key in keys})
 
     if scenario == "initial":
-        mask = make_mask("white", width, height)
+        mask = MaskSpec(np.ones((height, width)))
         merged["mask.contrast"] = "0.0"
     else:
         with _keyed(merged, "mask.region", "grid.width", "grid.height"):
@@ -249,11 +250,8 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
                 raise ConfigMismatch(f"{named}: the target solves contrast {contrast!r}")
         else:
             contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
-            if not 0.0 <= contrast <= 1.0:
-                named = _given(merged, "mask.contrast")
-                raise ConfigMismatch(f"{named}: contrast must lie in [0, 1]")
-        mask = make_mask("vampire", width, height, contrast, region)
         with _keyed(merged, *(key for key in _MASK_KEYS if merged[key])):  # the keys given
+            mask = vampire_mask(region, contrast)
             reduce(profile, mask)  # the mask must pass some of the beam
         merged["mask.contrast"] = repr(contrast)
 

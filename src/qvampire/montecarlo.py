@@ -317,8 +317,6 @@ def superpixel_tiles(height: int, width: int, superpixel: int):
 def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
     """What a scan computes from its config; its sidecar echoes each as ``derived.<name>``."""
     profile, mask = src.profile, scan.mask
-    if profile.amplitude.shape != mask.transmission.shape:
-        raise ConfigMismatch("profile and mask grids differ")
     n_rows, n_cols = _grid_shape(profile.height, profile.width, scan.superpixel)
     return {
         # the dwell's whole bins: ScanConfig holds them to [1, 2**63)
@@ -449,8 +447,11 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
 def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
     """Heralded camera rate (coincidences per herald) next to the singles rate."""
     heralds = result.grid("herald_counts").astype(float)
-    if (heralds <= 0).any():
-        raise QVampireError("a superpixel recorded zero herald counts")
+    empty = heralds <= 0
+    if empty.any():
+        raise QVampireError(f"{empty.sum()} of {empty.size} superpixels recorded zero herald "
+                            "counts; a longer scan.dwell, a larger mask.herald_target or "
+                            "mask.contrast, or a larger source.nbar raises the herald count")
     both = result.grid("coincidence_counts").astype(float)
     p_cond = both / heralds
     # each herald is one Bernoulli trial of a coincidence: no block term

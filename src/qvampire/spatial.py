@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import save_csv
-from .errors import QVampireError, WeakCouplingViolated
+from .errors import ConfigMismatch, QVampireError, WeakCouplingViolated
 
 NORM_TOL = 1e-12
 WEAK_COUPLING_DEFAULT = 0.2
@@ -203,29 +203,15 @@ def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
 # masks
 
 
-def make_mask(
-    kind: str,
-    width: int,
-    height: int,
-    contrast: float = 0.0,
-    region: np.ndarray | None = None,
-) -> MaskSpec:
-    """white: t = 1 everywhere.  vampire: per-pixel reflectivity = contrast
-    inside the region (t = sqrt(1 - contrast^2)), t = 1 outside."""
-    if kind == "white":
-        return MaskSpec(np.ones((height, width)))
-    if kind == "vampire":
-        if not 0.0 <= contrast <= 1.0:
-            raise ValueError("contrast must lie in [0, 1]")
-        if region is None:
-            raise ValueError("vampire mask needs a pixel region")
-        region = np.asarray(region, dtype=bool)
-        if region.shape != (height, width):
-            raise QVampireError("region shape does not match the grid")
-        t = np.ones((height, width))
-        t[region] = math.sqrt(1.0 - contrast * contrast)
-        return MaskSpec(t)
-    raise ValueError(f"unknown mask kind {kind!r}")
+def vampire_mask(region: np.ndarray, contrast: float) -> MaskSpec:
+    """Per-pixel reflectivity = contrast inside the region (t = sqrt(1 - contrast^2)),
+    t = 1 outside; the mask's grid is the region's."""
+    if not 0.0 <= contrast <= 1.0:
+        raise QVampireError("contrast must lie in [0, 1]")
+    region = np.asarray(region, dtype=bool)
+    t = np.ones(region.shape)
+    t[region] = math.sqrt(1.0 - contrast * contrast)
+    return MaskSpec(t)
 
 
 def contrast_for_herald_rate(
@@ -250,7 +236,7 @@ def contrast_for_herald_rate(
 def reduce(profile: BeamProfile, mask: MaskSpec) -> ModeReduction:
     """Collapse a (profile, mask) pair to its coupling into the heralding mode."""
     if profile.amplitude.shape != mask.transmission.shape:
-        raise QVampireError(f"profile {profile.amplitude.shape} vs mask {mask.transmission.shape}")
+        raise ConfigMismatch(f"profile {profile.amplitude.shape} vs mask {mask.transmission.shape}")
     r = mask.reflectivity()
     r_eff = math.sqrt(float((r * r * profile.power()).sum()))
     if float(((mask.transmission * profile.amplitude) ** 2).sum()) <= 0.0:

@@ -33,7 +33,7 @@ WEAK_CLICK_SCALE = 0.1  # herald operating points 1.0 and 0.13, scaled
 
 def _vampire_mask(target_herald_rate: float) -> spatial.MaskSpec:
     contrast = spatial.contrast_for_herald_rate(PROFILE, REGION, NBAR, target_herald_rate)
-    return spatial.make_mask("vampire", GRID_W, GRID_H, contrast, REGION)
+    return spatial.vampire_mask(REGION, contrast)
 
 
 def _scan(mask, seed, dwell, bins_cap=10**6):
@@ -178,7 +178,7 @@ def test_criterion_7_high_contrast_shadow():
     t0 = time.perf_counter()
     mask = _vampire_mask(1.0 * WEAK_CLICK_SCALE)
     loss = _scan(mask, seed=701, dwell=0.012)
-    initial = _scan(spatial.make_mask("white", GRID_W, GRID_H), seed=702, dwell=0.012)
+    initial = _scan(spatial.MaskSpec(np.ones((GRID_H, GRID_W))), seed=702, dwell=0.012)
     num, num_s = loss.camera_rate_map()
     den, den_s = initial.camera_rate_map()
     fracs = analysis.region_fraction_map(REGION, SUPERPIXEL, loss.n_rows, loss.n_cols)
@@ -224,7 +224,7 @@ def test_criterion_8_subtraction_no_shadow_twice_brighter():
 def test_criterion_9_mc_matches_analytic_rates():
     t0 = time.perf_counter()
     src = mc.SourceConfig(nbar=NBAR, profile=PROFILE)
-    mask = spatial.make_mask("white", GRID_W, GRID_H)
+    mask = spatial.MaskSpec(np.ones((GRID_H, GRID_W)))
     power = PROFILE.power()
     _, _, tiles = mc.superpixel_tiles(GRID_H, GRID_W, SUPERPIXEL)
     tested = 0

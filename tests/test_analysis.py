@@ -193,20 +193,35 @@ def test_shadow_detects_real_dip():
     assert z > 5.0
 
 
+# the smoke scan's geometry (8x6 superpixels of 4x4 pixels), tapped at contrast 0.3
+SMOKE_SCENE = {
+    "scenario": "subtraction", "grid.width": "32", "grid.height": "24",
+    "profile.kind": "uniform_ellipse", "profile.rx": "14", "profile.ry": "10",
+    "mask.region": "rect:11,8,10,8", "mask.contrast": "0.3",
+    "scan.superpixel": "4", "scan.dwell": "0.024", "scan.seed": "123",
+}
+
+
 def test_analyze_refuses_a_zero_outside_mean():
     # the smoke geometry at nbar 0.001 records no coincidence: a NaN z would
     # let the all-zero ratio map read as flat, NO_SHADOW
-    scenario = config.build_scenario({
-        "scenario": "subtraction", "grid.width": "32", "grid.height": "24",
-        "profile.kind": "uniform_ellipse", "profile.rx": "14", "profile.ry": "10",
-        "mask.region": "rect:11,8,10,8", "mask.contrast": "0.3", "source.nbar": "0.001",
-        "scan.superpixel": "4", "scan.dwell": "0.024", "scan.seed": "123",
-    })
+    scenario = config.build_scenario(SMOKE_SCENE | {"source.nbar": "0.001"})
     result = mc.run_scan(scenario.source, scenario.scan)
     result = dataclasses.replace(result, config=scenario.echo | result.config)
     assert result.grid("coincidence_counts").sum() == 0
     with pytest.raises(QVampireError, match="usable superpixels outside the region all have ratio 0"):
         analysis.analyze(result)
+
+
+def test_analyze_names_the_superpixels_with_no_herald_and_the_keys_that_raise_it():
+    scenario = config.build_scenario(SMOKE_SCENE | {"source.nbar": "0"})
+    result = mc.run_scan(scenario.source, scenario.scan)
+    with pytest.raises(QVampireError) as caught:
+        analysis.analyze(result)
+    assert str(caught.value) == (
+        "48 of 48 superpixels recorded zero herald counts; a longer scan.dwell, a larger "
+        "mask.herald_target or mask.contrast, or a larger source.nbar raises the herald count"
+    )
 
 
 def test_shadow_requires_both_regions():

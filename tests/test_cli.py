@@ -693,15 +693,21 @@ def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys, option, 
 
 
 def test_cmd_verify_names_the_case_an_error_stops(tmp_path, capsys):
-    # a positive r too small for the herald passes the parse but fails its case
-    rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", "fock:2",
-                   "--ca", "0.5", "--r", "0.1,1e-20", "--nmax", "8"])
-    printed = capsys.readouterr()
-    assert rc == 1
-    assert printed.out.startswith("PASS fock:2 c_A=0.5 r=0.1 operator: ")
-    assert printed.err.startswith("qvampire: case fock:2 c_A=0.5 r=1e-20 operator: herald weight ")
-    assert printed.err.count("\n") == 1
-    assert not (tmp_path / "v" / "verify.csv").exists()
+    # a positive r too small for the herald, or an n-bar of 1e-14 at the default c_A and r,
+    # passes the parse but fails its case; no line prints, not even of a case that passed
+    for argv, case in (
+        (["--states", "fock:2", "--ca", "0.5", "--r", "0.1,1e-20", "--nmax", "8"],
+         "fock:2 c_A=0.5 r=1e-20 operator: herald weight "),
+        (["--states", "thermal:1,coherent:1e-7"],
+         "coherent:1e-7 c_A=0.1 r=0.05 operator: herald weight 2.500e-19 below 1e-14\n"),
+    ):
+        rc = cli.main(["verify", "--out", str(tmp_path / "v"), *argv])
+        printed = capsys.readouterr()
+        assert rc == 1
+        assert printed.out == ""
+        assert printed.err.startswith(f"qvampire: case {case}")
+        assert printed.err.count("\n") == 1
+        assert not (tmp_path / "v" / "verify.csv").exists()
 
 
 def test_cmd_verify_breach_exits_two(tmp_path, monkeypatch, capsys):

@@ -67,6 +67,14 @@ scan.dwell=0.01
 scan.seed=42
 """
 
+# the desk geometry with no tap, and with the loss scenario's default contrast
+DESK_INITIAL = DESK.replace("scenario=subtraction", "scenario=initial").replace(
+    "mask.region=rect:22,17,20,14\nmask.herald_target=0.013\n", ""
+)
+DESK_LOSS = DESK.replace("scenario=subtraction", "scenario=loss_high_contrast").replace(
+    "mask.herald_target=0.013\n", ""
+)
+
 CONFIGS = {
     "smoke": SMOKE,
     "desk": DESK,
@@ -74,6 +82,9 @@ CONFIGS = {
     "desk_coherent": DESK + "source.kind=coherent\n",
     "sub": SUB,
     "unreachable": SMOKE.replace("mask.herald_target=0.013", "mask.herald_target=5"),
+    "desk_initial": DESK_INITIAL,
+    "desk_loss": DESK_LOSS,
+    "bad_contrast": DESK_LOSS + "mask.contrast=2\n",
 }
 # a scan CSV whose one superpixel holds more coincidences than camera clicks
 BROKEN_SCAN = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts\n0,0,100,5,3,4\n"
@@ -96,6 +107,13 @@ RUNS = {
     "unreachable scan": ["scan", "--config", "unreachable.cfg", "--out", "unreachable"],
     "bad state verify": ["verify", "--out", "bad_state", "--states", "thermal:x"],
     "broken analyze": ["analyze", "--scan", "broken.csv", "--out", "broken"],
+    # the white mask, the loss scenario's default contrast and a reference scan
+    "desk_initial scan": ["scan", "--config", "desk_initial.cfg", "--out", "initial", "--seed", "1"],
+    "desk_loss scan": ["scan", "--config", "desk_loss.cfg", "--out", "loss", "--seed", "1"],
+    "desk_loss analyze": ["analyze", "--scan", "loss/scan.csv", "--reference",
+                          "initial/scan.csv", "--out", "loss/report"],
+    "desk_loss profile": ["profile", "--config", "desk_loss.cfg", "--out", "loss_prof"],
+    "bad contrast scan": ["scan", "--config", "bad_contrast.cfg", "--out", "bad_contrast"],
 }
 
 

@@ -179,7 +179,7 @@ def test_detector_config_validation():
 
 
 def test_scan_config_validation():
-    mask = spatial.make_mask("white", 16, 12)
+    mask = spatial.MaskSpec(np.ones((12, 16)))
     with pytest.raises(ConfigMismatch):
         mc.ScanConfig(mask=mask, seed=1, superpixel=0)
     with pytest.raises(ConfigMismatch):
@@ -329,7 +329,7 @@ def gaussian_1024_scan(threads=1):
     src = mc.SourceConfig(
         nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
     )
-    scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
+    scan = small_scan(spatial.MaskSpec(np.ones((6, 8))), seed=3, superpixel=2, dwell=1e-4,
                       threads=threads)
     return src, scan
 
@@ -474,7 +474,7 @@ def test_scan_of_distinct_means_at_512_bins_matches_tile_by_tile():
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 10, 2, cx=3.3, cy=0.4)
     src = mc.SourceConfig(nbar=0.01, profile=prof, coherence_time=512 * det.bin_width)
-    mask = spatial.make_mask("vampire", 10, 2, 0.9, np.ones((2, 10), dtype=bool))
+    mask = spatial.vampire_mask(np.ones((2, 10), dtype=bool), 0.9)
     results = []
     for threads in (1, 2, 4):
         scan = small_scan(mask, seed=17, superpixel=2, dwell=1e-4, threads=threads)
@@ -594,7 +594,7 @@ def test_a_rekeyed_generator_draws_each_tile_as_a_fresh_one(kind, n_bins):
 def test_zero_camera_efficiency_gives_zero_counts():
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
     scan = small_scan(
-        spatial.make_mask("white", 16, 12),
+        spatial.MaskSpec(np.ones((12, 16))),
         camera_detector=mc.DetectorConfig(efficiency=0.0),
     )
     res = mc.run_scan(src, scan)
@@ -605,13 +605,13 @@ def test_zero_camera_efficiency_gives_zero_counts():
 def test_dimension_mismatch_rejected():
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(16, 12))
     with pytest.raises(ConfigMismatch):
-        mc.run_scan(src, small_scan(spatial.make_mask("white", 8, 8)))
+        mc.run_scan(src, small_scan(spatial.MaskSpec(np.ones((8, 8)))))
 
 
 def test_coherence_shorter_than_bin_rejected():
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=1e-9)
     with pytest.raises(ConfigMismatch):
-        mc.run_scan(src, small_scan(spatial.make_mask("white", 16, 12)))
+        mc.run_scan(src, small_scan(spatial.MaskSpec(np.ones((12, 16)))))
 
 
 def test_coherence_block_beyond_table_cap_rejected():
@@ -642,7 +642,7 @@ def test_a_ratio_past_float_range_is_capped_before_int():
 
 def test_a_dwell_holds_fewer_than_2_63_bins():
     # one-second bins: the float below 2**63 is drawn whole, 2**63 itself refused
-    mask = spatial.make_mask("white", 16, 12)
+    mask = spatial.MaskSpec(np.ones((12, 16)))
     det = mc.DetectorConfig(bin_width=1.0)
     below = math.nextafter(2.0**63, 0)
     scan = small_scan(mask, dwell=below, herald_detector=det, camera_detector=det)
@@ -656,7 +656,7 @@ def test_a_dwell_holds_fewer_than_2_63_bins():
 def test_singles_rates_match_quadrature_oracle():
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
-    scan = small_scan(spatial.make_mask("white", 16, 12), seed=101, dwell=0.0024)
+    scan = small_scan(spatial.MaskSpec(np.ones((12, 16))), seed=101, dwell=0.0024)
     res = mc.run_scan(src, scan)
     w = float(prof.power()[:4, :4].sum())  # every 4x4 superpixel is identical
     p_oracle = thermal_click_quad(w, src.nbar, scan.camera_detector)
@@ -673,7 +673,7 @@ def test_block_correlation_inflates_singles_variance():
     # binomial; check the analytic sigma against an empirical ensemble
     prof = flat_profile(4, 4)
     src = mc.SourceConfig(nbar=1.0, profile=prof)
-    mask = spatial.make_mask("white", 4, 4)
+    mask = spatial.MaskSpec(np.ones((4, 4)))
     det = mc.DetectorConfig(efficiency=0.6)
     w = 1.0  # single superpixel covering the whole beam
     n_bins = 20_000
@@ -817,7 +817,7 @@ def test_determinism_across_thread_counts():
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     region = spatial.rect_region(16, 12, 4, 4, 6, 4)
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3, region=region)
+    mask = spatial.vampire_mask(region, 0.3)
     det = mc.DetectorConfig()
     bpb = mc.bins_per_block(src, det)
     # tiles of many full blocks that end in a partial block; half a bin over,
@@ -837,8 +837,7 @@ def test_a_scan_starts_no_thread_at_any_thread_count(monkeypatch):
     # calling thread: 48 tiles at threads=16 start no thread and draw the
     # grids of threads=1
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3,
-                             region=spatial.rect_region(16, 12, 4, 4, 6, 4))
+    mask = spatial.vampire_mask(spatial.rect_region(16, 12, 4, 4, 6, 4), 0.3)
     reference = count_grids(mc.run_scan(src, small_scan(mask, superpixel=2, threads=1)))
 
     def start(self):
@@ -854,7 +853,7 @@ def test_a_tile_error_reaches_the_caller_after_every_thread_ends(monkeypatch, fa
     # 48 tiles at threads=3: the first tile's error or the last's reaches the
     # caller, with no thread left running
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
-    mask = spatial.make_mask("white", 16, 12)
+    mask = spatial.MaskSpec(np.ones((12, 16)))
     scan = small_scan(mask, superpixel=2, threads=3)
     draw = mc._simulate_tile
 
@@ -876,7 +875,7 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
     prof = spatial.make_profile("uniform_ellipse", 64, 48, rx=28, ry=20)
     region = spatial.rect_region(64, 48, 22, 17, 20, 14)
     contrast = spatial.contrast_for_herald_rate(prof, region, 1.0, 0.013)
-    mask = spatial.make_mask("vampire", 64, 48, contrast, region)
+    mask = spatial.vampire_mask(region, contrast)
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     calls = []
     build = bt.block_rules
@@ -908,7 +907,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
         nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
     )
     threads = 2
-    scan = small_scan(spatial.make_mask("white", 8, 6), seed=3, superpixel=2, dwell=1e-4,
+    scan = small_scan(spatial.MaskSpec(np.ones((6, 8))), seed=3, superpixel=2, dwell=1e-4,
                       threads=threads)
     chunk_bytes = bt.TABLE_ROW_NODES * (mc.MAX_BINS_PER_BLOCK + 1) * 8
     table_bytes = (mc.MAX_BINS_PER_BLOCK + 1) ** 2 * 8
@@ -928,7 +927,7 @@ def test_conditional_ratio_is_two_for_thermal(tmp_path):
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     region = np.ones((12, 16), dtype=bool)
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.1, region=region)
+    mask = spatial.vampire_mask(region, 0.1)
     scan = small_scan(mask, seed=5, dwell=0.012, bins_cap=10**6)
     res = mc.run_scan(src, scan)
     maps = mc.conditional_profile_mc(res)
@@ -946,7 +945,7 @@ def test_conditional_ratio_is_one_for_coherent_source():
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof, kind=mc.COHERENT)
     region = np.ones((12, 16), dtype=bool)
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.1, region=region)
+    mask = spatial.vampire_mask(region, 0.1)
     res = mc.run_scan(src, small_scan(mask, seed=6, dwell=0.012, bins_cap=10**6))
     maps = mc.conditional_profile_mc(res)
     ratio = maps.conditional.values / maps.unconditional.values
@@ -958,7 +957,7 @@ def test_whole_beam_g2_estimate():
     prof = flat_profile(8, 8)
     src = mc.SourceConfig(nbar=0.15, profile=prof)
     region = np.ones((8, 8), dtype=bool)
-    mask = spatial.make_mask("vampire", 8, 8, contrast=0.25, region=region)
+    mask = spatial.vampire_mask(region, 0.25)
     scan = mc.ScanConfig(mask=mask, seed=21, superpixel=8, dwell=0.024, bins_cap=2 * 10**6)
     res = mc.run_scan(src, scan)
     rec = res.records[0]
@@ -971,14 +970,14 @@ def test_whole_beam_g2_estimate():
 def test_no_heralds_raises():
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
-    res = mc.run_scan(src, small_scan(spatial.make_mask("white", 16, 12)))
+    res = mc.run_scan(src, small_scan(spatial.MaskSpec(np.ones((12, 16)))))
     with pytest.raises(QVampireError, match="zero herald counts"):
         mc.conditional_profile_mc(res)
 
 
 def test_run_scan_echoes_only_what_analysis_reads():
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
-    scan = small_scan(spatial.make_mask("white", 16, 12))
+    scan = small_scan(spatial.MaskSpec(np.ones((12, 16))))
     res = mc.run_scan(src, scan)
     derived = {f"derived.{name}" for name in mc.derived_settings(src, scan)}
     assert set(res.config) == set(mc.SIDECAR_DEFAULTS) | derived
@@ -992,7 +991,7 @@ def test_scan_csv_roundtrip(tmp_path):
     prof = flat_profile()
     src = mc.SourceConfig(nbar=1.0, profile=prof)
     region = spatial.rect_region(16, 12, 4, 4, 6, 4)
-    mask = spatial.make_mask("vampire", 16, 12, contrast=0.3, region=region)
+    mask = spatial.vampire_mask(region, 0.3)
     res = mc.run_scan(src, small_scan(mask, seed=3))
     path = tmp_path / "scan.csv"
     mc.save_scan_csv(path, res)
@@ -1085,7 +1084,7 @@ def test_load_scan_csv_names_a_field_count_every_row_shares(tmp_path):
 
 def test_a_scan_result_holds_read_only_int64_grids(tmp_path):
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
-    res = mc.run_scan(src, small_scan(spatial.make_mask("white", 16, 12)))
+    res = mc.run_scan(src, small_scan(spatial.MaskSpec(np.ones((12, 16)))))
     mc.save_scan_csv(tmp_path / "scan.csv", res)
     for result in (res, mc.load_scan_csv(tmp_path / "scan.csv", config=res.config)):
         assert (result.n_rows, result.n_cols) == (3, 4)

@@ -67,14 +67,14 @@ def test_silhouette_region_is_nonempty_pixel_set():
 
 def test_white_mask_reduces_to_zero_coupling():
     prof = uniform_profile(10, 10)
-    mask = spatial.make_mask("white", 10, 10)
+    mask = spatial.MaskSpec(np.ones((10, 10)))
     red = spatial.reduce(prof, mask)
     assert red.r_eff == 0.0
 
 
 def test_full_blocking_mask():
     region = spatial.rect_region(10, 10, 0, 0, 10, 5)
-    mask = spatial.make_mask("vampire", 10, 10, contrast=1.0, region=region)
+    mask = spatial.vampire_mask(region, 1.0)
     assert np.all(mask.transmission[region] == 0.0)
     assert np.all(mask.transmission[~region] == 1.0)
 
@@ -85,7 +85,7 @@ def test_reduce_rejects_mask_transmitting_no_beam_power():
     amp[:5] = 1.0
     prof = spatial.BeamProfile(amp / np.sqrt((amp**2).sum()))
     region = spatial.rect_region(10, 10, 0, 0, 10, 5)
-    mask = spatial.make_mask("vampire", 10, 10, contrast=1.0, region=region)
+    mask = spatial.vampire_mask(region, 1.0)
     with pytest.raises(QVampireError, match="mask transmits no beam power"):
         spatial.reduce(prof, mask)
 
@@ -94,7 +94,7 @@ def test_r_eff_matches_direct_sum_oracle():
     # region holding exactly 20% of the power of a flat beam, contrast 0.3
     prof = uniform_profile(10, 10)
     region = spatial.rect_region(10, 10, 0, 0, 10, 2)
-    mask = spatial.make_mask("vampire", 10, 10, contrast=0.3, region=region)
+    mask = spatial.vampire_mask(region, 0.3)
     red = spatial.reduce(prof, mask)
     oracle = math.sqrt(float((mask.reflectivity() ** 2 * prof.power()).sum()))
     assert abs(red.r_eff - oracle) < 1e-15
@@ -103,27 +103,25 @@ def test_r_eff_matches_direct_sum_oracle():
 
 def test_uniform_mask_over_full_beam():
     prof = uniform_profile(8, 8)
-    mask = spatial.make_mask(
-        "vampire", 8, 8, contrast=0.25, region=np.ones((8, 8), dtype=bool)
-    )
+    mask = spatial.vampire_mask(np.ones((8, 8), dtype=bool), 0.25)
     red = spatial.reduce(prof, mask)
     assert abs(red.r_eff - 0.25) < 1e-12
 
 
 def test_reduce_dimension_mismatch():
     with pytest.raises(QVampireError, match=r"profile \(4, 4\) vs mask \(4, 5\)"):
-        spatial.reduce(uniform_profile(4, 4), spatial.make_mask("white", 5, 4))
+        spatial.reduce(uniform_profile(4, 4), spatial.MaskSpec(np.ones((4, 5))))
 
 
 def test_herald_rate_relations():
     prof = uniform_profile(10, 10)
     region = spatial.rect_region(10, 10, 0, 0, 10, 2)
-    mask = spatial.make_mask("vampire", 10, 10, contrast=0.3, region=region)
+    mask = spatial.vampire_mask(region, 0.3)
     nbar = 1.7
     rate = spatial.herald_rate(prof, mask, nbar)
     red = spatial.reduce(prof, mask)
     assert abs(math.sqrt(rate / nbar) - red.r_eff) < 1e-12
-    assert spatial.herald_rate(prof, spatial.make_mask("white", 10, 10), nbar) == 0.0
+    assert spatial.herald_rate(prof, spatial.MaskSpec(np.ones((10, 10))), nbar) == 0.0
 
 
 def test_contrast_for_herald_rate_tunes_operating_point():
@@ -131,7 +129,7 @@ def test_contrast_for_herald_rate_tunes_operating_point():
     region = spatial.rect_region(10, 10, 0, 0, 10, 2)
     for target in (1.0 * 0.1, 0.13 * 0.1):
         c = spatial.contrast_for_herald_rate(prof, region, nbar=1.0, target=target)
-        mask = spatial.make_mask("vampire", 10, 10, contrast=c, region=region)
+        mask = spatial.vampire_mask(region, c)
         assert abs(spatial.herald_rate(prof, mask, 1.0) - target) < 1e-12
     with pytest.raises(ValueError):
         spatial.contrast_for_herald_rate(prof, region, nbar=1.0, target=10.0)
@@ -144,11 +142,11 @@ def test_contrast_for_herald_rate_tunes_operating_point():
 def test_loss_profile_white_and_blocked():
     prof = uniform_profile(10, 10)
     nbar = 2.0
-    white = spatial.loss_profile(prof, spatial.make_mask("white", 10, 10), nbar)
+    white = spatial.loss_profile(prof, spatial.MaskSpec(np.ones((10, 10))), nbar)
     assert np.abs(white - prof.power() * nbar).max() < 1e-15
     region = spatial.rect_region(10, 10, 2, 2, 3, 3)
     blocked = spatial.loss_profile(
-        prof, spatial.make_mask("vampire", 10, 10, 1.0, region), nbar
+        prof, spatial.vampire_mask(region, 1.0), nbar
     )
     assert np.all(blocked[region] == 0.0)
     assert np.abs(blocked[~region] - nbar / 100.0).max() < 1e-15
@@ -157,7 +155,7 @@ def test_loss_profile_white_and_blocked():
 def test_subtracted_profile_is_g2_times_loss_profile():
     prof = uniform_profile(12, 12)
     region = spatial.rect_region(12, 12, 3, 3, 4, 4)
-    mask = spatial.make_mask("vampire", 12, 12, contrast=0.3, region=region)
+    mask = spatial.vampire_mask(region, 0.3)
     nbar = 1.0
     # the g2 of thermal, coherent and five-photon number states
     for g2 in (2.0, 1.0, 0.8):
@@ -169,9 +167,7 @@ def test_subtracted_profile_is_g2_times_loss_profile():
 
 def test_weak_coupling_warning():
     prof = uniform_profile(10, 10)
-    mask = spatial.make_mask(
-        "vampire", 10, 10, contrast=0.9, region=np.ones((10, 10), dtype=bool)
-    )
+    mask = spatial.vampire_mask(np.ones((10, 10), dtype=bool), 0.9)
     with pytest.warns(WeakCouplingViolated):
         spatial.subtracted_profile_analytic(prof, mask, 2.0, 1.0)
 
@@ -192,7 +188,7 @@ def test_profile_csv_roundtrip(tmp_path):
 
 def test_mask_csv_and_pgm_roundtrip(tmp_path):
     region = spatial.silhouette_region(20, 16)
-    mask = spatial.make_mask("vampire", 20, 16, contrast=0.5, region=region)
+    mask = spatial.vampire_mask(region, 0.5)
     csv_path = tmp_path / "mask.csv"
     spatial.save_matrix_csv(csv_path, mask.transmission)
     assert np.array_equal(np.loadtxt(csv_path, delimiter=",", skiprows=1), mask.transmission)
