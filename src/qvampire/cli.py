@@ -65,7 +65,8 @@ def cmd_profile(args) -> int:
     # profile draws nothing, so it echoes only a seed the config gave
     echo = scenario.echo | {"scan.seed": cfg.get("scan.seed", "")}
     qv.montecarlo.save_sidecar(out / "profile.cfg", echo)
-    rate = qv.spatial.herald_rate(profile, mask, scenario.source.nbar)
+    # the mean photon number per time mode in the heralding channel
+    rate = qv.spatial.reduce(profile, mask).r_eff ** 2 * scenario.source.nbar
     print(f"herald_rate={rate!r}")
     return 0
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import os
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigMismatch, QVampireError
+from .errors import ConfigMismatch, QVampireError, WeakCouplingViolated
 from .montecarlo import (
     DetectorConfig,
     ScanConfig,
@@ -30,14 +31,11 @@ from .spatial import (
     BeamProfile,
     contrast_for_herald_rate,
     ellipse_region,
-    loss_profile,
     make_profile,
-    MaskSpec,
     PROFILE_PARAMS,
     rect_region,
     reduce,
     silhouette_region,
-    subtracted_profile_analytic,
     vampire_mask,
 )
 
@@ -45,6 +43,8 @@ _MASK_KEYS = ("mask.region", "mask.contrast", "mask.herald_target")
 REGION_FORMS = "all, silhouette, rect:<x0>,<y0>,<w>,<h> or ellipse:<cx>,<cy>,<rx>,<ry>"
 
 SCENARIOS = ("initial", "loss_high_contrast", "loss_low_contrast", "subtraction")
+# the r_eff above which the heralded map's weak-coupling g2 is only approximate
+WEAK_COUPLING_DEFAULT = 0.2
 
 
 def _count(text: str, bits: int = 63) -> int:
@@ -113,14 +113,24 @@ class ScenarioConfig:
     echo: dict
 
     def analytic_map(self) -> np.ndarray:
-        """The camera intensity the scenario predicts, per pixel."""
+        """The camera intensity the scenario predicts, per pixel: the transmitted
+        t^2 u^2 nbar, which a herald scales by the source's g2 in the weak-coupling limit."""
         profile, mask, nbar = self.source.profile, self.scan.mask, self.source.nbar
+        r_eff = reduce(profile, mask).r_eff  # and the check that the two share a grid
+        unheralded = mask.transmission**2 * profile.power() * nbar
         if self.scenario != "subtraction":
             # the initial scenario's white mask transmits the whole profile
-            return loss_profile(profile, mask, nbar)
+            return unheralded
+        if r_eff > WEAK_COUPLING_DEFAULT:
+            warnings.warn(
+                f"r_eff = {r_eff:.3f} exceeds weak-coupling threshold "
+                f"{WEAK_COUPLING_DEFAULT}; analytic heralded profile is approximate",
+                WeakCouplingViolated,
+                stacklevel=2,
+            )
         # g2 of the source's photon statistics: Bose-Einstein 2, Poisson 1
         g2 = 2.0 if self.source.kind == THERMAL else 1.0
-        return subtracted_profile_analytic(profile, mask, g2, nbar)
+        return g2 * unheralded
 
     def check_blocks(self) -> None:
         """``run_scan``'s coherence-block check, its range error named by its keys."""
@@ -201,8 +211,8 @@ def _build_profile(merged: dict, cfg: dict) -> BeamProfile:
 def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     """Assemble a scenario from a flat config dict.
 
-    The initial scenario uses the white mask.  A missing seed is
-    generated and recorded in the echo.  Each value is read by ``read_value``,
+    The initial scenario checks its mask keys but scans the white mask.  A
+    missing seed is generated and recorded in the echo.  Each value is read by ``read_value``,
     and a range error names the key that fed it.  The ``derived.*`` keys of a
     scan sidecar, and a ``mask.contrast`` next to a ``mask.herald_target``, are
     accepted only as what the rest of the config derives.
@@ -229,31 +239,30 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     with _keyed(merged, *keys):  # checked before the herald target divides by nbar
         source = SourceConfig(profile=profile, **{key.partition(".")[2]: cfg[key] for key in keys})
 
+    with _keyed(merged, "mask.region", "grid.width", "grid.height"):
+        region = parse_region_spec(merged["mask.region"], width, height)
+    target, asked = cfg["mask.herald_target"], cfg["mask.contrast"]  # None when left empty
+    if target is not None and not 0.0 <= target < np.inf:
+        named = _given(merged, "mask.herald_target")
+        raise ConfigMismatch(f"{named}: herald_target must be finite and >= 0")
     if scenario == "initial":
-        mask = MaskSpec(np.ones((height, width)))
-        merged["mask.contrast"] = "0.0"
+        # the white mask: a contrast over no pixel, checked and echoed as given
+        region, contrast = np.zeros_like(region), (0.0 if asked is None else asked)
+    elif target is not None:
+        try:
+            contrast = contrast_for_herald_rate(profile, region, source.nbar, target)
+        except ValueError as exc:  # the region cannot tap that much light
+            named = _given(merged, "mask.herald_target", "mask.region")
+            raise ConfigMismatch(f"{named}: the target is out of reach: {exc}") from None
+        if asked not in (None, contrast):  # a sidecar echoes the solved contrast
+            named = _given(merged, "mask.contrast", "mask.herald_target")
+            raise ConfigMismatch(f"{named}: the target solves contrast {contrast!r}")
     else:
-        with _keyed(merged, "mask.region", "grid.width", "grid.height"):
-            region = parse_region_spec(merged["mask.region"], width, height)
-        target, asked = cfg["mask.herald_target"], cfg["mask.contrast"]  # None when left empty
-        if target is not None:
-            if not 0.0 <= target < np.inf:
-                named = _given(merged, "mask.herald_target")
-                raise ConfigMismatch(f"{named}: herald_target must be finite and >= 0")
-            try:
-                contrast = contrast_for_herald_rate(profile, region, source.nbar, target)
-            except ValueError as exc:  # the region cannot tap that much light
-                named = _given(merged, "mask.herald_target", "mask.region")
-                raise ConfigMismatch(f"{named}: the target is out of reach: {exc}") from None
-            if asked not in (None, contrast):  # a sidecar echoes the solved contrast
-                named = _given(merged, "mask.contrast", "mask.herald_target")
-                raise ConfigMismatch(f"{named}: the target solves contrast {contrast!r}")
-        else:
-            contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
-        with _keyed(merged, *(key for key in _MASK_KEYS if merged[key])):  # the keys given
-            mask = vampire_mask(region, contrast)
-            reduce(profile, mask)  # the mask must pass some of the beam
-        merged["mask.contrast"] = repr(contrast)
+        contrast = _SCENARIO_CONTRAST[scenario] if asked is None else asked
+    with _keyed(merged, *(key for key in _MASK_KEYS if merged[key])):  # the keys given
+        mask = vampire_mask(region, contrast)
+        reduce(profile, mask)  # the mask must pass some of the beam
+    merged["mask.contrast"] = repr(contrast)
 
     detectors = {}
     for role in ("herald", "camera"):

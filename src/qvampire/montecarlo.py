@@ -54,8 +54,6 @@ from .spatial import BeamProfile, MaskSpec, reduce
 THERMAL = "thermal"
 COHERENT = "coherent"
 
-SCAN_CSV_HEADER = "row,col,n_bins,camera_counts,herald_counts,coincidence_counts"
-
 # the check of a thermal tile's rule compares marginals, not the (s+1)^2-cell
 # outcome table of a block; the tests hold it to the table's check up to here
 MAX_BINS_PER_BLOCK = 1024
@@ -137,7 +135,7 @@ class ScanConfig:
 
 
 class SuperpixelRecord(NamedTuple):
-    """One superpixel's counts, as a scan CSV row in ``SCAN_CSV_HEADER``'s column order."""
+    """One superpixel's counts, as a scan CSV row; its fields are the CSV's columns."""
 
     row: int
     col: int
@@ -147,6 +145,7 @@ class SuperpixelRecord(NamedTuple):
     coincidence_counts: int
 
 
+SCAN_CSV_HEADER = ",".join(SuperpixelRecord._fields)
 # the count grids of a ScanResult, in the scan CSV's column order
 COUNTS = SuperpixelRecord._fields[2:]
 

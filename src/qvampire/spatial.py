@@ -11,16 +11,14 @@ effective coupling into the heralding mode.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import save_csv
-from .errors import ConfigMismatch, QVampireError, WeakCouplingViolated
+from .errors import ConfigMismatch, QVampireError
 
 NORM_TOL = 1e-12
-WEAK_COUPLING_DEFAULT = 0.2
 
 # the keyword parameters of make_profile per kind; a config sets each as profile.<name>
 PROFILE_PARAMS = {
@@ -230,7 +228,7 @@ def contrast_for_herald_rate(
 
 
 # ---------------------------------------------------------------------------
-# reduction and analytic intensity maps
+# reduction
 
 
 def reduce(profile: BeamProfile, mask: MaskSpec) -> ModeReduction:
@@ -242,40 +240,6 @@ def reduce(profile: BeamProfile, mask: MaskSpec) -> ModeReduction:
     if float(((mask.transmission * profile.amplitude) ** 2).sum()) <= 0.0:
         raise QVampireError("mask transmits no beam power")
     return ModeReduction(r_eff=r_eff)
-
-
-def herald_rate(profile: BeamProfile, mask: MaskSpec, nbar: float) -> float:
-    """Mean photon number per time mode in the heralding channel."""
-    return reduce(profile, mask).r_eff ** 2 * nbar
-
-
-def loss_profile(profile: BeamProfile, mask: MaskSpec, nbar: float) -> np.ndarray:
-    """Unconditional transmitted intensity t^2 u^2 nbar (photons/mode/pixel)."""
-    if profile.amplitude.shape != mask.transmission.shape:
-        raise QVampireError("profile and mask grids differ")
-    return mask.transmission**2 * profile.power() * nbar
-
-
-def subtracted_profile_analytic(
-    profile: BeamProfile,
-    mask: MaskSpec,
-    g2: float,
-    nbar: float,
-) -> np.ndarray:
-    """Heralded intensity in the weak-coupling limit: g2 * t^2 u^2 * nbar.
-
-    The enhancement factor is the input's g2, uniform across the profile:
-    2 for thermal light, 1 for coherent, 1 - 1/n for a number state.
-    """
-    r_eff = reduce(profile, mask).r_eff
-    if r_eff > WEAK_COUPLING_DEFAULT:
-        warnings.warn(
-            f"r_eff = {r_eff:.3f} exceeds weak-coupling threshold "
-            f"{WEAK_COUPLING_DEFAULT}; analytic heralded profile is approximate",
-            WeakCouplingViolated,
-            stacklevel=2,
-        )
-    return g2 * loss_profile(profile, mask, nbar)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,26 @@ def test_scenario_forcing_rules():
     init = config.build_scenario({"scenario": "initial", "scan.seed": "1"})
     assert np.all(init.scan.mask.transmission == 1.0)
     assert init.echo["mask.contrast"] == "0.0"
+    # a contrast in range is echoed as given, over the same white mask
+    given = config.build_scenario({"scenario": "initial", "mask.contrast": "0.5", "scan.seed": "1"})
+    assert np.array_equal(given.scan.mask.transmission, init.scan.mask.transmission)
+    assert given.echo["mask.contrast"] == "0.5"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("mask.contrast=2", "mask.contrast='2': contrast must lie in [0, 1]"),
+     ("mask.herald_target=-1", "mask.herald_target='-1': herald_target must be finite and >= 0"),
+     ("mask.region=rect:0,0", f"mask.region='rect:0,0': expected {config.REGION_FORMS}")],
+    ids=["contrast", "herald_target", "region"],
+)
+def test_an_initial_scan_refuses_a_mask_value_out_of_range(tmp_path, capsys, setting, message):
+    # the initial scenario scans the white mask, but checks the mask keys it is given
+    text = SMOKE_CONFIG.replace("scenario=subtraction", "scenario=initial") + setting
+    cfg = write_config(tmp_path, text)  # a later line overrides
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"qvampire: {message}\n"
+    assert not (tmp_path / "s").exists()
 
 
 def test_missing_seed_is_generated_and_recorded():
@@ -74,7 +94,8 @@ def test_herald_target_resolves_contrast():
             "scan.seed": "1",
         }
     )
-    rate = spatial.herald_rate(scenario.source.profile, scenario.scan.mask, scenario.source.nbar)
+    reflected = 1.0 - scenario.scan.mask.transmission**2
+    rate = float((reflected * scenario.source.profile.power()).sum()) * scenario.source.nbar
     assert abs(rate - 0.013) < 1e-12
 
 
@@ -360,7 +381,7 @@ def test_cmd_profile_takes_g2_from_the_source_kind_at_any_nbar(tmp_path, kind, n
     out = tmp_path / "prof"
     assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
     scenario = config.build_scenario(config.load_config(cfg))
-    unheralded = spatial.loss_profile(scenario.source.profile, scenario.scan.mask, float(nbar))
+    unheralded = scenario.scan.mask.transmission**2 * scenario.source.profile.power() * float(nbar)
     intensity = load_matrix_csv(out / "intensity.csv")
     live = unheralded > 0
     assert np.all(intensity[~live] == 0.0)

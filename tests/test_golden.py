@@ -113,6 +113,10 @@ RUNS = {
     "desk_loss analyze": ["analyze", "--scan", "loss/scan.csv", "--reference",
                           "initial/scan.csv", "--out", "loss/report"],
     "desk_loss profile": ["profile", "--config", "desk_loss.cfg", "--out", "loss_prof"],
+    # the analytic map of the white mask, and of a source whose g2 is 1
+    "desk_initial profile": ["profile", "--config", "desk_initial.cfg", "--out", "initial_prof"],
+    "desk_coherent profile": ["profile", "--config", "desk_coherent.cfg", "--out",
+                              "coherent_prof"],
     "bad contrast scan": ["scan", "--config", "bad_contrast.cfg", "--out", "bad_contrast"],
 }
 

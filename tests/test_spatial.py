@@ -1,17 +1,27 @@
 """Beam-profile and mask tests with direct-summation oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qvampire import spatial
+from qvampire import config, spatial
 from qvampire.errors import QVampireError, WeakCouplingViolated
 
 
 def uniform_profile(width, height):
     """Flat profile: every pixel carries power 1/(width*height)."""
     return spatial.BeamProfile(np.full((height, width), 1.0 / math.sqrt(width * height)))
+
+
+def flat_scenario(scenario, side, region, keys=None):
+    """A scenario on a side x side grid whose beam is ``uniform_profile``: a uniform
+    ellipse wider than the grid.  ``keys`` adds config keys."""
+    cfg = {"scenario": scenario, "grid.width": str(side), "grid.height": str(side),
+           "profile.kind": "uniform_ellipse", "profile.rx": "1000", "profile.ry": "1000",
+           "mask.region": region, "scan.seed": "1"}
+    return config.build_scenario(cfg | (keys or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +124,15 @@ def test_reduce_dimension_mismatch():
 
 
 def test_herald_rate_relations():
-    prof = uniform_profile(10, 10)
-    region = spatial.rect_region(10, 10, 0, 0, 10, 2)
-    mask = spatial.vampire_mask(region, 0.3)
-    nbar = 1.7
-    rate = spatial.herald_rate(prof, mask, nbar)
-    red = spatial.reduce(prof, mask)
-    assert abs(math.sqrt(rate / nbar) - red.r_eff) < 1e-12
-    assert spatial.herald_rate(prof, spatial.MaskSpec(np.ones((10, 10))), nbar) == 0.0
+    # the herald rate r_eff^2 * nbar that cmd_profile prints and the light the loss map
+    # transmits share the beam's nbar; a white mask heralds nothing
+    keys = {"mask.contrast": "0.3", "source.nbar": "1.7"}
+    loss = flat_scenario("loss_low_contrast", 10, "rect:0,0,10,2", keys)
+    rate = spatial.reduce(loss.source.profile, loss.scan.mask).r_eff ** 2 * 1.7
+    assert abs(rate - 0.3**2 * 0.2 * 1.7) < 1e-12
+    assert abs(rate + loss.analytic_map().sum() - 1.7) < 1e-12
+    white = flat_scenario("initial", 10, "rect:0,0,10,2", {"source.nbar": "1.7"})
+    assert spatial.reduce(white.source.profile, white.scan.mask).r_eff == 0.0
 
 
 def test_contrast_for_herald_rate_tunes_operating_point():
@@ -130,7 +141,7 @@ def test_contrast_for_herald_rate_tunes_operating_point():
     for target in (1.0 * 0.1, 0.13 * 0.1):
         c = spatial.contrast_for_herald_rate(prof, region, nbar=1.0, target=target)
         mask = spatial.vampire_mask(region, c)
-        assert abs(spatial.herald_rate(prof, mask, 1.0) - target) < 1e-12
+        assert abs(spatial.reduce(prof, mask).r_eff ** 2 - target) < 1e-12
     with pytest.raises(ValueError):
         spatial.contrast_for_herald_rate(prof, region, nbar=1.0, target=10.0)
 
@@ -140,36 +151,35 @@ def test_contrast_for_herald_rate_tunes_operating_point():
 
 
 def test_loss_profile_white_and_blocked():
-    prof = uniform_profile(10, 10)
-    nbar = 2.0
-    white = spatial.loss_profile(prof, spatial.MaskSpec(np.ones((10, 10))), nbar)
-    assert np.abs(white - prof.power() * nbar).max() < 1e-15
+    white = flat_scenario("initial", 10, "rect:2,2,3,3", {"source.nbar": "2"})
+    assert np.abs(white.analytic_map() - uniform_profile(10, 10).power() * 2.0).max() < 1e-15
+    # a full-contrast region casts a black shadow and leaves the rest of the beam as it was
+    keys = {"mask.contrast": "1", "source.nbar": "2"}
+    blocked = flat_scenario("loss_high_contrast", 10, "rect:2,2,3,3", keys).analytic_map()
     region = spatial.rect_region(10, 10, 2, 2, 3, 3)
-    blocked = spatial.loss_profile(
-        prof, spatial.vampire_mask(region, 1.0), nbar
-    )
     assert np.all(blocked[region] == 0.0)
-    assert np.abs(blocked[~region] - nbar / 100.0).max() < 1e-15
+    assert np.abs(blocked[~region] - 2.0 / 100.0).max() < 1e-15
 
 
 def test_subtracted_profile_is_g2_times_loss_profile():
-    prof = uniform_profile(12, 12)
-    region = spatial.rect_region(12, 12, 3, 3, 4, 4)
-    mask = spatial.vampire_mask(region, 0.3)
-    nbar = 1.0
-    # the g2 of thermal, coherent and five-photon number states
-    for g2 in (2.0, 1.0, 0.8):
-        cond = spatial.subtracted_profile_analytic(prof, mask, g2, nbar)
-        unc = spatial.loss_profile(prof, mask, nbar)
+    keys = {"mask.contrast": "0.3"}
+    unc = flat_scenario("loss_low_contrast", 12, "rect:3,3,4,4", keys).analytic_map()
+    # the g2 of thermal and coherent light
+    for kind, g2 in (("thermal", 2.0), ("coherent", 1.0)):
+        sub = flat_scenario("subtraction", 12, "rect:3,3,4,4", keys | {"source.kind": kind})
+        cond = sub.analytic_map()
         ratio = cond[unc > 0] / unc[unc > 0]
         assert np.abs(ratio - g2).max() < 1e-12
 
 
 def test_weak_coupling_warning():
-    prof = uniform_profile(10, 10)
-    mask = spatial.vampire_mask(np.ones((10, 10), dtype=bool), 0.9)
-    with pytest.warns(WeakCouplingViolated):
-        spatial.subtracted_profile_analytic(prof, mask, 2.0, 1.0)
+    keys = {"mask.contrast": "0.9"}  # r_eff = 0.9 with the whole beam tapped
+    sub = flat_scenario("subtraction", 10, "all", keys)
+    with pytest.warns(WeakCouplingViolated, match=r"^r_eff = 0\.900 exceeds weak-coupling "):
+        sub.analytic_map()
+    with warnings.catch_warnings():  # the unheralded map is exact at any coupling
+        warnings.simplefilter("error")
+        flat_scenario("loss_high_contrast", 10, "all", keys).analytic_map()
 
 
 # ---------------------------------------------------------------------------
