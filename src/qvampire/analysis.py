@@ -96,7 +96,7 @@ def ratio_map(
     numerator_sigma: np.ndarray,
     denominator: np.ndarray,
     denominator_sigma: np.ndarray,
-    region_frac: np.ndarray | None = None,
+    region_frac: np.ndarray,
 ) -> RatioMap:
     """Elementwise rate ratio with propagated errors and exclusion tags.
 
@@ -116,8 +116,6 @@ def ratio_map(
     den_s = np.asarray(denominator_sigma, dtype=float)
     if not (num.shape == den.shape == num_s.shape == den_s.shape):
         raise QVampireError("rate maps live on different superpixel grids")
-    if region_frac is None:
-        region_frac = np.zeros_like(num)
     region_frac = np.asarray(region_frac, dtype=float)
     if region_frac.shape != num.shape:
         raise QVampireError("region map grid differs from the rate maps")
@@ -142,10 +140,11 @@ def flatness_test(rmap: RatioMap) -> FlatnessResult:
     r = rmap.ratio[use]
     s = rmap.sigma[use]
     if r.size < 2:
-        excluded = f"{use.size - use.sum()} of {use.size}"
-        raise QVampireError(f"flatness test needs at least two superpixels, but excluded "
-                            f"{excluded} for a zero camera rate or a camera-rate relative "
-                            f"error above SIGNAL_FLOOR_RELERR={SIGNAL_FLOOR_RELERR}")
+        why = f"the scan holds {use.size}"
+        if use.size >= 2:
+            why = (f"excluded {use.size - use.sum()} of {use.size} for a zero camera rate or a "
+                   f"camera-rate relative error above SIGNAL_FLOOR_RELERR={SIGNAL_FLOOR_RELERR}")
+        raise QVampireError(f"flatness test needs at least two superpixels, but {why}")
     w = 1.0 / s**2
     best = float((w * r).sum() / w.sum())
     chi2 = float((w * (r - best) ** 2).sum())
@@ -299,13 +298,10 @@ def analyze(
                     f"superpixel grids differ: scan {result.n_rows}x{result.n_cols} "
                     f"vs reference {reference.n_rows}x{reference.n_cols}"
                 )
-            num, num_s = result.camera_rate_map()
-            den, den_s = reference.camera_rate_map()
+            maps = result.camera_rate_map(), reference.camera_rate_map()
         else:
             maps = conditional_profile_mc(result)
-            num, num_s = maps.conditional.values, maps.conditional.sigmas
-            den, den_s = maps.unconditional.values, maps.unconditional.sigmas
-
+        (num, num_s), (den, den_s) = maps
         rmap = ratio_map(num, num_s, den, den_s, fracs)
         flat = flatness_test(rmap)
         depth, z = shadow_depth(rmap)

@@ -187,8 +187,8 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
     and in the four mixed moments, with each marginal of the refinement
     summing to 1 within ``TABLE_TOL``, and returns the refinement.  No such
     rule within ``TABLE_NODE_CAP`` nodes raises ``QVampireError``
-    naming the mean.  Each distinct mean is checked on its own; the herald's
-    marginal of a (panels, nodes) level is built once per call.
+    naming the mean.  Each mean given is checked, so a caller passes distinct
+    ones; a (panels, nodes) level's herald marginal is built once per call.
     """
     herald = {}
 
@@ -197,8 +197,8 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
             herald[panels, nodes] = _marginal(bpb, x_her, dark_her, panels, nodes)
         return _level(bpb, x_cam, dark_cam, herald[panels, nodes], panels, nodes)
 
-    rules = {}
-    for x_cam in dict.fromkeys(x_cams):
+    rules = []
+    for x_cam in x_cams:
         panels, nodes = _panel_count(bpb, max(x_cam, x_her)), TABLE_NODES
         coarse = level(x_cam, panels, nodes)
         while True:
@@ -214,5 +214,5 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
                 )
             coarse, nodes = fine, 2 * nodes
         u, weights = _panel_rule(panels, 2 * nodes)
-        rules[x_cam] = u, weights / weights.sum()
-    return [rules[x_cam] for x_cam in x_cams]
+        rules.append((u, weights / weights.sum()))
+    return rules

@@ -26,7 +26,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-8
-DEFAULT_NMAX = 40
 VACUUM_WEIGHT_FLOOR = 1e-14
 UNITARY_PARAM_TOL = 1e-12
 
@@ -96,7 +95,7 @@ class DensityMatrix:
 # constructors
 
 
-def make_thermal(nbar: float, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
+def make_thermal(nbar: float, nmax: int) -> DensityMatrix:
     """Thermal state with Bose-Einstein weights, renormalized over 0..nmax."""
     if not math.isfinite(nbar):
         raise ValueError(f"nbar must be finite, got {nbar}")
@@ -116,7 +115,7 @@ def make_thermal(nbar: float, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     return DensityMatrix(np.diag(weights / weights.sum()), tail_mass=float(tail))
 
 
-def make_coherent(alpha: complex, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
+def make_coherent(alpha: complex, nmax: int) -> DensityMatrix:
     """Pure coherent state, renormalized over 0..nmax."""
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -138,7 +137,7 @@ def make_coherent(alpha: complex, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
     return DensityMatrix(np.outer(amp, amp.conj()), tail_mass=max(tail, 0.0))
 
 
-def make_fock(n: int, nmax: int = DEFAULT_NMAX) -> DensityMatrix:
+def make_fock(n: int, nmax: int) -> DensityMatrix:
     """Number state |n><n|."""
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -150,6 +150,13 @@ SCAN_CSV_HEADER = ",".join(SuperpixelRecord._fields)
 COUNTS = SuperpixelRecord._fields[2:]
 
 
+class RateMap(NamedTuple):
+    """A per-superpixel rate map with one-sigma errors."""
+
+    values: np.ndarray
+    sigmas: np.ndarray
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """Per-superpixel counts as four read-only int64 (n_rows, n_cols) grids, plus
@@ -185,7 +192,7 @@ class ScanResult:
         from .config import read_value  # config imports this module
         return read_value(key, self.config.get(key, SIDECAR_DEFAULTS[key]))
 
-    def camera_rate_map(self) -> tuple[np.ndarray, np.ndarray]:
+    def camera_rate_map(self) -> RateMap:
         """Unconditional camera rate per bin with its standard error: the singles
         count variance of ``expected_singles_counts`` at the measured rate, taken
         as the dark-free click mean (exact for dark_prob = 0)."""
@@ -200,14 +207,7 @@ class ScanResult:
         _, p_sq = _click_moments(rates, 0.0, kind)
         sigmas = np.sqrt(np.clip(_count_variance(n_bins, bpb, rates, p_sq), 1.0, None))
         sigmas = np.divide(sigmas, n_bins, out=np.full_like(counts, np.inf), where=n_bins > 0)
-        return rates, sigmas
-
-
-class RateMap(NamedTuple):
-    """A per-superpixel rate map with one-sigma errors."""
-
-    values: np.ndarray
-    sigmas: np.ndarray
+        return RateMap(rates, sigmas)
 
 
 class ConditionalProfile(NamedTuple):
@@ -456,10 +456,7 @@ def conditional_profile_mc(result: ScanResult) -> ConditionalProfile:
     # each herald is one Bernoulli trial of a coincidence: no block term
     var = np.clip(_count_variance(heralds, 1, p_cond, p_cond**2), 1.0, None)
     cond = RateMap(values=p_cond, sigmas=np.sqrt(var) / heralds)
-    rates, sigmas = result.camera_rate_map()
-    return ConditionalProfile(
-        conditional=cond, unconditional=RateMap(values=rates, sigmas=sigmas)
-    )
+    return ConditionalProfile(conditional=cond, unconditional=result.camera_rate_map())
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_g2_estimate_exact_value():
 def test_ratio_map_identical_inputs():
     v = np.full((4, 5), 0.02)
     s = np.full((4, 5), 0.001)
-    rm = analysis.ratio_map(v, s, v, s)
+    rm = analysis.ratio_map(v, s, v, s, np.zeros_like(v))
     assert np.allclose(rm.ratio, 1.0)
     assert np.all(rm.tags == analysis.TAG_OUTSIDE)
 
@@ -72,7 +72,7 @@ def test_ratio_map_doubled_numerator():
     s = np.full((4, 5), 0.001)
     num = 2 * v
     num[0, 0] = 0.0  # a zero numerator keeps the finite bar num_s / den
-    rm = analysis.ratio_map(num, 2 * s, v, s)
+    rm = analysis.ratio_map(num, 2 * s, v, s, np.zeros_like(v))
     assert np.allclose(rm.ratio[num > 0], 2.0)
     assert np.allclose(rm.sigma[num > 0], 2.0 * np.sqrt(2.0) * 0.05)
     assert rm.ratio[0, 0] == 0.0
@@ -82,7 +82,7 @@ def test_ratio_map_doubled_numerator():
 def test_ratio_map_excludes_low_signal():
     v = np.array([[0.02, 0.02, 0.0]])
     s = np.array([[0.001, 0.02, 0.001]])  # middle: 100% relative error
-    rm = analysis.ratio_map(v, s, v, s)
+    rm = analysis.ratio_map(v, s, v, s, np.zeros_like(v))
     assert rm.tags[0, 0] == analysis.TAG_OUTSIDE
     assert rm.tags[0, 1] == analysis.TAG_EXCLUDED
     assert rm.tags[0, 2] == analysis.TAG_EXCLUDED  # zero denominator
@@ -102,7 +102,7 @@ def test_ratio_map_region_tags():
 def test_ratio_map_grid_mismatch():
     v = np.ones((2, 2))
     with pytest.raises(QVampireError, match="rate maps live on different superpixel grids"):
-        analysis.ratio_map(v, v, np.ones((3, 2)), np.ones((3, 2)))
+        analysis.ratio_map(v, v, np.ones((3, 2)), np.ones((3, 2)), np.zeros_like(v))
 
 
 # ---------------------------------------------------------------------------

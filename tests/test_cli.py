@@ -948,3 +948,23 @@ def test_cmd_analyze_checks_the_band_before_writing(tmp_path, capsys):
     assert cli.main(["analyze", "--scan", str(scan), "--out", str(report), "--band", "0:9"]) == 1
     assert "band [0, 9) outside 0..6" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_cmd_analyze_names_a_scan_of_one_superpixel(tmp_path, capsys):
+    # a superpixel wider than the 16x12 grid tiles it once, and nothing is excluded
+    text = """
+scenario=subtraction
+grid.width=16
+grid.height=12
+profile.kind=gaussian
+mask.region=rect:4,3,6,4
+mask.herald_target=0.013
+scan.superpixel=100
+scan.dwell=0.0012
+scan.seed=5
+"""
+    scan = _run_scan_cli(tmp_path, text, "one.cfg", "scan") / "scan.csv"
+    capsys.readouterr()
+    assert cli.main(["analyze", "--scan", str(scan), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err == "qvampire: flatness test needs at least two superpixels, but the scan holds 1\n"

@@ -467,6 +467,19 @@ def test_batch_names_the_mean_that_cannot_converge(monkeypatch):
         bt.block_rules(BPB, [dim[0], bright, dim[1]], 0.0, x_her, 0.0)
 
 
+def test_a_repeated_mean_gets_one_rule_per_entry():
+    # the check takes its means as given: each entry, repeated or not, gets
+    # the rule of a call with its mean alone, bit for bit
+    x_cams = [x / BPB for x in (0.1, 3.6, 0.1, 0.1)]
+    x_her = 0.65 / BPB
+    rules = bt.block_rules(BPB, x_cams, 1e-3, x_her, 1e-3)
+    assert len(rules) == len(x_cams)
+    for x_cam, (u, weights) in zip(x_cams, rules):
+        ((alone_u, alone_weights),) = bt.block_rules(BPB, [x_cam], 1e-3, x_her, 1e-3)
+        assert u.tobytes() == alone_u.tobytes()
+        assert weights.tobytes() == alone_weights.tobytes()
+
+
 def test_scan_of_distinct_means_at_512_bins_matches_tile_by_tile():
     # at 512 bins a block the 5 tiles of an off-centre gaussian have 5 distinct
     # camera weights; the herald, brighter than any tile, sets one panel count

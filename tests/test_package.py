@@ -138,7 +138,7 @@ def test_submodules_load_no_new_library_module():
 def test_submodule_loads_on_first_access():
     # only the six documented submodules load by attribute; other names raise
     loaded = _modules_after(
-        "import qvampire; assert qvampire.fock.make_thermal(1.0).dim > 0; "
+        "import qvampire; assert qvampire.fock.make_thermal(1.0, 40).dim > 0; "
         "assert not hasattr(qvampire, 'nope') and not hasattr(qvampire, 'config')"
     )
     package = {m for m in loaded if m.split(".")[0] == "qvampire"}
