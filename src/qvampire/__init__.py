@@ -10,11 +10,21 @@ Carlo model of the tap-and-trigger single-pixel imaging apparatus.
 ``import qvampire`` loads no submodule: each of the documented ones below
 loads on first access (``qvampire.fock.make_thermal``), so a command pays
 only for the modules it runs.
+
+No matrix the package hands to BLAS or LAPACK is large enough to share, so
+``import qvampire`` before numpy sets ``OPENBLAS_NUM_THREADS=1`` (a second
+thread would only spin), unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+or ``OMP_NUM_THREADS`` is set: then, as when numpy loaded first, it sets none.
 """
 
 import importlib
+import os
+import sys
 
 __version__ = "0.1.0"
+
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & {*os.environ}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 _SUBMODULES = frozenset({"analysis", "errors", "fock", "montecarlo", "spatial", "verify"})
 

@@ -150,7 +150,7 @@ def _marginal(bpb, x, dark, panels, nodes):
     out = np.zeros(bpb + 1)
     for lo in range(0, len(u), TABLE_ROW_NODES):
         part = slice(lo, lo + TABLE_ROW_NODES)
-        # einsum's own loop, not BLAS, so no second thread wakes
+        # einsum's own loop, not a BLAS kernel whose summation order varies by build
         out += np.einsum("i,ij->j", weights[part], _binomial_rows(bpb, x * u[part], dark))
     return out, dark + (1.0 - dark) * -np.expm1(-x * u)
 

@@ -13,11 +13,15 @@ replaces the table with it and names each changed entry.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from qvampire import cli, montecarlo
+from test_package import THREAD_VARS
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -171,3 +175,31 @@ def test_outputs_keep_their_golden_bytes(tmp_path, monkeypatch, capsys):
     changed = [name for name in got["runs"].keys() | want["runs"].keys()
                if got["runs"].get(name) != want["runs"].get(name)]
     assert not changed, f"runs whose bytes changed: {sorted(changed)}; {new_table}"
+
+
+# pytest loaded numpy before qvampire, so the runs above keep OpenBLAS's own
+# thread count; a command run on its own imports qvampire first and gets one
+FRESH_RUNS = ("verify", "desk scan")
+
+
+def test_a_process_that_imports_qvampire_first_keeps_the_golden_bytes(tmp_path):
+    (tmp_path / "desk.cfg").write_text(DESK)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONIOENCODING="utf-8")
+    want = json.loads(GOLDEN.read_text())["runs"]
+    for name in FRESH_RUNS:
+        probe = (
+            "import os, sys; assert 'numpy' not in sys.modules; from qvampire import cli; "
+            f"code = cli.main({RUNS[name]!r}); "
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'; sys.exit(code)"
+        )
+        before = set(tmp_path.rglob("*"))
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True)
+        written = sorted(path for path in set(tmp_path.rglob("*")) - before if path.is_file())
+        got = {
+            "exit": proc.returncode,
+            "stdout": _sha(proc.stdout),
+            "stderr": _sha(proc.stderr),
+            "files": {path.relative_to(tmp_path).as_posix(): _sha(path.read_bytes()) for path in written},
+        }
+        assert got == {key: want[name][key] for key in got}, (name, proc.stderr.decode())

@@ -259,7 +259,7 @@ def test_table_refinement_that_cannot_converge_raises(monkeypatch):
 
 
 # nodes per product of the oracle's table contraction, and nodes whose rows it
-# holds at once: (s+1) x 24 x (s+1) at s = 83 stays below OpenBLAS's threading size
+# holds at once: the blocking of the (s+1)^2 table check that block_rules replaced
 ORACLE_NODE_BLOCK = 24
 ORACLE_ROW_NODES = 16 * ORACLE_NODE_BLOCK
 

@@ -124,6 +124,41 @@ def test_import_loads_no_new_module():
     assert added == {"qvampire"}
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# a full-rank, non-diagonal state of order 29, whose eigh is large enough for
+# OpenBLAS to hand to a second thread
+MIXED_STATE = (
+    "from qvampire import fock; fock.DensityMatrix(0.5 * (fock.make_thermal(1.0, 28).elements"
+    " + fock.make_coherent(1.0, 28).elements))"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+@pytest.mark.parametrize("first, preset, changed", [
+    ("import qvampire", {}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ("import qvampire", {"OMP_NUM_THREADS": "2"}, {}),
+    ("import numpy, qvampire", {}, {}),
+])
+def test_import_runs_openblas_on_one_thread_unless_told_otherwise(first, preset, changed):
+    # the package's matrices are too small to share, so a second BLAS thread
+    # would only spin; a count the process set, or a numpy loaded first, stays
+    probe = (
+        f"import json, os; given = dict(os.environ); {first}; {MIXED_STATE}; "
+        "keys = given.keys() | os.environ.keys(); "
+        "print(json.dumps([{k: os.environ.get(k) for k in keys if given.get(k) != os.environ.get(k)},"
+        " len(os.listdir('/proc/self/task'))]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    got, threads = json.loads(out)
+    assert got == changed
+    if changed and os.cpu_count() >= 2:
+        assert threads == 1
+
+
 def test_submodules_load_no_new_library_module():
     # all six documented submodules: numpy.polynomial and blocktable load at a
     # scan's first thermal tile, and no draw pool loads concurrent.futures
