@@ -88,29 +88,25 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _split_list(text: str) -> list[str]:
-    return [tok for tok in (t.strip() for t in text.split(",")) if tok]
-
-
 def _values(option: str, text: str, read) -> list:
-    """``option``'s comma-separated values through ``read``; its ValueError names the option."""
+    """``option``'s comma-separated values through ``read``; a refusal or no value names it."""
     try:
-        return [read(tok) for tok in _split_list(text)]
-    except ValueError as exc:
+        values = [read(tok) for tok in (t.strip() for t in text.split(",")) if tok]
+    except (ValueError, QVampireError) as exc:  # the number parser's, or the value's refusal
         raise QVampireError(f"{option} {text!r}: {exc}") from None
+    if not values:
+        raise QVampireError(f"{option} {text!r}: no value, so the sweep is empty")
+    return values
 
 
 def cmd_verify(args) -> int:
-    specs = _split_list(args.states)
+    specs = _values("--states", args.states, str)
     split = qv.verify.SplitConfig  # checks each option's values with the others held valid
     cas = _values("--ca", args.ca, lambda v: split(float(v), 1.0).c_a)
     rs = _values("--r", args.r, lambda v: split(1.0, float(v)).r)
     models = qv.verify.OPERATOR if args.models is None else args.models
     models = _values("--models", models, lambda v: split(1.0, 1.0, v).herald_model)
     nmax = qv.verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
-    if not specs or not cas or not rs or not models:
-        print("verify: empty sweep (need states, ca, r and models)", file=sys.stderr)
-        return 1
     if nmax < 1:  # checked once here, so no state spec takes the blame
         raise QVampireError(f"--nmax must be at least 1, got {nmax}")
     # the whole sweep is checked before its first case runs

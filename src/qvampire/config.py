@@ -251,7 +251,7 @@ def build_scenario(cfg: dict, seed: int | None = None) -> ScenarioConfig:
     elif target is not None:
         try:
             contrast = contrast_for_herald_rate(profile, region, source.nbar, target)
-        except ValueError as exc:  # the region cannot tap that much light
+        except QVampireError as exc:  # the region cannot tap that much light
             named = _given(merged, "mask.herald_target", "mask.region")
             raise ConfigMismatch(f"{named}: the target is out of reach: {exc}") from None
         if asked not in (None, contrast):  # a sidecar echoes the solved contrast

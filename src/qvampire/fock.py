@@ -98,11 +98,11 @@ class DensityMatrix:
 def make_thermal(nbar: float, nmax: int) -> DensityMatrix:
     """Thermal state with Bose-Einstein weights, renormalized over 0..nmax."""
     if not math.isfinite(nbar):
-        raise ValueError(f"nbar must be finite, got {nbar}")
+        raise QVampireError(f"nbar must be finite, got {nbar}")
     if nbar < 0:
-        raise ValueError("nbar must be non-negative")
+        raise QVampireError("nbar must be non-negative")
     if nmax < 1:
-        raise ValueError("nmax must be at least 1")
+        raise QVampireError("nmax must be at least 1")
     if nbar == 0:
         return make_fock(0, nmax)
     q = nbar / (1.0 + nbar)
@@ -118,9 +118,9 @@ def make_thermal(nbar: float, nmax: int) -> DensityMatrix:
 def make_coherent(alpha: complex, nmax: int) -> DensityMatrix:
     """Pure coherent state, renormalized over 0..nmax."""
     if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+        raise QVampireError(f"alpha must be finite, got {alpha}")
     if nmax < 1:
-        raise ValueError("nmax must be at least 1")
+        raise QVampireError("nmax must be at least 1")
     if alpha == 0:
         return make_fock(0, nmax)
     n = np.arange(nmax + 1)
@@ -140,7 +140,7 @@ def make_coherent(alpha: complex, nmax: int) -> DensityMatrix:
 def make_fock(n: int, nmax: int) -> DensityMatrix:
     """Number state |n><n|."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise QVampireError("n must be non-negative")
     if n > nmax:
         raise QVampireError(f"Fock level {n} above truncation {nmax}")
     mat = np.zeros((nmax + 1, nmax + 1), dtype=complex)

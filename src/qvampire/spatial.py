@@ -95,23 +95,25 @@ def _normalized(amp: np.ndarray, what: str) -> BeamProfile:
 # profile constructors
 
 
-def _grid(width: int, height: int):
+def _grid(width: int, height: int, pad: int = 0):
+    """Pixel coordinates of the grid, grown by ``pad`` pixels past each edge."""
     if width < 1 or height < 1:
         raise QVampireError("grid dimensions must be positive")
-    y, x = np.mgrid[0:height, 0:width]
+    y, x = np.mgrid[-pad : height + pad, -pad : width + pad]
     return x.astype(float), y.astype(float)
 
 
 def ellipse_region(
-    width: int,
-    height: int,
-    cx: float | None = None,
-    cy: float | None = None,
-    rx: float | None = None,
-    ry: float | None = None,
+    width: int, height: int, cx: float | None = None, cy: float | None = None,
+    rx: float | None = None, ry: float | None = None,
 ) -> np.ndarray:
     """Boolean pixel set of an axis-aligned ellipse."""
-    x, y = _grid(width, height)
+    return _ellipse(width, height, 0, cx, cy, rx, ry)
+
+
+def _ellipse(width: int, height: int, pad: int, cx=None, cy=None, rx=None, ry=None):
+    """``ellipse_region`` on the grid grown by ``pad`` pixels past each edge."""
+    x, y = _grid(width, height, pad)
     cx = (width - 1) / 2.0 if cx is None else cx
     cy = (height - 1) / 2.0 if cy is None else cy
     rx = 0.4 * width if rx is None else rx
@@ -170,17 +172,13 @@ def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
         ring_gain = float(params.pop("ring_gain", 1.5))
         if not 0.0 <= ring_gain < math.inf:
             raise QVampireError(f"ring_gain must be non-negative and finite, got {ring_gain!r}")
-        inside = ellipse_region(width, height, **params)
+        # one pixel past each edge too: an off-grid neighbour is inside if the ellipse is
+        grown = _ellipse(width, height, 1, **params)
+        inside = grown[1:-1, 1:-1]
         if not inside.any():
             raise QVampireError("ellipse does not cover any pixel")
         amp = inside.astype(float)
-        interior = (
-            np.roll(inside, 1, 0)
-            & np.roll(inside, -1, 0)
-            & np.roll(inside, 1, 1)
-            & np.roll(inside, -1, 1)
-            & inside
-        )
+        interior = inside & grown[:-2, 1:-1] & grown[2:, 1:-1] & grown[1:-1, :-2] & grown[1:-1, 2:]
         # 1-pixel rim mimicking the bright diffraction contour of an iris
         amp[inside & ~interior] = ring_gain
         return _normalized(amp, "uniform_ellipse_with_ring")
@@ -192,9 +190,13 @@ def make_profile(kind: str, width: int, height: int, **params) -> BeamProfile:
         sy = float(params.get("sigma_y", 0.2 * height))
         if sx <= 0 or sy <= 0:
             raise QVampireError("gaussian widths must be positive")
-        amp = np.exp(-((x - cx) ** 2) / (2 * sx**2) - ((y - cy) ** 2) / (2 * sy**2))
+        # 2 * sx**2 is inf, the flat beam, from 1e154 on; ** raises past 1.34e154
+        sx, sy = min(sx, 1e154), min(sy, 1e154)
+        # a width far below a pixel divides by a square that overflows or underflows
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            amp = np.exp(-((x - cx) ** 2) / (2 * sx**2) - ((y - cy) ** 2) / (2 * sy**2))
         return _normalized(amp, "gaussian")
-    raise ValueError(f"unknown profile kind {kind!r}")
+    raise QVampireError(f"unknown profile kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +218,14 @@ def contrast_for_herald_rate(
     profile: BeamProfile, region: np.ndarray, nbar: float, target: float
 ) -> float:
     """Uniform in-region contrast giving herald rate r_eff^2 * nbar = target."""
-    if nbar <= 0:
-        raise ValueError(f"source.nbar = {nbar!r} gives no herald rate")
     frac = float(profile.power()[np.asarray(region, dtype=bool)].sum())
+    if nbar <= 0 or 0 < frac and nbar * frac == 0:  # a subnormal nbar's rate underflows
+        raise QVampireError(f"source.nbar = {nbar!r} gives no herald rate")
     if frac <= 0:
-        raise ValueError("mask.region carries no beam power")
+        raise QVampireError("mask.region carries no beam power")
     c2 = target / (nbar * frac)
     if c2 > 1.0:
-        raise ValueError(f"needs contrast^2 = {c2:.3f} > 1")
+        raise QVampireError(f"needs contrast^2 = {c2:.3f} > 1")
     return math.sqrt(c2)
 
 

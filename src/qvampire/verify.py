@@ -72,11 +72,11 @@ class SplitConfig:
 
     def __post_init__(self):
         if not 0.0 < self.c_a <= 1.0:
-            raise ValueError(f"c_a must lie in (0, 1], got {self.c_a!r}")
+            raise QVampireError(f"c_a must lie in (0, 1], got {self.c_a!r}")
         if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"r must lie in (0, 1], got {self.r!r}")
+            raise QVampireError(f"r must lie in (0, 1], got {self.r!r}")
         if self.herald_model not in HERALD_MODELS:
-            raise ValueError(f"herald_model {self.herald_model!r} is not one of {HERALD_MODELS}")
+            raise QVampireError(f"herald_model {self.herald_model!r} is not one of {HERALD_MODELS}")
 
 
 class RegionalSubtractionResult(NamedTuple):
@@ -249,7 +249,7 @@ def parse_state(spec: str, nmax: int) -> DensityMatrix:
         rho = make(number, nmax)
         if (mean := rho.mean_photons()) < VACUUM_WEIGHT_FLOOR:  # no photon to subtract
             raise QVampireError(f"mean photon number {mean:.3e} below {VACUUM_WEIGHT_FLOOR}")
-    except (QVampireError, ValueError) as exc:  # a value out of range
+    except QVampireError as exc:  # a value out of range
         raise QVampireError(f"state spec {spec!r}: {exc}") from None
     return rho
 

@@ -232,7 +232,7 @@ def test_cmd_scan_names_the_key_of_a_value_out_of_range(tmp_path, capsys, comman
 def test_a_grid_too_large_to_allocate_names_its_keys(tmp_path, capsys, monkeypatch, command):
     # a grid too large for memory ends in numpy's MemoryError at its first array;
     # the grid here is small, and the error is raised in place of that array
-    def no_memory(width, height):
+    def no_memory(width, height, pad=0):
         raise MemoryError(f"Unable to allocate an array with shape ({height}, {width})")
 
     monkeypatch.setattr(spatial, "_grid", no_memory)
@@ -551,10 +551,29 @@ def test_cmd_scan_takes_a_contrast_beside_a_herald_target_only_as_solved(tmp_pat
 
 
 @pytest.mark.parametrize(
+    "width, rule",
+    [("0", "gaussian widths must be positive"),
+     ("1e-300", "gaussian: no power left to normalize"),  # its square underflows to 0
+     ("1e155", None)],  # its square overflows: the beam is flat along x
+)
+def test_cmd_profile_ends_a_gaussian_width_in_maps_or_one_line(tmp_path, capsys, width, rule):
+    cfg = write_config(tmp_path, f"profile.kind=gaussian\nprofile.sigma_x={width}")
+    rc = cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    if rule is None:
+        assert (rc, err) == (0, "")
+    else:
+        given = "profile.kind='gaussian', grid.width='64', grid.height='48'"
+        assert (rc, err) == (1, f"qvampire: {given}, profile.sigma_x={width!r}: {rule}\n")
+
+
+@pytest.mark.parametrize(
     "key, value, cause",
     [("source.nbar", "0", "source.nbar = 0.0 gives no herald rate"),
+     # nbar times the region's power fraction underflows to no rate
+     ("source.nbar", "5e-324", "source.nbar = 5e-324 gives no herald rate"),
      ("mask.region", "rect:0,0,1,1", "mask.region carries no beam power")],
-    ids=["nbar_zero", "region_off_beam"],
+    ids=["nbar_zero", "nbar_subnormal", "region_off_beam"],
 )
 def test_cmd_scan_names_why_the_herald_target_is_unreachable(tmp_path, capsys, key, value, cause):
     lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
@@ -653,6 +672,14 @@ def test_cmd_verify_empty_sweep_is_usage_error(tmp_path, capsys):
     rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", ""])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", ["--ca", "--states"])
+def test_cmd_verify_names_the_option_that_empties_the_sweep(tmp_path, capsys, option):
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), option, ""])
+    printed = capsys.readouterr()
+    assert rc == 1 and printed.out == ""
+    assert printed.err == f"qvampire: {option} '': no value, so the sweep is empty\n"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvampire import cli, config, montecarlo as mc
 
@@ -87,6 +87,26 @@ def test_a_malformed_config_value_names_its_key(key, value):
         cfg = Path(tmp) / "scan.cfg"
         _write_config(cfg, {**SMOKE_CONFIG, key: value})
         _assert_named(["scan", "--config", str(cfg), "--out", str(Path(tmp) / "out")], *names)
+
+
+WIDTH = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@FUZZ
+@given(sigma_x=WIDTH, sigma_y=WIDTH)
+@example(sigma_x=1e155, sigma_y=3.0)  # its square overflows
+@example(sigma_x=1e-300, sigma_y=3.0)  # its square underflows
+def test_every_positive_gaussian_width_draws_maps_or_names_its_keys(sigma_x, sigma_y):
+    # read_value passes every finite width, so the profile builder itself must end each
+    # in maps or one refusal; the base config's uniform_ellipse refuses a gaussian key
+    cfg = {key: value for key, value in SMOKE_CONFIG.items() if not key.startswith("profile.r")}
+    cfg |= {"profile.kind": "gaussian", "profile.sigma_x": repr(sigma_x),
+            "profile.sigma_y": repr(sigma_y)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profile.cfg"
+        _write_config(path, cfg)
+        argv = ["profile", "--config", str(path), "--out", str(Path(tmp) / "out")]
+        _assert_named(argv, "profile.sigma_x", "profile.sigma_y", "mask.herald_target")
 
 
 @FUZZ

@@ -1111,6 +1111,24 @@ def test_a_scan_result_holds_read_only_int64_grids(tmp_path):
         assert result.records[5] == (1, 1, *(result.grid(name)[1, 1] for name in mc.COUNTS))
 
 
+def test_load_scan_csv_names_an_unexpected_header(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("row,col,counts\n0,0,10,2,1,1\n")
+    with pytest.raises(ConfigMismatch) as info:
+        mc.load_scan_csv(path)
+    assert str(info.value) == f"{path}: line 1: unexpected scan CSV header: 'row,col,counts'"
+
+
+def test_sidecar_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "scan.cfg"
+    path.write_text("# a comment\n\nscan.seed=42\n   \n  # indented\nsource.nbar = 1.0\n")
+    assert mc.load_sidecar(path) == {"scan.seed": "42", "source.nbar": "1.0"}
+    path.write_text("# a comment\n\nsource.nbar 1.0\n")  # the skipped lines keep their numbers
+    with pytest.raises(ConfigMismatch) as info:
+        mc.load_sidecar(path)
+    assert str(info.value) == f"{path}: line 3: expected key=value, got 'source.nbar 1.0'"
+
+
 def test_sidecar_rejects_line_without_equals(tmp_path):
     path = tmp_path / "scan.cfg"
     path.write_text("scan.seed=42\nsource.nbar 1.0\n")

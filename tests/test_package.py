@@ -1,6 +1,7 @@
 """Package-wide structure checks."""
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -65,6 +66,46 @@ def test_every_error_type_is_told_apart_by_production_code():
         if not issubclass(getattr(errors, name), Warning) and name not in caught
     )
     assert not untold, f"error types no production code catches: {untold}"
+
+
+def _builtin_exception(name):
+    kind = getattr(builtins, name or "", None)
+    return kind if isinstance(kind, type) and issubclass(kind, BaseException) else None
+
+
+def _stray_raises(node, caught=frozenset()):
+    """The built-in exceptions raised under ``node`` outside the body of a ``try`` of
+    the same function that catches them, as ``(line, name)``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        # Python's attribute lookup catches a module __getattr__'s AttributeError
+        caught = {"AttributeError"} if getattr(node, "name", "") == "__getattr__" else set()
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        kind = _builtin_exception(getattr(raised, "id", None))
+        if kind and not any(issubclass(kind, _builtin_exception(name)) for name in caught):
+            yield node.lineno, raised.id
+    for field, value in ast.iter_fields(node):
+        inner = caught
+        if isinstance(node, ast.Try) and field == "body":
+            inner = caught | {
+                name.id for handler in node.handlers if handler.type is not None
+                for name in ast.walk(handler.type)
+                if isinstance(name, ast.Name) and _builtin_exception(name.id)
+            }
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _stray_raises(child, inner)
+
+
+def test_a_builtin_exception_is_raised_only_to_a_handler_of_its_function():
+    # every refusal is a QVampireError, which cli.main prints; a built-in type is
+    # raised only where the same function catches it, as read_value does
+    stray = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _stray_raises(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not stray, f"built-in exceptions raised to the caller: {stray}"
 
 
 def test_cli_leaves_the_verdicts_to_analysis_and_verify():

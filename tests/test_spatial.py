@@ -54,8 +54,33 @@ def test_ring_pixels_carry_gain_before_normalization():
 def test_degenerate_profile_rejected():
     with pytest.raises(QVampireError, match="ellipse does not cover any pixel"):
         spatial.make_profile("uniform_ellipse", 20, 20, cx=-50.0, cy=-50.0, rx=1, ry=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(QVampireError):
         spatial.make_profile("donut", 8, 8)
+
+
+def test_a_gaussian_width_whose_square_leaves_float_range():
+    # 2 * sigma**2 is inf from 1e154 on, so every wider sigma draws the same flat beam
+    flat = spatial.make_profile("gaussian", 8, 6, sigma_x=1e154).amplitude
+    assert np.all(flat == flat[:, :1])
+    for width in (1e155, 1.7e308, math.inf):
+        assert np.array_equal(spatial.make_profile("gaussian", 8, 6, sigma_x=width).amplitude, flat)
+    # a subnormal square leaves the centre pixel, every other exponent overflowing to -inf;
+    # a square of 0 divides 0 by 0 there; neither warns
+    point = spatial.make_profile("gaussian", 8, 6, cx=3.0, cy=2.0, sigma_x=1e-160, sigma_y=1e-160)
+    assert point.amplitude[2, 3] == 1.0 and point.amplitude.sum() == 1.0
+    with pytest.raises(QVampireError, match="amplitudes must be finite"):
+        spatial.make_profile("gaussian", 8, 6, cx=3.0, cy=2.0, sigma_x=1e-300, sigma_y=1e-300)
+
+
+def test_a_clipped_ring_judges_its_off_grid_neighbours_by_the_ellipse():
+    # the ellipse's centre line is row 0, so the row above it is inside the ellipse
+    # but off the grid; the rim must not wrap around to the grid's far edge
+    params = dict(cx=7.5, cy=0.0, rx=6.0, ry=8.0)
+    tall = spatial.make_profile("uniform_ellipse_with_ring", 16, 12, **params).amplitude
+    short = spatial.make_profile("uniform_ellipse_with_ring", 16, 8, **params).amplitude
+    assert np.array_equal(tall[0], short[0])
+    assert np.array_equal(tall[:8], short) and not tall[8:].any()
+    assert np.count_nonzero(tall[0] == tall[0].max()) == 2  # only the two ends are rim
 
 
 def test_rect_region_clips_a_rect_off_the_near_edge():
@@ -142,7 +167,7 @@ def test_contrast_for_herald_rate_tunes_operating_point():
         c = spatial.contrast_for_herald_rate(prof, region, nbar=1.0, target=target)
         mask = spatial.vampire_mask(region, c)
         assert abs(spatial.reduce(prof, mask).r_eff ** 2 - target) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(QVampireError):
         spatial.contrast_for_herald_rate(prof, region, nbar=1.0, target=10.0)
 
 

@@ -220,14 +220,14 @@ def test_click_model_complement_population_is_reported():
 
 
 def test_split_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(QVampireError):
         verify.SplitConfig(c_a=1.5, r=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(QVampireError):
         verify.SplitConfig(c_a=0.5, r=-0.1)
     for c_a, r in ((0.0, 0.1), (0.5, 0.0)):  # no photon reaches the herald
-        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+        with pytest.raises(QVampireError, match=r"must lie in \(0, 1\]"):
             verify.SplitConfig(c_a=c_a, r=r)
-    with pytest.raises(ValueError):
+    with pytest.raises(QVampireError):
         verify.SplitConfig(c_a=0.5, r=0.1, herald_model="photon_number")
 
 
