@@ -9,25 +9,40 @@ independent binomials, so the joint pmf of a block's outcome is
 
 with x the mean photons a bin brings the detector at u = 1.  It has no
 closed form when x_cam != x_her, so ``block_rules`` integrates it with a
-composite Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23, 1969) that
-checks its own refinement, and returns the accepted rule.  On that rule
-P(c, h) = sum_i w_i Bin(c; s, p_cam(u_i)) Bin(h; s, p_her(u_i)), which is the
-law of a block whose intensity is the node u_i with probability w_i, so
-``qvampire.montecarlo`` draws a tile from the nodes.  The check never forms
-the (s+1)^2 table: it compares the two marginals cell by cell and the mixed
-moments sum_i w_i p_cam^a p_her^b (a, b = 1, 2), O(nodes s) a level, and
-the tests hold its rules to those of the table's per-cell check to s = 1024.
+composite Gauss-Legendre rule (Golub & Welsch, Math. Comp. 23, 1969) in
+r = sqrt(u), whose node count an a-priori bound on its error certifies.
+On that rule P(c, h) = sum_i w_i Bin(c; s, p_cam(u_i)) Bin(h; s, p_her(u_i)),
+which is the law of a block whose intensity is the node u_i with
+probability w_i, so ``qvampire.montecarlo`` draws a tile from the nodes.
 
-In a scan only x_cam varies from tile to tile, and a rule's nodes depend on
-x only through its panel count, so ``block_rules`` checks all of a scan's
-camera means in one call, each on its own, with the herald's marginal of
-each refinement level built once for all of them.
+The bound (Trefethen, SIAM Rev. 50:67, 2008, Thm. 4.5): Gauss-Legendre
+with m nodes on a panel of half-width h errs by at most
+h 64 M / (15 (rho^2 - 1) rho^(2(m - 1))) on an integrand analytic inside
+the panel's Bernstein ellipse E_rho and bounded there by M.  Each cell
+g(r) = 2r e^(-r^2) Bin(c; s, p_cam(r^2)) Bin(h; s, p_her(r^2)) of the joint
+table is entire, and the moduli of all cells sum to
+
+    F(r) = 2|r| e^(-Re r^2) (|p_cam| + |q_cam|)^s (|p_her| + |q_her|)^s,
+    q = (1 - dark) e^(-x r^2),  p = 1 - q,
+
+so one bound on F serves every cell, both marginals and the block's total
+mass.  By the maximum-modulus principle a cell's maximum over the ellipse
+lies on its boundary; F is bounded there arc by arc, not sampled (see
+``_ellipse_arcs``).  The bound never forms a binomial row, so a rule costs
+O(panels) whatever s is; the tests hold its rules to the per-cell check
+of the (s+1)^2 table against its refinement up to s = 1024.
+
+In a scan only x_cam varies from tile to tile, and the herald's factor of
+F depends on the rule only through its panel count, so ``block_rules``
+takes all of a scan's camera means in one call and bounds the herald's
+factor once per panel count.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,29 +52,16 @@ from .errors import QVampireError
 # left out), with equal panels in r = sqrt(u): there a cell's binomial peak
 # is about 1 / (2 sqrt(s x)) wide wherever it sits, so the panels number the
 # least power of two, at least TABLE_MIN_PANELS, that reaches 2 + 4 sqrt(s x).
-# Each panel starts at TABLE_NODES nodes, and the nodes double until the rule
-# agrees with its refinement to TABLE_TOL; no rule may pass TABLE_NODE_CAP nodes.
+# Each panel takes the fewest of 2 TABLE_NODES, 4 TABLE_NODES, ... nodes whose
+# error bound, on the ellipse E_TABLE_RHO bounded on TABLE_ARCS arcs of each
+# half, is at most TABLE_TOL; no rule may pass TABLE_NODE_CAP nodes.
 TABLE_U_MAX = 40.0
 TABLE_MIN_PANELS = 4
 TABLE_NODES = 12
 TABLE_NODE_CAP = 1 << 14
 TABLE_TOL = 1e-12
-# nodes whose binomial rows are held at once, which bounds a check's memory
-TABLE_ROW_NODES = 384
-
-
-@lru_cache(maxsize=None)
-def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, c) for c = 0..n, each the log of the exact integer C(n, c), so
-    within a rounding of its value: the sum test of a long block's marginal
-    then checks the quadrature, not the coefficients."""
-    logs, comb = [], 1
-    for c in range(n + 1):
-        logs.append(math.log(comb))
-        comb = comb * (n - c) // (c + 1)
-    out = np.array(logs)
-    out.setflags(write=False)
-    return out
+TABLE_RHO = 4.0
+TABLE_ARCS = 32
 
 
 def _legendre_series(x, c):
@@ -122,54 +124,82 @@ def _panel_rule(panels: int, nodes: int):
     return u, weights
 
 
-def _binomial_rows(size: int, x_u: np.ndarray, dark: float) -> np.ndarray:
-    """Bin(c; size, p) for c = 0..size, one row per mean photon number x_u of a
-    bin, with p = dark + (1 - dark) (1 - exp(-x_u)).
+class _Arcs(NamedTuple):
+    """Bounds over each arc of the upper half of each panel's Bernstein
+    ellipse, a row per panel; the lower half mirrors it, as F(conj r) = F(r)."""
 
-    An entry is exp(log C(size, c) + size log(1 - p) + c log(p / (1 - p))),
-    exact to rounding relative to its largest term; entries below 1e-100 are
-    raised to 1e-100, which moves no cell of a marginal by more than that
-    and keeps exp and the sums out of slow subnormals.
+    half: np.ndarray  # each panel's half-width h
+    re2: np.ndarray  # Re r^2, bounded below
+    im2: np.ndarray  # |Im r^2|, bounded above
+    log_weight: np.ndarray  # log(2 |r| e^(-Re r^2)), bounded above
+
+
+def _ellipse_arcs(panels: int) -> _Arcs:
+    """The ``_Arcs`` of the rule of ``panels`` panels.
+
+    The boundary of E_rho about the panel [c - h, c + h] is
+    r = c + h (A cos t + i B sin t), A, B = (rho +- 1/rho) / 2.  The arcs
+    split t in [0, pi] at TABLE_ARCS equal steps, pi / 2 among them, so on
+    each arc X = Re r and Y = Im r >= 0 are monotone: X^2 and Y^2 lie between
+    their values at the arc's ends (X^2 down to 0 where X changes sign), and
+    |r|^2 = X^2 + Y^2, Re r^2 = X^2 - Y^2 and |Im r^2| = 2|X| Y are bounded from
+    those ranges.  A bound that holds on every arc holds on the boundary, so
+    no point between samples is missed.
     """
-    c = np.arange(size + 1.0)
-    # 1 - p = (1 - dark) exp(-x_u) has an exact log; p below 1e-300 only adds
-    # entries of c >= 1 far below 1e-100
-    log_q = math.log1p(-dark) - x_u
-    log_p = np.log(np.maximum(dark + (1.0 - dark) * -np.expm1(-x_u), 1e-300))
-    logs = np.multiply.outer(log_p - log_q, c)
-    logs += (size * log_q)[:, None]
-    logs += _log_binomials(size)
-    return np.exp(np.maximum(logs, math.log(1e-100), out=logs), out=logs)
+    edges = np.linspace(0.0, math.sqrt(TABLE_U_MAX), panels + 1)
+    centre = (edges[:-1, None] + edges[1:, None]) / 2.0
+    half = np.diff(edges) / 2.0
+    t = np.linspace(0.0, math.pi, TABLE_ARCS + 1)
+    a, b = (TABLE_RHO + 1 / TABLE_RHO) / 2.0, (TABLE_RHO - 1 / TABLE_RHO) / 2.0
+    x = centre + half[:, None] * a * np.cos(t)
+    y2 = (half[:, None] * b * np.sin(t)) ** 2
+    x2 = x * x
+    x2_max, y2_max = np.maximum(x2[:, :-1], x2[:, 1:]), np.maximum(y2[:, :-1], y2[:, 1:])
+    x2_min = np.where(x[:, :-1] * x[:, 1:] <= 0.0, 0.0, np.minimum(x2[:, :-1], x2[:, 1:]))
+    re2 = x2_min - y2_max
+    log_weight = math.log(2.0) + 0.5 * np.log(x2_max + y2_max) - re2
+    return _Arcs(half, re2, 2.0 * np.sqrt(x2_max * y2_max), log_weight)
 
 
-def _marginal(bpb, x, dark, panels, nodes):
-    """One detector's marginal sum_i w_i Bin(.; bpb, p(u_i)) on the composite
-    rule of ``panels`` x ``nodes``, its rows summed ``TABLE_ROW_NODES`` nodes at
-    a time, and its click probabilities p(u_i) at the nodes."""
-    u, weights = _panel_rule(panels, nodes)
-    out = np.zeros(bpb + 1)
-    for lo in range(0, len(u), TABLE_ROW_NODES):
-        part = slice(lo, lo + TABLE_ROW_NODES)
-        # einsum's own loop, not a BLAS kernel whose summation order varies by build
-        out += np.einsum("i,ij->j", weights[part], _binomial_rows(bpb, x * u[part], dark))
-    return out, dark + (1.0 - dark) * -np.expm1(-x * u)
+def _log_binomial_bound(bpb: int, x: float, dark: float, arcs: _Arcs) -> np.ndarray:
+    """s log(|p| + |q|), one detector's factor of log F, bounded above on each
+    of the ``arcs``, with s = ``bpb``.
+
+    With |q| = (1 - dark) e^(-x Re r^2) and phi = x Im r^2,
+    |p|^2 = (1 - |q|)^2 + 4 |q| sin^2(phi / 2), and |p| + |q| grows with |q|
+    (its derivative is 1 + (|q| - cos phi) / |p| >= 0) and with |phi| up to
+    pi, past which |p| <= 1 + |q| takes phi = pi; so each arc's bound takes
+    its least Re r^2 and its largest |Im r^2|.  The logs keep it finite where
+    x is: |q| past e^30 takes |p| + |q| <= 1 + 2 |q|, and an x r^2 past the
+    float range gives an infinite factor, a panel no node count certifies.
+    """
+    with np.errstate(over="ignore"):  # an overflow is an infinite bound
+        log_q = math.log1p(-dark) - x * arcs.re2
+        phi = np.minimum(x * arcs.im2, math.pi)
+    capped = np.minimum(log_q, 30.0)
+    q, one_minus_q = np.exp(capped), -np.expm1(capped)
+    cross = 4.0 * q * np.sin(phi / 2.0) ** 2
+    p = np.sqrt(one_minus_q * one_minus_q + cross)
+    # |p| + |q| - 1, free of cancellation: below |q| = 1 it is the ratio
+    # (|p|^2 - (1 - |q|)^2) / (|p| + 1 - |q|), 0 where both vanish
+    excess = np.divide(cross, p + one_minus_q, out=p - one_minus_q, where=one_minus_q > 0.0)
+    log_sum = np.where(log_q > 30.0, np.logaddexp(0.0, math.log(2.0) + log_q), np.log1p(excess))
+    return bpb * log_sum
 
 
-def _level(bpb, x_cam, dark_cam, herald, panels, nodes):
-    """What the check compares of the rule of ``panels`` x ``nodes`` at camera
-    mean ``x_cam``, given the herald's ``_marginal`` of that rule: both
-    marginals, the mixed moments sum_i w_i p_cam^a p_her^b (a, b = 1, 2),
-    and, last, the sums of the two marginals."""
-    weights = _panel_rule(panels, nodes)[1]
-    cam, p_cam = _marginal(bpb, x_cam, dark_cam, panels, nodes)
-    her, p_her = herald
-    moments = np.einsum("i,ai,bi->ab", weights, [p_cam, p_cam**2], [p_her, p_her**2])
-    return np.concatenate([cam, her, moments.ravel(), [cam.sum(), her.sum()]])
+def _log_error_bound(log_moduli: np.ndarray, half: np.ndarray, nodes: int) -> float:
+    """log of the bound on the error of every cell of the rule of ``nodes``
+    nodes on each panel of half-width ``half``, given ``log_moduli``, log F
+    bounded on each arc of each panel: the sum over panels of
+    h 64 M / (15 (rho^2 - 1) rho^(2(nodes - 1)))."""
+    log_m = np.log(half) + log_moduli.max(axis=1)
+    constant = math.log(64.0 / (15.0 * (TABLE_RHO**2 - 1.0)))
+    return float(np.logaddexp.reduce(log_m)) + constant - 2 * (nodes - 1) * math.log(TABLE_RHO)
 
 
 def _panel_count(bpb: int, x: float) -> int:
     """Panels of the rule for a block whose brighter detector sees x a bin at u = 1:
-    doubled while the doubled first refinement stays within the cap."""
+    doubled while twice as many panels of 2 ``TABLE_NODES`` nodes stay within the cap."""
     panels = TABLE_MIN_PANELS
     wanted = 2.0 + 4.0 * math.sqrt(bpb * x)
     while panels < wanted and 4 * panels * TABLE_NODES <= TABLE_NODE_CAP:
@@ -182,37 +212,30 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
     of the click counts of a block of ``bpb`` bins, one rule per camera mean
     of ``x_cams``.
 
-    The check accepts the first rule whose refinement (twice the nodes per
-    panel) agrees with it to ``TABLE_TOL`` in each cell of both marginals
-    and in the four mixed moments, with each marginal of the refinement
-    summing to 1 within ``TABLE_TOL``, and returns the refinement.  No such
-    rule within ``TABLE_NODE_CAP`` nodes raises ``QVampireError``
-    naming the mean.  Each mean given is checked, so a caller passes distinct
-    ones; a (panels, nodes) level's herald marginal is built once per call.
+    Each rule takes the fewest nodes a panel, from 2 ``TABLE_NODES`` doubling,
+    whose error bound is at most ``TABLE_TOL`` in every cell of the joint
+    table; no such rule within ``TABLE_NODE_CAP`` nodes raises
+    ``QVampireError`` naming the mean.  Each mean given gets its rule, so a
+    caller passes distinct ones; the ellipse's arcs and the herald's factor
+    of the bound are built once per panel count a call meets.
     """
-    herald = {}
-
-    def level(x_cam, panels, nodes):
-        if (panels, nodes) not in herald:
-            herald[panels, nodes] = _marginal(bpb, x_her, dark_her, panels, nodes)
-        return _level(bpb, x_cam, dark_cam, herald[panels, nodes], panels, nodes)
-
-    rules = []
+    herald, rules = {}, []
     for x_cam in x_cams:
-        panels, nodes = _panel_count(bpb, max(x_cam, x_her)), TABLE_NODES
-        coarse = level(x_cam, panels, nodes)
-        while True:
-            fine = level(x_cam, panels, 2 * nodes)
-            residual = float(max(np.abs(fine - coarse).max(), np.abs(fine[-2:] - 1.0).max()))
-            if residual <= TABLE_TOL:
-                break
-            if panels * 4 * nodes > TABLE_NODE_CAP:
+        panels = _panel_count(bpb, max(x_cam, x_her))
+        if panels not in herald:
+            arcs = _ellipse_arcs(panels)
+            herald[panels] = arcs, arcs.log_weight + _log_binomial_bound(bpb, x_her, dark_her, arcs)
+        arcs, log_her = herald[panels]
+        log_moduli = log_her + _log_binomial_bound(bpb, x_cam, dark_cam, arcs)
+        nodes = 2 * TABLE_NODES
+        while (log_error := _log_error_bound(log_moduli, arcs.half, nodes)) > math.log(TABLE_TOL):
+            if panels * 2 * nodes > TABLE_NODE_CAP:
                 raise QVampireError(
-                    f"block rule ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) leaves "
-                    f"residual {residual:.2e} > {TABLE_TOL:.0e} at {panels} panels of "
-                    f"{2 * nodes} nodes"
+                    f"block rule ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) has error "
+                    f"bound 10^{log_error / math.log(10.0):.3g} > {TABLE_TOL:.0e} at {panels} "
+                    f"panels of {nodes} nodes"
                 )
-            coarse, nodes = fine, 2 * nodes
-        u, weights = _panel_rule(panels, 2 * nodes)
+            nodes *= 2
+        u, weights = _panel_rule(panels, nodes)
         rules.append((u, weights / weights.sum()))
     return rules

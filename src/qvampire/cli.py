@@ -74,8 +74,7 @@ def cmd_profile(args) -> int:
 def cmd_scan(args) -> int:
     _, scenario = _load_scenario(args)
     out = _outdir(args)
-    scenario.check_blocks()  # before run_scan makes it, so the error names its keys
-    result = qv.montecarlo.run_scan(scenario.source, scenario.scan)
+    result = scenario.run_scan()
     echo = dict(scenario.echo)
     echo.update(result.config)
     qv.montecarlo.save_scan_csv(out / "scan.csv", result)

@@ -20,12 +20,14 @@ from .errors import ConfigMismatch, QVampireError, WeakCouplingViolated
 from .montecarlo import (
     DetectorConfig,
     ScanConfig,
+    ScanResult,
     COHERENT,
     SourceConfig,
     THERMAL,
     bins_per_block,
     derived_settings,
     load_sidecar as load_config,  # a config is read like a sidecar echo
+    run_scan,
 )
 from .spatial import (
     BeamProfile,
@@ -136,6 +138,13 @@ class ScenarioConfig:
         """``run_scan``'s coherence-block check, its range error named by its keys."""
         with _keyed(self.echo, "source.coherence_time", "detector.bin_width", "source.kind"):
             bins_per_block(self.source, self.scan.herald_detector)
+
+    def run_scan(self) -> ScanResult:
+        """``run_scan`` of the scenario after ``check_blocks``; a block rule it
+        refuses, whose mean the source's brightness scales, names ``source.nbar``."""
+        self.check_blocks()
+        with _keyed(self.echo, "source.nbar"):
+            return run_scan(self.source, self.scan)
 
 
 def read_value(key: str, text: str):

@@ -19,9 +19,9 @@ scan's count grids; its full coherence blocks are i.i.d., so it is drawn
 as a mixture rather than block by block (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III):
 
 - A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
-  whose camera and herald marginals and mixed click moments must agree
-  with its own refinement to 1e-12: node u_i with probability w_i.  One
-  multinomial counts the tile's full blocks at each node.
+  whose node count an a-priori error bound certifies to 1e-12 in every
+  cell of the block's joint click table: node u_i with probability w_i.
+  One multinomial counts the tile's full blocks at each node.
 - Given the field every bin clicks each detector independently, so the
   m s bins of the m blocks at one node are one multinomial over the four
   joint outcomes (both, camera only, herald only, neither).  The final
@@ -33,10 +33,10 @@ A coherent tile has one intensity, so its law is one block of all its bins
 at u = 1 with weight 1, drawn by the same two multinomials.  Either way a
 tile's time and memory do not grow with the dwell, and every draw is
 distribution-exact up to the rule's quadrature error.  A rule depends on
-the tile only through the camera weight, so a scan checks the rules of all
-its distinct camera weights in one call, which builds the herald's marginal
-of each refinement level once for all of them, and computes each weight's
-outcome rows at the rule's nodes once.
+the tile only through the camera weight, so a scan takes the rules of all
+its distinct camera weights in one call, which bounds the herald's factor
+of the error once per panel count for all of them, and computes each
+weight's outcome rows at the rule's nodes once.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .spatial import BeamProfile, MaskSpec, reduce
 THERMAL = "thermal"
 COHERENT = "coherent"
 
-# the check of a thermal tile's rule compares marginals, not the (s+1)^2-cell
-# outcome table of a block; the tests hold it to the table's check up to here
+# a thermal tile's rule is certified by a bound that holds at any block
+# length; the tests hold its rules to the (s+1)^2-cell outcome table's check up to here
 MAX_BINS_PER_BLOCK = 1024
 
 # what a scan is analyzed with when its sidecar lacks the key
@@ -278,15 +278,15 @@ def expected_singles_counts(
 
 def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
     """Bins per coherence block: at least one, and for a thermal source, whose
-    tiles check a quadrature rule, at most ``MAX_BINS_PER_BLOCK``."""
+    tiles take a quadrature rule, at most ``MAX_BINS_PER_BLOCK``."""
     if src.coherence_time < det.bin_width:
         raise ConfigMismatch("coherence_time must be at least one bin_width")
     # capped before int(): a subnormal bin_width sends the ratio to inf
     bpb = int(min(src.coherence_time / det.bin_width + 1e-9, 2**63 - 1))
     if src.kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:
         raise ConfigMismatch(
-            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: the check of "
-            f"its quadrature rule is tested against the joint outcome table only up to that"
+            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: its quadrature "
+            f"rule is tested against the joint outcome table only up to that"
         )
     return bpb
 
@@ -355,7 +355,7 @@ class _TileLaw(NamedTuple):
 
     full_blocks: int  # full coherence blocks a tile holds
     block: int  # bins of a full block
-    weights: np.ndarray  # of the checked rule, one per node
+    weights: np.ndarray  # of the certified rule, one per node
     rows: np.ndarray  # ``_outcome_rows`` at the rule's nodes
     rest: int  # bins of the partial block, drawn at an Exp(1) intensity
     clicks: tuple  # ``_outcome_rows``' arguments before the intensity
@@ -365,7 +365,7 @@ def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
     """The ``_TileLaw`` of a tile of ``n_bins`` bins at each camera weight of
     ``w_cams``.  A coherent tile is one block of all its bins at u = 1 with
     weight 1, and a thermal tile shorter than a block has no full block, so
-    it checks no rule."""
+    it takes no rule."""
     block = n_bins if src.kind == COHERENT else bpb
     if src.kind == COHERENT or n_bins < bpb:
         rules = [(np.ones(1), np.ones(1))] * len(w_cams)
@@ -417,7 +417,7 @@ def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
 
     Deterministic for a fixed (seed, config): each superpixel draws from its
     own keyed Philox substream.  In a scan only the camera weight varies, so
-    the rules of all distinct weights are checked in one call.  Then the tiles
+    the rules of all distinct weights are chosen in one call.  Then the tiles
     are drawn in index order on the calling thread by one Philox generator,
     re-keyed to (seed, index) before each tile.  ``scan.threads`` goes unread.
     """

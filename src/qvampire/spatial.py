@@ -120,7 +120,11 @@ def _ellipse(width: int, height: int, pad: int, cx=None, cy=None, rx=None, ry=No
     ry = 0.4 * height if ry is None else ry
     if rx <= 0 or ry <= 0:
         raise QVampireError("ellipse radii must be positive")
-    return ((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2 <= 1.0
+    # an offset past twice its radius lies outside either way: clipped there,
+    # no centre or radius squares a value past the float range
+    dx = np.clip(x - cx, -2.0 * rx, 2.0 * rx) / rx
+    dy = np.clip(y - cy, -2.0 * ry, 2.0 * ry) / ry
+    return dx**2 + dy**2 <= 1.0
 
 
 def rect_region(width: int, height: int, x0: int, y0: int, w: int, h: int) -> np.ndarray:
@@ -226,7 +230,11 @@ def contrast_for_herald_rate(
     c2 = target / (nbar * frac)
     if c2 > 1.0:
         raise QVampireError(f"needs contrast^2 = {c2:.3f} > 1")
-    return math.sqrt(c2)
+    contrast = math.sqrt(c2)
+    if contrast > 0.0 and math.sqrt(1.0 - contrast * contrast) == 1.0:  # as vampire_mask takes t
+        raise QVampireError(f"source.nbar = {nbar!r} solves contrast {contrast!r}, which leaves "
+                            f"t = sqrt(1 - contrast^2) at 1, so the mask taps no light")
+    return contrast
 
 
 # ---------------------------------------------------------------------------

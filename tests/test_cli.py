@@ -1,6 +1,7 @@
 """End-to-end CLI tests on miniature configs: schemas, round trips, exit codes."""
 
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -583,6 +584,51 @@ def test_cmd_scan_names_why_the_herald_target_is_unreachable(tmp_path, capsys, k
     region = value if key == "mask.region" else "rect:11,8,10,8"
     given = f"mask.herald_target='0.013', mask.region={region!r}"
     assert capsys.readouterr().err == f"qvampire: {given}: the target is out of reach: {cause}\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "scan"])
+def test_a_herald_target_whose_contrast_leaves_t_at_1_is_refused(tmp_path, capsys, command):
+    # at source.nbar=1e308 the target solves a contrast near 1e-155, whose
+    # t = sqrt(1 - c^2) is exactly 1: the mask would tap no light, and profile
+    # printed herald_rate=0.0 for a target of 0.013
+    cfg = write_config(tmp_path, SMOKE_CONFIG.replace("source.nbar=1.0", "source.nbar=1e308"))
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    given = "mask.herald_target='0.013', mask.region='rect:11,8,10,8'"
+    assert err.startswith(f"qvampire: {given}: the target is out of reach: source.nbar = 1e+308 "
+                          "solves contrast ")
+    assert err.endswith(", which leaves t = sqrt(1 - contrast^2) at 1, so the mask taps no light\n")
+    assert err.count("\n") == 1
+
+
+def test_cmd_scan_names_source_nbar_when_no_block_rule_is_certified(tmp_path, capsys):
+    # at source.nbar=1e308 the herald sees 1e305 photons a bin, past what any
+    # rule within the node cap integrates; the bound refuses it without a
+    # floating-point warning, where the check it replaced overflowed to nan
+    text = SMOKE_CONFIG.replace("source.nbar=1.0", "source.nbar=1e308")
+    cfg = write_config(tmp_path, text.replace("mask.herald_target=0.013", "mask.contrast=0.3"))
+    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert re.fullmatch(r"qvampire: source\.nbar='1e308': block rule \(83 bins, x_cam \S+, x_her "
+                        r"\S+\) has error bound 10\^\S+ > 1e-12 at \d+ panels of \d+ nodes\n", err)
+
+
+@pytest.mark.parametrize("command", ["profile", "scan"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("profile.cx", "1e308"), ("profile.cy", "-1.7976931348623157e308"), ("profile.rx", "5e-324")],
+)
+def test_an_ellipse_beyond_the_float_range_ends_in_one_line(tmp_path, capsys, command, key, value):
+    # ((x - cx) / rx)^2 once overflowed, and its warning came before the refusal
+    lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join([*lines, f"{key}={value}"]))
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith("qvampire: profile.kind='uniform_ellipse'") and err.count("\n") == 1
+    assert f"{key}={value!r}" in err and err.endswith(": ellipse does not cover any pixel\n")
 
 
 def test_cmd_scan_coherent_source_takes_a_block_beyond_the_thermal_cap(tmp_path, capsys):

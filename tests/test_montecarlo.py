@@ -2,6 +2,7 @@
 oracles via a sampler that draws every coherence block on its own."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -102,12 +103,57 @@ def tile_by_tile(src, scan):
     return grids
 
 
-def rule_table(bpb, x_cam, dark_cam, x_her, dark_her):
-    """The block-outcome table of the rule ``bt.block_rules`` returns, the law a
-    tile's blocks are drawn from: sum_i w_i Bin(.; s, p_cam(u_i)) (x) Bin(.; s, p_her(u_i))."""
-    ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, x_her, dark_her)
-    cam = bt._binomial_rows(bpb, x_cam * u, dark_cam) * weights[:, None]
-    return cam.T @ bt._binomial_rows(bpb, x_her * u, dark_her)
+@functools.lru_cache(maxsize=None)
+def log_binomials(n: int) -> np.ndarray:
+    """log C(n, c) for c = 0..n, each the log of the exact integer C(n, c), so
+    within a rounding of its value: the sum test of a long block's marginal
+    then checks the quadrature, not the coefficients."""
+    logs, comb = [], 1
+    for c in range(n + 1):
+        logs.append(math.log(comb))
+        comb = comb * (n - c) // (c + 1)
+    out = np.array(logs)
+    out.setflags(write=False)
+    return out
+
+
+def binomial_rows(size: int, x_u: np.ndarray, dark: float) -> np.ndarray:
+    """Bin(c; size, p) for c = 0..size, one row per mean photon number x_u of a
+    bin, with p = dark + (1 - dark) (1 - exp(-x_u)).
+
+    An entry is exp(log C(size, c) + size log(1 - p) + c log(p / (1 - p))),
+    exact to rounding relative to its largest term; entries below 1e-100 are
+    raised to 1e-100, which moves no cell of a marginal by more than that
+    and keeps exp and the sums out of slow subnormals.
+    """
+    c = np.arange(size + 1.0)
+    # 1 - p = (1 - dark) exp(-x_u) has an exact log; p below 1e-300 only adds
+    # entries of c >= 1 far below 1e-100
+    log_q = math.log1p(-dark) - x_u
+    log_p = np.log(np.maximum(dark + (1.0 - dark) * -np.expm1(-x_u), 1e-300))
+    logs = np.multiply.outer(log_p - log_q, c)
+    logs += (size * log_q)[:, None]
+    logs += log_binomials(size)
+    return np.exp(np.maximum(logs, math.log(1e-100), out=logs), out=logs)
+
+
+def rule_table(bpb, x_cam, dark_cam, x_her, dark_her, rule=None):
+    """The block-outcome table of ``rule``, by default the one ``bt.block_rules``
+    returns, the law a tile's blocks are drawn from:
+    sum_i w_i Bin(.; s, p_cam(u_i)) (x) Bin(.; s, p_her(u_i))."""
+    if rule is None:
+        ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, x_her, dark_her)
+    else:
+        u, weights = rule
+    cam = binomial_rows(bpb, x_cam * u, dark_cam) * weights[:, None]
+    return cam.T @ binomial_rows(bpb, x_her * u, dark_her)
+
+
+def rule_shape(bpb, x_cam, x_her, u):
+    """The panels and nodes a panel of a rule of ``bt.block_rules`` with nodes ``u``."""
+    panels = bt._panel_count(bpb, max(x_cam, x_her))
+    assert len(u) % panels == 0
+    return panels, len(u) // panels
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +267,35 @@ def test_table_sums_to_one(x_s, dark_cam, dark_her):
 
 @pytest.mark.parametrize("bpb", [512, 1024])
 def test_long_block_marginals_sum_to_one_far_inside_the_check(bpb):
-    # the check holds each marginal's sum to 1 within TABLE_TOL; rounding in
-    # the binomial rows must leave that tolerance to the quadrature, so each
-    # sum is held to a twentieth of it
+    # the tests hold each marginal's sum to 1 within TABLE_TOL; rounding in
+    # the oracle's binomial rows must leave that tolerance to the quadrature,
+    # so the marginal of each rule block_rules returns is held to a twentieth
     for dark in (0.0, 1e-4, 0.01, 0.05):
         for x_s in np.geomspace(0.01, 10.0, 7):
-            panels = bt._panel_count(bpb, x_s / bpb)
-            marginal, _ = bt._marginal(bpb, x_s / bpb, dark, panels, 2 * bt.TABLE_NODES)
+            ((u, weights),) = bt.block_rules(bpb, [x_s / bpb], dark, 0.0, 0.0)
+            marginal, _ = marginal_of(bpb, x_s / bpb, dark, u, weights)
             assert abs(marginal.sum() - 1.0) < bt.TABLE_TOL / 20, (dark, x_s)
 
 
 @pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
-def test_bright_table_matches_rule_refined_twice_over(monkeypatch, dark_cam, dark_her):
+def test_bright_table_matches_rule_refined_twice_over(dark_cam, dark_her):
     # x s = 50 for the camera: a cell's peak is far narrower than on a desk tile
-    rules = []
-    level = bt._level
-
-    def spy(*args):
-        rules.append(args[-2:])
-        return level(*args)
-
-    monkeypatch.setattr(bt, "_level", spy)
     x_cam, x_her = 50.0 / BPB, 20.0 / BPB
-    table = rule_table(BPB, x_cam, dark_cam, x_her, dark_her)
-    panels, nodes = rules[-1]  # the rule the draw was taken from
-    u, weights = bt._panel_rule(panels, 4 * nodes)
-    cam = bt._binomial_rows(BPB, x_cam * u, dark_cam) * weights[:, None]
-    refined = cam.T @ bt._binomial_rows(BPB, x_her * u, dark_her)
+    ((u, weights),) = bt.block_rules(BPB, [x_cam], dark_cam, x_her, dark_her)
+    panels, nodes = rule_shape(BPB, x_cam, x_her, u)
+    table = rule_table(BPB, x_cam, dark_cam, x_her, dark_her, (u, weights))
+    refined = rule_table(BPB, x_cam, dark_cam, x_her, dark_her, bt._panel_rule(panels, 4 * nodes))
     assert np.abs(table - refined).max() < 1e-12
 
 
 def test_table_refinement_that_cannot_converge_raises(monkeypatch):
-    # capped at the first refinement of the fewest panels, a bright tile fails
+    # capped at the fewest panels of the first node count, a bright tile's
+    # bound fails, and the error names its mean
     monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
-    with pytest.raises(QVampireError, match=r"block rule \(.*\) leaves residual"):
-        rule_table(BPB, 50.0 / BPB, 0.0, 20.0 / BPB, 0.0)
+    x_cam = 50.0 / BPB
+    match = rf"block rule \(83 bins, x_cam {x_cam:.3g}, .*\) has error bound 10\^.* > 1e-12"
+    with pytest.raises(QVampireError, match=match):
+        bt.block_rules(BPB, [x_cam], 0.0, 20.0 / BPB, 0.0)
 
 
 # nodes per product of the oracle's table contraction, and nodes whose rows it
@@ -274,8 +314,8 @@ def per_mean_rule(bpb, x_cam, dark_cam, x_her, dark_her):
         out = np.zeros((bpb + 1, bpb + 1))
         for lo in range(0, len(u), ORACLE_ROW_NODES):
             part = slice(lo, lo + ORACLE_ROW_NODES)
-            cam = bt._binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
-            her = bt._binomial_rows(bpb, x_her * u[part], dark_her)
+            cam = binomial_rows(bpb, x_cam * u[part], dark_cam) * weights[part, None]
+            her = binomial_rows(bpb, x_her * u[part], dark_her)
             for k in range(0, len(cam), ORACLE_NODE_BLOCK):
                 out += cam[k : k + ORACLE_NODE_BLOCK].T @ her[k : k + ORACLE_NODE_BLOCK]
         return out
@@ -295,6 +335,45 @@ def per_mean_rule(bpb, x_cam, dark_cam, x_her, dark_her):
         assert panels * 4 * nodes <= bt.TABLE_NODE_CAP
         nodes *= 2
         coarse = fine
+
+
+def marginal_of(bpb, x, dark, u, weights):
+    """One detector's marginal sum_i w_i Bin(.; bpb, p(u_i)) on the rule of
+    nodes ``u`` and weights ``weights``, its rows summed ``ORACLE_ROW_NODES``
+    nodes at a time, and its click probabilities p(u_i) at the nodes."""
+    out = np.zeros(bpb + 1)
+    for lo in range(0, len(u), ORACLE_ROW_NODES):
+        part = slice(lo, lo + ORACLE_ROW_NODES)
+        # einsum's own loop, not a BLAS kernel whose summation order varies by build
+        out += np.einsum("i,ij->j", weights[part], binomial_rows(bpb, x * u[part], dark))
+    return out, dark + (1.0 - dark) * -np.expm1(-x * u)
+
+
+def marginal_check_rule(bpb, x_cam, dark_cam, x_her, dark_her):
+    """Oracle for ``bt.block_rules``: the check its bound replaced.  It compares
+    the rule of ``bt._panel_count`` panels with its refinement (twice the nodes
+    a panel) in each cell of both marginals and in the mixed moments
+    sum_i w_i p_cam^a p_her^b (a, b = 1, 2), with each marginal of the
+    refinement summing to 1, and returns the first refinement within
+    ``TABLE_TOL``: O(nodes s) a level, where the joint table's is O(nodes s^2)."""
+
+    def level(panels, nodes):
+        u, weights = bt._panel_rule(panels, nodes)
+        cam, p_cam = marginal_of(bpb, x_cam, dark_cam, u, weights)
+        her, p_her = marginal_of(bpb, x_her, dark_her, u, weights)
+        moments = np.einsum("i,ai,bi->ab", weights, [p_cam, p_cam**2], [p_her, p_her**2])
+        return np.concatenate([cam, her, moments.ravel(), [cam.sum(), her.sum()]])
+
+    panels, nodes = bt._panel_count(bpb, max(x_cam, x_her)), bt.TABLE_NODES
+    coarse = level(panels, nodes)
+    while True:
+        fine = level(panels, 2 * nodes)
+        residual = max(np.abs(fine - coarse).max(), np.abs(fine[-2:] - 1.0).max())
+        if residual <= bt.TABLE_TOL:
+            u, weights = bt._panel_rule(panels, 2 * nodes)
+            return u, weights / weights.sum()
+        assert panels * 4 * nodes <= bt.TABLE_NODE_CAP
+        coarse, nodes = fine, 2 * nodes
 
 
 def scan_check_args(monkeypatch, src, scan):
@@ -394,6 +473,19 @@ def test_marginal_check_keeps_the_joint_table_checks_rule_at_the_largest_block(x
     assert np.array_equal(weights, oracle_weights)
 
 
+@pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
+def test_bound_keeps_the_refinement_checks_rules_at_the_largest_block(dark_cam, dark_her):
+    # the marginal refinement check the bound replaced, over the sweep's means
+    # at the block length where the joint table's check is slowest
+    bpb = mc.MAX_BINS_PER_BLOCK
+    for x_s, ratio in itertools.product(SWEEP_X_S, (0.0, 0.3, 3.0)):
+        x_cam = x_s / bpb
+        ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, ratio * x_cam, dark_her)
+        oracle_u, oracle_weights = marginal_check_rule(bpb, x_cam, dark_cam, ratio * x_cam, dark_her)
+        assert np.array_equal(u, oracle_u), (x_s, ratio)
+        assert np.array_equal(weights, oracle_weights), (x_s, ratio)
+
+
 def test_gauss_legendre_rule_is_numpys_bit_for_bit():
     # every base rule a check can take: TABLE_NODES doubled until one panel of
     # the fewest would pass the cap, and the small counts a test may start from
@@ -410,51 +502,70 @@ def test_gauss_legendre_rule_is_numpys_bit_for_bit():
 
 
 def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monkeypatch):
-    # from two nodes a panel, the six means do not all pass at the same level
+    # from four nodes a panel and at a tolerance of 1e-8, the dim means' bounds
+    # pass at 8 nodes and the bright ones' at 16: each mean keeps the rule it
+    # gets alone, whose table meets the tolerance against the oracle's
     monkeypatch.setattr(bt, "TABLE_NODES", 2)
-    finest = {}
-    level = bt._level
-
-    def level_spy(bpb, x_cam, *rest):
-        finest[x_cam] = max(finest.get(x_cam, 0), rest[-1])
-        return level(bpb, x_cam, *rest)
-
-    monkeypatch.setattr(bt, "_level", level_spy)
-    x_cams = [x / BPB for x in (0.0, 0.01, 0.1, 1.0, 3.6, 10.0)]
+    monkeypatch.setattr(bt, "TABLE_TOL", 1e-8)
+    x_cams = [x / BPB for x in (0.0, 0.01, 0.1, 1.0, 3.6, 10.0, 50.0)]
     x_her = 3.6 / BPB
     rules = bt.block_rules(BPB, x_cams, 0.0, x_her, 0.0)
-    assert len(finest) == len(x_cams) and len(set(finest.values())) > 1
+    assert {rule_shape(BPB, x_cam, x_her, u)[1] for x_cam, (u, _) in zip(x_cams, rules)} == {8, 16}
     for x_cam, (u, weights) in zip(x_cams, rules):
-        oracle_u, oracle_weights = per_mean_rule(BPB, x_cam, 0.0, x_her, 0.0)
-        assert np.array_equal(u, oracle_u)
-        assert np.array_equal(weights, oracle_weights)
+        ((alone_u, alone_weights),) = bt.block_rules(BPB, [x_cam], 0.0, x_her, 0.0)
+        assert u.tobytes() == alone_u.tobytes()
+        assert weights.tobytes() == alone_weights.tobytes()
+        oracle = per_mean_rule(BPB, x_cam, 0.0, x_her, 0.0)
+        table = rule_table(BPB, x_cam, 0.0, x_her, 0.0, (u, weights))
+        assert np.abs(table - rule_table(BPB, x_cam, 0.0, x_her, 0.0, oracle)).max() < 1e-8
 
 
-def test_herald_rows_are_built_once_per_chunk_and_level_of_a_check(monkeypatch):
-    # four camera means share the herald's panel count, so its marginal of a
-    # level serves every mean; the two detectors' dark counts tell their rows apart
+def test_herald_factor_is_built_once_per_panel_count(monkeypatch):
+    # six camera means meet three panel counts: the herald's factor of the
+    # bound is built once for each, the camera's once a mean; the two
+    # detectors' dark counts tell their calls apart
     dark_cam, dark_her = 0.01, 0.03
-    x_cams = [x / BPB for x in (0.0, 0.1, 0.3, 0.5)]
-    rows, tables = [], []
-    build_rows, level = bt._binomial_rows, bt._level
+    x_cams = [x / BPB for x in (0.0, 0.1, 0.5, 3.6, 10.0, 50.0)]
+    x_her = 0.65 / BPB
+    calls, bound = [], bt._log_binomial_bound
 
-    def rows_spy(size, x_u, dark):
-        rows.append(dark)
-        return build_rows(size, x_u, dark)
+    def spy(bpb, x, dark, arcs):
+        calls.append((dark, len(arcs.half)))
+        return bound(bpb, x, dark, arcs)
 
-    def level_spy(bpb, x_cam, *rest):
-        tables.append((x_cam, tuple(rest[-2:])))
-        return level(bpb, x_cam, *rest)
+    monkeypatch.setattr(bt, "_log_binomial_bound", spy)
+    bt.block_rules(BPB, x_cams, dark_cam, x_her, dark_her)
+    panels = [bt._panel_count(BPB, max(x_cam, x_her)) for x_cam in x_cams]
+    assert sorted(set(panels)) == [8, 16, 32]
+    assert [p for dark, p in calls if dark == dark_her] == sorted(set(panels))
+    assert [p for dark, p in calls if dark == dark_cam] == panels
 
-    monkeypatch.setattr(bt, "_binomial_rows", rows_spy)
-    monkeypatch.setattr(bt, "_level", level_spy)
-    bt.block_rules(BPB, x_cams, dark_cam, 0.65 / BPB, dark_her)
-    chunks = lambda panels, nodes: -(-panels * nodes // bt.TABLE_ROW_NODES)
-    levels = {level for _, level in tables}
-    assert {x_cam for x_cam, _ in tables} == set(x_cams)
-    assert len(levels) >= 2 and len(tables) == len(x_cams) * len(levels)
-    assert rows.count(dark_her) == sum(chunks(*level) for level in levels)
-    assert rows.count(dark_cam) == sum(chunks(*level) for _, level in tables)
+
+# block lengths, camera means x_cam s and (camera dark, herald dark, x_her / x_cam)
+# of the soundness test, each at 2 to 8 nodes a panel
+SOUND_BINS = (1, 8, 83, 256)
+SOUND_X_S = (0.01, 1.0, 10.0, 50.0, 200.0)
+SOUND_DARKS = [(0.0, 0.0, 0.3), (0.01, 0.03, 3.0), (0.3, 0.1, 1.0)]
+
+
+def test_error_bound_holds_over_each_joint_cell():
+    # the bound must hold the quadrature's worst joint-cell error, measured
+    # against a rule of 64 nodes a panel; at 2 to 8 nodes the error is far
+    # above rounding, so a bound that is too small by a factor rho^2 shows
+    for bpb, x_s, (dark_cam, dark_her, ratio) in itertools.product(
+        SOUND_BINS, SOUND_X_S, SOUND_DARKS
+    ):
+        x_cam, x_her = x_s / bpb, ratio * x_s / bpb
+        panels = bt._panel_count(bpb, max(x_cam, x_her))
+        arcs = bt._ellipse_arcs(panels)
+        log_moduli = (arcs.log_weight + bt._log_binomial_bound(bpb, x_cam, dark_cam, arcs)
+                      + bt._log_binomial_bound(bpb, x_her, dark_her, arcs))
+        exact = rule_table(bpb, x_cam, dark_cam, x_her, dark_her, bt._panel_rule(panels, 64))
+        for nodes in range(2, 9):
+            rule = bt._panel_rule(panels, nodes)
+            error = np.abs(rule_table(bpb, x_cam, dark_cam, x_her, dark_her, rule) - exact).max()
+            bound = math.exp(bt._log_error_bound(log_moduli, arcs.half, nodes))
+            assert error <= bound, (bpb, x_s, dark_cam, nodes, error, bound)
 
 
 def test_batch_names_the_mean_that_cannot_converge(monkeypatch):
@@ -910,10 +1021,10 @@ def test_run_scan_builds_each_distinct_table_once(monkeypatch):
 
 def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     # blocks of 1024 bins on an off-centre gaussian: each of the 12 tiles
-    # checks its own rule.  The check holds a level's binomial rows one chunk
-    # of TABLE_ROW_NODES x (s+1) cells (3.1 MB) at a time and a tile's draw
-    # holds none, so a scan, at threads=2 too, stays under two chunks, less
-    # than one 8.4 MB (s+1)^2 table
+    # takes its own rule.  The bound that chooses it holds no (s+1)-wide
+    # array and a tile's draw holds none, so a scan, at threads=2 too, stays
+    # under a tenth of one chunk of the oracle's ORACLE_ROW_NODES x (s+1)
+    # binomial rows (3.1 MB), which the check it replaced held at once
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
     src = mc.SourceConfig(
@@ -922,8 +1033,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     threads = 2
     scan = small_scan(spatial.MaskSpec(np.ones((6, 8))), seed=3, superpixel=2, dwell=1e-4,
                       threads=threads)
-    chunk_bytes = bt.TABLE_ROW_NODES * (mc.MAX_BINS_PER_BLOCK + 1) * 8
-    table_bytes = (mc.MAX_BINS_PER_BLOCK + 1) ** 2 * 8
+    chunk_bytes = ORACLE_ROW_NODES * (mc.MAX_BINS_PER_BLOCK + 1) * 8
     power = prof.power()
     _, _, tiles = mc.superpixel_tiles(6, 8, 2)
     assert len({float(power[ys, xs].sum()) for _, _, ys, xs in tiles}) == len(tiles) == 12
@@ -934,7 +1044,7 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     finally:
         tracemalloc.stop()
     assert res.grid("camera_counts").sum() > 0
-    assert peak < 2 * chunk_bytes < table_bytes
+    assert peak < chunk_bytes / 10
 
 def test_conditional_ratio_is_two_for_thermal(tmp_path):
     prof = flat_profile()

@@ -28,9 +28,11 @@ def _public_definitions(path):
 
 
 def _referenced_names(path):
+    """The names a module reads, not those it only binds: loaded names,
+    attribute names and imported names."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -44,6 +46,36 @@ def test_every_public_name_has_a_production_caller():
     referenced = set().union(*(_referenced_names(p) for p in CALLERS))
     unused = sorted(defined - referenced)
     assert not unused, f"public names with no production caller: {unused}"
+
+
+def _private_definitions(path):
+    """The private functions and classes, and the upper-case constants, that a
+    module defines at its top level; dunder names are Python's to call."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+    return {name for name in names if name.isupper() or name.startswith("_")
+            and not name.startswith("__")}
+
+
+def test_every_private_name_and_constant_has_a_package_caller():
+    # a helper or constant only the tests read belongs in the tests: the
+    # refinement check blocktable's bound replaced, its binomial rows and
+    # their chunk size live there as oracles, and must not drift back
+    read = set().union(*(_referenced_names(p) for p in sorted(PACKAGE.glob("*.py"))))
+    unread = sorted(
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_definitions(path) - read
+    )
+    assert not unread, f"private names and constants no package code reads: {unread}"
+    assert {"_ellipse_arcs", "_log_error_bound", "TABLE_TOL"} <= _private_definitions(
+        PACKAGE / "blocktable.py"
+    )
 
 
 def _caught_names(path):

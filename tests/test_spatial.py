@@ -51,6 +51,29 @@ def test_ring_pixels_carry_gain_before_normalization():
     assert abs(vals[1] / vals[0] - 1.5) < 1e-12
 
 
+def test_a_solved_contrast_must_change_t():
+    # t = sqrt(1 - c^2) leaves 1 once c^2 reaches about 2^-52; a contrast
+    # below that taps no light, so no herald target may solve it, while a
+    # target of 0 solves the white mask and every larger contrast solves as before
+    prof = spatial.make_profile("uniform_ellipse", 16, 12)
+    region = np.ones((12, 16), dtype=bool)
+    frac = float(prof.power().sum())
+    assert spatial.contrast_for_herald_rate(prof, region, 1.0, 0.0) == 0.0
+    contrast = spatial.contrast_for_herald_rate(prof, region, 1.0, 2.0**-50)
+    assert contrast == math.sqrt(2.0**-50 / frac) and math.sqrt(1.0 - contrast**2) < 1.0
+    with pytest.raises(QVampireError, match=r"source.nbar = 1.0 solves contrast .*, which leaves t"):
+        spatial.contrast_for_herald_rate(prof, region, 1.0, 2.0**-60)
+
+
+def test_an_ellipse_draws_the_pixels_it_drew_before_its_offsets_were_clipped():
+    # clipping each offset at twice its radius moves no pixel in or out
+    x, y = np.meshgrid(np.arange(40.0), np.arange(30.0))
+    for cx, cy, rx, ry in [(19.5, 14.5, 16, 12), (0, 0, 0.4, 40), (-3, 35, 9.5, 7.25),
+                           (20, 15, 1e-3, 1e3)]:
+        old = ((x - cx) / rx) ** 2 + ((y - cy) / ry) ** 2 <= 1.0
+        assert np.array_equal(spatial.ellipse_region(40, 30, cx, cy, rx, ry), old)
+
+
 def test_degenerate_profile_rejected():
     with pytest.raises(QVampireError, match="ellipse does not cover any pixel"):
         spatial.make_profile("uniform_ellipse", 20, 20, cx=-50.0, cy=-50.0, rx=1, ry=1)
