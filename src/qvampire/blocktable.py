@@ -29,8 +29,9 @@ so one bound on F serves every cell, both marginals and the block's total
 mass.  By the maximum-modulus principle a cell's maximum over the ellipse
 lies on its boundary; F is bounded there arc by arc, not sampled (see
 ``_ellipse_arcs``).  The bound never forms a binomial row, so a rule costs
-O(panels) whatever s is; the tests hold its rules to the per-cell check
-of the (s+1)^2 table against its refinement up to s = 1024.
+O(panels) whatever s is, and it holds at any s; the tests hold its rules
+to the per-cell check of the (s+1)^2 table against its refinement up to
+s = 1024, and to the check of both marginals up to s = 4096.
 
 In a scan only x_cam varies from tile to tile, and the herald's factor of
 F depends on the rule only through its panel count, so ``block_rules``

@@ -3,7 +3,8 @@
 Each command parses its inputs, makes its calls and writes what they
 return; the verdicts are ``analysis.analyze``'s and ``verify.sweep``'s.
 Exit codes: 0 on success, 1 on validation or I/O problems, 2 when the
-verification suite finds an operator-model fidelity breach (a scientific
+verification suite finds an operator-model breach, a fidelity below its
+floor or a complement population above its tolerance (a scientific
 failure, not a usage one).  Each command reaches its modules through the
 package root, which loads a submodule at its first use, so ``verify``
 loads no module of the Monte Carlo side and the other commands no part
@@ -135,7 +136,8 @@ def cmd_verify(args) -> int:
         )
     print(summary)
     if breach:
-        print("verify: operator-model fidelity breach", file=sys.stderr)
+        print("verify: operator-model breach of the fidelity floor or the complement "
+              "tolerance", file=sys.stderr)
         return 2
     return 0
 

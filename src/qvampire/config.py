@@ -136,14 +136,15 @@ class ScenarioConfig:
 
     def check_blocks(self) -> None:
         """``run_scan``'s coherence-block check, its range error named by its keys."""
-        with _keyed(self.echo, "source.coherence_time", "detector.bin_width", "source.kind"):
+        with _keyed(self.echo, "source.coherence_time", "detector.bin_width"):
             bins_per_block(self.source, self.scan.herald_detector)
 
     def run_scan(self) -> ScanResult:
         """``run_scan`` of the scenario after ``check_blocks``; a block rule it
-        refuses, whose mean the source's brightness scales, names ``source.nbar``."""
+        refuses, whose s x the source's brightness and coherence time both scale,
+        names ``source.nbar`` and ``source.coherence_time``."""
         self.check_blocks()
-        with _keyed(self.echo, "source.nbar"):
+        with _keyed(self.echo, "source.nbar", "source.coherence_time"):
             return run_scan(self.source, self.scan)
 
 

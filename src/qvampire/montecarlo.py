@@ -54,10 +54,6 @@ from .spatial import BeamProfile, MaskSpec, reduce
 THERMAL = "thermal"
 COHERENT = "coherent"
 
-# a thermal tile's rule is certified by a bound that holds at any block
-# length; the tests hold its rules to the (s+1)^2-cell outcome table's check up to here
-MAX_BINS_PER_BLOCK = 1024
-
 # what a scan is analyzed with when its sidecar lacks the key
 SIDECAR_DEFAULTS = {
     "derived.bins_per_block": "1",
@@ -200,10 +196,6 @@ class ScanResult:
         n_bins = self.grid("n_bins").astype(float)
         rates = np.divide(counts, n_bins, out=np.zeros_like(counts), where=n_bins > 0)
         kind, bpb = self.setting("source.kind"), self.setting("derived.bins_per_block")
-        if kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:  # no thermal scan draws such a block
-            given = self.config["derived.bins_per_block"]
-            raise ConfigMismatch(f"derived.bins_per_block={given!r}: a thermal scan draws at "
-                                 f"most {MAX_BINS_PER_BLOCK} bins a block")
         _, p_sq = _click_moments(rates, 0.0, kind)
         sigmas = np.sqrt(np.clip(_count_variance(n_bins, bpb, rates, p_sq), 1.0, None))
         sigmas = np.divide(sigmas, n_bins, out=np.full_like(counts, np.inf), where=n_bins > 0)
@@ -277,18 +269,12 @@ def expected_singles_counts(
 
 
 def bins_per_block(src: SourceConfig, det: DetectorConfig) -> int:
-    """Bins per coherence block: at least one, and for a thermal source, whose
-    tiles take a quadrature rule, at most ``MAX_BINS_PER_BLOCK``."""
+    """Bins per coherence block, at least one: a thermal tile's rule is certified
+    at any block length."""
     if src.coherence_time < det.bin_width:
         raise ConfigMismatch("coherence_time must be at least one bin_width")
     # capped before int(): a subnormal bin_width sends the ratio to inf
-    bpb = int(min(src.coherence_time / det.bin_width + 1e-9, 2**63 - 1))
-    if src.kind == THERMAL and bpb > MAX_BINS_PER_BLOCK:
-        raise ConfigMismatch(
-            f"a coherence block of {bpb} bins exceeds {MAX_BINS_PER_BLOCK}: its quadrature "
-            f"rule is tested against the joint outcome table only up to that"
-        )
-    return bpb
+    return int(min(src.coherence_time / det.bin_width + 1e-9, 2**63 - 1))
 
 
 def _grid_shape(height: int, width: int, superpixel: int) -> tuple[int, int]:

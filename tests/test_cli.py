@@ -201,7 +201,7 @@ NO_POWER = {"mask.region": "all", "mask.contrast": "1", "mask.herald_target": No
         ("scan.threads", "0"), ("grid.width", "99999999999999999999"),
         ("scan.superpixel", "99999999999999999999"), ("detector.bin_width", "1.5"),
         ("grid.width", str(2**62)), ("grid.height", str(2**28)),
-        ("source.coherence_time", "1e-9"), ("source.coherence_time", "1e-4"),
+        ("source.coherence_time", "1e-9"), ("source.coherence_time", "1.1e-8"),
         ("mask.herald_target", "-1")]]
     + [pytest.param("scan", {"grid.width": "2", "grid.height": "2", "mask.region": "silhouette"},
                     id="silhouette-off-a-tiny-grid"),
@@ -311,8 +311,9 @@ def test_a_bin_count_beyond_int64_is_rejected_before_the_scan():
 
 
 def test_cmd_profile_takes_a_coherence_block_the_scan_cannot_draw(tmp_path):
-    # the analytic maps do not depend on the coherence time; only the scan checks its block
-    cfg = write_config(tmp_path, SMOKE_CONFIG + "source.coherence_time=1e-4\n")
+    # the analytic maps do not depend on the coherence time; only the scan checks
+    # its block, which must span at least one bin
+    cfg = write_config(tmp_path, SMOKE_CONFIG + "source.coherence_time=1.1e-8\n")
     assert cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
     assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
 
@@ -605,14 +606,23 @@ def test_a_herald_target_whose_contrast_leaves_t_at_1_is_refused(tmp_path, capsy
 def test_cmd_scan_names_source_nbar_when_no_block_rule_is_certified(tmp_path, capsys):
     # at source.nbar=1e308 the herald sees 1e305 photons a bin, past what any
     # rule within the node cap integrates; the bound refuses it without a
-    # floating-point warning, where the check it replaced overflowed to nan
-    text = SMOKE_CONFIG.replace("source.nbar=1.0", "source.nbar=1e308")
-    cfg = write_config(tmp_path, text.replace("mask.herald_target=0.013", "mask.contrast=0.3"))
-    rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (1, "")
-    assert re.fullmatch(r"qvampire: source\.nbar='1e308': block rule \(83 bins, x_cam \S+, x_her "
-                        r"\S+\) has error bound 10\^\S+ > 1e-12 at \d+ panels of \d+ nodes\n", err)
+    # floating-point warning, where the check it replaced overflowed to nan.
+    # A coherence time scales s x as much as the brightness does: blocks of
+    # 83333 bins at source.nbar=300 are refused too, and both keys are named
+    text = SMOKE_CONFIG.replace("mask.herald_target=0.013", "mask.contrast=0.3")
+    # the long block's dwell holds two blocks, so each tile takes a rule
+    for nbar, tau, dwell, bins in (("1e308", "1e-06", "0.00012", 83),
+                                   ("300", "1e-3", "0.002", 83333)):
+        lines = text.replace("source.nbar=1.0", f"source.nbar={nbar}")
+        lines = lines.replace("scan.dwell=0.00012", f"scan.dwell={dwell}")
+        cfg = write_config(tmp_path, lines + f"source.coherence_time={tau}")
+        rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, ""), nbar
+        given = re.escape(f"source.nbar={nbar!r}, source.coherence_time={tau!r}")
+        assert re.fullmatch(rf"qvampire: {given}: block rule \({bins} bins, x_cam \S+, x_her "
+                            r"\S+\) has error bound 10\^\S+ > 1e-12 at \d+ panels of \d+ nodes\n",
+                            err)
 
 
 @pytest.mark.parametrize("command", ["profile", "scan"])
@@ -631,9 +641,10 @@ def test_an_ellipse_beyond_the_float_range_ends_in_one_line(tmp_path, capsys, co
     assert f"{key}={value!r}" in err and err.endswith(": ellipse does not cover any pixel\n")
 
 
-def test_cmd_scan_coherent_source_takes_a_block_beyond_the_thermal_cap(tmp_path, capsys):
+def test_cmd_scan_takes_a_block_of_83333_bins_of_either_source_kind(tmp_path, capsys):
     # a coherent tile is one block of all its bins, so its coherence time moves
-    # no count; only a thermal tile checks a rule whose tables cap the block
+    # no count; a thermal tile's rule is certified at any block length, so a
+    # dwell of two such blocks scans too
     csvs = []
     for tau in ("1e-06", "0.001"):
         text = SMOKE_CONFIG + f"source.kind=coherent\nsource.coherence_time={tau}"
@@ -643,10 +654,12 @@ def test_cmd_scan_coherent_source_takes_a_block_beyond_the_thermal_cap(tmp_path,
         csvs.append((out / "scan.csv").read_bytes())
     assert csvs[0] == csvs[1]
     assert mc.load_sidecar(out / "scan.cfg")["derived.bins_per_block"] == "83333"
-    capsys.readouterr()
-    cfg = write_config(tmp_path, SMOKE_CONFIG + "source.coherence_time=0.001", "thermal.cfg")
-    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "thermal")]) == 1
-    assert "a coherence block of 83333 bins exceeds 1024" in capsys.readouterr().err
+    text = SMOKE_CONFIG.replace("scan.dwell=0.00012", "scan.dwell=0.002")
+    cfg = write_config(tmp_path, text + "source.coherence_time=0.001", "thermal.cfg")
+    out = tmp_path / "thermal"
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert mc.load_sidecar(out / "scan.cfg")["derived.bins_per_block"] == "83333"
 
 
 def test_usage_error_exit_code(capsys):
@@ -975,7 +988,7 @@ def test_cmd_analyze_rejects_sidecar_raster_off_the_csv_grid(tmp_path, capsys):
         ("source.kind", "thermla"),
         ("derived.bins_per_block", "0"),
         ("derived.bins_per_block", "abc"),
-        ("derived.bins_per_block", "2048"),  # beyond what a thermal scan draws
+        ("derived.bins_per_block", str(2**63)),  # beyond what int64 holds
     ],
 )
 def test_cmd_analyze_rejects_sidecar_value_it_cannot_read(tmp_path, capsys, key, value):

@@ -1,15 +1,17 @@
 """Property-based fuzz of the CLI's inputs (Hypothesis; MacIver et al., JOSS 4(43) 1891, 2019).
 
 Every malformed config value, verify option, region spec, scan CSV row and
-sidecar value must end ``cli.main`` with exit 0, or with exit 1 and one
-``qvampire:`` line on stderr that names the key, option, spec, or file and
-line; no other exception may escape.  The draws hold no mid-size number, so
-no grid or sweep they build asks for much memory.
+sidecar value, and every positive coherence time, must end ``cli.main``
+with exit 0, or with exit 1 and one ``qvampire:`` line on stderr that
+names the key, option, spec, or file and line; no other exception may
+escape.  The draws hold no mid-size number, so no grid or sweep they build
+asks for much memory.
 """
 
 import io
 import shutil
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -110,6 +112,25 @@ def test_every_positive_gaussian_width_draws_maps_or_names_its_keys(sigma_x, sig
 
 
 @FUZZ
+@given(tau=WIDTH)
+@example(tau=1.1e-8)  # below one 12 ns bin
+@example(tau=1.2288e-5)  # 1024 bins, the joint table oracle's longest block
+@example(tau=1.23e-5)  # 1025 bins
+@example(tau=1e-3)  # 83333 bins, longer than the 10000-bin dwell
+@example(tau=1e308)  # 8e315 bins: the ratio overflows to inf
+@example(tau=5e-324)
+def test_every_positive_coherence_time_scans_or_names_its_key(tau):
+    # a thermal block of any length of at least one bin takes a certified rule,
+    # or none when it outlasts the dwell; no length may warn on the way
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = Path(tmp) / "scan.cfg"
+        _write_config(path, {**SMOKE_CONFIG, "source.coherence_time": repr(tau)})
+        _assert_named(["scan", "--config", str(path), "--out", str(Path(tmp) / "out")],
+                      "source.coherence_time")
+
+
+@FUZZ
 @given(option=st.sampled_from(["--ca", "--r", "--states", "--models"]), value=MALFORMED)
 def test_a_malformed_verify_option_names_itself(option, value):
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,14 +212,18 @@ def test_a_mutated_scan_row_names_its_file_and_line(smoke_scan, row, field, valu
         assert errors[0].startswith(f"qvampire: {csv}: "), errors
 
 
+SIDECAR_KEYS = ["grid.width", "grid.height", "scan.superpixel", "mask.region", "source.kind",
+                "derived.bins_per_block", "derived.n_rows", "derived.n_cols", "scenario"]
+
+
 @FUZZ
-@given(
-    key=st.sampled_from(["grid.width", "grid.height", "scan.superpixel", "mask.region",
-                         "source.kind", "derived.bins_per_block",
-                         "derived.n_rows", "derived.n_cols", "scenario"]),
-    value=MALFORMED_OR_HUGE,
-)
-def test_a_malformed_sidecar_value_names_its_key(smoke_scan, key, value):
+# a block of 2**62 bins is one a scan may draw and analyze reads, so
+# derived.bins_per_block draws no huge value
+@given(case=st.sampled_from(SIDECAR_KEYS).flatmap(lambda key: st.tuples(
+    st.just(key), MALFORMED if key == "derived.bins_per_block" else MALFORMED_OR_HUGE
+)))
+def test_a_malformed_sidecar_value_names_its_key(smoke_scan, case):
+    key, value = case
     with tempfile.TemporaryDirectory() as tmp:
         argv, csv = _analyze_copy(smoke_scan, tmp, edit_sidecar=lambda cfg: {**cfg, key: value})
         _assert_named(argv, key, str(csv))

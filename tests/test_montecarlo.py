@@ -1,7 +1,6 @@
 """Monte Carlo apparatus tests; rate oracles via numerical quadrature, tile
 oracles via a sampler that draws every coherence block on its own."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -243,6 +242,10 @@ def test_scan_config_validation():
 # the block-outcome table
 
 BPB = 83  # bins per block at the default 1 us coherence time and 12 ns bins
+# the largest block the joint (s+1)^2 table's oracle reaches, and a block four
+# times as long, which only the marginal oracles, O(nodes s), reach
+ORACLE_MAX_BINS = 1024
+LONG_BINS = 4 * ORACLE_MAX_BINS
 
 
 @pytest.mark.parametrize("x_s", [0.45, 0.65, 3.6, 50.0])  # desk, full scan, bright
@@ -402,12 +405,10 @@ def bench_scan(text):
 
 def gaussian_1024_scan(threads=1):
     """12 tiles of an off-centre gaussian, each with its own camera weight, at
-    the largest block."""
+    the largest block the joint table's oracle reaches."""
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
-    src = mc.SourceConfig(
-        nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
-    )
+    src = mc.SourceConfig(nbar=0.01, profile=prof, coherence_time=ORACLE_MAX_BINS * det.bin_width)
     scan = small_scan(spatial.MaskSpec(np.ones((6, 8))), seed=3, superpixel=2, dwell=1e-4,
                       threads=threads)
     return src, scan
@@ -465,7 +466,7 @@ def test_marginal_check_keeps_the_joint_table_checks_rules(dark_cam, dark_her):
 
 @pytest.mark.parametrize("x_s, ratio, dark", [(0.65, 0.3, 0.0), (50.0, 0.05, 1e-3)])
 def test_marginal_check_keeps_the_joint_table_checks_rule_at_the_largest_block(x_s, ratio, dark):
-    bpb = mc.MAX_BINS_PER_BLOCK
+    bpb = ORACLE_MAX_BINS
     x_cam = x_s / bpb
     ((u, weights),) = bt.block_rules(bpb, [x_cam], dark, ratio * x_cam, dark)
     oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, dark, ratio * x_cam, dark)
@@ -476,14 +477,16 @@ def test_marginal_check_keeps_the_joint_table_checks_rule_at_the_largest_block(x
 @pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
 def test_bound_keeps_the_refinement_checks_rules_at_the_largest_block(dark_cam, dark_her):
     # the marginal refinement check the bound replaced, over the sweep's means
-    # at the block length where the joint table's check is slowest
-    bpb = mc.MAX_BINS_PER_BLOCK
-    for x_s, ratio in itertools.product(SWEEP_X_S, (0.0, 0.3, 3.0)):
+    # at the block length where the joint table's check is slowest and at one
+    # it does not reach
+    for bpb, x_s, ratio in itertools.product(
+        (ORACLE_MAX_BINS, LONG_BINS), SWEEP_X_S, (0.0, 0.3, 3.0)
+    ):
         x_cam = x_s / bpb
         ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, ratio * x_cam, dark_her)
         oracle_u, oracle_weights = marginal_check_rule(bpb, x_cam, dark_cam, ratio * x_cam, dark_her)
-        assert np.array_equal(u, oracle_u), (x_s, ratio)
-        assert np.array_equal(weights, oracle_weights), (x_s, ratio)
+        assert np.array_equal(u, oracle_u), (bpb, x_s, ratio)
+        assert np.array_equal(weights, oracle_weights), (bpb, x_s, ratio)
 
 
 def test_gauss_legendre_rule_is_numpys_bit_for_bit():
@@ -543,15 +546,27 @@ def test_herald_factor_is_built_once_per_panel_count(monkeypatch):
 
 # block lengths, camera means x_cam s and (camera dark, herald dark, x_her / x_cam)
 # of the soundness test, each at 2 to 8 nodes a panel
-SOUND_BINS = (1, 8, 83, 256)
+SOUND_BINS = (1, 8, 83, 256, LONG_BINS)
 SOUND_X_S = (0.01, 1.0, 10.0, 50.0, 200.0)
 SOUND_DARKS = [(0.0, 0.0, 0.3), (0.01, 0.03, 3.0), (0.3, 0.1, 1.0)]
 
 
+def rule_cells(bpb, x_cam, dark_cam, x_her, dark_her, rule):
+    """The cells of the joint table of ``rule`` up to ``ORACLE_MAX_BINS`` bins,
+    and past that the cells of both its marginals, which are sums of joint
+    cells, so one bound on the sum of all cells' moduli holds them too."""
+    if bpb <= ORACLE_MAX_BINS:
+        return rule_table(bpb, x_cam, dark_cam, x_her, dark_her, rule)
+    detectors = ((x_cam, dark_cam), (x_her, dark_her))
+    return np.concatenate([marginal_of(bpb, x, dark, *rule)[0] for x, dark in detectors])
+
+
 def test_error_bound_holds_over_each_joint_cell():
-    # the bound must hold the quadrature's worst joint-cell error, measured
-    # against a rule of 64 nodes a panel; at 2 to 8 nodes the error is far
-    # above rounding, so a bound that is too small by a factor rho^2 shows
+    # the bound must hold the quadrature's worst joint-cell error (marginal-cell
+    # error past the joint table's reach), measured against a rule of 64 nodes a
+    # panel (32 past that reach, which halves the oracle's cost there; either
+    # bound is below 1e-20); at 2 to 8 nodes the error is far above rounding,
+    # so a bound that is too small by a factor rho^2 shows
     for bpb, x_s, (dark_cam, dark_her, ratio) in itertools.product(
         SOUND_BINS, SOUND_X_S, SOUND_DARKS
     ):
@@ -560,10 +575,12 @@ def test_error_bound_holds_over_each_joint_cell():
         arcs = bt._ellipse_arcs(panels)
         log_moduli = (arcs.log_weight + bt._log_binomial_bound(bpb, x_cam, dark_cam, arcs)
                       + bt._log_binomial_bound(bpb, x_her, dark_her, arcs))
-        exact = rule_table(bpb, x_cam, dark_cam, x_her, dark_her, bt._panel_rule(panels, 64))
+        args = (bpb, x_cam, dark_cam, x_her, dark_her)
+        reference = 64 if bpb <= ORACLE_MAX_BINS else 32
+        assert bt._log_error_bound(log_moduli, arcs.half, reference) < math.log(1e-20)
+        exact = rule_cells(*args, bt._panel_rule(panels, reference))
         for nodes in range(2, 9):
-            rule = bt._panel_rule(panels, nodes)
-            error = np.abs(rule_table(bpb, x_cam, dark_cam, x_her, dark_her, rule) - exact).max()
+            error = np.abs(rule_cells(*args, bt._panel_rule(panels, nodes)) - exact).max()
             bound = math.exp(bt._log_error_bound(log_moduli, arcs.half, nodes))
             assert error <= bound, (bpb, x_s, dark_cam, nodes, error, bound)
 
@@ -632,10 +649,13 @@ def chi2_two_sample_p(a, b, n_bins=10):
         # the coincidence test's tile with dark counts
         (mc.THERMAL, 0.4, 0.3, 0.01, 0.03, 20_000, BPB),
         (mc.COHERENT, 0.4, 0.3, 0.01, 0.03, 20_000, BPB),
-        # the longest block: camera x s = 3.6, herald x s = 0.65
+        # the joint table oracle's longest block: camera x s = 3.6, herald x s = 0.65
         (mc.THERMAL, 3.6 / 1024 / 0.6, 0.65 / 1024 / 0.6, 1e-4, 0.0, 1024 * 3000 + 100, 1024),
+        # a block beyond its reach, at the same x s
+        (mc.THERMAL, 3.6 / LONG_BINS / 0.6, 0.65 / LONG_BINS / 0.6, 1e-4, 0.0,
+         LONG_BINS * 3000 + 100, LONG_BINS),
     ],
-    ids=["desk", "dark", "coherent", "1024"],
+    ids=["desk", "dark", "coherent", "1024", "4096"],
 )
 def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_her, n_bins, bpb):
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
@@ -738,19 +758,9 @@ def test_coherence_shorter_than_bin_rejected():
         mc.run_scan(src, small_scan(spatial.MaskSpec(np.ones((12, 16)))))
 
 
-def test_coherence_block_beyond_table_cap_rejected():
-    det = mc.DetectorConfig()
-    longest = mc.MAX_BINS_PER_BLOCK * det.bin_width
-    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=longest)
-    assert mc.bins_per_block(src, det) == mc.MAX_BINS_PER_BLOCK
-    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), coherence_time=longest + det.bin_width)
-    with pytest.raises(ConfigMismatch, match="outcome table"):
-        mc.bins_per_block(src, det)
-
-
 def test_a_ratio_past_float_range_is_capped_before_int():
     # dwell / bin_width and coherence_time / bin_width overflow to inf: a scan
-    # refuses the dwell, naming both keys, and the block is capped
+    # refuses the dwell, naming both keys, and the block of either kind is capped
     rule = "hold fewer than 2**63 bins"
     for given in ({"scan.dwell": "1e308"}, {"detector.bin_width": "5e-324"}):
         with pytest.raises(ConfigMismatch, match=re.escape(rule)) as caught:
@@ -758,10 +768,9 @@ def test_a_ratio_past_float_range_is_capped_before_int():
         assert str(caught.value).startswith("scan.dwell='")
         assert "detector.bin_width='" in str(caught.value)
     det = mc.DetectorConfig(bin_width=5e-324)
-    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), kind=mc.COHERENT)
-    assert mc.bins_per_block(src, det) == 2**63 - 1
-    with pytest.raises(ConfigMismatch, match="outcome table"):
-        mc.bins_per_block(dataclasses.replace(src, kind=mc.THERMAL), det)
+    for kind in (mc.COHERENT, mc.THERMAL):
+        src = mc.SourceConfig(nbar=1.0, profile=flat_profile(), kind=kind)
+        assert mc.bins_per_block(src, det) == 2**63 - 1
 
 
 def test_a_dwell_holds_fewer_than_2_63_bins():
@@ -1024,27 +1033,29 @@ def test_scan_with_a_table_per_tile_holds_at_most_threads_tables():
     # takes its own rule.  The bound that chooses it holds no (s+1)-wide
     # array and a tile's draw holds none, so a scan, at threads=2 too, stays
     # under a tenth of one chunk of the oracle's ORACLE_ROW_NODES x (s+1)
-    # binomial rows (3.1 MB), which the check it replaced held at once
+    # binomial rows (3.1 MB), which the check it replaced held at once.
+    # Blocks of 1e5 bins at the same x s take the same panels, and the scan
+    # stays under that same peak, less than half of one (s+1)-wide row
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 8, 6, cx=2.4, cy=2.4)
-    src = mc.SourceConfig(
-        nbar=0.01, profile=prof, coherence_time=mc.MAX_BINS_PER_BLOCK * det.bin_width
-    )
-    threads = 2
-    scan = small_scan(spatial.MaskSpec(np.ones((6, 8))), seed=3, superpixel=2, dwell=1e-4,
-                      threads=threads)
-    chunk_bytes = ORACLE_ROW_NODES * (mc.MAX_BINS_PER_BLOCK + 1) * 8
+    chunk_bytes = ORACLE_ROW_NODES * (ORACLE_MAX_BINS + 1) * 8
     power = prof.power()
     _, _, tiles = mc.superpixel_tiles(6, 8, 2)
     assert len({float(power[ys, xs].sum()) for _, _, ys, xs in tiles}) == len(tiles) == 12
-    tracemalloc.start()
-    try:
-        res = mc.run_scan(src, scan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert res.grid("camera_counts").sum() > 0
-    assert peak < chunk_bytes / 10
+    for bpb, dwell in ((ORACLE_MAX_BINS, 1e-4), (100_000, 3e-3)):
+        nbar = 0.01 * ORACLE_MAX_BINS / bpb
+        src = mc.SourceConfig(nbar=nbar, profile=prof, coherence_time=bpb * det.bin_width)
+        scan = small_scan(spatial.MaskSpec(np.ones((6, 8))), seed=3, superpixel=2, dwell=dwell,
+                          threads=2)
+        assert mc.derived_settings(src, scan)["bins_per_block"] == bpb
+        tracemalloc.start()
+        try:
+            res = mc.run_scan(src, scan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.grid("camera_counts").sum() > 0, bpb
+        assert peak < chunk_bytes / 10, bpb
 
 def test_conditional_ratio_is_two_for_thermal(tmp_path):
     prof = flat_profile()

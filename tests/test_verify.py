@@ -231,15 +231,29 @@ def test_split_config_validation():
         verify.SplitConfig(c_a=0.5, r=0.1, herald_model="photon_number")
 
 
-def test_complement_tolerance_binds_only_the_operator_model(monkeypatch):
-    # a negative tolerance is breached by any population, even exactly zero
+def test_complement_tolerance_binds_only_the_operator_model(monkeypatch, tmp_path, capsys):
+    # a negative tolerance is breached by any population, even exactly zero:
+    # each operator case FAILs, each click case stays INFO, and verify prints
+    # every case line before it exits 2
     monkeypatch.setattr(verify, "COMPLEMENT_TOL", -1.0)
     rho = fock.make_thermal(0.3, 14)
-    with pytest.raises(QVampireError, match="operator-model complement population"):
-        verify.regional_subtraction(rho, verify.SplitConfig(c_a=0.5, r=0.1))
-    click = verify.SplitConfig(c_a=0.5, r=0.1, herald_model=verify.CLICK_POVM)
-    res = verify.regional_subtraction(rho, click)
-    assert res.complement_population > -1.0
+    # regional_subtraction returns the population and leaves the rule to the sweep
+    assert verify.regional_subtraction(rho, verify.SplitConfig(0.5, 0.1)).complement_population > -1
+    splits = [verify.SplitConfig(0.5, 0.1, model) for model in verify.HERALD_MODELS]
+    operator, click = verify.sweep([("thermal:0.3", rho)], splits)
+    assert operator.status == "FAIL" and operator.margin >= 0.0  # the fidelity holds
+    assert (click.status, click.margin) == ("INFO", None)
+    rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--states", "thermal:0.3,fock:1",
+                   "--ca", "0.5", "--r", "0.1,0.2", "--models", "operator,click_povm",
+                   "--nmax", "14"])
+    printed = capsys.readouterr()
+    lines = printed.out.splitlines()
+    assert rc == 2 and len(lines) == 8 + 1
+    assert [line.split()[0] for line in lines[:-1]] == ["FAIL", "INFO"] * 4
+    assert lines[-1].startswith("verify: 8 cases; operator model: min fidelity - floor = +")
+    assert printed.err == ("verify: operator-model breach of the fidelity floor or the "
+                           "complement tolerance\n")
+    assert len((tmp_path / "v" / "verify.csv").read_text().splitlines()) == 1 + 8
 
 
 # ---------------------------------------------------------------------------
