@@ -1,11 +1,11 @@
 """Property-based fuzz of the CLI's inputs (Hypothesis; MacIver et al., JOSS 4(43) 1891, 2019).
 
 Every malformed config value, verify option, region spec, scan CSV row and
-sidecar value, and every positive coherence time, must end ``cli.main``
-with exit 0, or with exit 1 and one ``qvampire:`` line on stderr that
-names the key, option, spec, or file and line; no other exception may
-escape.  The draws hold no mid-size number, so no grid or sweep they build
-asks for much memory.
+sidecar value, and every positive coherence time and source brightness,
+must end ``cli.main`` with exit 0, or with exit 1 and one ``qvampire:`` line
+on stderr that names the key, option, spec, or file and line; no other
+exception may escape.  The draws hold no mid-size number, so no grid or
+sweep they build asks for much memory.
 """
 
 import io
@@ -128,6 +128,25 @@ def test_every_positive_coherence_time_scans_or_names_its_key(tau):
         _write_config(path, {**SMOKE_CONFIG, "source.coherence_time": repr(tau)})
         _assert_named(["scan", "--config", str(path), "--out", str(Path(tmp) / "out")],
                       "source.coherence_time")
+
+
+@FUZZ
+@given(nbar=WIDTH)
+@example(nbar=5e-324)
+@example(nbar=1e-300)
+@example(nbar=104391.68192274046)  # the brightest source whose block rule is certified
+@example(nbar=104391.68192274048)  # the next float, refused
+@example(nbar=1e308)
+def test_every_positive_source_nbar_scans_or_names_its_key(nbar):
+    # a source too dim for the herald target, or too bright for the mask to tap,
+    # is refused with the target's keys; one too bright for a certified block
+    # rule with source.nbar and source.coherence_time; no brightness may warn
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = Path(tmp) / "scan.cfg"
+        _write_config(path, {**SMOKE_CONFIG, "source.nbar": repr(nbar)})
+        _assert_named(["scan", "--config", str(path), "--out", str(Path(tmp) / "out")],
+                      "source.nbar", "mask.herald_target", "source.coherence_time")
 
 
 @FUZZ

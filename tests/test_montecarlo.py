@@ -489,9 +489,12 @@ def test_bound_keeps_the_refinement_checks_rules_at_the_largest_block(dark_cam, 
         assert np.array_equal(weights, oracle_weights), (bpb, x_s, ratio)
 
 
-def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+def test_gauss_legendre_rule_is_exact_to_rounding_on_every_polynomial_it_integrates():
     # every base rule a check can take: TABLE_NODES doubled until one panel of
-    # the fewest would pass the cap, and the small counts a test may start from
+    # the fewest would pass the cap, and the small counts a test may start from.
+    # An n-node rule integrates P_k exactly for k < 2n, so sum w P_k is 2 at
+    # k = 0 and 0 above; P_k comes from this test's own recurrence.  Up to 96
+    # nodes it also agrees with numpy's eigenvalue-based rule.
     from numpy.polynomial.legendre import leggauss
 
     degrees, nodes = list(range(2, 40)), bt.TABLE_NODES
@@ -500,8 +503,19 @@ def test_gauss_legendre_rule_is_numpys_bit_for_bit():
         nodes *= 2
     assert max(degrees) == 3072
     for nodes in degrees:
-        for ours, numpys in zip(bt._gauss_legendre(nodes), leggauss(nodes)):
-            assert ours.tobytes() == numpys.tobytes(), nodes
+        t, w = bt._gauss_legendre(nodes)
+        assert len(t) == nodes and (np.diff(t) > 0).all() and (w > 0).all(), nodes
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1]), nodes
+        p0, p1 = np.ones_like(t), t
+        moments = [w.sum() - 2.0, w @ t]
+        for k in range(2, 2 * nodes):
+            p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+            moments.append(w @ p1)
+        assert np.abs(moments).max() <= 2e-15, nodes
+        if nodes <= 96:
+            numpys_t, numpys_w = leggauss(nodes)
+            assert np.abs(t - numpys_t).max() <= 2.2e-16, nodes
+            assert np.abs(w - numpys_w).max() <= 1e-13, nodes
 
 
 def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monkeypatch):
@@ -583,6 +597,22 @@ def test_error_bound_holds_over_each_joint_cell():
             error = np.abs(rule_cells(*args, bt._panel_rule(panels, nodes)) - exact).max()
             bound = math.exp(bt._log_error_bound(log_moduli, arcs.half, nodes))
             assert error <= bound, (bpb, x_s, dark_cam, nodes, error, bound)
+
+
+# the brightest camera mean, as x s, that block_rules certifies at LONG_BINS
+# with no herald light: measured 1.5307e5 (1.5687e5 at 1024 bins, 1.8734e5 at
+# BPB), so 1.05 times it is refused
+LONG_BRIGHTEST_X_S = 1.53e5
+
+
+def test_bound_grows_with_the_block_length_past_the_oracle():
+    # past the joint table's reach the bound's measured errors are so far below
+    # it that a bound taking s as 1024 still holds them; the refusal at a long
+    # block tells it apart, since it would certify four times the mean here
+    x_cam = LONG_BRIGHTEST_X_S / LONG_BINS
+    assert len(bt.block_rules(LONG_BINS, [x_cam], 0.0, 0.0, 0.0)) == 1
+    with pytest.raises(QVampireError, match=f"block rule \\({LONG_BINS} bins"):
+        bt.block_rules(LONG_BINS, [1.05 * x_cam], 0.0, 0.0, 0.0)
 
 
 def test_batch_names_the_mean_that_cannot_converge(monkeypatch):

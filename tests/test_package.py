@@ -282,6 +282,26 @@ def test_thermal_scan_loads_no_polynomial_module(tmp_path):
     assert not [m for m in loaded if m.startswith("numpy.polynomial")]
 
 
+def test_thermal_scan_and_its_analyze_call_no_lapack(tmp_path, monkeypatch):
+    # each base rule is found by Newton's method, not an eigensolver, and the
+    # rule caches start empty, so the scan builds its rule here
+    import numpy as np
+    from functools import lru_cache
+
+    from qvampire import blocktable, cli
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    for name in ("_gauss_legendre", "_panel_rule"):
+        monkeypatch.setattr(blocktable, name, lru_cache(getattr(blocktable, name).__wrapped__))
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SMALL_SCAN)
+    assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    scan = str(tmp_path / "out" / "scan.csv")
+    assert cli.main(["analyze", "--scan", scan, "--out", str(tmp_path / "rep")]) == 0
+
+
 def test_config_loads_no_hash_module():
     # a seedless scan draws its seed from os.urandom
     loaded = _modules_after("import qvampire.config")
