@@ -36,8 +36,9 @@ s = 1024, and to the check of both marginals up to s = 4096.
 
 In a scan only x_cam varies from tile to tile, and the herald's factor of
 F depends on the rule only through its panel count, so ``block_rules``
-takes all of a scan's camera means in one call and bounds the herald's
-factor once per panel count.
+takes all of a scan's camera means in one call, bounds the herald's factor
+once per panel count and the camera's for all means at once, and builds
+the base rules they need in one pass.
 """
 
 from __future__ import annotations
@@ -51,59 +52,74 @@ import numpy as np
 from .errors import QVampireError
 
 # The rule integrates over u up to TABLE_U_MAX (e^-40 ~ 4e-18 is the mass
-# left out), with equal panels in r = sqrt(u): there a cell's binomial peak
-# is about 1 / (2 sqrt(s x)) wide wherever it sits, so the panels number the
-# least power of two, at least TABLE_MIN_PANELS, that reaches 2 + 4 sqrt(s x).
-# Each panel takes the fewest of 2 TABLE_NODES, 4 TABLE_NODES, ... nodes whose
-# error bound, on the ellipse E_TABLE_RHO bounded on TABLE_ARCS arcs of each
-# half, is at most TABLE_TOL; no rule may pass TABLE_NODE_CAP nodes.
+# left out), with 1, 2, 4, ... equal panels in r = sqrt(u), each with the
+# fewest nodes whose error bound, on the ellipse E_TABLE_RHO bounded on
+# TABLE_ARCS arcs of each half, is at most TABLE_TOL: the panel count of the
+# fewest nodes in all wins, and no rule may pass TABLE_NODE_CAP nodes.
 TABLE_U_MAX = 40.0
-TABLE_MIN_PANELS = 4
-TABLE_NODES = 12
 TABLE_NODE_CAP = 1 << 14
 TABLE_TOL = 1e-12
 TABLE_RHO = 4.0
 TABLE_ARCS = 32
 
+# node count -> the nodes and weights of its Gauss-Legendre rule, each built once
+_BASE_RULES: dict = {}
 
-def _legendre(nodes: int, t):
-    """P_n and P_n' at t in (-1, 1), n = ``nodes``, by the three-term recurrence."""
+
+def _legendre(t: np.ndarray, n: np.ndarray, parts: dict):
+    """P_n and P_n' at each t in (-1, 1), n its entry of ``n``, by the three-term
+    recurrence run to the largest n: ``parts`` maps each n to the slice of its
+    entries, kept at step n; the later steps, bounded by 1, go unread."""
     p0, p1 = np.ones_like(t), t
-    for k in range(2, nodes + 1):
+    kept = np.empty((2, len(t)))
+    for k in range(2, max(parts) + 1):
         p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
-    return p1, nodes * (p0 - t * p1) / (1.0 - t * t)
+        if k in parts:
+            kept[:, parts[k]] = p0[parts[k]], p1[parts[k]]
+    return kept[1], n * (kept[0] - t * kept[1]) / (1.0 - t * t)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int):
-    """Nodes, ascending, and weights of the Gauss-Legendre rule on [-1, 1], at
-    least two nodes (Hale & Townsend, SIAM J. Sci. Comput. 35:A652, 2013).
+def _gauss_legendre(*counts: int):
+    """Nodes, ascending, and weights of the Gauss-Legendre rule on [-1, 1] of
+    each node count of ``counts``, at least two (Hale & Townsend, SIAM J. Sci.
+    Comput. 35:A652, 2013).  The rules not built before are built together,
+    their roots in one array, so each pass of the recurrence serves them all.
 
     The roots of P_n in [0, 1) start from Tricomi's estimates
     (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)), k = 1, 2, ..., the
     cosine written as sin(pi (n + 1 - 2k) / (2n + 1)) so that an odd rule's
     middle node is exactly 0.  They start within about a thousandth of their
-    spacing, so three Newton steps on P_n leave them at rounding, and
-    w = 2 / ((1 - t^2) P_n'(t)^2) at the final roots.  The negative half
-    mirrors them, so the rule is exactly symmetric.
+    spacing, so three Newton steps on P_n leave them at rounding.  The last
+    step d is below 2e-12, so P_n' at the root is P_n' - d P_n'' before it,
+    with P_n'' = (2t P_n' - n(n + 1) P_n) / (1 - t^2) (Legendre's equation),
+    and w = 2 / ((1 - t^2) P_n'^2).  The negative half mirrors the roots, so
+    the rule is exactly symmetric.
     """
-    t = np.sin(np.pi * np.arange(1 - nodes % 2, nodes, 2) / (2 * nodes + 1))
-    t *= 1.0 - (nodes - 1) / (8.0 * nodes**3)
-    for _ in range(3):
-        p, dp = _legendre(nodes, t)
-        t = t - p / dp
-    w = 2.0 / ((1.0 - t * t) * _legendre(nodes, t)[1] ** 2)
-    x = np.concatenate((-t[::-1], t[nodes % 2 :]))
-    w = np.concatenate((w[::-1], w[nodes % 2 :]))
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    new = sorted(set(counts) - _BASE_RULES.keys())
+    if new:
+        halves = [np.arange(1 - nodes % 2, nodes, 2) for nodes in new]
+        ends = np.cumsum([len(h) for h in halves]).tolist()
+        parts = {nodes: slice(end - len(h), end) for nodes, h, end in zip(new, halves, ends)}
+        n = np.repeat(np.array(new, dtype=float), [len(h) for h in halves])
+        t = np.sin(np.pi * np.concatenate(halves) / (2 * n + 1))
+        t *= 1.0 - (n - 1) / (8.0 * n**3)
+        for _ in range(3):
+            p, dp = _legendre(t, n, parts)
+            t = t - (step := p / dp)
+        dp -= step * (2 * (t + step) * dp - n * (n + 1) * p) / (1.0 - (t + step) ** 2)
+        w = 2.0 / ((1.0 - t * t) * dp**2)
+        for nodes, part in parts.items():
+            rule = [np.concatenate((a[part][::-1], b[part][nodes % 2 :])) for a, b in ((-t, t), (w, w))]
+            for array in rule:
+                array.setflags(write=False)
+            _BASE_RULES[nodes] = tuple(rule)
+    return [_BASE_RULES[nodes] for nodes in counts]
 
 
 @lru_cache(maxsize=None)
 def _panel_rule(panels: int, nodes: int):
     """Nodes u and weights of the composite rule for the integral of f(u) e^-u du."""
-    t, w = _gauss_legendre(nodes)
+    ((t, w),) = _gauss_legendre(nodes)
     edges = np.linspace(0.0, math.sqrt(TABLE_U_MAX), panels + 1)
     half = np.diff(edges)[:, None] / 2.0
     r = (edges[:-1, None] + half * (1.0 + t)).ravel()
@@ -164,9 +180,8 @@ def _log_binomial_bound(bpb: int, x: float, dark: float, arcs: _Arcs) -> np.ndar
     x is: |q| past e^30 takes |p| + |q| <= 1 + 2 |q|, and an x r^2 past the
     float range gives an infinite factor, a panel no node count certifies.
     """
-    with np.errstate(over="ignore"):  # an overflow is an infinite bound
-        log_q = math.log1p(-dark) - x * arcs.re2
-        phi = np.minimum(x * arcs.im2, math.pi)
+    log_q = math.log1p(-dark) - x * arcs.re2
+    phi = np.minimum(x * arcs.im2, math.pi)
     capped = np.minimum(log_q, 30.0)
     q, one_minus_q = np.exp(capped), -np.expm1(capped)
     cross = 4.0 * q * np.sin(phi / 2.0) ** 2
@@ -178,24 +193,15 @@ def _log_binomial_bound(bpb: int, x: float, dark: float, arcs: _Arcs) -> np.ndar
     return bpb * log_sum
 
 
-def _log_error_bound(log_moduli: np.ndarray, half: np.ndarray, nodes: int) -> float:
+def _log_error_bound(log_moduli: np.ndarray, half: np.ndarray, nodes):
     """log of the bound on the error of every cell of the rule of ``nodes``
     nodes on each panel of half-width ``half``, given ``log_moduli``, log F
-    bounded on each arc of each panel: the sum over panels of
-    h 64 M / (15 (rho^2 - 1) rho^(2(nodes - 1)))."""
-    log_m = np.log(half) + log_moduli.max(axis=1)
+    bounded on each arc (last axis) of each panel (the axis before it): the
+    sum over panels of h 64 M / (15 (rho^2 - 1) rho^(2(nodes - 1))), one per
+    row of any axes before those."""
+    log_m = np.log(half) + log_moduli.max(axis=-1)
     constant = math.log(64.0 / (15.0 * (TABLE_RHO**2 - 1.0)))
-    return float(np.logaddexp.reduce(log_m)) + constant - 2 * (nodes - 1) * math.log(TABLE_RHO)
-
-
-def _panel_count(bpb: int, x: float) -> int:
-    """Panels of the rule for a block whose brighter detector sees x a bin at u = 1:
-    doubled while twice as many panels of 2 ``TABLE_NODES`` nodes stay within the cap."""
-    panels = TABLE_MIN_PANELS
-    wanted = 2.0 + 4.0 * math.sqrt(bpb * x)
-    while panels < wanted and 4 * panels * TABLE_NODES <= TABLE_NODE_CAP:
-        panels *= 2
-    return panels
+    return np.logaddexp.reduce(log_m, axis=-1) + constant - 2 * (nodes - 1) * math.log(TABLE_RHO)
 
 
 def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float):
@@ -203,30 +209,45 @@ def block_rules(bpb: int, x_cams, dark_cam: float, x_her: float, dark_her: float
     of the click counts of a block of ``bpb`` bins, one rule per camera mean
     of ``x_cams``.
 
-    Each rule takes the fewest nodes a panel, from 2 ``TABLE_NODES`` doubling,
-    whose error bound is at most ``TABLE_TOL`` in every cell of the joint
-    table; no such rule within ``TABLE_NODE_CAP`` nodes raises
-    ``QVampireError`` naming the mean.  Each mean given gets its rule, so a
-    caller passes distinct ones; the ellipse's arcs and the herald's factor
-    of the bound are built once per panel count a call meets.
+    The bound is L - 2 (m - 1) log rho in the nodes m a panel, so each panel
+    count 1, 2, 4, ... takes m = max(2, 1 + ceil((L - log TABLE_TOL) / (2 log rho))),
+    the fewest whose bound is at most ``TABLE_TOL`` in every cell of the joint
+    table, and a mean takes the rule of fewest nodes in all.  None within
+    ``TABLE_NODE_CAP`` nodes raises ``QVampireError`` naming the mean and how
+    far above the tolerance its least bound stays.  Each mean gets the rule it
+    would get alone, so a caller passes distinct ones.
     """
-    herald, rules = {}, []
-    for x_cam in x_cams:
-        panels = _panel_count(bpb, max(x_cam, x_her))
-        if panels not in herald:
+    x = np.array(x_cams, dtype=float)[:, None, None]
+    log_tol, step = math.log(TABLE_TOL), 2.0 * math.log(TABLE_RHO)
+    # on the real axis F = 2r e^(-r^2), at most M on each panel, so the panels'
+    # h M sum to at least half F's integral, about 1/2: no panel count takes
+    # fewer nodes a panel than one panel of half-width 1/2 with M = 1 does
+    floor = _log_error_bound(np.zeros((1, 1)), np.full(1, 0.5), 1)
+    fewest = max(2.0, 1.0 + math.ceil((floor - log_tol) / step))
+    # per mean: the fewest nodes certified and their panels, and the least
+    # bound within the cap
+    best, best_panels = np.full(len(x), TABLE_NODE_CAP + 1.0), np.ones(len(x), dtype=int)
+    closest, panels = np.full(len(x), np.inf), 1
+    # a bound past the float range is infinite, and takes infinitely many nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (searching := np.flatnonzero(panels * fewest < best)).size:
             arcs = _ellipse_arcs(panels)
-            herald[panels] = arcs, arcs.log_weight + _log_binomial_bound(bpb, x_her, dark_her, arcs)
-        arcs, log_her = herald[panels]
-        log_moduli = log_her + _log_binomial_bound(bpb, x_cam, dark_cam, arcs)
-        nodes = 2 * TABLE_NODES
-        while (log_error := _log_error_bound(log_moduli, arcs.half, nodes)) > math.log(TABLE_TOL):
-            if panels * 2 * nodes > TABLE_NODE_CAP:
-                raise QVampireError(
-                    f"block rule ({bpb} bins, x_cam {x_cam:.3g}, x_her {x_her:.3g}) has error "
-                    f"bound 10^{log_error / math.log(10.0):.3g} > {TABLE_TOL:.0e} at {panels} "
-                    f"panels of {nodes} nodes"
-                )
-            nodes *= 2
-        u, weights = _panel_rule(panels, nodes)
-        rules.append((u, weights / weights.sum()))
-    return rules
+            log_moduli = (arcs.log_weight + _log_binomial_bound(bpb, x_her, dark_her, arcs)
+                          + _log_binomial_bound(bpb, x[searching], dark_cam, arcs))
+            bound = _log_error_bound(log_moduli, arcs.half, 1)
+            nodes = np.maximum(2.0, 1.0 + np.ceil((bound - log_tol) / step))
+            nodes += bound - (nodes - 1) * step > log_tol  # rounding may leave it a node short
+            fewer = panels * nodes < best[searching]
+            best[searching[fewer]], best_panels[searching[fewer]] = panels * nodes[fewer], panels
+            least = bound - (TABLE_NODE_CAP // panels - 1) * step
+            closest[searching] = np.minimum(closest[searching], least)
+            panels *= 2
+    if (refused := np.flatnonzero(best > TABLE_NODE_CAP)).size:
+        raise QVampireError(
+            f"block rule ({bpb} bins, x_cam {x[refused[0], 0, 0]:.3g}, x_her {x_her:.3g}) has error "
+            f"bound {(closest[refused[0]] - log_tol) / math.log(10.0):.3g} decades above "
+            f"{TABLE_TOL:.0e} at best within {TABLE_NODE_CAP} nodes")
+    nodes = best.astype(int) // best_panels
+    _gauss_legendre(*nodes.tolist())  # every base rule the means need, in one pass
+    rules = [_panel_rule(*shape) for shape in zip(best_panels.tolist(), nodes.tolist())]
+    return [(u, weights / weights.sum()) for u, weights in rules]

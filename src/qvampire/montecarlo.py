@@ -8,35 +8,32 @@ tapped off by the mask and the camera detector sees the power transmitted
 into the currently open superpixel; on/off clicks are independent given
 the field, and same-bin herald+camera clicks feed the coincidence counter.
 
-Every superpixel owns a counter-based Philox substream keyed by
-(seed, superpixel index), so results do not depend on the order the tiles
-are drawn in.  A scan draws them in index order on the calling thread with
-one Philox generator, reset to the start of a tile's substream before the
-tile, which draws what a generator built for that key alone would;
-``scan.threads`` is accepted and echoed but draws nothing in parallel, and
-ROADMAP item 2 removes it.  A tile's three totals are its cell of the
-scan's count grids; its full coherence blocks are i.i.d., so it is drawn
-as a mixture rather than block by block (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III):
+A scan draws its tiles row-major from one Philox stream keyed by the
+seed, on the calling thread, a chunk of tiles at a time, so a tile's counts
+depend on the tiles drawn before it; ``scan.threads`` is accepted and
+echoed but draws nothing in parallel, and ROADMAP item 2 removes it.  A
+tile's three totals are its cell of the scan's count grids; its full
+coherence blocks are i.i.d., so it is drawn as a mixture rather than block
+by block (Devroye, Non-Uniform Random Variate Generation, 1986, ch. III):
 
 - A block's intensity is drawn from a quadrature rule (``qvampire.blocktable``)
   whose node count an a-priori error bound certifies to 1e-12 in every
   cell of the block's joint click table: node u_i with probability w_i.
-  One multinomial counts the tile's full blocks at each node.
+  One multinomial counts each tile's full blocks at each node.
 - Given the field every bin clicks each detector independently, so the
   m s bins of the m blocks at one node are one multinomial over the four
   joint outcomes (both, camera only, herald only, neither).  The final
-  partial block is one more row at an Exp(1) intensity, and all rows are
-  one vectorized multinomial, in which a node no full block fell on
-  draws nothing.
+  partial block is one more row at an Exp(1) intensity, and the rows of
+  all a chunk's tiles are one vectorized multinomial, in which a node no
+  full block fell on draws nothing.
 
 A coherent tile has one intensity, so its law is one block of all its bins
 at u = 1 with weight 1, drawn by the same two multinomials.  Either way a
 tile's time and memory do not grow with the dwell, and every draw is
 distribution-exact up to the rule's quadrature error.  A rule depends on
 the tile only through the camera weight, so a scan takes the rules of all
-its distinct camera weights in one call, which bounds the herald's factor
-of the error once per panel count for all of them, and computes each
-weight's outcome rows at the rule's nodes once.
+its distinct camera weights in one call, and computes each weight's
+outcome rows at the rule's nodes once.
 """
 
 from __future__ import annotations
@@ -285,17 +282,9 @@ def _grid_shape(height: int, width: int, superpixel: int) -> tuple[int, int]:
 def superpixel_tiles(height: int, width: int, superpixel: int):
     """Row-major (row, col, yslice, xslice) tiles; edge tiles may be partial."""
     n_rows, n_cols = _grid_shape(height, width, superpixel)
-    tiles = []
-    for row in range(n_rows):
-        for col in range(n_cols):
-            tiles.append(
-                (
-                    row,
-                    col,
-                    slice(row * superpixel, min((row + 1) * superpixel, height)),
-                    slice(col * superpixel, min((col + 1) * superpixel, width)),
-                )
-            )
+    tiles = [(row, col, slice(row * superpixel, min((row + 1) * superpixel, height)),
+              slice(col * superpixel, min((col + 1) * superpixel, width)))
+             for row in range(n_rows) for col in range(n_cols)]
     return n_rows, n_cols, tiles
 
 
@@ -317,38 +306,38 @@ def derived_settings(src: SourceConfig, scan: ScanConfig) -> dict:
 # the scan itself
 
 
-# a fresh Philox's counter and buffer: the scan's one generator is reset to
-# them, with the tile's key, before each tile
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-_PHILOX_ZEROS.setflags(write=False)
+# tile-node pairs a chunk of tiles draws at once: its outcome rows and counts
+# hold 64 bytes a pair, so a chunk holds about 130 kB of them
+_CHUNK_NODES = 1 << 11
 
 
 def _outcome_rows(w_cam, w_her, src, det_cam, det_her, u):
-    """One row per block intensity of ``u``: the probabilities that a bin clicks
-    both detectors, the camera only, the herald only or neither.  A scalar
-    ``u`` gives one row of shape (4,), with no array built around it."""
+    """A row per block intensity of ``u``, at the camera weights ``w_cam`` (one,
+    or broadcast against ``u``): the probabilities that a bin clicks both
+    detectors, the camera only, the herald only or neither."""
     intensity = src.nbar * u
     p_cam = click_probability(w_cam * intensity, det_cam)
     p_her = click_probability(w_her * intensity, det_her)
-    rows = np.array(
-        [p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her, (1 - p_cam) * (1 - p_her)]
-    )
-    return np.ascontiguousarray(rows.T)
+    return np.stack([p_cam * p_her, p_cam * (1 - p_her), (1 - p_cam) * p_her,
+                     (1 - p_cam) * (1 - p_her)], axis=-1)
 
 
-class _TileLaw(NamedTuple):
-    """What every tile of one camera weight draws from."""
+class _TileLaws(NamedTuple):
+    """What the tiles of a scan draw from, a row per distinct camera weight.
+    numpy's multinomial draws no number for a category of probability 0 and
+    gives the last one what the others leave, so each rule is padded before
+    its first node with nodes of weight 0: a row draws what its rule would."""
 
     full_blocks: int  # full coherence blocks a tile holds
     block: int  # bins of a full block
-    weights: np.ndarray  # of the certified rule, one per node
-    rows: np.ndarray  # ``_outcome_rows`` at the rule's nodes
+    weights: np.ndarray  # of each certified rule, padded to the longest
+    rows: np.ndarray  # ``_outcome_rows`` at each rule's nodes, padded at u = 0
     rest: int  # bins of the partial block, drawn at an Exp(1) intensity
-    clicks: tuple  # ``_outcome_rows``' arguments before the intensity
+    clicks: tuple  # ``_outcome_rows``' arguments between the camera weight and the intensity
 
 
 def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
-    """The ``_TileLaw`` of a tile of ``n_bins`` bins at each camera weight of
+    """The ``_TileLaws`` of tiles of ``n_bins`` bins at each camera weight of
     ``w_cams``.  A coherent tile is one block of all its bins at u = 1 with
     weight 1, and a thermal tile shorter than a block has no full block, so
     it takes no rule."""
@@ -362,69 +351,58 @@ def _tile_laws(w_cams, w_her, src, det_cam, det_her, n_bins, bpb):
         x_cams = [det_cam.efficiency * w_cam * src.nbar for w_cam in w_cams]
         x_her = det_her.efficiency * w_her * src.nbar
         rules = block_rules(bpb, x_cams, det_cam.dark_prob, x_her, det_her.dark_prob)
-    n_full, rest = divmod(n_bins, block)
-    laws = []
-    for w_cam, (u, weights) in zip(w_cams, rules):
-        clicks = (w_cam, w_her, src, det_cam, det_her)
-        laws.append(_TileLaw(n_full, block, weights, _outcome_rows(*clicks, u), rest, clicks))
-    return laws
+    clicks, nodes = (w_her, src, det_cam, det_her), max(len(u) for u, _ in rules)
+    u, weights = np.zeros((2, len(rules), nodes))
+    for i, (rule_u, rule_weights) in enumerate(rules):
+        u[i, nodes - len(rule_u) :], weights[i, nodes - len(rule_u) :] = rule_u, rule_weights
+    rows = _outcome_rows(np.array(w_cams)[:, None], *clicks, u)
+    return _TileLaws(n_bins // block, block, weights, rows, n_bins % block, clicks)
 
 
-def _simulate_tile(gen: np.random.Generator, seed: int, index: int, law: _TileLaw):
-    """One tile's (camera, herald, coincidence) totals from its ``_TileLaw``.
-
-    ``gen`` is first reset to the start of the tile's Philox substream, keyed
-    (seed, index), so it draws what a fresh ``Philox(key=(seed, index))``
-    would, whatever it drew before."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS, "key": np.array([seed, index], dtype=np.uint64)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": 4,  # the buffer's length: nothing buffered
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    # numpy's multinomial draws no number for a row of no trials or of one
-    # category: a coherent tile and a tile shorter than a block draw none for
-    # their blocks, and the row of a node that holds no full block draws none
-    # for its outcomes, so it need not be dropped
-    bins, rows = law.block * gen.multinomial(law.full_blocks, law.weights), law.rows
-    if law.rest:
-        u = gen.standard_exponential()
-        bins = np.concatenate((bins, (law.rest,)))
-        rows = np.concatenate((rows, (_outcome_rows(*law.clicks, u),)))
-    # the column sums as an integer product: exact, and faster on four columns
-    both, cam_only, her_only, _ = np.ones(len(bins), dtype=np.int64) @ gen.multinomial(bins, rows)
-    return int(both + cam_only), int(both + her_only), int(both)
+def _draw_tiles(gen: np.random.Generator, laws: _TileLaws, w_cams, which):
+    """The (camera, herald, coincidence) totals of a chunk of tiles, a column
+    each, at camera weights ``w_cams`` and rows ``which`` of ``laws``.  One
+    multinomial counts each tile's full blocks at each node, and one over
+    (tile, node, outcome) splits the bins of the blocks at each node and of the
+    partial block, at an Exp(1) intensity.  numpy's multinomial draws no number
+    for a row of no trials or of one category: a node no block fell on, a
+    coherent tile's one block and a tile with no full block draw none."""
+    bins = laws.block * gen.multinomial(laws.full_blocks, laws.weights[which])
+    rows = laws.rows[which]
+    if laws.rest:
+        u = gen.standard_exponential(len(which))
+        bins = np.column_stack((bins, np.full(len(which), laws.rest)))
+        rows = np.concatenate((rows, _outcome_rows(w_cams, *laws.clicks, u)[:, None]), axis=1)
+    both, cam_only, her_only, _ = gen.multinomial(bins, rows).sum(axis=1).T
+    return np.stack((both + cam_only, both + her_only, both))
 
 
 def run_scan(src: SourceConfig, scan: ScanConfig) -> ScanResult:
     """Raster-scan the camera superpixel over the masked beam.
 
-    Deterministic for a fixed (seed, config): each superpixel draws from its
-    own keyed Philox substream.  In a scan only the camera weight varies, so
-    the rules of all distinct weights are chosen in one call.  Then the tiles
-    are drawn in index order on the calling thread by one Philox generator,
-    re-keyed to (seed, index) before each tile.  ``scan.threads`` goes unread.
-    """
+    Deterministic for a fixed (seed, config).  In a scan only the camera
+    weight varies, so the rules of all distinct weights are chosen in one
+    call.  Then one Philox stream keyed by the seed draws the tiles row-major
+    on the calling thread, in chunks of about ``_CHUNK_NODES`` tile-node
+    pairs, so a tile's counts depend on the tiles drawn before it.
+    ``scan.threads`` goes unread."""
     profile = src.profile
     derived = derived_settings(src, scan)
     n_bins, bpb = derived["n_bins"], derived["bins_per_block"]
     transmitted_power = (scan.mask.transmission * profile.amplitude) ** 2
     _, _, tiles = superpixel_tiles(profile.height, profile.width, scan.superpixel)
     w_cams = [float(transmitted_power[ys, xs].sum()) for _, _, ys, xs in tiles]
-    distinct = list(dict.fromkeys(w_cams))
+    index = {w_cam: i for i, w_cam in enumerate(dict.fromkeys(w_cams))}
+    which, w_cams = np.array([index[w_cam] for w_cam in w_cams]), np.array(w_cams)
     dets = (scan.camera_detector, scan.herald_detector)
-    law_of = dict(zip(distinct, _tile_laws(distinct, derived["r_eff2"], src, *dets, n_bins, bpb)))
-    gen = np.random.Generator(np.random.Philox(0))  # any key: each tile re-keys it
+    laws = _tile_laws(list(index), derived["r_eff2"], src, *dets, n_bins, bpb)
+    gen = np.random.Generator(np.random.Philox(key=scan.seed))
+    chunk = max(1, _CHUNK_NODES // laws.weights.shape[1])
     # camera, herald and coincidence totals; row-major tiles index the flattened grid
-    totals = np.array([_simulate_tile(gen, scan.seed, i, law_of[w_cam])
-                       for i, w_cam in enumerate(w_cams)], dtype=np.int64).T
+    totals = np.concatenate([_draw_tiles(gen, laws, w_cams[lo : lo + chunk], which[lo : lo + chunk])
+                             for lo in range(0, len(tiles), chunk)], axis=1)
     # what analysis reads back; build_scenario's echo holds the rest of the config
-    echo = {
-        "source.kind": src.kind,
-        **{f"derived.{name}": str(value) for name, value in derived.items()},
-    }
+    echo = {"source.kind": src.kind, **{f"derived.{k}": str(v) for k, v in derived.items()}}
     shape = (derived["n_rows"], derived["n_cols"])
     return ScanResult(np.full(shape, n_bins), *totals.reshape(3, *shape), config=echo)
 

@@ -229,7 +229,7 @@ def contrast_for_herald_rate(
         raise QVampireError("mask.region carries no beam power")
     c2 = target / (nbar * frac)
     if c2 > 1.0:
-        raise QVampireError(f"needs contrast^2 = {c2:.3f} > 1")
+        raise QVampireError(f"needs contrast^2 = {c2:.3g} > 1")
     contrast = math.sqrt(c2)
     if contrast > 0.0 and math.sqrt(1.0 - contrast * contrast) == 1.0:  # as vampire_mask takes t
         raise QVampireError(f"source.nbar = {nbar!r} solves contrast {contrast!r}, which leaves "

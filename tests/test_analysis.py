@@ -245,6 +245,8 @@ def test_shadow_requires_both_regions():
         (1e-5, -5.0, "AMBIGUOUS"),  # not flat, but a bump inside
         (analysis.FLATNESS_ALPHA, 0.0, "AMBIGUOUS"),  # p on the cut: neither flat
         (analysis.FLATNESS_ALPHA, 5.0, "AMBIGUOUS"),  # nor non-flat
+        (0.015, 4.0, "AMBIGUOUS"),  # flat at the 1 % level, so a dip is no shadow
+        (0.005, 4.0, "SHADOW"),
         (1e-5, float("nan"), "NONFLAT"),
         (0.5, float("nan"), "NO_SHADOW"),
     ],

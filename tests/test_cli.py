@@ -1,6 +1,7 @@
 """End-to-end CLI tests on miniature configs: schemas, round trips, exit codes."""
 
 import csv
+import math
 import re
 import warnings
 
@@ -574,8 +575,10 @@ def test_cmd_profile_ends_a_gaussian_width_in_maps_or_one_line(tmp_path, capsys,
     [("source.nbar", "0", "source.nbar = 0.0 gives no herald rate"),
      # nbar times the region's power fraction underflows to no rate
      ("source.nbar", "5e-324", "source.nbar = 5e-324 gives no herald rate"),
-     ("mask.region", "rect:0,0,1,1", "mask.region carries no beam power")],
-    ids=["nbar_zero", "nbar_subnormal", "region_off_beam"],
+     ("mask.region", "rect:0,0,1,1", "mask.region carries no beam power"),
+     # so dim a source needs a contrast^2 of 300 digits, printed to 3 figures
+     ("source.nbar", "1e-300", "needs contrast^2 = 7.21e+298 > 1")],
+    ids=["nbar_zero", "nbar_subnormal", "region_off_beam", "nbar_dim"],
 )
 def test_cmd_scan_names_why_the_herald_target_is_unreachable(tmp_path, capsys, key, value, cause):
     lines = [line for line in SMOKE_CONFIG.strip().splitlines() if not line.startswith(key)]
@@ -621,8 +624,30 @@ def test_cmd_scan_names_source_nbar_when_no_block_rule_is_certified(tmp_path, ca
         assert (rc, out) == (1, ""), nbar
         given = re.escape(f"source.nbar={nbar!r}, source.coherence_time={tau!r}")
         assert re.fullmatch(rf"qvampire: {given}: block rule \({bins} bins, x_cam \S+, x_her "
-                            r"\S+\) has error bound 10\^\S+ > 1e-12 at \d+ panels of \d+ nodes\n",
-                            err)
+                            r"\S+\) has error bound \S+ decades above 1e-12 at best within 16384 "
+                            r"nodes\n", err)
+
+
+# the brightest source.nbar whose block rule SMOKE_CONFIG's scan certifies,
+# bisected to the float, and the next float
+BRIGHTEST_CERTIFIED_NBAR = 211599.1129294304
+FIRST_REFUSED_NBAR = 211599.11292943044
+
+
+def test_a_refusal_just_past_the_brightest_certified_source_prints_its_breach(tmp_path, capsys):
+    # one ulp past the threshold the bound exceeds the tolerance by about 1e-15
+    # decades: the refusal prints that margin, not a bound that reads as equal
+    # to the tolerance
+    assert math.nextafter(BRIGHTEST_CERTIFIED_NBAR, math.inf) == FIRST_REFUSED_NBAR
+    for nbar, code in ((BRIGHTEST_CERTIFIED_NBAR, 0), (FIRST_REFUSED_NBAR, 1)):
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace("source.nbar=1.0", f"source.nbar={nbar!r}"))
+        rc = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == code, err
+    given = f"source.nbar={str(FIRST_REFUSED_NBAR)!r}, source.coherence_time='1e-06'"
+    assert err.startswith(f"qvampire: {given}: block rule (83 bins, ")
+    margin = float(re.search(r" has error bound (\S+) decades above 1e-12 at ", err)[1])
+    assert 0.0 < margin < 1e-12, err
 
 
 @pytest.mark.parametrize("command", ["profile", "scan"])

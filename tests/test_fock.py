@@ -98,6 +98,18 @@ def test_density_matrix_invariants_enforced():
         fock.DensityMatrix(np.full((2, 2), np.nan))  # passes every comparison
 
 
+@pytest.mark.parametrize("eigenvalue, refused", [(-5e-11, False), (-5e-10, True)])
+def test_a_negative_eigenvalue_is_refused_past_1e_10(eigenvalue, refused):
+    # rounding may leave an eigenvalue of a state just below 0; past the
+    # tolerance the matrix is no state
+    elements = np.diag([1.0 - eigenvalue, eigenvalue])
+    if refused:
+        with pytest.raises(QVampireError, match="negative eigenvalue below -1e-10"):
+            fock.DensityMatrix(elements)
+    else:
+        assert fock.DensityMatrix(elements).elements[1, 1] == eigenvalue
+
+
 # ---------------------------------------------------------------------------
 # annihilation and subtraction
 

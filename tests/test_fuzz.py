@@ -134,8 +134,8 @@ def test_every_positive_coherence_time_scans_or_names_its_key(tau):
 @given(nbar=WIDTH)
 @example(nbar=5e-324)
 @example(nbar=1e-300)
-@example(nbar=104391.68192274046)  # the brightest source whose block rule is certified
-@example(nbar=104391.68192274048)  # the next float, refused
+@example(nbar=211599.1129294304)  # the brightest source whose block rule is certified
+@example(nbar=211599.11292943044)  # the next float, refused
 @example(nbar=1e308)
 def test_every_positive_source_nbar_scans_or_names_its_key(nbar):
     # a source too dim for the herald target, or too bright for the mask to tap,

@@ -162,7 +162,7 @@ def test_outputs_keep_their_golden_bytes(tmp_path, monkeypatch, capsys):
 
     def recorded(*args):
         found = tile_laws(*args)
-        laws.extend(found)
+        laws.append(found)
         return found
 
     monkeypatch.setattr(montecarlo, "_tile_laws", recorded)

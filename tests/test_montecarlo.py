@@ -55,7 +55,7 @@ def block_intensity(gen: np.random.Generator, nbar: float, size=None):
 
 
 def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb):
-    """Oracle for ``mc._simulate_tile``: every coherence block drawn on its own.
+    """Oracle for ``mc._draw_tiles``: every coherence block drawn on its own.
 
     Given a block's intensity its bins click independently, so a block is a
     Binomial(size, p_cam) camera count, a Binomial(size, p_her) herald count
@@ -74,12 +74,14 @@ def per_block_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb
     return int(c.sum()), int(h.sum()), both
 
 
-def tile_draws(seeds, index, *args):
-    """``mc._simulate_tile`` totals of one tile at each seed, all drawn from
-    the one law its camera weight needs by one re-keyed generator."""
-    (law,) = mc._tile_laws([args[0]], *args[1:])
-    gen = np.random.Generator(np.random.Philox(0))
-    return np.array([mc._simulate_tile(gen, seed, index, law) for seed in seeds])
+def tile_draws(seeds, *args):
+    """``mc._draw_tiles`` totals of one tile at each seed, each a chunk of its
+    own drawn by a generator keyed by the seed, from the one law its camera
+    weight needs."""
+    laws = mc._tile_laws([args[0]], *args[1:])
+    w_cam, which = np.array([args[0]]), np.zeros(1, dtype=int)
+    return np.array([mc._draw_tiles(np.random.Generator(np.random.Philox(key=seed)), laws, w_cam,
+                                    which)[:, 0] for seed in seeds])
 
 
 def count_grids(result):
@@ -88,17 +90,33 @@ def count_grids(result):
 
 
 def tile_by_tile(src, scan):
-    """Oracle for ``count_grids`` of ``mc.run_scan``: every tile drawn in index
-    order from a law checked for that tile alone, written to its own cell."""
+    """Oracle for ``count_grids`` of ``mc.run_scan``: every tile drawn from an
+    unpadded law checked for that tile alone, by numpy calls of one tile each
+    from one generator keyed by the seed, in the order the scan's chunks draw
+    them: a chunk's block counts, then its partial blocks' intensities, then
+    its outcomes.  Written to the tile's own cell."""
     derived = mc.derived_settings(src, scan)
     n_bins = derived["n_bins"]
     power = (scan.mask.transmission * src.profile.amplitude) ** 2
     _, _, tiles = mc.superpixel_tiles(src.profile.height, src.profile.width, scan.superpixel)
+    w_cams = [float(power[ys, xs].sum()) for _, _, ys, xs in tiles]
+    laws = [mc._tile_laws([w_cam], derived["r_eff2"], src, scan.camera_detector,
+                          scan.herald_detector, n_bins, derived["bins_per_block"])
+            for w_cam in w_cams]
+    chunk = max(1, mc._CHUNK_NODES // max(law.weights.shape[1] for law in laws))
+    gen = np.random.Generator(np.random.Philox(key=scan.seed))
     grids = np.zeros((len(mc.COUNTS), derived["n_rows"], derived["n_cols"]), dtype=np.int64)
-    for index, (row, col, ys, xs) in enumerate(tiles):
-        args = (float(power[ys, xs].sum()), derived["r_eff2"], src, scan.camera_detector,
-                scan.herald_detector, n_bins, derived["bins_per_block"])
-        grids[:, row, col] = (n_bins, *tile_draws([scan.seed], index, *args)[0])
+    for lo in range(0, len(tiles), chunk):
+        part = range(lo, min(lo + chunk, len(tiles)))
+        blocks = [gen.multinomial(laws[i].full_blocks, laws[i].weights[0]) for i in part]
+        u = [gen.standard_exponential() for _ in part] if laws[lo].rest else []
+        for i, full in zip(part, blocks):
+            bins, rows = laws[i].block * full, laws[i].rows[0]
+            if u:
+                bins = np.append(bins, laws[i].rest)
+                rows = np.vstack([rows, mc._outcome_rows(w_cams[i], *laws[i].clicks, u[i - lo])])
+            both, cam_only, her_only, _ = gen.multinomial(bins, rows).sum(axis=0)
+            grids[:, tiles[i][0], tiles[i][1]] = (n_bins, both + cam_only, both + her_only, both)
     return grids
 
 
@@ -148,11 +166,18 @@ def rule_table(bpb, x_cam, dark_cam, x_her, dark_her, rule=None):
     return cam.T @ binomial_rows(bpb, x_her * u, dark_her)
 
 
-def rule_shape(bpb, x_cam, x_her, u):
-    """The panels and nodes a panel of a rule of ``bt.block_rules`` with nodes ``u``."""
-    panels = bt._panel_count(bpb, max(x_cam, x_her))
-    assert len(u) % panels == 0
-    return panels, len(u) // panels
+def one_rule(bpb, x_cam, dark_cam, x_her, dark_her):
+    """The rule ``bt.block_rules`` gives the one camera mean ``x_cam``."""
+    ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, x_her, dark_her)
+    return u, weights
+
+
+def rule_shape(u):
+    """The panels and nodes a panel of the rule of ``bt.block_rules`` with nodes ``u``."""
+    (shape,) = [(panels, len(u) // panels) for panels in (1, 2, 4, 8, 16, 32, 64)
+                if len(u) % panels == 0 and len(u) >= 2 * panels
+                and np.array_equal(bt._panel_rule(panels, len(u) // panels)[0], u)]
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +310,19 @@ def test_bright_table_matches_rule_refined_twice_over(dark_cam, dark_her):
     # x s = 50 for the camera: a cell's peak is far narrower than on a desk tile
     x_cam, x_her = 50.0 / BPB, 20.0 / BPB
     ((u, weights),) = bt.block_rules(BPB, [x_cam], dark_cam, x_her, dark_her)
-    panels, nodes = rule_shape(BPB, x_cam, x_her, u)
+    panels, nodes = rule_shape(u)
     table = rule_table(BPB, x_cam, dark_cam, x_her, dark_her, (u, weights))
     refined = rule_table(BPB, x_cam, dark_cam, x_her, dark_her, bt._panel_rule(panels, 4 * nodes))
     assert np.abs(table - refined).max() < 1e-12
 
 
 def test_table_refinement_that_cannot_converge_raises(monkeypatch):
-    # capped at the fewest panels of the first node count, a bright tile's
-    # bound fails, and the error names its mean
-    monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
+    # capped at 48 nodes, a bright tile's bound fails, and the error names its
+    # mean and how far its bound stays above the tolerance
+    monkeypatch.setattr(bt, "TABLE_NODE_CAP", 48)
     x_cam = 50.0 / BPB
-    match = rf"block rule \(83 bins, x_cam {x_cam:.3g}, .*\) has error bound 10\^.* > 1e-12"
+    match = (rf"block rule \(83 bins, x_cam {x_cam:.3g}, .*\) has error bound \S+ decades above "
+             r"1e-12 at best within 48 nodes$")
     with pytest.raises(QVampireError, match=match):
         bt.block_rules(BPB, [x_cam], 0.0, 20.0 / BPB, 0.0)
 
@@ -305,6 +331,21 @@ def test_table_refinement_that_cannot_converge_raises(monkeypatch):
 # holds at once: the blocking of the (s+1)^2 table check that block_rules replaced
 ORACLE_NODE_BLOCK = 24
 ORACLE_ROW_NODES = 16 * ORACLE_NODE_BLOCK
+# that check's fewest panels and first nodes a panel, which it doubled
+ORACLE_MIN_PANELS = 4
+ORACLE_NODES = 12
+
+
+def oracle_panels(bpb, x):
+    """The panels of that check's rule for a block whose brighter detector sees
+    x a bin at u = 1: a cell's peak is about 1 / (2 sqrt(s x)) wide in r, so
+    the least power of two, at least ``ORACLE_MIN_PANELS``, that reaches
+    2 + 4 sqrt(s x), while twice as many panels of 2 ``ORACLE_NODES`` stay
+    within the cap."""
+    panels = ORACLE_MIN_PANELS
+    while panels < 2.0 + 4.0 * math.sqrt(bpb * x) and 4 * panels * ORACLE_NODES <= bt.TABLE_NODE_CAP:
+        panels *= 2
+    return panels
 
 
 def per_mean_rule(bpb, x_cam, dark_cam, x_her, dark_her):
@@ -323,11 +364,7 @@ def per_mean_rule(bpb, x_cam, dark_cam, x_her, dark_her):
                 out += cam[k : k + ORACLE_NODE_BLOCK].T @ her[k : k + ORACLE_NODE_BLOCK]
         return out
 
-    panels = bt.TABLE_MIN_PANELS
-    wanted = 2.0 + 4.0 * math.sqrt(bpb * max(x_cam, x_her))
-    while panels < wanted and 4 * panels * bt.TABLE_NODES <= bt.TABLE_NODE_CAP:
-        panels *= 2
-    nodes = bt.TABLE_NODES
+    panels, nodes = oracle_panels(bpb, max(x_cam, x_her)), ORACLE_NODES
     coarse = table(panels, nodes)
     while True:
         fine = table(panels, 2 * nodes)
@@ -352,22 +389,27 @@ def marginal_of(bpb, x, dark, u, weights):
     return out, dark + (1.0 - dark) * -np.expm1(-x * u)
 
 
+def marginal_level(bpb, x_cam, dark_cam, x_her, dark_her, rule):
+    """Both marginals of ``rule``, its mixed moments sum_i w_i p_cam^a p_her^b
+    (a, b = 1, 2) and the marginals' sums: what ``marginal_check_rule`` compares."""
+    u, weights = rule
+    cam, p_cam = marginal_of(bpb, x_cam, dark_cam, u, weights)
+    her, p_her = marginal_of(bpb, x_her, dark_her, u, weights)
+    moments = np.einsum("i,ai,bi->ab", weights, [p_cam, p_cam**2], [p_her, p_her**2])
+    return np.concatenate([cam, her, moments.ravel(), [cam.sum(), her.sum()]])
+
+
 def marginal_check_rule(bpb, x_cam, dark_cam, x_her, dark_her):
     """Oracle for ``bt.block_rules``: the check its bound replaced.  It compares
-    the rule of ``bt._panel_count`` panels with its refinement (twice the nodes
-    a panel) in each cell of both marginals and in the mixed moments
-    sum_i w_i p_cam^a p_her^b (a, b = 1, 2), with each marginal of the
+    the rule of ``oracle_panels`` panels with its refinement (twice the nodes
+    a panel) in each entry of ``marginal_level``, with each marginal of the
     refinement summing to 1, and returns the first refinement within
     ``TABLE_TOL``: O(nodes s) a level, where the joint table's is O(nodes s^2)."""
 
     def level(panels, nodes):
-        u, weights = bt._panel_rule(panels, nodes)
-        cam, p_cam = marginal_of(bpb, x_cam, dark_cam, u, weights)
-        her, p_her = marginal_of(bpb, x_her, dark_her, u, weights)
-        moments = np.einsum("i,ai,bi->ab", weights, [p_cam, p_cam**2], [p_her, p_her**2])
-        return np.concatenate([cam, her, moments.ravel(), [cam.sum(), her.sum()]])
+        return marginal_level(bpb, x_cam, dark_cam, x_her, dark_her, bt._panel_rule(panels, nodes))
 
-    panels, nodes = bt._panel_count(bpb, max(x_cam, x_her)), bt.TABLE_NODES
+    panels, nodes = oracle_panels(bpb, max(x_cam, x_her)), ORACLE_NODES
     coarse = level(panels, nodes)
     while True:
         fine = level(panels, 2 * nodes)
@@ -436,12 +478,23 @@ def test_shared_check_returns_each_mean_its_own_rule(monkeypatch, geometry, mean
         "full": lambda: bench_scan(FULL),
         "gaussian_1024": gaussian_1024_scan,
     }[geometry]()
+    # each mean gets the rule of a call with it alone, and that rule's joint
+    # table meets the tolerance against the refinement check's
     bpb, x_cams, *rest = scan_check_args(monkeypatch, src, scan)
     assert len(set(x_cams)) == len(x_cams) == means
-    for x_cam, (u, weights) in zip(x_cams, bt.block_rules(bpb, x_cams, *rest)):
-        oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, *rest)
-        assert np.array_equal(u, oracle_u)
-        assert np.array_equal(weights, oracle_weights)
+    for x_cam, rule in zip(x_cams, bt.block_rules(bpb, x_cams, *rest)):
+        ((alone_u, alone_weights),) = bt.block_rules(bpb, [x_cam], *rest)
+        assert rule[0].tobytes() == alone_u.tobytes()
+        assert rule[1].tobytes() == alone_weights.tobytes()
+        assert_table_meets_the_oracles(bpb, x_cam, *rest, rule)
+
+
+def assert_table_meets_the_oracles(bpb, x_cam, dark_cam, x_her, dark_her, rule):
+    """The joint table of ``rule`` lies within ``TABLE_TOL`` of the table of
+    ``per_mean_rule``'s rule in every cell."""
+    args = (bpb, x_cam, dark_cam, x_her, dark_her)
+    oracle = rule_table(*args, per_mean_rule(*args))
+    assert np.abs(rule_table(*args, rule) - oracle).max() <= bt.TABLE_TOL, args
 
 
 # block lengths, camera means x_cam s, herald means x_her / x_cam and (camera,
@@ -454,56 +507,53 @@ SWEEP_DARKS = [(0.0, 0.0), (1e-3, 1e-3), (0.01, 0.03)]
 
 @pytest.mark.parametrize("dark_cam, dark_her", SWEEP_DARKS)
 def test_marginal_check_keeps_the_joint_table_checks_rules(dark_cam, dark_her):
-    # the check compares marginals and mixed moments, never the (s+1)^2 table;
-    # over the sweep it stops at the level the table's per-cell check stops at
+    # the bound never forms the (s+1)^2 table; over the sweep each rule it
+    # certifies meets the tolerance against the table's per-cell check
     for bpb, x_s, ratio in itertools.product(SWEEP_BINS, SWEEP_X_S, SWEEP_HERALD_RATIOS):
         x_cam = x_s / bpb
-        ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, ratio * x_cam, dark_her)
-        oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, dark_cam, ratio * x_cam, dark_her)
-        assert np.array_equal(u, oracle_u), (bpb, x_s, ratio)
-        assert np.array_equal(weights, oracle_weights), (bpb, x_s, ratio)
+        args = (bpb, x_cam, dark_cam, ratio * x_cam, dark_her)
+        u, weights = one_rule(*args)
+        assert_table_meets_the_oracles(*args, (u, weights))
 
 
 @pytest.mark.parametrize("x_s, ratio, dark", [(0.65, 0.3, 0.0), (50.0, 0.05, 1e-3)])
 def test_marginal_check_keeps_the_joint_table_checks_rule_at_the_largest_block(x_s, ratio, dark):
-    bpb = ORACLE_MAX_BINS
-    x_cam = x_s / bpb
-    ((u, weights),) = bt.block_rules(bpb, [x_cam], dark, ratio * x_cam, dark)
-    oracle_u, oracle_weights = per_mean_rule(bpb, x_cam, dark, ratio * x_cam, dark)
-    assert np.array_equal(u, oracle_u)
-    assert np.array_equal(weights, oracle_weights)
+    args = (ORACLE_MAX_BINS, x_s / ORACLE_MAX_BINS, dark, ratio * x_s / ORACLE_MAX_BINS, dark)
+    u, weights = one_rule(*args)
+    assert_table_meets_the_oracles(*args, (u, weights))
 
 
 @pytest.mark.parametrize("dark_cam, dark_her", [(0.0, 0.0), (0.01, 0.03)])
 def test_bound_keeps_the_refinement_checks_rules_at_the_largest_block(dark_cam, dark_her):
-    # the marginal refinement check the bound replaced, over the sweep's means
-    # at the block length where the joint table's check is slowest and at one
-    # it does not reach
+    # against the marginal refinement check the bound replaced, over the
+    # sweep's means at the block length where the joint table's check is
+    # slowest and at one it does not reach: each entry the check compares,
+    # both marginals and the mixed moments, meets the tolerance
     for bpb, x_s, ratio in itertools.product(
         (ORACLE_MAX_BINS, LONG_BINS), SWEEP_X_S, (0.0, 0.3, 3.0)
     ):
-        x_cam = x_s / bpb
-        ((u, weights),) = bt.block_rules(bpb, [x_cam], dark_cam, ratio * x_cam, dark_her)
-        oracle_u, oracle_weights = marginal_check_rule(bpb, x_cam, dark_cam, ratio * x_cam, dark_her)
-        assert np.array_equal(u, oracle_u), (bpb, x_s, ratio)
-        assert np.array_equal(weights, oracle_weights), (bpb, x_s, ratio)
+        args = (bpb, x_s / bpb, dark_cam, ratio * x_s / bpb, dark_her)
+        u, weights = one_rule(*args)
+        oracle = marginal_level(*args, marginal_check_rule(*args))
+        assert np.abs(marginal_level(*args, (u, weights)) - oracle).max() <= bt.TABLE_TOL, args
 
 
-def test_gauss_legendre_rule_is_exact_to_rounding_on_every_polynomial_it_integrates():
-    # every base rule a check can take: TABLE_NODES doubled until one panel of
-    # the fewest would pass the cap, and the small counts a test may start from.
+def test_gauss_legendre_rule_is_exact_to_rounding_on_every_polynomial_it_integrates(monkeypatch):
+    # every node count up to 96, which covers the rules of the scans the tests
+    # and the benchmark run, and counts up to 3072 of either parity, built in
+    # one pass and each equal bit for bit to the rule built alone.
     # An n-node rule integrates P_k exactly for k < 2n, so sum w P_k is 2 at
     # k = 0 and 0 above; P_k comes from this test's own recurrence.  Up to 96
     # nodes it also agrees with numpy's eigenvalue-based rule.
     from numpy.polynomial.legendre import leggauss
 
-    degrees, nodes = list(range(2, 40)), bt.TABLE_NODES
-    while bt.TABLE_MIN_PANELS * nodes <= bt.TABLE_NODE_CAP:
-        degrees.append(nodes)
-        nodes *= 2
-    assert max(degrees) == 3072
-    for nodes in degrees:
-        t, w = bt._gauss_legendre(nodes)
+    degrees = [*range(2, 97), 127, 192, 383, 768, 1536, 3072]
+    monkeypatch.setattr(bt, "_BASE_RULES", {})
+    together = bt._gauss_legendre(*degrees)
+    for nodes, rule in zip(degrees, together):
+        bt._BASE_RULES.clear()
+        ((t, w),) = bt._gauss_legendre(nodes)
+        assert t.tobytes() == rule[0].tobytes() and w.tobytes() == rule[1].tobytes(), nodes
         assert len(t) == nodes and (np.diff(t) > 0).all() and (w > 0).all(), nodes
         assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1]), nodes
         p0, p1 = np.ones_like(t), t
@@ -519,15 +569,15 @@ def test_gauss_legendre_rule_is_exact_to_rounding_on_every_polynomial_it_integra
 
 
 def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monkeypatch):
-    # from four nodes a panel and at a tolerance of 1e-8, the dim means' bounds
-    # pass at 8 nodes and the bright ones' at 16: each mean keeps the rule it
-    # gets alone, whose table meets the tolerance against the oracle's
-    monkeypatch.setattr(bt, "TABLE_NODES", 2)
+    # at a tolerance of 1e-8 the means' rules take 4, 8 and 16 panels and five
+    # shapes: each mean keeps the rule it gets alone, whose table meets the
+    # tolerance against the oracle's
     monkeypatch.setattr(bt, "TABLE_TOL", 1e-8)
     x_cams = [x / BPB for x in (0.0, 0.01, 0.1, 1.0, 3.6, 10.0, 50.0)]
     x_her = 3.6 / BPB
     rules = bt.block_rules(BPB, x_cams, 0.0, x_her, 0.0)
-    assert {rule_shape(BPB, x_cam, x_her, u)[1] for x_cam, (u, _) in zip(x_cams, rules)} == {8, 16}
+    shapes = [rule_shape(u) for u, _ in rules]
+    assert {panels for panels, _ in shapes} == {4, 8, 16} and len(set(shapes)) == 5, shapes
     for x_cam, (u, weights) in zip(x_cams, rules):
         ((alone_u, alone_weights),) = bt.block_rules(BPB, [x_cam], 0.0, x_her, 0.0)
         assert u.tobytes() == alone_u.tobytes()
@@ -538,24 +588,29 @@ def test_means_leaving_the_refinement_at_different_levels_keep_their_rules(monke
 
 
 def test_herald_factor_is_built_once_per_panel_count(monkeypatch):
-    # six camera means meet three panel counts: the herald's factor of the
-    # bound is built once for each, the camera's once a mean; the two
-    # detectors' dark counts tell their calls apart
+    # six camera means whose rules take 2, 4 and 8 panels: the search meets 1, 2,
+    # 4, ... panels, and builds the herald's factor of the bound once for each,
+    # and the camera's once for all the means still searching, fewer each
+    # time; the two detectors' dark counts tell their calls apart
     dark_cam, dark_her = 0.01, 0.03
     x_cams = [x / BPB for x in (0.0, 0.1, 0.5, 3.6, 10.0, 50.0)]
     x_her = 0.65 / BPB
     calls, bound = [], bt._log_binomial_bound
 
     def spy(bpb, x, dark, arcs):
-        calls.append((dark, len(arcs.half)))
+        calls.append((dark, len(arcs.half), np.size(x)))
         return bound(bpb, x, dark, arcs)
 
     monkeypatch.setattr(bt, "_log_binomial_bound", spy)
-    bt.block_rules(BPB, x_cams, dark_cam, x_her, dark_her)
-    panels = [bt._panel_count(BPB, max(x_cam, x_her)) for x_cam in x_cams]
-    assert sorted(set(panels)) == [8, 16, 32]
-    assert [p for dark, p in calls if dark == dark_her] == sorted(set(panels))
-    assert [p for dark, p in calls if dark == dark_cam] == panels
+    rules = bt.block_rules(BPB, x_cams, dark_cam, x_her, dark_her)
+    chosen = {rule_shape(u)[0] for u, _ in rules}
+    herald = [(p, n) for dark, p, n in calls if dark == dark_her]
+    camera = [(p, n) for dark, p, n in calls if dark == dark_cam]
+    panels = [p for p, _ in herald]
+    assert chosen == {2, 4, 8} and panels == [2**k for k in range(len(panels))] and max(panels) > 8
+    assert herald == [(p, 1) for p in panels]
+    assert [p for p, _ in camera] == panels and camera[0][1] == len(x_cams)
+    assert [n for _, n in camera] == sorted((n for _, n in camera), reverse=True)
 
 
 # block lengths, camera means x_cam s and (camera dark, herald dark, x_her / x_cam)
@@ -577,32 +632,44 @@ def rule_cells(bpb, x_cam, dark_cam, x_her, dark_her, rule):
 
 def test_error_bound_holds_over_each_joint_cell():
     # the bound must hold the quadrature's worst joint-cell error (marginal-cell
-    # error past the joint table's reach), measured against a rule of 64 nodes a
-    # panel (32 past that reach, which halves the oracle's cost there; either
-    # bound is below 1e-20); at 2 to 8 nodes the error is far above rounding,
-    # so a bound that is too small by a factor rho^2 shows
+    # error past the joint table's reach), at the panel count the search picks
+    # for each case and at each of 1, 2 and 4 panels, the counts it picks for
+    # the scans.  The reference rule has the fewest nodes a panel whose bound
+    # is below 1e-20, and at least 64 (32 past that reach, which halves the
+    # oracle's cost there); a panel count other than the search's that would
+    # need more than 128 is left out.  At 2 to 8 nodes the error is far above
+    # rounding, so a bound that is too small by a factor rho^2 shows.  The
+    # largest error is 0.083 of its bound.
+    worst, tried = 0.0, set()
     for bpb, x_s, (dark_cam, dark_her, ratio) in itertools.product(
         SOUND_BINS, SOUND_X_S, SOUND_DARKS
     ):
-        x_cam, x_her = x_s / bpb, ratio * x_s / bpb
-        panels = bt._panel_count(bpb, max(x_cam, x_her))
-        arcs = bt._ellipse_arcs(panels)
-        log_moduli = (arcs.log_weight + bt._log_binomial_bound(bpb, x_cam, dark_cam, arcs)
-                      + bt._log_binomial_bound(bpb, x_her, dark_her, arcs))
-        args = (bpb, x_cam, dark_cam, x_her, dark_her)
-        reference = 64 if bpb <= ORACLE_MAX_BINS else 32
-        assert bt._log_error_bound(log_moduli, arcs.half, reference) < math.log(1e-20)
-        exact = rule_cells(*args, bt._panel_rule(panels, reference))
-        for nodes in range(2, 9):
-            error = np.abs(rule_cells(*args, bt._panel_rule(panels, nodes)) - exact).max()
-            bound = math.exp(bt._log_error_bound(log_moduli, arcs.half, nodes))
-            assert error <= bound, (bpb, x_s, dark_cam, nodes, error, bound)
+        args = (bpb, x_s / bpb, dark_cam, ratio * x_s / bpb, dark_her)
+        u, _ = one_rule(*args)
+        chosen = rule_shape(u)[0]
+        for panels in sorted({1, 2, 4, chosen}):
+            arcs = bt._ellipse_arcs(panels)
+            log_moduli = (arcs.log_weight + bt._log_binomial_bound(bpb, args[1], dark_cam, arcs)
+                          + bt._log_binomial_bound(bpb, args[3], dark_her, arcs))
+            needed = (bt._log_error_bound(log_moduli, arcs.half, 1) - math.log(1e-20)) / math.log(16)
+            reference = max(64 if bpb <= ORACLE_MAX_BINS else 32, 1 + math.ceil(needed))
+            if reference > 128 and panels != chosen:
+                continue
+            assert bt._log_error_bound(log_moduli, arcs.half, reference) < math.log(1e-20)
+            tried.add(panels)
+            exact = rule_cells(*args, bt._panel_rule(panels, reference))
+            for nodes in range(2, 9):
+                error = np.abs(rule_cells(*args, bt._panel_rule(panels, nodes)) - exact).max()
+                bound = math.exp(bt._log_error_bound(log_moduli, arcs.half, nodes))
+                assert error <= bound, (*args, panels, nodes, error, bound)
+                worst = max(worst, error / bound)
+    assert {1, 2, 4} <= tried and worst < 0.1, (tried, worst)
 
 
 # the brightest camera mean, as x s, that block_rules certifies at LONG_BINS
-# with no herald light: measured 1.5307e5 (1.5687e5 at 1024 bins, 1.8734e5 at
+# with no herald light: measured 3.1706e5 (3.2917e5 at 1024 bins, 3.7974e5 at
 # BPB), so 1.05 times it is refused
-LONG_BRIGHTEST_X_S = 1.53e5
+LONG_BRIGHTEST_X_S = 3.17e5
 
 
 def test_bound_grows_with_the_block_length_past_the_oracle():
@@ -616,9 +683,8 @@ def test_bound_grows_with_the_block_length_past_the_oracle():
 
 
 def test_batch_names_the_mean_that_cannot_converge(monkeypatch):
-    # capped at the first refinement of the fewest panels, the dim means of
-    # one call pass and its bright one fails
-    monkeypatch.setattr(bt, "TABLE_NODE_CAP", bt.TABLE_MIN_PANELS * 2 * bt.TABLE_NODES)
+    # capped at 48 nodes, the dim means of one call pass and its bright one fails
+    monkeypatch.setattr(bt, "TABLE_NODE_CAP", 48)
     dim, bright, x_her = [0.45 / BPB, 0.65 / BPB], 50.0 / BPB, 0.135 / BPB
     assert len(bt.block_rules(BPB, dim, 0.0, x_her, 0.0)) == 2
     with pytest.raises(QVampireError, match=f"x_cam {bright:.3g},"):
@@ -640,8 +706,8 @@ def test_a_repeated_mean_gets_one_rule_per_entry():
 
 def test_scan_of_distinct_means_at_512_bins_matches_tile_by_tile():
     # at 512 bins a block the 5 tiles of an off-centre gaussian have 5 distinct
-    # camera weights; the herald, brighter than any tile, sets one panel count
-    # for all of them, so all five share its rows
+    # camera weights, whose rules take 62 and 66 nodes, so the shorter ones
+    # are padded; at 1, 2 and 4 threads the grids are the oracle's
     det = mc.DetectorConfig()
     prof = spatial.make_profile("gaussian", 10, 2, cx=3.3, cy=0.4)
     src = mc.SourceConfig(nbar=0.01, profile=prof, coherence_time=512 * det.bin_width)
@@ -692,16 +758,17 @@ def test_tile_totals_match_per_block_oracle(kind, w_cam, w_her, dark_cam, dark_h
     det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_cam)
     det_her = mc.DetectorConfig(efficiency=0.6, dark_prob=dark_her)
     args = (w_cam, w_her, src, det_cam, det_her, n_bins, bpb)
-    tiles = tile_draws(range(400), 3, *args)
+    tiles = tile_draws(range(400), *args)
     oracle = np.array([per_block_tile(seed, 3, *args) for seed in range(10_000, 10_400)])
     for name, a, b in zip(("camera", "herald", "coincidence"), tiles.T, oracle.T):
         assert chi2_two_sample_p(a, b) > 1e-3, name
 
 
-def three_branch_tile(seed, index, w_cam, w_her, src, det_cam, det_her, n_bins, bpb):
-    """Oracle for ``mc._simulate_tile``: the draw with its own branches for a
-    coherent tile, a thermal tile without a full block and a thermal tile."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+def three_branch_tile(seed, w_cam, w_her, src, det_cam, det_her, n_bins, bpb):
+    """Oracle for ``mc._draw_tiles`` of one tile: the draw with its own branches
+    for a coherent tile, a thermal tile without a full block and a thermal
+    tile, and only the nodes some block fell on."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
     dets = (det_cam, det_her)
     if src.kind == mc.COHERENT:
         bins, rows = np.array([n_bins]), mc._outcome_rows(w_cam, w_her, src, *dets, np.ones(1))
@@ -734,31 +801,83 @@ def test_tile_totals_equal_the_three_branch_draw(kind, n_bins):
     det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=0.01)
     det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=0.03)
     args = (0.4, 0.3, src, det_cam, det_her, n_bins, BPB)
-    for index in (0, 7, 2**40 + 3):
-        seeds = (1, 42, 7919, 2**63 + 5)
-        oracle = np.array([three_branch_tile(seed, index, *args) for seed in seeds])
-        assert np.array_equal(tile_draws(seeds, index, *args), oracle)
+    seeds = (0, 1, 42, 7919, 2**63 + 5, 2**64 - 1)
+    oracle = np.array([three_branch_tile(seed, *args) for seed in seeds])
+    assert np.array_equal(tile_draws(seeds, *args), oracle)
+
+
+class OutcomeSpy:
+    """A generator that keeps each outcome draw ``mc._draw_tiles`` makes with it,
+    the multinomial over (tile, node, outcome)."""
+
+    def __init__(self, gen, kept):
+        self.gen, self.kept = gen, kept
+
+    def multinomial(self, n, pvals):
+        out = self.gen.multinomial(n, pvals)
+        if np.ndim(pvals) == 3:
+            self.kept.append(out)
+        return out
+
+    def standard_exponential(self, size):
+        return self.gen.standard_exponential(size)
 
 
 @pytest.mark.parametrize("kind", [mc.THERMAL, mc.COHERENT])
 @pytest.mark.parametrize(
     "n_bins", [BPB - 1, BPB * 240, BPB * 240 + 17], ids=["short", "full", "partial"]
 )
-def test_a_rekeyed_generator_draws_each_tile_as_a_fresh_one(kind, n_bins):
-    # one generator draws the tiles out of order and a tile twice, with its
-    # counter and buffer wherever the last draw left them: each tile must
-    # still draw what a fresh Philox(key=(seed, index)) draws
-    src = mc.SourceConfig(nbar=1.0, profile=flat_profile(4, 4), kind=kind)
-    det_cam = mc.DetectorConfig(efficiency=0.6, dark_prob=0.01)
-    det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=0.03)
-    args = (0.4, 0.3, src, det_cam, det_her, n_bins, BPB)
-    (law,) = mc._tile_laws([args[0]], *args[1:])
-    gen = np.random.Generator(np.random.Philox(0))
-    for seed in (1, 42, 7919, 2**63 + 5):
-        for index in (7, 0, 2**40 + 3, 7):
-            got = mc._simulate_tile(gen, seed, index, law)
-            assert got == three_branch_tile(seed, index, *args)
-            gen.integers(2**32, dtype=np.uint32, size=3)  # a draw between tiles
+def test_one_stream_draws_a_scans_tiles_in_chunks(monkeypatch, kind, n_bins):
+    # 48 tiles of an off-centre ellipse, some outside the beam, in chunks of 7
+    # tiles, so the last chunk is short; a thermal scan of a block or more
+    # takes rules of different lengths.  Every bin of every tile falls in one
+    # outcome, a rerun and four threads draw the same bytes, which are the
+    # tile-by-tile oracle's, and over 40 seeds each tile's mean singles meet
+    # the counter model
+    det_cam, det_her = mc.DetectorConfig(dark_prob=0.01), mc.DetectorConfig()
+    prof = spatial.make_profile("uniform_ellipse", 16, 12, cx=6.5, cy=5.5, rx=6.0, ry=4.5)
+    src = mc.SourceConfig(nbar=2.0, profile=prof, kind=kind)
+    mask = spatial.vampire_mask(spatial.rect_region(16, 12, 4, 4, 6, 4), 0.3)
+
+    def scan(seed=5, threads=1):
+        return small_scan(mask, seed=seed, superpixel=2, dwell=(n_bins + 0.5) * det_cam.bin_width,
+                          threads=threads, camera_detector=det_cam, herald_detector=det_her)
+
+    laws, outcomes, draw = [], [], mc._draw_tiles
+
+    def spied(gen, tile_laws, w_cams, which):
+        laws.append(tile_laws)
+        return draw(OutcomeSpy(gen, outcomes), tile_laws, w_cams, which)
+
+    monkeypatch.setattr(mc, "_draw_tiles", spied)
+    mc.run_scan(src, scan())
+    monkeypatch.setattr(mc, "_CHUNK_NODES", 7 * laws[0].weights.shape[1])
+    laws.clear()
+    outcomes.clear()
+    grids = count_grids(mc.run_scan(src, scan()))
+    assert [len(chunk) for chunk in outcomes] == [7] * 6 + [6]
+    assert (np.concatenate(outcomes).sum(axis=(1, 2)) == n_bins).all()
+    lengths = (laws[0].weights > 0).sum(axis=1)
+    assert (len(set(lengths)) > 1) == (kind == mc.THERMAL and n_bins >= BPB), lengths
+    # numpy gives a multinomial's remainder to its last category: a real node
+    assert (laws[0].weights[:, -1] > 0).all()
+    for threads in (1, 4):
+        assert np.array_equal(count_grids(mc.run_scan(src, scan(threads=threads))), grids)
+    assert np.array_equal(grids, tile_by_tile(src, scan()))
+
+    seeds = range(100, 140)
+    counts = np.array([count_grids(mc.run_scan(src, scan(seed))) for seed in seeds])
+    power = (mask.transmission * prof.amplitude) ** 2
+    _, _, tiles = mc.superpixel_tiles(12, 16, 2)
+    w_cams = [float(power[ys, xs].sum()) for _, _, ys, xs in tiles]
+    assert w_cams.count(0.0) >= 4
+    r_eff2 = mc.derived_settings(src, scan())["r_eff2"]
+    for (row, col, _, _), w_cam in zip(tiles, w_cams):
+        for name, coupling, det in (("camera_counts", w_cam, det_cam),
+                                    ("herald_counts", r_eff2, det_her)):
+            mean, sigma = mc.expected_singles_counts(coupling, src, det, n_bins)
+            got = counts[:, mc.COUNTS.index(name), row, col].mean()
+            assert abs(got - mean) <= 5 * sigma / math.sqrt(len(seeds)), (name, row, col)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +959,7 @@ def test_block_correlation_inflates_singles_variance():
     det = mc.DetectorConfig(efficiency=0.6)
     w = 1.0  # single superpixel covering the whole beam
     n_bins = 20_000
-    counts = tile_draws(range(200), 0, w, 0.0, src, det, det, n_bins, 83)[:, 0].astype(float)
+    counts = tile_draws(range(200), w, 0.0, src, det, det, n_bins, 83)[:, 0].astype(float)
     mean, sigma = mc.expected_singles_counts(w, src, det, n_bins)
     assert abs(counts.mean() - mean) < 4 * sigma / math.sqrt(200)
     assert 0.8 < counts.std() / sigma < 1.2
@@ -923,7 +1042,7 @@ def test_coincidence_counts_match_closed_form(kind, dark_cam, dark_her):
     det_her = mc.DetectorConfig(efficiency=0.5, dark_prob=dark_her)
     w_cam, w_her, n_bins, bpb = 0.4, 0.3, 20_000, 83  # ends in a partial block
     args = (w_cam, w_her, src, det_cam, det_her, n_bins, bpb)
-    both = tile_draws(range(300), 2, *args)[:, 2].astype(float)
+    both = tile_draws(range(300), *args)[:, 2].astype(float)
     q, q_sq = coincidence_moments(w_cam, w_her, src, det_cam, det_her)
     if kind == mc.THERMAL:
         p_cam, _ = thermal_moments(w_cam, src.nbar, det_cam)
@@ -943,7 +1062,7 @@ def test_tile_where_every_bin_clicks_counts_every_bin(kind):
     det = mc.DetectorConfig(dark_prob=1.0 - 1e-15)
     for n_bins in (50, BPB * 5, BPB * 5 + 17):
         args = (0.3, 0.2, src, det, det, n_bins, BPB)
-        assert tuple(tile_draws([1], 0, *args)[0]) == (n_bins,) * 3
+        assert tuple(tile_draws([1], *args)[0]) == (n_bins,) * 3
 
 
 def test_billion_block_tile_matches_singles_model_in_bounded_memory():
@@ -953,7 +1072,7 @@ def test_billion_block_tile_matches_singles_model_in_bounded_memory():
     n_bins = bpb * 10**9 + 17  # 1e9 full blocks and a partial one
     tracemalloc.start()
     try:
-        (cam, her, _), = tile_draws([9], 0, w, w, src, det, det, n_bins, bpb)
+        (cam, her, _), = tile_draws([9], w, w, src, det, det, n_bins, bpb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -969,7 +1088,7 @@ def test_tile_memory_does_not_grow_with_dwell():
     bpb = 83
     tracemalloc.start()
     try:
-        tile_draws([5], 0, 0.02, 0.02, src, det, det, bpb * 1_000_000, bpb)
+        tile_draws([5], 0.02, 0.02, src, det, det, bpb * 1_000_000, bpb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1018,14 +1137,16 @@ def test_a_tile_error_reaches_the_caller_after_every_thread_ends(monkeypatch, fa
     src = mc.SourceConfig(nbar=1.0, profile=flat_profile())
     mask = spatial.MaskSpec(np.ones((12, 16)))
     scan = small_scan(mask, superpixel=2, threads=3)
-    draw = mc._simulate_tile
+    draw, drawn = mc._draw_tiles, []
 
-    def faulty(gen, seed, index, law):
-        if index == failing:
-            raise FloatingPointError(f"tile {index}")
-        return draw(gen, seed, index, law)
+    def faulty(gen, laws, w_cams, which):
+        first = sum(drawn)
+        drawn.append(len(which))
+        if first <= failing < first + len(which):
+            raise FloatingPointError(f"tile {failing}")
+        return draw(gen, laws, w_cams, which)
 
-    monkeypatch.setattr(mc, "_simulate_tile", faulty)
+    monkeypatch.setattr(mc, "_draw_tiles", faulty)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match=f"tile {failing}$"):
         mc.run_scan(src, scan)

@@ -293,8 +293,8 @@ def test_thermal_scan_and_its_analyze_call_no_lapack(tmp_path, monkeypatch):
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: pytest.fail(_name))
-    for name in ("_gauss_legendre", "_panel_rule"):
-        monkeypatch.setattr(blocktable, name, lru_cache(getattr(blocktable, name).__wrapped__))
+    monkeypatch.setattr(blocktable, "_BASE_RULES", {})
+    monkeypatch.setattr(blocktable, "_panel_rule", lru_cache(blocktable._panel_rule.__wrapped__))
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(SMALL_SCAN)
     assert cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

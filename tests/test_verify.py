@@ -256,6 +256,19 @@ def test_complement_tolerance_binds_only_the_operator_model(monkeypatch, tmp_pat
     assert len((tmp_path / "v" / "verify.csv").read_text().splitlines()) == 1 + 8
 
 
+@pytest.mark.parametrize("population, status", [(5e-11, "PASS"), (5e-10, "FAIL")])
+def test_an_operator_case_fails_past_a_complement_population_of_1e_10(monkeypatch, population,
+                                                                       status):
+    # the sweep's rule at its tolerance: the case's fidelity holds, so its
+    # complement population alone decides
+    exact = verify.regional_subtraction
+    monkeypatch.setattr(verify, "regional_subtraction", lambda rho, split: exact(rho, split)
+                        ._replace(complement_population=population))
+    (case,) = verify.sweep([("thermal:0.3", fock.make_thermal(0.3, 14))],
+                           [verify.SplitConfig(0.5, 0.1)])
+    assert case.margin >= 0.0 and case.status == status
+
+
 # ---------------------------------------------------------------------------
 # the cached split kernel against the per-call algorithm it replaced
 
