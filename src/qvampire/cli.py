@@ -109,21 +109,24 @@ def cmd_verify(args) -> int:
     nmax = qv.verify.DEFAULT_VERIFY_NMAX if args.nmax is None else args.nmax
     if nmax < 1:  # checked once here, so no state spec takes the blame
         raise QVampireError(f"--nmax must be at least 1, got {nmax}")
-    # the whole sweep is checked before its first case runs
-    states = [(spec, qv.verify.parse_state(spec, nmax)) for spec in specs]
     splits = [qv.verify.SplitConfig(c_a, r, model) for c_a in cas for r in rs for model in models]
     lines, rows, operator, breach = [], [], [], False  # only text and numbers outlive a case
-    for case in qv.verify.sweep(states, splits):
-        split, res = case.split, case.result
-        lines.append(
-            f"{case.status} {case.label} c_A={split.c_a} r={split.r} {split.herald_model}: "
-            f"fidelity={case.fidelity:.12f} herald_prob={res.herald_prob:.6e}"
-        )
-        rows.append((case.label, split.c_a, split.r, split.herald_model, case.fidelity,
-                     res.herald_prob, res.complement_population))
-        if case.margin is not None:  # an operator-model case
-            operator.append((case.margin, res.complement_population))
-        breach |= case.status == "FAIL"
+    try:  # nmax sizes every array of the sweep, from the states to the heralded maps
+        # the whole sweep is checked before its first case runs
+        states = [(spec, qv.verify.parse_state(spec, nmax)) for spec in specs]
+        for case in qv.verify.sweep(states, splits):
+            split, res = case.split, case.result
+            lines.append(
+                f"{case.status} {case.label} c_A={split.c_a} r={split.r} {split.herald_model}: "
+                f"fidelity={case.fidelity:.12f} herald_prob={res.herald_prob:.6e}"
+            )
+            rows.append((case.label, split.c_a, split.r, split.herald_model, case.fidelity,
+                         res.herald_prob, res.complement_population))
+            if case.margin is not None:  # an operator-model case
+                operator.append((case.margin, res.complement_population))
+            breach |= case.status == "FAIL"
+    except MemoryError:
+        raise QVampireError(f"--nmax {nmax}: the sweep does not fit in memory") from None
     # nothing is printed or written until the whole sweep has run, so a refused case leaves neither
     print("\n".join(lines))
     save_csv(_outdir(args) / "verify.csv", VERIFY_CSV_HEADER, rows)

@@ -4,12 +4,14 @@ States are dense single-mode density matrices over the number basis
 |0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary,
 conserve the total photon number and are kept as one block per total;
 applying them to a state is the job of ``verify``, which reads only the
-blocks N < dim that the truncation leaves whole.  The truncated blocks
-N >= dim are built only for the dense ``beamsplitter_unitary``.  A square
-splitter's blocks are real: in the gauge diag(i^k) each block's generator
-is a real tridiagonal matrix that the mode exchange splits into two
-eigenproblems of half the order.  All operations are pure functions; the
-backing arrays are frozen so values can be shared.
+blocks N < dim that the truncation leaves whole.  Those blocks are real,
+and each is built from the one below it by adding one photon (Risbo's
+recursion), with no eigensolver.  The truncated blocks N >= dim have no
+closed form; they are built only for the dense ``beamsplitter_unitary``,
+where in the gauge diag(i^k) each block's generator is a real tridiagonal
+matrix that the mode exchange splits into two eigenproblems of half the
+order.  All operations are pure functions; the backing arrays are frozen
+so values can be shared.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def _hop_eigenbasis(dim: int, total: int) -> tuple:
     splits T = W L W^T into an even and an odd problem of half the order
     (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  The gauged
     eigenvectors D W hold a real entry on even sites and an imaginary one
-    on odd sites.  The generator does not depend on the splitter's angle,
-    so one eigendecomposition per block serves every (t, r).
+    on odd sites.  Only the truncated blocks N >= dim, which have no closed
+    form, are built this way.
     """
     # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
     n = np.arange(max(0, total - dim + 1), min(total, dim - 1), dtype=float)
@@ -224,12 +226,6 @@ def _hop_eigenbasis(dim: int, total: int) -> tuple:
     w = np.hstack((q[:, :half] @ even_vecs, q[:, half:] @ odd_vecs))
     gauge = np.array([1, 1j, -1, -1j])[np.arange(order) % 4]  # i^k
     return _freeze(np.concatenate((even_vals, odd_vals))), _freeze(gauge[:, None] * w)
-
-
-@lru_cache(maxsize=4)
-def _hop_eigenbases(dim: int) -> tuple:
-    """``_hop_eigenbasis`` of the blocks the truncation leaves whole, N = 0 .. dim - 1."""
-    return tuple(_hop_eigenbasis(dim, total) for total in range(dim))
 
 
 def _rotated_block(evals: np.ndarray, gauged: np.ndarray, theta: float) -> np.ndarray:
@@ -247,24 +243,45 @@ def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
     truncation leaves whole.
 
     Both modes are truncated to dim levels.  Block N = 0 .. dim - 1 acts on
-    all of |n, N - n>, n = 0 .. N.  The blocks are cached on (dim, t, r) as
-    C-contiguous real arrays, each one ``_rotated_block`` of the angle-free
-    eigenbasis that ``_hop_eigenbases`` caches on dim alone.  The blocks
-    N >= dim, which the truncation cuts, are built only by
-    ``beamsplitter_unitary``.
+    all of |n, N - n>, n = 0 .. N, and is built from block N - 1 by adding
+    one photon, with no eigensolver.  Block N is U (x) U^(N-1) restricted
+    to the states symmetric under exchange of the N photons (Risbo,
+    J. Geodesy 70, 383, 1996): with w[n] = sqrt(n / N), wb[n] = w[N - n]
+    and B the block N - 1, zero outside its range,
+
+        B_N[k, n] = w[k] (t w[n] B[k-1, n-1] + r wb[n] B[k-1, n])
+                  + wb[k] (t wb[n] B[k, n] - r w[n] B[k, n-1]).
+
+    The symmetric split keeps every step a contraction, so the blocks stay
+    orthogonal to rounding; building each column by the one-sided
+    (t ai+ - r aj+) / sqrt(n) does not.  The blocks are cached on
+    (dim, t, r) as frozen C-contiguous real arrays.  The blocks N >= dim,
+    which the truncation cuts, are built only by ``beamsplitter_unitary``.
     """
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
         raise QVampireError(f"t^2 + r^2 = {t * t + r * r} != 1")
-    theta = math.atan2(r, t)
-    return tuple(_rotated_block(*basis, theta) for basis in _hop_eigenbases(dim))
+    # the weights times sqrt(N), so block N takes one division by N
+    roots = np.sqrt(np.arange(dim, dtype=float))
+    t_roots, r_roots = t * roots, r * roots
+    pad = np.zeros((dim + 1, dim + 1))  # B[k, n] at pad[k + 1, n + 1], zero around it
+    blocks = [_freeze(np.ones((1, 1)))]
+    for total in range(1, dim):
+        pad[1 : total + 1, 1 : total + 1] = blocks[-1]
+        s, ts, rs = roots[: total + 1], t_roots[: total + 1], r_roots[: total + 1]
+        # the new photon in mode i (rows k - 1 of B) and in mode j (rows k)
+        up = ts * pad[: total + 1, : total + 1] + rs[::-1] * pad[: total + 1, 1 : total + 2]
+        down = ts[::-1] * pad[1 : total + 2, 1 : total + 2] - rs * pad[1 : total + 2, : total + 1]
+        blocks.append(_freeze((s[:, None] * up + s[::-1, None] * down) / total))
+    return tuple(blocks)
 
 
 def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarray:
     """exp(theta (ai+ aj - ai aj+)) as a dense matrix, laid out by ``_scatter_blocks``.
 
     Only square splitters (dim_i == dim_j) are built.  The blocks N < d come from
-    ``beamsplitter_blocks``; the truncated blocks N = d .. 2 d - 2 are built here,
-    uncached, by the same per-block code.
+    ``beamsplitter_blocks``' one-photon recursion.  The truncated blocks
+    N = d .. 2 d - 2 have no closed form: each is built here, uncached, from
+    the eigenbasis ``_hop_eigenbasis`` gives and rotated by ``_rotated_block``.
     """
     if dim_i != dim_j:
         raise QVampireError(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")

@@ -824,6 +824,27 @@ def test_cmd_verify_state_out_of_range_names_the_spec(tmp_path, capsys, option, 
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize(
+    "module, name, nmax",
+    [(fock, "make_fock", 1_000_000), (verify, "_herald_kernel", 40)],
+    ids=["state", "kernel"],
+)
+def test_an_nmax_too_large_to_allocate_is_named(tmp_path, capsys, monkeypatch, module, name, nmax):
+    # an nmax too large for memory ends in numpy's MemoryError at the first
+    # array it sizes, the input state's or the heralded map's; the arrays here
+    # are small, and the error is raised in place of that array
+    def no_memory(*args):
+        raise MemoryError(f"Unable to allocate an array with shape ({nmax + 1}, {nmax + 1})")
+
+    monkeypatch.setattr(module, name, no_memory)
+    argv = ["--states", "fock:1", "--ca", "0.5", "--r", "0.1", "--nmax", str(nmax)]
+    assert cli.main(["verify", "--out", str(tmp_path / "v"), *argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"qvampire: --nmax {nmax}: the sweep does not fit in memory\n"
+    )
+    assert not (tmp_path / "v").exists()
+
+
 def test_cmd_verify_names_the_case_an_error_stops(tmp_path, capsys):
     # a positive r too small for the herald, or an n-bar of 1e-14 at the default c_A and r,
     # passes the parse but fails its case; no line prints, not even of a case that passed

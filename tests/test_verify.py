@@ -23,13 +23,12 @@ def test_recombination_unitary_on_supported_blocks():
 
 
 def test_recombination_unitary_builds_only_the_blocks_it_keeps(monkeypatch):
-    # its columns n + m >= d are zero, so no truncated block N >= d is built
+    # its columns n + m >= d are zero, so no truncated block N >= d is built,
+    # and the blocks N < d come from the recursion: no eigenbasis at all
     _clear_caches()
-    built, hop = [], fock._hop_eigenbasis
-    monkeypatch.setattr(fock, "_hop_eigenbasis", lambda d, total: built.append(total) or hop(d, total))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("an eigensolver"))
     d = 8
     w = verify.recombination_unitary(0.6, d)
-    assert sorted(built) == list(range(d))
     assert not w[:, np.add.outer(np.arange(d), np.arange(d)).ravel() >= d].any()
 
 
@@ -282,13 +281,15 @@ def _state(spec):
 
 
 def _clear_caches():
-    for cached in (fock._hop_eigenbases, fock.beamsplitter_blocks,
-                   verify._herald_images, verify._layout, verify._herald_kernel):
+    for cached in (fock.beamsplitter_blocks, verify._herald_images, verify._layout,
+                   verify._herald_kernel):
         cached.cache_clear()
 
 
 def _oracle_blocks(d, t, r):
-    """beamsplitter_blocks with each block's split eigh redone per (t, r), nothing cached."""
+    """The splitter's blocks N = 0 .. 2 d - 2 from each block's split eigh at
+    (t, r), nothing cached: the reference for the recursion of the blocks
+    N < d and the exact construction of the truncated ones."""
     blocks = []
     for total in range(2 * d - 1):
         n = np.arange(max(0, total - d + 1), min(total, d - 1), dtype=float)
@@ -308,9 +309,12 @@ def _oracle_blocks(d, t, r):
 
 
 def _oracle_split(d, c_a, r, model):
-    """The recombination blocks and herald images of one split, uncached."""
-    rec = _oracle_blocks(d, c_a, -math.sqrt(max(1.0 - c_a * c_a, 0.0)))
-    u = _oracle_blocks(d, math.sqrt(max(1.0 - r * r, 0.0)), r)
+    """The recombination blocks and herald images of one split, the images
+    rebuilt uncached.  The blocks are the production ones, which
+    ``test_beamsplitter_blocks_equal_the_per_angle_eigh`` holds to the eigen
+    reference, so the contraction is checked to the bit."""
+    rec = fock.beamsplitter_blocks(d, c_a, -math.sqrt(max(1.0 - c_a * c_a, 0.0)))
+    u = fock.beamsplitter_blocks(d, math.sqrt(max(1.0 - r * r, 0.0)), r)
     herald = np.zeros((d, d))
     for k in range(1, d):
         tapped = u[k][:, k]
@@ -350,23 +354,30 @@ def _oracle_regional_subtraction(rho, rec, herald, model):
 
 
 def test_beamsplitter_blocks_equal_the_per_angle_eigh():
-    d = verify.DEFAULT_VERIFY_NMAX + 1  # blocks of every order 1 .. d
-    for theta in (0.05, 0.3, 1.1, 2.5, -0.4):
-        t, r = math.cos(theta), math.sin(theta)
-        got = fock.beamsplitter_blocks(d, t, r)  # the blocks N < d the truncation leaves whole
-        want = _oracle_blocks(d, t, r)
-        assert len(got) == d
-        assert all(np.array_equal(g, w) for g, w in zip(got, want[:d], strict=True))
-        # each block is a real array of its own, not a view of a complex product
-        assert all(
-            g.dtype == np.float64 and g.flags.c_contiguous and g.flags.owndata for g in got
-        )
-        # the blocks N >= d, cut by the truncation, live only in the dense unitary
-        u = fock.beamsplitter_unitary(d, d, t, r)
-        for total, block in enumerate(want[d:], start=d):
-            n_i = np.arange(total - d + 1, d)
-            idx = n_i * d + total - n_i
-            assert np.array_equal(u[np.ix_(idx, idx)], block)
+    # the one-photon recursion against the eigen reference, over blocks of
+    # every order 1 .. d; each stays orthogonal, so no rounding builds up
+    default_d = verify.DEFAULT_VERIFY_NMAX + 1
+    for d, thetas in ((default_d, (0.05, 0.3, 1.1, 2.5, -0.4)), (121, (0.3, 1.1, 2.5))):
+        for theta in thetas:
+            t, r = math.cos(theta), math.sin(theta)
+            got = fock.beamsplitter_blocks(d, t, r)  # the blocks N < d the truncation leaves whole
+            want = _oracle_blocks(d, t, r)
+            assert len(got) == d
+            assert max(np.abs(g - w).max() for g, w in zip(got, want[:d], strict=True)) <= 1e-13
+            assert max(np.abs(g.T @ g - np.eye(len(g))).max() for g in got) <= 1e-13
+            # each block is a real array of its own, not a view of a complex product
+            assert all(
+                g.dtype == np.float64 and g.flags.c_contiguous and g.flags.owndata for g in got
+            )
+            if d != default_d:
+                continue  # a dense unitary holds d^4 doubles: 1.7 GB at d = 121
+            # the blocks N >= d, cut by the truncation, live only in the dense
+            # unitary, built there by the same eigen construction
+            u = fock.beamsplitter_unitary(d, d, t, r)
+            for total, block in enumerate(want[d:], start=d):
+                n_i = np.arange(total - d + 1, d)
+                idx = n_i * d + total - n_i
+                assert np.array_equal(u[np.ix_(idx, idx)], block)
 
 
 def test_beamsplitter_unitary_rejects_unequal_dims():
@@ -426,13 +437,13 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
         assert first.complement_population == second.complement_population
 
     d = verify.DEFAULT_VERIFY_NMAX + 1
-    cached = [array for basis in fock._hop_eigenbases(d) for array in basis]
+    cached = []
     for c_a, r in SPLITS:
         for model in verify.HERALD_MODELS:
             cached += [*verify._herald_kernel(d, c_a, r, model), verify._herald_images(d, r, model)]
         cached += fock.beamsplitter_blocks(d, *verify._split_params(c_a))
     cached += [*verify._layout(d, 0), *verify._layout(d, 1)]  # the two models' lost
-    assert fock._hop_eigenbases.cache_info().misses == 1
+    assert fock.beamsplitter_blocks.cache_info().misses == 2 * len(SPLITS)  # c_A's and r's
     assert verify._herald_kernel.cache_info().misses == len(SPLITS) * len(verify.HERALD_MODELS)
     assert verify._layout.cache_info().misses == len(verify.HERALD_MODELS)
     assert all(not array.flags.writeable for array in cached)
@@ -440,11 +451,11 @@ def test_sweep_order_does_not_change_results_and_cached_arrays_are_read_only():
 
 def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     # the 54 operator cases at nmax 28 hold 9 distinct (c_A, r) splits: each
-    # kernel build reads the herald images once, each of the 29 blocks N < d
-    # the truncation leaves whole takes its two half-order eigendecompositions
-    # once, no block N >= d is built, and each state takes one
-    # eigh, which validates it and gives fock.fidelity its square root: the
-    # 6 input states, the 54 outputs and the 6 directly subtracted states
+    # kernel build reads the herald images once, the splitter blocks come from
+    # the one-photon recursion with no eigensolver, no block N >= d is built,
+    # and each state takes one eigh, which validates it and gives
+    # fock.fidelity its square root: the 6 input states, the 54 outputs and
+    # the 6 directly subtracted states
     _clear_caches()
     kernels, eighs = [], []
     images, eigh = verify._herald_images, np.linalg.eigh
@@ -456,7 +467,6 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
         assert cli.main(["verify", "--out", str(tmp_path)]) == 0
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        fock._hop_eigenbases.cache_clear()
         verify._herald_kernel.cache_clear()
         fock.beamsplitter_blocks.cache_clear()
         gc.collect()
@@ -466,14 +476,11 @@ def test_default_sweep_builds_each_split_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("verify: 54 cases")
     assert len(kernels) == 9
     d = verify.DEFAULT_VERIFY_NMAX + 1
-    hops = [shape for shape in eighs if shape != (d, d)]
-    assert len(hops) == 2 * d
-    assert max(shape[0] for shape in hops) == (d + 1) // 2
-    assert len(eighs) - len(hops) == 6 + 54 + 6
-    # the eigenbases, kernels and splitter blocks the sweep leaves alive:
-    # 0.15 + 0.56 + 0.44 MB, where the truncated blocks N >= d would add
-    # 0.53 MB and a dense d x d x d kernel per split 2 MB
-    assert 0 < held < 1.3e6
+    assert eighs == [(d, d)] * (6 + 54 + 6)
+    # the kernels and splitter blocks the sweep leaves alive: 0.56 + 0.44 MB,
+    # where the truncated blocks N >= d would add 0.53 MB and a dense
+    # d x d x d kernel per split 2 MB
+    assert 0 < held < 1.15e6
 
 
 # ---------------------------------------------------------------------------
