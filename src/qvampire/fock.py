@@ -3,15 +3,12 @@
 States are dense single-mode density matrices over the number basis
 |0>..|nmax>.  Two-mode operators, such as the beam-splitter unitary,
 conserve the total photon number and are kept as one block per total;
-applying them to a state is the job of ``verify``, which reads only the
-blocks N < dim that the truncation leaves whole.  Those blocks are real,
-and each is built from the one below it by adding one photon (Risbo's
-recursion), with no eigensolver.  The truncated blocks N >= dim have no
-closed form; they are built only for the dense ``beamsplitter_unitary``,
-where in the gauge diag(i^k) each block's generator is a real tridiagonal
-matrix that the mode exchange splits into two eigenproblems of half the
-order.  All operations are pure functions; the backing arrays are frozen
-so values can be shared.
+applying them to a state is the job of ``verify``.  Only the blocks
+N < dim, which the truncation leaves whole, are built: they are real, and
+each is built from the one below it by adding one photon (Risbo's
+recursion), with no eigensolver.  A dense two-mode matrix holds those
+blocks and is zero on the states N >= dim.  All operations are pure
+functions; the backing arrays are frozen so values can be shared.
 """
 
 from __future__ import annotations
@@ -187,56 +184,6 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 # two-mode unitaries, one block per total photon number N
 
 
-def _exchange_basis(order: int) -> np.ndarray:
-    """Orthogonal Q whose first ceil(order/2) columns are even and the rest odd
-    under the site reversal k <-> order - 1 - k."""
-    half = order // 2
-    q = np.zeros((order, order))
-    k = np.arange(half)
-    q[k, k] = q[order - 1 - k, k] = q[k, order - half + k] = math.sqrt(0.5)
-    q[order - 1 - k, order - half + k] = -math.sqrt(0.5)
-    if order % 2:
-        q[half, half] = 1.0  # the middle site is its own mirror image
-    return q
-
-
-def _hop_eigenbasis(dim: int, total: int) -> tuple:
-    """(evals, D W) of i * (ai+ aj - ai aj+) on block N = total.
-
-    Over the block's sites k (n = n_min + k) the gauge D = diag(i^k) turns
-    the Hermitian generator H into the real tridiagonal T = D+ H D, whose
-    off-diagonal is the hop sequence sqrt((n + 1)(N - n)).  On a square
-    splitter that sequence is a palindrome, truncated blocks included, so
-    the mode exchange n <-> N - n commutes with T, and ``_exchange_basis``
-    splits T = W L W^T into an even and an odd problem of half the order
-    (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  The gauged
-    eigenvectors D W hold a real entry on even sites and an imaginary one
-    on odd sites.  Only the truncated blocks N >= dim, which have no closed
-    form, are built this way.
-    """
-    # ai+ aj |n, N-n> = hop |n+1, N-n-1>: one photon per step, N conserved
-    n = np.arange(max(0, total - dim + 1), min(total, dim - 1), dtype=float)
-    hop = np.sqrt((n + 1) * (total - n))
-    order = len(hop) + 1
-    q = _exchange_basis(order)
-    split = q.T @ (np.diag(hop, -1) + np.diag(hop, 1)) @ q
-    half = order - order // 2
-    even_vals, even_vecs = np.linalg.eigh(split[:half, :half])
-    odd_vals, odd_vecs = np.linalg.eigh(split[half:, half:])
-    w = np.hstack((q[:, :half] @ even_vecs, q[:, half:] @ odd_vecs))
-    gauge = np.array([1, 1j, -1, -1j])[np.arange(order) % 4]  # i^k
-    return _freeze(np.concatenate((even_vals, odd_vals))), _freeze(gauge[:, None] * w)
-
-
-def _rotated_block(evals: np.ndarray, gauged: np.ndarray, theta: float) -> np.ndarray:
-    """Re(D W e^{-i theta L} W^T D+), one block of the splitter at angle theta."""
-    # with D W = A + iB and e^{-i theta L} = c - is, the float views
-    # interleave the columns of [Ac + Bs, Bc - As] and [A B]: their
-    # product is the real part, and the imaginary part is never formed
-    rotated = gauged * np.exp(-1j * theta * evals)
-    return _freeze(rotated.view(np.float64) @ gauged.view(np.float64).T)
-
-
 @lru_cache(maxsize=64)
 def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
     """exp(theta (ai+ aj - ai aj+)), t = cos, r = sin, on the blocks the
@@ -255,8 +202,7 @@ def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
     The symmetric split keeps every step a contraction, so the blocks stay
     orthogonal to rounding; building each column by the one-sided
     (t ai+ - r aj+) / sqrt(n) does not.  The blocks are cached on
-    (dim, t, r) as frozen C-contiguous real arrays.  The blocks N >= dim,
-    which the truncation cuts, are built only by ``beamsplitter_unitary``.
+    (dim, t, r) as frozen C-contiguous real arrays.
     """
     if abs(t * t + r * r - 1.0) > UNITARY_PARAM_TOL:
         raise QVampireError(f"t^2 + r^2 = {t * t + r * r} != 1")
@@ -276,26 +222,22 @@ def beamsplitter_blocks(dim: int, t: float, r: float) -> tuple:
 
 
 def beamsplitter_unitary(dim_i: int, dim_j: int, t: float, r: float) -> np.ndarray:
-    """exp(theta (ai+ aj - ai aj+)) as a dense matrix, laid out by ``_scatter_blocks``.
+    """exp(theta (ai+ aj - ai aj+)) as a dense matrix over |n_i, n_j>, n_i slow.
 
-    Only square splitters (dim_i == dim_j) are built.  The blocks N < d come from
-    ``beamsplitter_blocks``' one-photon recursion.  The truncated blocks
-    N = d .. 2 d - 2 have no closed form: each is built here, uncached, from
-    the eigenbasis ``_hop_eigenbasis`` gives and rotated by ``_rotated_block``.
+    Only square splitters (dim_i == dim_j) are built.  Its blocks N < d are
+    those of ``beamsplitter_blocks``; the rows and columns n_i + n_j >= d,
+    whose blocks the truncation cuts, are zero, so the matrix is unitary on
+    the states that fit.
     """
     if dim_i != dim_j:
         raise QVampireError(f"beam splitter needs equal dims, got {dim_i} vs {dim_j}")
-    d = dim_i
-    whole = beamsplitter_blocks(d, t, r)  # checks t^2 + r^2 = 1
-    theta = math.atan2(r, t)
-    cut = [_rotated_block(*_hop_eigenbasis(d, total), theta) for total in range(d, 2 * d - 1)]
-    return _scatter_blocks(d, (*whole, *cut))
+    return _scatter_blocks(dim_i, beamsplitter_blocks(dim_i, t, r))
 
 
 def _scatter_blocks(d: int, blocks) -> np.ndarray:
-    """Blocks N = 0, 1, .. as one dense matrix over |n_i, n_j>, n_i slow; the rest is zero."""
+    """Blocks N = 0 .. d - 1 as one dense matrix over |n_i, n_j>, n_i slow; the rest is zero."""
     u = np.zeros((d * d,) * 2)
     for total, block in enumerate(blocks):
-        n_i = max(0, total - d + 1) + np.arange(len(block))
+        n_i = np.arange(total + 1)
         u[np.ix_(n_i * d + total - n_i, n_i * d + total - n_i)] = block
     return u

@@ -28,7 +28,7 @@ Those amplitudes do not depend on the input state, so the whole heralded
 map is built once per split and cached on (dim, c_A, r, herald model):
 ``_herald_kernel`` keeps the Gram matrix of the amplitudes for each number
 j of photons the map removes from the beam, all in one flat j-major array,
-plus the weight each |n> leaves in the complement vacuum.  A call of
+plus the weight each |n> leaves in complement states m >= 1.  A call of
 ``regional_subtraction`` gathers the state entry of each Gram entry and
 sums the products per output cell with ``np.bincount``, in ascending j.
 """
@@ -44,13 +44,7 @@ import numpy as np
 
 from . import fock  # the sweep looks its fidelity up at each call
 from .errors import QVampireError
-from .fock import (
-    DensityMatrix,
-    VACUUM_WEIGHT_FLOOR,
-    _freeze,
-    _scatter_blocks,
-    beamsplitter_blocks,
-)
+from .fock import DensityMatrix, VACUUM_WEIGHT_FLOOR, _freeze, beamsplitter_blocks
 
 OPERATOR = "operator"
 CLICK_POVM = "click_povm"
@@ -114,7 +108,7 @@ def recombination_unitary(c_a: float, dim: int) -> np.ndarray:
     photons over the (A, B) pixel-partition modes.  The columns n + m >= dim, which
     the truncation cuts, are zero; the matrix is unitary on the blocks that fit.
     """
-    return _scatter_blocks(dim, beamsplitter_blocks(dim, *_split_params(c_a)))
+    return fock.beamsplitter_unitary(dim, dim, *_split_params(c_a))
 
 
 @lru_cache(maxsize=64)
@@ -161,18 +155,19 @@ def _layout(d: int, lost: int) -> tuple:
 def _herald_kernel(d: int, c_a: float, r: float, model: str) -> tuple:
     """The part of regional subtraction that does not read the state.
 
-    Returns ``(grams, cells, entries, comp_vacuum)``.  ``grams`` holds the
+    Returns ``(grams, cells, entries, comp_weight)``.  ``grams`` holds the
     (d - j) x (d - j) Gram matrices K_j^T K_j for j = lost .. d - 1 in one
     flat array, j-major and each block in C order.  Here lost is the number
     of photons the herald destroys and K_j[m, n] is the amplitude that input
     |n> leaves n - j beam photons and m complement photons (n >= j).  Term i
     of the output is grams[i] times state entry ``entries[i]``, added to
-    cell ``cells[i]`` (``_layout``'s arrays).  ``comp_vacuum[n]`` is the
-    weight input |n> leaves in the complement vacuum.  The flat indices only
-    move numbers.  Each total's amplitudes come from one ``rec[total].T @ x``
-    and each block from one ``kj.T @ kj``; a padded 3-D ``matmul`` of either
-    would change the last bits.  An entry holds about d^3 / 3 doubles: 62 kB
-    at d = 29 (the default nmax 28), 2.7 MB at d = 101.
+    cell ``cells[i]`` (``_layout``'s arrays).  ``comp_weight[n]`` is the
+    weight input |n> leaves in complement states m >= 1.  The flat indices
+    only move numbers.  Each total's amplitudes come from one
+    ``rec[total].T @ x`` and each block from one ``kj.T @ kj``; a padded 3-D
+    ``matmul`` of either would change the last bits.  An entry holds about
+    d^3 / 3 doubles: 62 kB at d = 29 (the default nmax 28), 2.7 MB at
+    d = 101.
     """
     lost = 1 if model == OPERATOR else 0  # photons the herald destroys
     rec = beamsplitter_blocks(d, *_split_params(c_a))  # blocks < d fit
@@ -193,7 +188,8 @@ def _herald_kernel(d: int, c_a: float, r: float, model: str) -> tuple:
     # trace out the complement and R: terms pair up only at equal (m, j)
     blocks = (amp[:, j, j:] for j in range(lost, d))  # none when d = lost
     grams = np.concatenate([np.zeros(0), *((kj.T @ kj).ravel() for kj in blocks)])
-    return _freeze(grams), cells, entries, _freeze((amp[0] ** 2).sum(axis=0))
+    amp *= amp  # the grams are taken, so square in place: no d^3 copy
+    return _freeze(grams), cells, entries, _freeze(amp[1:].sum(axis=(0, 1)))
 
 
 def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtractionResult:
@@ -201,10 +197,12 @@ def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtra
 
     The returned complement population is the probability of finding any
     photon outside the original beam mode: zero (to tolerance) means the
-    output keeps the input's transverse profile, i.e. no shadow.
+    output keeps the input's transverse profile, i.e. no shadow.  It is the
+    heralded weight left in complement states m >= 1 over the herald weight,
+    a ratio of sums of squares, so it is never negative.
     """
     d = rho.dim
-    grams, cells, entries, comp_vacuum = _herald_kernel(
+    grams, cells, entries, comp_weight = _herald_kernel(
         d, float(cfg.c_a), float(cfg.r), cfg.herald_model
     )
     # np.bincount adds each cell's terms in array order: ascending j, from
@@ -215,7 +213,7 @@ def regional_subtraction(rho: DensityMatrix, cfg: SplitConfig) -> RegionalSubtra
     herald_weight = float(beam.trace().real)
     if herald_weight < VACUUM_WEIGHT_FLOOR:
         raise QVampireError(f"herald weight {herald_weight:.3e} below {VACUUM_WEIGHT_FLOOR}")
-    complement_population = 1.0 - float(comp_vacuum @ rho.populations()) / herald_weight
+    complement_population = float(comp_weight @ rho.populations()) / herald_weight
 
     beam = (beam + beam.conj().T) / 2.0
     beam /= beam.trace().real

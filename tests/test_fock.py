@@ -284,7 +284,9 @@ def test_beamsplitter_unitarity_and_inverse():
     # purity Tr(rho^2) of a Hermitian matrix is its squared Frobenius norm
     assert abs(np.linalg.norm(out) ** 2 - np.linalg.norm(joint) ** 2) < 1e-10
     back_u = fock.beamsplitter_unitary(s.dim, r.dim, t, -refl)
-    assert np.abs(back_u @ u - np.eye(u.shape[0])).max() < 1e-10
+    # the truncation keeps the blocks n_i + n_j < d and zeroes the rest
+    kept = np.add.outer(np.arange(s.dim), np.arange(r.dim)).ravel() < s.dim
+    assert np.abs(back_u @ u - np.diag(kept.astype(float))).max() < 1e-10
     back = back_u @ out @ back_u.conj().T
     assert np.abs(back - joint).max() < 1e-10
 
@@ -336,9 +338,13 @@ def test_beamsplitter_blocks_match_su2_closed_form(theta):
         idx = [n * d + total - n for n in range(total + 1)]
         got = u[np.ix_(idx, idx)]
         assert np.abs(got - _closed_form_block(total, t, r)).max() < 1e-12
-    # blocks with N >= d are cut by the truncation: compare the whole matrix
-    # with the exponential of the dense truncated generator
-    assert np.abs(u - scipy.linalg.expm(theta * _kron_generator(d))).max() < 1e-12
+    # the truncation leaves those blocks whole, so there the matrix is the
+    # exponential of the dense truncated generator; the blocks N >= d are cut
+    # and every entry of their rows and columns is zero
+    kept = np.add.outer(np.arange(d), np.arange(d)).ravel() < d
+    want = scipy.linalg.expm(theta * _kron_generator(d))
+    assert np.abs(u - want)[np.ix_(kept, kept)].max() < 1e-12
+    assert not u[~kept].any() and not u[:, ~kept].any()
 
 
 def _exact_blocks(size, t, r):
